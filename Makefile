@@ -65,9 +65,11 @@ degradation:
 # engine must reproduce the ring's closed forms exactly (healthy, and under
 # every fault mask over 2-8 positions), the simulator must be byte-identical
 # on either ring implementation across searched zoo mappings, and the engine
-# cache must key ring/mesh/torus separately — all under the race detector.
+# cache must key ring/mesh/torus separately, and every pricing entry point
+# must price a mapping exactly as the search does on ring, mesh, torus and a
+# degraded ring — all under the race detector.
 topo-equiv:
-	$(GO) test -race -count=1 -run 'TestGenericRing|TestMeshTorus|TestGridDims|TestTopologyConstructorErrors|TestDegradedMeshReroutes|TestNewInterconnect|TestParseTopology|TestTopology|TestConfigTupleTopologySuffix|TestConfigValidateTopology|TestSimZooRingGenericEquivalence|TestCacheKeyTopologySeparation|TestEvalTopologyCostOrdering|TestGranularityTopologyAxis|TestGranularityMeshCostsAtLeastRing' \
+	$(GO) test -race -count=1 -run 'TestGenericRing|TestMeshTorus|TestGridDims|TestTopologyConstructorErrors|TestDegradedMeshReroutes|TestNewInterconnect|TestParseTopology|TestTopology|TestConfigTupleTopologySuffix|TestConfigValidateTopology|TestSimZooRingGenericEquivalence|TestCacheKeyTopologySeparation|TestEvalTopologyCostOrdering|TestGranularityTopologyAxis|TestGranularityMeshCostsAtLeastRing|TestPricingKernelEquivalence' \
 		./internal/noc ./internal/hardware ./internal/sim ./internal/engine ./internal/dse
 
 # serve is the serving-simulation determinism gate: trace parsing, DES
@@ -78,9 +80,12 @@ serve:
 	$(GO) test -race -count=1 -run 'TestParseTrace|TestWriteTrace|TestReferenceTrace|TestSimulate|TestConfigValidate|TestSingleRequestLatencyEqualsEvalModel|TestBuildOracle|TestServeReport' ./internal/serve
 
 # -shuffle=on randomizes test and subtest order each run, so inter-test
-# state dependencies surface in CI instead of in production.
+# state dependencies surface in CI instead of in production. The lease
+# takeover race then runs 500 more times: its exactly-one-winner claim only
+# fails on rare interleavings.
 race:
 	$(GO) test -race -shuffle=on ./...
+	$(GO) test -race -count=500 -run 'TestTakeoverRaceSingleWinner$$' ./internal/lease
 
 # fuzz is a short smoke run of the parser fuzzers — long enough to re-find
 # the historical zero-stride crashers, short enough for CI. Covers the

@@ -299,6 +299,19 @@ type LayerReport struct {
 	Cycles   int64
 }
 
+// layerReport renders one priced mapping option.
+func layerReport(o mapper.Option) LayerReport {
+	return LayerReport{
+		Layer:    o.Analysis.Layer,
+		Mapping:  o.Analysis.Map.String(),
+		Strategy: o.Analysis.Map,
+		Energy:   o.Energy,
+		Traffic:  o.Analysis.Traffic(),
+		Seconds:  hardware.Seconds(o.Cycles),
+		Cycles:   o.Cycles,
+	}
+}
+
 // ModelReport aggregates the post-design flow over a model.
 type ModelReport struct {
 	Model   string
@@ -317,15 +330,7 @@ func (b *Baton) MapLayer(l Layer, hw Hardware) (LayerReport, error) {
 	if err != nil {
 		return LayerReport{}, err
 	}
-	return LayerReport{
-		Layer:    l,
-		Mapping:  opt.Analysis.Map.String(),
-		Strategy: opt.Analysis.Map,
-		Energy:   opt.Energy,
-		Traffic:  opt.Analysis.Traffic(),
-		Seconds:  hardware.Seconds(opt.Cycles),
-		Cycles:   opt.Cycles,
-	}, nil
+	return layerReport(opt), nil
 }
 
 // MapModel runs the post-design flow for every layer of a model with the
@@ -344,15 +349,7 @@ func (b *Baton) MapModelContext(ctx context.Context, m Model, hw Hardware) (Mode
 	rep := ModelReport{Model: m.Name, Energy: res.Energy,
 		Seconds: hardware.Seconds(res.Cycles), Skipped: res.Skipped}
 	for _, o := range res.Layers {
-		rep.Layers = append(rep.Layers, LayerReport{
-			Layer:    o.Analysis.Layer,
-			Mapping:  o.Analysis.Map.String(),
-			Strategy: o.Analysis.Map,
-			Energy:   o.Energy,
-			Traffic:  o.Analysis.Traffic(),
-			Seconds:  hardware.Seconds(o.Cycles),
-			Cycles:   o.Cycles,
-		})
+		rep.Layers = append(rep.Layers, layerReport(o))
 	}
 	return rep, nil
 }
@@ -363,15 +360,7 @@ func (b *Baton) MapModelContext(ctx context.Context, m Model, hw Hardware) (Mode
 func (b *Baton) SpatialComboStudy(l Layer, hw Hardware) map[string]LayerReport {
 	out := make(map[string]LayerReport)
 	for combo, o := range mapper.BestPerSpatialCombo(l, hw, b.cm) {
-		out[combo] = LayerReport{
-			Layer:    o.Analysis.Layer,
-			Mapping:  o.Analysis.Map.String(),
-			Strategy: o.Analysis.Map,
-			Energy:   o.Energy,
-			Traffic:  o.Analysis.Traffic(),
-			Seconds:  hardware.Seconds(o.Cycles),
-			Cycles:   o.Cycles,
-		}
+		out[combo] = layerReport(o)
 	}
 	return out
 }
@@ -427,33 +416,15 @@ func (b *Baton) FusionStudy(m Model, hw Hardware) (FusionReport, error) {
 	if err != nil {
 		return FusionReport{}, err
 	}
-	// Align per-layer traffic with the model's layer list; unmappable
-	// layers contribute empty records and never fuse usefully.
-	perLayer := make([]c3p.Traffic, len(m.Layers))
-	byName := make(map[string]c3p.Traffic, len(res.Layers))
-	for _, o := range res.Layers {
-		byName[o.Analysis.Layer.Name] = o.Analysis.Traffic()
-	}
-	for i, l := range m.Layers {
-		perLayer[i] = byName[l.Name]
-	}
-	sch, err := pipeline.Plan(m, hw)
+	sv, err := pipeline.Study(m, hw, res.Layers, b.cm)
 	if err != nil {
 		return FusionReport{}, err
 	}
-	sv, fused, err := pipeline.Evaluate(sch, perLayer)
-	if err != nil {
-		return FusionReport{}, err
-	}
-	rep := FusionReport{
+	sch := sv.Schedule
+	return FusionReport{
 		Model: m.Name, Groups: len(sch.Groups), FusedEdges: sch.FusedEdges(),
-		SavedDRAM: sv.SavedDRAMBytes,
-	}
-	for i := range perLayer {
-		rep.Unfused = rep.Unfused.Add(energy.FromTraffic(perLayer[i], hw, b.cm))
-		rep.Fused = rep.Fused.Add(energy.FromTraffic(fused[i], hw, b.cm))
-	}
-	return rep, nil
+		Unfused: sv.Unfused, Fused: sv.Fused, SavedDRAM: sv.SavedDRAMBytes,
+	}, nil
 }
 
 // Granularity runs the Fig 14 chiplet-granularity study: every compute

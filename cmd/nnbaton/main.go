@@ -131,8 +131,8 @@ func main() {
 	}
 }
 
-// reprice loads a strategy file, re-validates every mapping and re-runs the
-// C³P evaluation on it.
+// reprice loads a strategy file, re-validates every mapping and re-prices it
+// through the mapper's pricing kernel.
 func reprice(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -143,12 +143,14 @@ func reprice(path string) error {
 	if err != nil {
 		return err
 	}
-	tr, err := strategy.Reprice(sf)
+	opts, err := strategy.Reprice(sf, hardware.MustCostModel())
 	if err != nil {
 		return err
 	}
-	cm := hardware.MustCostModel()
-	br := energy.FromTraffic(tr, sf.Hardware, cm)
+	var br energy.Breakdown
+	for _, o := range opts {
+		br = br.Add(o.Energy)
+	}
 	fmt.Printf("strategy %s@%d on %s: %d layers, %.2f mJ\n  %v\n",
 		sf.Model, sf.Input, sf.Hardware.Tuple(), len(sf.Layers), br.Total()/1e9, br)
 	return nil

@@ -16,7 +16,6 @@ import (
 	"nnbaton/internal/hardware"
 	"nnbaton/internal/mapper"
 	"nnbaton/internal/obs"
-	"nnbaton/internal/sim"
 	"nnbaton/internal/workload"
 )
 
@@ -111,12 +110,6 @@ func (r ExploreResult) ParetoFront() []Point {
 		}
 	}
 	return front
-}
-
-// candidate is a pooled mapping analysis reused across memory points.
-type candidate struct {
-	layer int
-	a     *c3p.Analysis
 }
 
 // exploreRecord is the checkpoint-journal form of one compute
@@ -346,7 +339,7 @@ func exploreCompute(ctx context.Context, model workload.Model, space Space, comp
 	// Harvest mapping candidates per layer at the anchor allocations. The
 	// engine deduplicates repeated shapes and coalesces identical anchor
 	// searches issued by concurrent compute configurations.
-	pool := make([][]candidate, len(model.Layers))
+	pool := make([][]*c3p.Analysis, len(model.Layers))
 	validAnchors := 0
 	for _, anchor := range anchorConfigs(space, comp) {
 		if anchor.Validate() != nil {
@@ -359,12 +352,18 @@ func exploreCompute(ctx context.Context, model workload.Model, space Space, comp
 				return nil, 0, err
 			}
 			for _, opt := range opts {
-				pool[li] = append(pool[li], candidate{layer: li, a: opt.Analysis})
+				pool[li] = append(pool[li], opt.Analysis)
 			}
 		}
 	}
 	if validAnchors == 0 {
 		return nil, 0, fmt.Errorf("dse: no valid anchor configuration for %s", comp.Tuple())
+	}
+	// Every memory point shares the compute configuration's interconnect, so
+	// one pricing kernel serves the whole memory cross-product.
+	fab, err := mapper.NewFabric(comp, hardware.FaultMask{}, eng.CostModel())
+	if err != nil {
+		return nil, 0, err
 	}
 
 	var points []Point
@@ -383,7 +382,7 @@ func exploreCompute(ctx context.Context, model workload.Model, space Space, comp
 					hw.AL1Bytes, hw.WL1Bytes, hw.AL2Bytes = al1, wl1, al2
 					hw.OL2Bytes = al2 / 2
 					stop := eng.Obs().Span("dse.memory_point")
-					pt, ok := priceMemoryPoint(model, hw, pool, areaLimitMM2, eng.CostModel())
+					pt, ok := priceMemoryPoint(model, hw, pool, areaLimitMM2, fab, eng.CostModel())
 					stop()
 					if ok {
 						points = append(points, pt)
@@ -396,30 +395,31 @@ func exploreCompute(ctx context.Context, model workload.Model, space Space, comp
 }
 
 // priceMemoryPoint re-prices the pooled candidates at one memory allocation
-// and returns the aggregated point; ok is false when some layer has no valid
-// candidate at these buffer sizes.
-func priceMemoryPoint(model workload.Model, hw hardware.Config, pool [][]candidate,
-	areaLimitMM2 float64, cm *hardware.CostModel) (Point, bool) {
+// through the compute configuration's pricing kernel and returns the
+// aggregated point; ok is false when some layer has no valid candidate at
+// these buffer sizes.
+func priceMemoryPoint(model workload.Model, hw hardware.Config, pool [][]*c3p.Analysis,
+	areaLimitMM2 float64, fab *mapper.Fabric, cm *hardware.CostModel) (Point, bool) {
 	pt := Point{HW: hw, ChipletAreaMM2: cm.ChipletAreaMM2(hw)}
 	pt.MeetsArea = areaLimitMM2 <= 0 || pt.ChipletAreaMM2 <= areaLimitMM2
 	for li, l := range model.Layers {
 		bestE := -1.0
 		var bestBr energy.Breakdown
 		var bestCycles int64
-		for _, c := range pool[li] {
-			if c.a.Map.Validate(l, hw) != nil {
+		for _, a := range pool[li] {
+			if !a.Map.Feasible(l, hw) {
 				continue
 			}
-			tr := c.a.TrafficAt(hw.AL1Bytes, hw.WL1Bytes, hw.AL2Bytes)
-			br := energy.FromTraffic(tr, hw, cm)
+			tr := a.TrafficAt(hw.AL1Bytes, hw.WL1Bytes, hw.AL2Bytes)
+			br := fab.Energy(tr, hw)
 			if bestE >= 0 && br.Total() >= bestE {
 				continue
 			}
-			r, err := sim.SimulateTraffic(c.a, tr)
+			cycles, err := fab.Cycles(a, tr)
 			if err != nil {
 				continue
 			}
-			bestE, bestBr, bestCycles = br.Total(), br, r.Cycles
+			bestE, bestBr, bestCycles = br.Total(), br, cycles
 		}
 		if bestE < 0 {
 			pt.SkippedLayers++

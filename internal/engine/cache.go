@@ -4,13 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"nnbaton/internal/c3p"
 	"nnbaton/internal/energy"
 	"nnbaton/internal/hardware"
 	"nnbaton/internal/mapper"
 	"nnbaton/internal/mapping"
-	"nnbaton/internal/noc"
-	"nnbaton/internal/sim"
 	"nnbaton/internal/workload"
 )
 
@@ -76,7 +73,7 @@ func encodeOptions(opts []mapper.Option) ([]byte, error) {
 }
 
 // decodeOptions rebuilds live search results from a persisted payload by
-// pushing each stored mapping back through the evaluation pipeline — C³P
+// pushing each stored mapping back through the search's pricing kernel — C³P
 // analysis, energy pricing, runtime simulation — and comparing the recomputed
 // energy and cycles against the stored ones. Any defect returns an error and
 // the caller quarantines the key: an infeasible mapping means a corrupt
@@ -92,27 +89,20 @@ func decodeOptions(raw []byte, l workload.Layer, hw hardware.Config, cfg mapper.
 	if ent.Schema != persistSchema {
 		return nil, fmt.Errorf("engine: cached entry schema %d, want %d", ent.Schema, persistSchema)
 	}
-	topo, xbar, err := noc.NewInterconnect(hw, cfg.Fault)
+	fab, err := mapper.NewFabric(hw, cfg.Fault, cm)
 	if err != nil {
 		return nil, fmt.Errorf("engine: cached entry's interconnect rejects the configuration: %w", err)
 	}
-	num, den := topo.D2DScale()
 	opts := make([]mapper.Option, len(ent.Opts))
 	for i, do := range ent.Opts {
-		a, err := c3p.Analyze(l, hw, do.Map)
+		o, err := fab.Evaluate(l, hw, do.Map)
 		if err != nil {
-			return nil, fmt.Errorf("engine: cached mapping %d is infeasible: %w", i, err)
+			return nil, fmt.Errorf("engine: cached mapping %d does not evaluate: %w", i, err)
 		}
-		tr := a.Traffic()
-		br := energy.FromTraffic(tr.ScaleD2D(num, den), hw, cm)
-		res, err := sim.SimulateTrafficOn(topo, xbar, a, tr)
-		if err != nil {
-			return nil, fmt.Errorf("engine: cached mapping %d does not simulate: %w", i, err)
-		}
-		if br != do.Energy || res.Cycles != do.Cycles {
+		if o.Energy != do.Energy || o.Cycles != do.Cycles {
 			return nil, fmt.Errorf("engine: cached option %d disagrees with recomputation (stale cost model or corrupt payload)", i)
 		}
-		opts[i] = mapper.Option{Analysis: a, Energy: br, Cycles: res.Cycles}
+		opts[i] = o
 	}
 	return opts, nil
 }

@@ -4,13 +4,9 @@ import (
 	"math"
 	"sort"
 
-	"nnbaton/internal/c3p"
-	"nnbaton/internal/energy"
 	"nnbaton/internal/hardware"
 	"nnbaton/internal/mapper"
 	"nnbaton/internal/mapping"
-	"nnbaton/internal/noc"
-	"nnbaton/internal/sim"
 	"nnbaton/internal/workload"
 )
 
@@ -34,9 +30,9 @@ import (
 // bound comparison keeps score-ties alive, and the warm result is
 // byte-identical to the cold one. warmSeed therefore trusts NOTHING from the
 // hint: every mapping is checked for search-space membership
-// (mapper.InSearchSpace, which subsumes feasibility) and pushed through the
-// full evaluation pipeline — C³P analysis, energy pricing, runtime simulation
-// — exactly like a persistent-cache payload on load. A hint that fails any
+// (mapper.SpaceChecker, which subsumes feasibility) and priced through the
+// search's own kernel (mapper.Fabric) — exactly like a persistent-cache
+// payload on load. A hint that fails any
 // check is simply skipped; a poisoned hint degrades to a cold search, never
 // to a wrong answer.
 const (
@@ -135,12 +131,11 @@ func (e *Evaluator) warmSeed(l workload.Layer, hw hardware.Config, cfg mapper.Co
 		e.warmMisses.Add(1)
 		return 0, false
 	}
-	topo, xbar, err := noc.NewInterconnect(hw, cfg.Fault)
+	fab, err := mapper.NewFabric(hw, cfg.Fault, e.cm)
 	if err != nil {
 		e.warmMisses.Add(1)
 		return 0, false
 	}
-	num, den := topo.D2DScale()
 	sort.SliceStable(ents, func(i, j int) bool {
 		return hwDistance(ents[i].hw, hw) < hwDistance(ents[j].hw, hw)
 	})
@@ -155,21 +150,11 @@ func (e *Evaluator) warmSeed(l workload.Layer, hw hardware.Config, cfg mapper.Co
 			if !checker.Contains(m) {
 				continue
 			}
-			a, err := c3p.Analyze(l, hw, m)
+			o, err := fab.Evaluate(l, hw, m)
 			if err != nil {
 				continue
 			}
-			tr := a.Traffic()
-			br := energy.FromTraffic(tr.ScaleD2D(num, den), hw, e.cm)
-			res, err := sim.SimulateTrafficOn(topo, xbar, a, tr)
-			if err != nil {
-				continue
-			}
-			s := br.Total()
-			if cfg.Objective == mapper.MinEDP {
-				s = energy.EDP(br, hardware.Seconds(res.Cycles))
-			}
-			scores = append(scores, s)
+			scores = append(scores, o.Score(cfg.Objective))
 		}
 		// One entry's mappings are pairwise distinct (they are a prior
 		// search's top-K), so K surviving scores are K distinct members and
@@ -194,17 +179,9 @@ func (e *Evaluator) recordSeedGap(cfg mapper.Config, opts []mapper.Option) {
 	if len(opts) == 0 {
 		return
 	}
-	kth := score(opts[len(opts)-1], cfg.Objective)
+	kth := opts[len(opts)-1].Score(cfg.Objective)
 	if kth <= 0 || cfg.SeedBound < kth {
 		return
 	}
 	e.warmSeedGap.Add(int64(math.Round(1e4 * (cfg.SeedBound - kth) / kth)))
-}
-
-// score mirrors the mapper's option ordering key (energy total, or EDP).
-func score(o mapper.Option, obj mapper.Objective) float64 {
-	if obj == mapper.MinEDP {
-		return o.EDP()
-	}
-	return o.Energy.Total()
 }

@@ -68,7 +68,11 @@ func TestWarmStartSweepByteIdentical(t *testing.T) {
 		t.Errorf("disabled warm-start still ran: %+v", st)
 	}
 
-	eWarm := NewFromConfig(cm, Config{})
+	// One engine worker evaluates the points one after another in neighbor
+	// order, so each point's hints exist before its neighbor searches; with
+	// parallel points, adjacent ones can search concurrently and every
+	// search misses.
+	eWarm := NewFromConfig(cm, Config{Workers: 1})
 	warmPts, err := eWarm.EvalSweep(bg, models, hws, mapper.Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"io"
 	"sort"
 
-	"nnbaton/internal/c3p"
 	"nnbaton/internal/dse"
 	"nnbaton/internal/energy"
 	"nnbaton/internal/engine"
@@ -437,27 +436,11 @@ func extFusion(w io.Writer, quick bool) error {
 		if err != nil {
 			return err
 		}
-		perLayer := make([]c3p.Traffic, len(m.Layers))
-		byName := map[string]c3p.Traffic{}
-		for _, o := range res.Layers {
-			byName[o.Analysis.Layer.Name] = o.Analysis.Traffic()
-		}
-		for i, l := range m.Layers {
-			perLayer[i] = byName[l.Name]
-		}
-		sch, err := pipeline.Plan(m, hw)
+		sv, err := pipeline.Study(m, hw, res.Layers, cm)
 		if err != nil {
 			return err
 		}
-		sv, fused, err := pipeline.Evaluate(sch, perLayer)
-		if err != nil {
-			return err
-		}
-		var before, after energy.Breakdown
-		for i := range perLayer {
-			before = before.Add(energy.FromTraffic(perLayer[i], hw, cm))
-			after = after.Add(energy.FromTraffic(fused[i], hw, cm))
-		}
+		sch, before, after := sv.Schedule, sv.Unfused, sv.Fused
 		t.Add(m.Name, fmt.Sprint(len(sch.Groups)), fmt.Sprint(sch.FusedEdges()),
 			fmt.Sprintf("%.2f", float64(sv.SavedDRAMBytes)/1e6),
 			fmt.Sprintf("%.2f", before.Total()/1e9), fmt.Sprintf("%.2f", after.Total()/1e9),

@@ -8,11 +8,11 @@
 // safe because point evaluation is deterministic and journal records are
 // keyed — a duplicated point carries an identical value.
 //
-// The takeover path is the only race: two workers may observe the same
-// expired lease. Both write a candidate lease to a temp file and rename it
-// over the stale one, then read the file back — rename is atomic, so exactly
-// one worker's nonce survives and the loser backs off. The claim path has no
-// race at all (O_EXCL create admits one winner), and the done path is
+// The takeover path is the only race: several workers may observe the same
+// expired lease. O_EXCL creation of a takeover token named by the stale
+// lease's generation admits exactly one of them, and only the token holder
+// installs the new lease (see takeover). The claim path has no race at all
+// (a hard link, like O_EXCL, admits one winner), and the done path is
 // monotonic (done markers are never removed).
 //
 // Leases bind to a study signature: a directory accidentally shared by two
@@ -21,10 +21,12 @@
 package lease
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -86,7 +88,7 @@ type Manager struct {
 	// nonce identifies this Manager's live lease on the claimed shard.
 	nonce int64
 	shard int
-	// takeovers counts expired or torn leases this Manager won by rename —
+	// takeovers counts expired or torn leases this Manager took over —
 	// shards reclaimed from dead peers rather than freshly claimed.
 	takeovers int
 }
@@ -125,7 +127,7 @@ func (m *Manager) now() time.Time { return m.opts.Now() }
 // Jitter spreads d by ±10% using the Manager's private randomness. Heartbeat
 // periods and takeover retry delays go through it so a fleet of hot-standby
 // workers watching the same expired lease spreads out instead of stampeding
-// the takeover rename at the same instant.
+// the takeover token at the same instant.
 func (m *Manager) Jitter(d time.Duration) time.Duration {
 	if d <= 0 {
 		return d
@@ -149,48 +151,56 @@ func (m *Manager) Done(shard int) bool {
 	return err == nil
 }
 
-// read parses a lease file; a missing or undecodable file returns ok=false
-// (an undecodable lease is a torn write from a dying worker — it never
-// protects the shard).
-func (m *Manager) read(path string) (lease, bool) {
-	data, err := os.ReadFile(path)
+// read loads a lease file: its raw bytes (nil when missing or unreadable)
+// and whether they decode — an undecodable lease is a torn write from a
+// dying worker, and it never protects the shard.
+func (m *Manager) read(path string) (l lease, raw []byte, ok bool) {
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		return lease{}, false
+		return lease{}, nil, false
 	}
-	var l lease
-	if err := json.Unmarshal(data, &l); err != nil {
-		return lease{}, false
-	}
-	return l, true
+	return l, raw, json.Unmarshal(raw, &l) == nil
 }
 
-// write atomically installs a lease file via temp + rename and reads it back:
-// the returned bool reports whether our nonce survived, i.e. whether we won
-// any concurrent install of the same path.
-func (m *Manager) write(path string, l lease) (bool, error) {
-	data, err := json.Marshal(l)
+// place atomically puts v's JSON at path, so no reader ever sees a
+// half-written file: it is staged in a temp file, then hard-linked into
+// place when exclusive (failing with os.ErrExist if the path exists — one
+// winner, like O_EXCL) or renamed over it otherwise.
+func (m *Manager) place(path string, v any, exclusive bool) error {
+	data, err := json.Marshal(v)
 	if err != nil {
-		return false, fmt.Errorf("lease: %w", err)
+		return fmt.Errorf("lease: %w", err)
 	}
 	tmp, err := os.CreateTemp(m.dir, ".lease-*")
 	if err != nil {
-		return false, fmt.Errorf("lease: %w", err)
+		return fmt.Errorf("lease: %w", err)
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return false, fmt.Errorf("lease: %w", err)
+	defer os.Remove(tmp.Name())
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return false, fmt.Errorf("lease: %w", err)
+	if err == nil && exclusive {
+		err = os.Link(tmp.Name(), path)
+	} else if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return false, fmt.Errorf("lease: %w", err)
+	if err != nil {
+		return fmt.Errorf("lease: %w", err)
 	}
-	back, ok := m.read(path)
+	return nil
+}
+
+// install places a lease and reads it back, reporting whether our nonce is
+// the one on disk; an exclusive install loses to an existing lease.
+func (m *Manager) install(path string, l lease, exclusive bool) (bool, error) {
+	if err := m.place(path, l, exclusive); err != nil {
+		if errors.Is(err, os.ErrExist) {
+			return false, nil
+		}
+		return false, err
+	}
+	back, _, ok := m.read(path)
 	return ok && back.Nonce == l.Nonce && back.Owner == l.Owner, nil
 }
 
@@ -203,35 +213,26 @@ func (m *Manager) fresh(shard int) lease {
 	}
 }
 
-// tryClaimOne attempts to acquire one specific shard: O_EXCL-create a fresh
-// lease, or take over an expired (or torn) one via atomic rename with
-// read-back verification.
+// tryClaimOne attempts to acquire one specific shard: create a fresh lease,
+// or take over an expired (or torn) one through its takeover token.
 func (m *Manager) tryClaimOne(shard int) (bool, error) {
 	if m.Done(shard) {
 		return false, nil
 	}
 	path := m.leasePath(shard)
 	l := m.fresh(shard)
-	data, err := json.Marshal(l)
-	if err != nil {
-		return false, fmt.Errorf("lease: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err == nil {
-		_, werr := f.Write(data)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
+	if ok, err := m.install(path, l, true); err != nil || ok {
+		if ok {
+			m.shard = shard
 		}
-		if werr != nil {
-			return false, fmt.Errorf("lease: claim shard %d: %w", shard, werr)
-		}
-		m.shard = shard
-		return true, nil
+		return ok, err
 	}
-	if !errors.Is(err, os.ErrExist) {
-		return false, fmt.Errorf("lease: claim shard %d: %w", shard, err)
+	cur, stale, ok := m.read(path)
+	if stale == nil {
+		return false, nil // released meanwhile: the next sweep claims it fresh
 	}
-	cur, ok := m.read(path)
+	// A torn lease's generation is named by its checksum.
+	gen := fmt.Sprintf("torn%08x", crc32.ChecksumIEEE(stale))
 	if ok {
 		if cur.Study != m.study {
 			return false, fmt.Errorf("lease: shard %d is leased for study %q, not %q — directory shared across sweeps",
@@ -240,15 +241,11 @@ func (m *Manager) tryClaimOne(shard int) (bool, error) {
 		if m.now().UnixNano() < cur.Deadline {
 			return false, nil // live lease: someone else is on it
 		}
+		gen = fmt.Sprintf("%x", cur.Nonce)
 	}
-	// Expired or torn: contend for the takeover. Rename is atomic and the
-	// read-back tells us whose install survived.
-	won, err := m.write(path, l)
-	if err != nil {
+	won, err := m.takeover(path, gen, stale, l)
+	if err != nil || !won {
 		return false, err
-	}
-	if !won {
-		return false, nil
 	}
 	if m.Done(shard) {
 		// The old owner finished between our expiry check and the takeover;
@@ -258,6 +255,44 @@ func (m *Manager) tryClaimOne(shard int) (bool, error) {
 	m.shard = shard
 	m.takeovers++
 	return true, nil
+}
+
+// takeover replaces one stale lease generation with l, reporting whether
+// this contender did. Only the contender that O_EXCL-creates the
+// generation's takeover token installs, so at most one contender wins per
+// generation. A token older than the TTL was abandoned by a holder that died
+// before installing; contenders then race for the generation's next token,
+// so a dead holder wedges the shard for at most one TTL. The holder installs
+// only while the lease file still holds the exact stale bytes it judged —
+// a contender that read them long ago finds the lease already replaced.
+func (m *Manager) takeover(path, gen string, stale []byte, l lease) (bool, error) {
+	for k := 0; ; k++ {
+		token := fmt.Sprintf("%s.take-%s-%d", path, gen, k)
+		f, err := os.OpenFile(token, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+		if err == nil {
+			f.Close()
+			break
+		}
+		if !errors.Is(err, os.ErrExist) {
+			return false, fmt.Errorf("lease: %w", err)
+		}
+		if st, err := os.Stat(token); err != nil || m.now().Sub(st.ModTime()) < m.opts.TTL {
+			return false, nil // a live holder is installing, or a winner already cleared its tokens
+		}
+	}
+	// Holding the generation's newest token, clear all of its tokens on the
+	// way out, abandoned ones included: once the lease is replaced, a late
+	// contender that recreates one finds the stale bytes gone.
+	defer func() {
+		tokens, _ := filepath.Glob(fmt.Sprintf("%s.take-%s-*", path, gen))
+		for _, t := range tokens {
+			os.Remove(t)
+		}
+	}()
+	if cur, err := os.ReadFile(path); err != nil || !bytes.Equal(cur, stale) {
+		return false, nil
+	}
+	return m.install(path, l, false)
 }
 
 // TryClaim sweeps the study's shards for one this worker can own, with
@@ -309,12 +344,12 @@ func (m *Manager) Heartbeat() error {
 		return errors.New("lease: no shard held")
 	}
 	path := m.leasePath(m.shard)
-	cur, ok := m.read(path)
+	cur, _, ok := m.read(path)
 	if !ok || cur.Nonce != m.nonce {
 		return fmt.Errorf("lease: shard %d was taken over (lease lost)", m.shard)
 	}
 	cur.Deadline = m.now().Add(m.opts.TTL).UnixNano()
-	won, err := m.write(path, cur)
+	won, err := m.install(path, cur, false)
 	if err != nil {
 		return err
 	}
@@ -331,30 +366,13 @@ func (m *Manager) Complete() error {
 	if m.shard < 0 {
 		return errors.New("lease: no shard held")
 	}
-	path := m.donePath(m.shard)
-	tmp, err := os.CreateTemp(m.dir, ".done-*")
-	if err != nil {
-		return fmt.Errorf("lease: %w", err)
-	}
-	tmpName := tmp.Name()
-	line, err := json.Marshal(struct {
+	done := struct {
 		Study string `json:"study"`
 		Shard int    `json:"shard"`
 		Owner string `json:"owner"`
-	}{m.study, m.shard, m.owner})
-	if err == nil {
-		_, err = tmp.Write(line)
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("lease: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("lease: %w", err)
+	}{m.study, m.shard, m.owner}
+	if err := m.place(m.donePath(m.shard), done, false); err != nil {
+		return err
 	}
 	os.Remove(m.leasePath(m.shard))
 	m.shard = -1
@@ -370,7 +388,7 @@ func (m *Manager) Release() {
 		return
 	}
 	path := m.leasePath(m.shard)
-	if cur, ok := m.read(path); ok && cur.Nonce == m.nonce {
+	if cur, _, ok := m.read(path); ok && cur.Nonce == m.nonce {
 		os.Remove(path)
 	}
 	m.shard = -1

@@ -231,7 +231,7 @@ func TestClaimRespectsContext(t *testing.T) {
 // TestClockSkewHeirAhead injects skewed clocks through the Options.Now hook:
 // the heir's clock runs ahead of the claimant's, so a lease the claimant
 // believes is fresh looks expired to the heir. The takeover must still be
-// safe — the heir wins through the rename + read-back path, and the
+// safe — the heir wins through the takeover token, and the
 // claimant's next heartbeat fails instead of silently renewing a lost lease.
 func TestClockSkewHeirAhead(t *testing.T) {
 	dir := t.TempDir()
@@ -298,5 +298,44 @@ func TestJitterRange(t *testing.T) {
 	}
 	if m.Jitter(0) != 0 || m.Jitter(-time.Second) != -time.Second {
 		t.Error("non-positive durations must pass through unjittered")
+	}
+}
+
+// TestAbandonedTakeoverTokenExpires is the crashed-arbiter case: a contender
+// won the takeover token of a stale lease and died before installing its
+// lease. While the token is younger than one TTL its holder may still be
+// installing, so the shard stays contended; once the token is a TTL old it
+// counts as abandoned, the next contender takes the shard over, and the
+// winner clears the abandoned token along with its own.
+func TestAbandonedTakeoverTokenExpires(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "shard-0000.lease")
+	stale := lease{Study: "study-sig", Shard: 0, Owner: "dead", Nonce: 1, Deadline: 1}
+	data, _ := json.Marshal(stale)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	token := path + ".take-1-0"
+	if err := os.WriteFile(token, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	heir := mgr(t, dir, "heir", Options{TTL: time.Minute, Retries: 1, Backoff: time.Millisecond})
+	if _, err := heir.TryClaim(bg, 1); !errors.Is(err, ErrContended) {
+		t.Fatalf("claim behind a live takeover token = %v, want ErrContended", err)
+	}
+	old := time.Now().Add(-2 * time.Minute)
+	if err := os.Chtimes(token, old, old); err != nil {
+		t.Fatal(err)
+	}
+	shard, err := heir.TryClaim(bg, 1)
+	if err != nil || shard != 0 || heir.Takeovers() != 1 {
+		t.Fatalf("claim behind an abandoned token = %d, %v (takeovers %d), want a takeover of shard 0",
+			shard, err, heir.Takeovers())
+	}
+	if err := heir.Heartbeat(); err != nil {
+		t.Errorf("new owner heartbeat: %v", err)
+	}
+	if left, _ := filepath.Glob(path + ".take-*"); len(left) != 0 {
+		t.Errorf("takeover tokens left behind: %v", left)
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"nnbaton/internal/hardware"
 	"nnbaton/internal/mapping"
-	"nnbaton/internal/noc"
 	"nnbaton/internal/workload"
 )
 
@@ -38,12 +37,10 @@ func TestGroupBoundAdmissible(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			cfg.Fault = randomFault(rng, hw.Chiplets)
 		}
-		topo, _, err := noc.NewInterconnect(hw, cfg.Fault)
-		if err != nil {
+		srch := newSearch(l, hw, cm, cfg)
+		if srch == nil {
 			continue
 		}
-		num, den := topo.D2DScale()
-		srch := &search{l: l, hw: hw, cm: cm, cfg: cfg, d2dNum: num, d2dDen: den}
 		ctx := fmt.Sprintf("trial %d: %s/%s on %s obj=%v fault=%s",
 			trial, l.Model, l.Name, hw.Tuple(), cfg.Objective, cfg.Fault)
 		for _, st := range subtrees(l, hw, cfg) {
@@ -80,7 +77,7 @@ func TestGroupBoundAdmissible(t *testing.T) {
 							continue
 						}
 						sh := probe.Shape(l, hw)
-						fl := lowerBound(l, hw, cm, probe, sh, cfg.Objective, num, den)
+						fl := srch.lowerBound(probe, sh)
 						if gb > fl {
 							t.Fatalf("%s: group bound %.6g > member floor %.6g for %+v",
 								ctx, gb, fl, probe)
@@ -149,10 +146,10 @@ func TestSearchDeterministicOnTies(t *testing.T) {
 		if len(want) == 0 {
 			continue
 		}
-		bestScore := score(want[0], cfg.Objective)
+		bestScore := want[0].Score(cfg.Objective)
 		ties := 0
 		for _, o := range want {
-			if score(o, cfg.Objective) == bestScore {
+			if o.Score(cfg.Objective) == bestScore {
 				ties++
 			}
 		}
@@ -186,7 +183,7 @@ func TestSearchSeedBoundIdentity(t *testing.T) {
 	if len(cold) != cfg.KeepTop {
 		t.Fatalf("cold search returned %d options", len(cold))
 	}
-	kth := score(cold[len(cold)-1], cfg.Objective)
+	kth := cold[len(cold)-1].Score(cfg.Objective)
 	for _, tc := range []struct {
 		name string
 		seed float64

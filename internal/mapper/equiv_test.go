@@ -55,7 +55,7 @@ func requireSameOptions(t *testing.T, ctx string, want, got []Option, obj Object
 		if want[i].Cycles != got[i].Cycles {
 			t.Fatalf("%s: option %d cycles mismatch: got %d want %d", ctx, i, got[i].Cycles, want[i].Cycles)
 		}
-		if score(want[i], obj) != score(got[i], obj) {
+		if want[i].Score(obj) != got[i].Score(obj) {
 			t.Fatalf("%s: option %d score mismatch", ctx, i)
 		}
 	}
@@ -222,7 +222,7 @@ func TestBestPerSpatialComboMatchesExhaustive(t *testing.T) {
 		if ref[k] == nil {
 			ref[k] = newTopK(1, MinEnergy)
 		}
-		ref[k].add(o, score(o, MinEnergy))
+		ref[k].add(o, o.Score(MinEnergy))
 	})
 	for k, tk := range ref {
 		want[k] = tk.opts[0]

@@ -3,11 +3,8 @@ package mapper
 import (
 	"fmt"
 
-	"nnbaton/internal/c3p"
-	"nnbaton/internal/energy"
 	"nnbaton/internal/hardware"
 	"nnbaton/internal/mapping"
-	"nnbaton/internal/sim"
 	"nnbaton/internal/workload"
 )
 
@@ -84,16 +81,15 @@ func SearchGreedy(l workload.Layer, hw hardware.Config, cm *hardware.CostModel) 
 		}
 	}
 
-	a, err := c3p.Analyze(l, hw, m)
-	if err != nil {
-		return Option{}, fmt.Errorf("mapper: greedy mapping invalid: %w", err)
-	}
-	tr := a.Traffic()
-	res, err := sim.SimulateTraffic(a, tr)
+	fab, err := NewFabric(hw, hardware.FaultMask{}, cm)
 	if err != nil {
 		return Option{}, err
 	}
-	return Option{Analysis: a, Energy: energy.FromTraffic(tr, hw, cm), Cycles: res.Cycles}, nil
+	o, err := fab.Evaluate(l, hw, m)
+	if err != nil {
+		return Option{}, fmt.Errorf("mapper: greedy mapping invalid: %w", err)
+	}
+	return o, nil
 }
 
 // nearSquare picks the factorization of n closest to the plane's aspect.

@@ -12,8 +12,6 @@ import (
 	"nnbaton/internal/energy"
 	"nnbaton/internal/hardware"
 	"nnbaton/internal/mapping"
-	"nnbaton/internal/noc"
-	"nnbaton/internal/sim"
 	"nnbaton/internal/workload"
 )
 
@@ -38,6 +36,14 @@ type Option struct {
 // EDP returns the candidate's energy-delay product in pJ·s.
 func (o Option) EDP() float64 {
 	return energy.EDP(o.Energy, hardware.Seconds(o.Cycles))
+}
+
+// Score returns the candidate's value under an objective (lower is better).
+func (o Option) Score(obj Objective) float64 {
+	if obj == MinEDP {
+		return o.EDP()
+	}
+	return o.Energy.Total()
 }
 
 // SpatialCombo renders the (package, chiplet) partition pair, e.g. "(C,H)" —
@@ -205,7 +211,7 @@ type Config struct {
 	// point's solution. Soundness contract: the seed must be the exact
 	// re-costed score (under THIS l/hw/cm/cfg) of the KeepTop-th best of at
 	// least KeepTop distinct mappings that are members of this search space
-	// (InSearchSpace); then the enumerated k-th best is ≤ the seed, the
+	// (SpaceChecker); then the enumerated k-th best is ≤ the seed, the
 	// strict (>) pruning keeps ties alive, and the result — including the
 	// funnel's evaluated set, hence journals and reports — is byte-identical
 	// to a cold search. Zero (or +Inf) means cold start.
@@ -295,23 +301,17 @@ func (st subtree) walk(l workload.Layer, hw hardware.Config, yield func(probe ma
 	}
 }
 
-// InSearchSpace reports whether SearchAll with this cfg would enumerate m —
-// i.e. whether m is reachable through the subtree walker and the temporal
-// expansion for (l, hw). The engine's warm-starting depends on it: a hint
-// mapping carried over from a different hardware point can be Feasible here
-// yet lie outside the heuristic enumeration, and such a mapping may score
-// better than everything enumerable — seeding the incumbent from it would
-// prune true top-K members. Only members may seed (see Config.SeedBound).
-func InSearchSpace(l workload.Layer, hw hardware.Config, cfg Config, m mapping.Mapping) bool {
-	return NewSpaceChecker(l, hw, cfg).Contains(m)
-}
-
-// SpaceChecker amortizes InSearchSpace over many mappings of one
-// (layer, hardware, config) triple: the subtree enumeration and the
-// layer/hardware validation run once at construction instead of per query.
-// The engine's warm-start path probes several hint entries of KeepTop
-// mappings each per search, where the per-call enumeration was the dominant
-// miss-path cost.
+// SpaceChecker reports whether SearchAll would enumerate a mapping — i.e.
+// whether it is reachable through the subtree walker and the temporal
+// expansion for one (layer, hardware, config) triple. The engine's
+// warm-starting depends on it: a hint mapping carried over from a different
+// hardware point can be Feasible here yet lie outside the heuristic
+// enumeration, and such a mapping may score better than everything
+// enumerable — seeding the incumbent from it would prune true top-K members.
+// Only members may seed (see Config.SeedBound). The subtree enumeration and
+// the layer/hardware validation run once at construction instead of per
+// query, since the warm-start path probes several hint entries of KeepTop
+// mappings each per search.
 type SpaceChecker struct {
 	l   workload.Layer
 	hw  hardware.Config
@@ -409,37 +409,6 @@ func temporalVariants(sh mapping.Shape) int64 {
 	return n * int64(len(temporalChoices(sh.C2, sh.H2*sh.W2)))
 }
 
-// enumerate walks the mapping space, evaluating every valid candidate
-// through the C³P engine and the runtime simulator, and yields each option.
-// It shares the subtree walker — and the fault-masked topology models — with
-// the pruned search, so the two paths stay result-identical under any mask
-// and any fabric.
-func enumerate(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg Config, yield func(Option)) {
-	topo, xbar, err := noc.NewInterconnect(hw, cfg.Fault)
-	if err != nil {
-		return
-	}
-	num, den := topo.D2DScale()
-	consider := func(m mapping.Mapping) {
-		a, err := c3p.Analyze(l, hw, m)
-		if err != nil {
-			return
-		}
-		tr := a.Traffic()
-		br := energy.FromTraffic(tr.ScaleD2D(num, den), hw, cm)
-		res, err := sim.SimulateTrafficOn(topo, xbar, a, tr)
-		if err != nil {
-			return
-		}
-		yield(Option{Analysis: a, Energy: br, Cycles: res.Cycles})
-	}
-	for _, st := range subtrees(l, hw, cfg) {
-		st.walk(l, hw, func(probe mapping.Mapping) {
-			forEachTemporal(probe, probe.Shape(l, hw), consider)
-		})
-	}
-}
-
 // Temporal-order menus, shared as package-level backing arrays so
 // temporalChoices is allocation-free.
 var (
@@ -456,12 +425,25 @@ func temporalChoices(cTrips, planarTrips int) []mapping.Temporal {
 	return channelOnly[:]
 }
 
-// score returns the objective value of an option.
-func score(o Option, obj Objective) float64 {
-	if obj == MinEDP {
-		return o.EDP()
+// enumerate walks the mapping space, evaluating every valid candidate
+// through the pricing kernel, and yields each option. It shares the subtree
+// walker — and the fault-masked fabric — with the pruned search, so the two
+// paths stay result-identical under any mask and any topology.
+func enumerate(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg Config, yield func(Option)) {
+	fab, err := NewFabric(hw, cfg.Fault, cm)
+	if err != nil {
+		return
 	}
-	return o.Energy.Total()
+	consider := func(m mapping.Mapping) {
+		if o, err := fab.Evaluate(l, hw, m); err == nil {
+			yield(o)
+		}
+	}
+	for _, st := range subtrees(l, hw, cfg) {
+		st.walk(l, hw, func(probe mapping.Mapping) {
+			forEachTemporal(probe, probe.Shape(l, hw), consider)
+		})
+	}
 }
 
 // SearchExhaustive evaluates every candidate of the mapping space — no
@@ -475,7 +457,7 @@ func SearchExhaustive(l workload.Layer, hw hardware.Config, cm *hardware.CostMod
 	}
 	top := newTopK(cfg.KeepTop, cfg.Objective)
 	enumerate(l, hw, cm, cfg, func(o Option) {
-		top.add(o, score(o, cfg.Objective))
+		top.add(o, o.Score(cfg.Objective))
 	})
 	return top.opts
 }

@@ -8,10 +8,8 @@ import (
 	"sort"
 
 	"nnbaton/internal/c3p"
-	"nnbaton/internal/energy"
 	"nnbaton/internal/hardware"
 	"nnbaton/internal/mapping"
-	"nnbaton/internal/noc"
 	"nnbaton/internal/obs"
 	"nnbaton/internal/par"
 	"nnbaton/internal/sim"
@@ -221,56 +219,63 @@ func heapPop(h []bfNode) (bfNode, []bfNode) {
 }
 
 // searchState is one worker's private scratch: the C³P analysis and its
-// buffers, the interconnect models, the best-first frontier and the funnel
-// tally. Reusing it across every candidate a worker evaluates is what takes
-// the steady-state search to near-zero allocations per candidate.
+// buffers, the best-first frontier and the funnel tally. Reusing it across
+// every candidate a worker evaluates is what takes the steady-state search to
+// near-zero allocations per candidate.
 type searchState struct {
 	sc     c3p.Scratch
 	a      c3p.Analysis
-	topo   noc.Topology
-	xbar   *noc.Crossbar
 	tally  tally
 	heap   []bfNode
 	groups []bfGroup
 	probes []bfProbe
 }
 
-// init builds the interconnect models; SearchAll has already rejected
-// geometries they cannot represent. The fault mask reroutes the fabric
-// around dead positions (the zero mask yields the healthy topology).
-func (ws *searchState) init(hw hardware.Config, mask hardware.FaultMask) {
-	ws.topo, ws.xbar, _ = noc.NewInterconnect(hw, mask)
+// search carries the per-search immutable inputs shared by all workers:
+// the subtree shards and the one pricing kernel they all evaluate through.
+type search struct {
+	l   workload.Layer
+	hw  hardware.Config
+	fab *Fabric
+	cfg Config
+	sts []subtree
+}
+
+// newSearch validates the inputs and builds the search's fabric and shards,
+// or returns nil when the layer, hardware or interconnect geometry is
+// invalid or the space is empty — the exhaustive path rejects those per
+// candidate, the pruned path once up front (Feasible and the hoisted fabric
+// assume validity).
+func newSearch(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg Config) *search {
+	if l.Validate() != nil || hw.Validate() != nil {
+		return nil
+	}
+	fab, err := NewFabric(hw, cfg.Fault, cm)
+	if err != nil {
+		return nil
+	}
+	sts := subtrees(l, hw, cfg)
+	if len(sts) == 0 {
+		return nil
+	}
+	return &search{l: l, hw: hw, fab: fab, cfg: cfg, sts: sts}
 }
 
 // lowerBound prices a probe's best case for the active objective: the C³P
-// traffic floor (intrinsic fills, exact fixed terms), D2D-scaled for the
-// topology's hop ratio, through the energy model and, for EDP, the
+// traffic floor (intrinsic fills, exact fixed terms) through the fabric's
+// energy step — D2D scaled to physical bytes — and, for EDP, the
 // compute-bound runtime. Both models are monotone in their traffic/cycle
 // inputs, ceil scaling preserves component-wise ≤, and the floor
 // under-counts nothing negative, so the true score of every temporal variant
 // of the probe is ≥ this value — the admissibility property the pruning
-// relies on. See DESIGN.md. num/den is the fabric's physical-to-logical D2D
-// scale (noc.Topology.D2DScale: 1 on a healthy ring, where the bound reduces
-// exactly to the pre-topology one; ≥ 1 on detoured or multi-hop fabrics).
-func lowerBound(l workload.Layer, hw hardware.Config, cm *hardware.CostModel,
-	m mapping.Mapping, sh mapping.Shape, obj Objective, num, den int64) float64 {
-	floor := c3p.TrafficFloor(l, hw, m, sh).ScaleD2D(num, den)
-	e := energy.FromTraffic(floor, hw, cm).Total()
-	if obj == MinEDP {
+// relies on. See DESIGN.md.
+func (s *search) lowerBound(m mapping.Mapping, sh mapping.Shape) float64 {
+	l, hw := s.l, s.hw
+	e := s.fab.Energy(c3p.TrafficFloor(l, hw, m, sh), hw).Total()
+	if s.cfg.Objective == MinEDP {
 		e *= hardware.Seconds(sim.ComputeBoundCyclesOf(l, hw, m, sh))
 	}
 	return e
-}
-
-// search carries the per-search immutable inputs shared by all workers.
-type search struct {
-	l   workload.Layer
-	hw  hardware.Config
-	cm  *hardware.CostModel
-	cfg Config
-	// d2dNum/d2dDen is the topology's physical-to-logical D2D traffic scale
-	// (noc.Topology.D2DScale); equal on a healthy ring.
-	d2dNum, d2dDen int64
 }
 
 // groupBound prices the best case of every probe a group restricted to the
@@ -314,9 +319,8 @@ func (s *search) groupBound(st subtree, cots []int, g bfGroup) float64 {
 		AL2Intr:    l.TileInputBytes(g.hot, g.wot, l.CI) * h1w1,
 		AL1IntrMin: al1Min,
 	}
-	tr := c3p.GroupTrafficFloor(l, hw, st.ps.kind, st.rotate, csplit, terms).
-		ScaleD2D(s.d2dNum, s.d2dDen)
-	e := energy.FromTraffic(tr, hw, s.cm).Total()
+	tr := c3p.GroupTrafficFloor(l, hw, st.ps.kind, st.rotate, csplit, terms)
+	e := s.fab.Energy(tr, hw).Total()
 	if s.cfg.Objective == MinEDP {
 		e *= hardware.Seconds(c3p.GroupCyclesFloor(l, hw, terms))
 	}
@@ -345,7 +349,7 @@ func (s *search) groupBound(st subtree, cots []int, g bfGroup) float64 {
 // on visit order, only on the candidate set, which this generator shares with
 // the exhaustive walker.
 func (s *search) runFrontier(sts []subtree, ws *searchState, dest *topK, shared *par.MinBound) {
-	l, hw, cm, obj := s.l, s.hw, s.cm, s.cfg.Objective
+	l, hw, obj := s.l, s.hw, s.cfg.Objective
 	bases := make([]mapping.Mapping, len(sts))
 	cotsPer := make([][]int, len(sts))
 	groups, heap, probes := ws.groups[:0], ws.heap[:0], ws.probes[:0]
@@ -450,7 +454,7 @@ func (s *search) runFrontier(sts []subtree, ws *searchState, dest *topK, shared 
 			nvar := temporalVariants(sh)
 			ws.tally.floors++
 			ws.tally.generated += nvar
-			fl := lowerBound(l, hw, cm, probe, sh, obj, s.d2dNum, s.d2dDen)
+			fl := s.lowerBound(probe, sh)
 			if fl > thresh {
 				ws.tally.boundPruned += nvar
 				continue
@@ -468,10 +472,7 @@ func (s *search) runFrontier(sts []subtree, ws *searchState, dest *topK, shared 
 				m.PackageTemporal, m.ChipletTemporal = pt, ct
 				c3p.AnalyzeInto(&ws.a, &ws.sc, l, hw, m)
 				tr := ws.a.Traffic()
-				// Energy prices the physical link bytes (detours included);
-				// the simulator consumes the logical record — the degraded
-				// ring internalizes the hop multipliers on the time side.
-				br := energy.FromTraffic(tr.ScaleD2D(s.d2dNum, s.d2dDen), hw, cm)
+				br := s.fab.Energy(tr, hw)
 				// Stage prune: the exact energy is known before the
 				// simulator runs; for EDP, pair it with the compute-bound
 				// runtime — still a lower bound on the final score.
@@ -484,14 +485,14 @@ func (s *search) runFrontier(sts []subtree, ws *searchState, dest *topK, shared 
 					ws.tally.stagePruned++
 					continue
 				}
-				res, err := sim.SimulateTrafficOn(ws.topo, ws.xbar, &ws.a, tr)
+				cycles, err := s.fab.Cycles(&ws.a, tr)
 				if err != nil {
 					ws.tally.stagePruned++
 					continue
 				}
 				ws.tally.evaluated++
-				o := Option{Analysis: &ws.a, Energy: br, Cycles: res.Cycles}
-				sc := score(o, obj)
+				o := Option{Analysis: &ws.a, Energy: br, Cycles: cycles}
+				sc := o.Score(obj)
 				if dest.wouldAccept(sc, m) {
 					// Detach the analysis from the worker scratch only for
 					// the few candidates that actually enter the top-K.
@@ -569,36 +570,23 @@ func SearchAll(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg
 	if cfg.KeepTop <= 0 {
 		cfg.KeepTop = 8
 	}
-	// The exhaustive path rejects invalid layers, hardware and interconnect
-	// geometries per candidate; the pruned path rejects them once up front
-	// (Feasible and the hoisted topology/crossbar models assume validity).
-	if l.Validate() != nil || hw.Validate() != nil {
+	srch := newSearch(l, hw, cm, cfg)
+	if srch == nil {
 		return nil
 	}
-	topo, _, err := noc.NewInterconnect(hw, cfg.Fault)
-	if err != nil {
-		return nil
-	}
-	sts := subtrees(l, hw, cfg)
-	if len(sts) == 0 {
-		return nil
-	}
-	workers := resolveWorkers(cfg.Workers, len(sts))
+	workers := resolveWorkers(cfg.Workers, len(srch.sts))
 	states := make([]searchState, workers)
 	tops := make([]*topK, workers)
-	for i := range states {
-		states[i].init(hw, cfg.Fault)
+	for i := range tops {
 		tops[i] = newTopK(cfg.KeepTop, cfg.Objective)
 	}
-	num, den := topo.D2DScale()
-	srch := &search{l: l, hw: hw, cm: cm, cfg: cfg, d2dNum: num, d2dDen: den}
 	shared := newIncumbent(cfg)
 	// One frontier per worker, spanning the worker's strided share of the
 	// subtrees: the best-first order then holds across subtree boundaries,
 	// so a worker's weak subtrees die as unexpanded group nodes instead of
 	// each warming up its own frontier.
-	err = par.ParallelForWorker(context.Background(), workers, workers, func(w, i int) error {
-		srch.runFrontier(strided(sts, i, workers), &states[w], tops[w], shared)
+	err := par.ParallelForWorker(context.Background(), workers, workers, func(w, i int) error {
+		srch.runFrontier(strided(srch.sts, i, workers), &states[w], tops[w], shared)
 		return nil
 	})
 	if err != nil {
@@ -656,22 +644,14 @@ const numCombos = 6
 func BestPerSpatialCombo(l workload.Layer, hw hardware.Config, cm *hardware.CostModel) map[string]Option {
 	best := make(map[string]Option)
 	cfg := Config{Objective: MinEnergy, KeepTop: 1}
-	if l.Validate() != nil || hw.Validate() != nil {
+	srch := newSearch(l, hw, cm, cfg)
+	if srch == nil {
 		return best
 	}
-	topo, _, err := noc.NewInterconnect(hw, cfg.Fault)
-	if err != nil {
-		return best
-	}
-	sts := subtrees(l, hw, cfg)
-	if len(sts) == 0 {
-		return best
-	}
-	workers := resolveWorkers(0, len(sts))
+	workers := resolveWorkers(0, len(srch.sts))
 	states := make([]searchState, workers)
 	tops := make([][numCombos]*topK, workers)
-	for i := range states {
-		states[i].init(hw, cfg.Fault)
+	for i := range tops {
 		for c := range tops[i] {
 			tops[i][c] = newTopK(1, MinEnergy)
 		}
@@ -680,17 +660,12 @@ func BestPerSpatialCombo(l workload.Layer, hw hardware.Config, cm *hardware.Cost
 	for c := range bounds {
 		bounds[c] = par.NewMinBound()
 	}
-	// The topology's hop ratio keeps the bound admissible off-ring too: a
-	// healthy ring's (n, n) scale is the exact identity the old hardcoded
-	// (1, 1) was, while a mesh's multi-hop rotation prices its detours.
-	num, den := topo.D2DScale()
-	srch := &search{l: l, hw: hw, cm: cm, cfg: cfg, d2dNum: num, d2dDen: den}
 	// Each combo keeps its own incumbent and destination, so a worker runs
 	// one frontier per combo over its strided share: within a combo the
 	// frontier spans subtree boundaries, across combos nothing is shared.
-	err = par.ParallelForWorker(context.Background(), workers, workers, func(w, i int) error {
+	err := par.ParallelForWorker(context.Background(), workers, workers, func(w, i int) error {
 		var byCombo [numCombos][]subtree
-		for _, st := range strided(sts, i, workers) {
+		for _, st := range strided(srch.sts, i, workers) {
 			c := comboIndex(st.ps.kind, st.cs.kind)
 			byCombo[c] = append(byCombo[c], st)
 		}

@@ -12,7 +12,9 @@ import (
 	"fmt"
 
 	"nnbaton/internal/c3p"
+	"nnbaton/internal/energy"
 	"nnbaton/internal/hardware"
+	"nnbaton/internal/mapper"
 	"nnbaton/internal/workload"
 )
 
@@ -109,12 +111,14 @@ func Apply(sch Schedule, perLayer []c3p.Traffic) ([]c3p.Traffic, error) {
 	return out, nil
 }
 
-// Savings compares the fused and unfused DRAM volumes of a schedule.
+// Savings compares the fused and unfused DRAM volumes of a schedule and,
+// when priced by Study, their energies.
 type Savings struct {
 	Schedule       Schedule
 	UnfusedDRAM    int64
 	FusedDRAM      int64
 	SavedDRAMBytes int64
+	Unfused, Fused energy.Breakdown
 }
 
 // Evaluate applies the schedule and reports the DRAM savings.
@@ -130,4 +134,37 @@ func Evaluate(sch Schedule, perLayer []c3p.Traffic) (Savings, []c3p.Traffic, err
 	}
 	sv.SavedDRAMBytes = sv.UnfusedDRAM - sv.FusedDRAM
 	return sv, fused, nil
+}
+
+// Study plans the fusion schedule of a layer-wise mapped model and prices
+// both schedules through the pricing kernel of hw's fabric, so the unfused
+// energy is exactly the layer-wise evaluation's. layers are the per-layer
+// options; an unmapped layer contributes an empty record and never fuses
+// usefully.
+func Study(m workload.Model, hw hardware.Config, layers []mapper.Option, cm *hardware.CostModel) (Savings, error) {
+	sch, err := Plan(m, hw)
+	if err != nil {
+		return Savings{}, err
+	}
+	fab, err := mapper.NewFabric(hw, hardware.FaultMask{}, cm)
+	if err != nil {
+		return Savings{}, err
+	}
+	perLayer := make([]c3p.Traffic, len(m.Layers))
+	byName := make(map[string]c3p.Traffic, len(layers))
+	for _, o := range layers {
+		byName[o.Analysis.Layer.Name] = o.Analysis.Traffic()
+	}
+	for i, l := range m.Layers {
+		perLayer[i] = byName[l.Name]
+	}
+	sv, fused, err := Evaluate(sch, perLayer)
+	if err != nil {
+		return Savings{}, err
+	}
+	for i := range perLayer {
+		sv.Unfused = sv.Unfused.Add(fab.Energy(perLayer[i], hw))
+		sv.Fused = sv.Fused.Add(fab.Energy(fused[i], hw))
+	}
+	return sv, nil
 }

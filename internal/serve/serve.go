@@ -192,8 +192,12 @@ func Simulate(t Trace, o Oracle, cfg Config) (Result, error) {
 	if len(t.Requests) == 0 {
 		return Result{}, fmt.Errorf("serve: empty trace")
 	}
-	baseUS := make(map[string]float64, len(o.SecondsPerInference))
-	for _, m := range t.Models() {
+	// Per-model state is indexed like t.Models().
+	models := t.Models()
+	modelIdx := make(map[string]int, len(models))
+	baseUS := make([]float64, len(models))
+	rows := make([]ModelRow, len(models))
+	for i, m := range models {
 		sec, ok := o.SecondsPerInference[m]
 		if !ok {
 			return Result{}, fmt.Errorf("serve: trace model %q has no service time in scenario %s", m, o.Scenario)
@@ -201,24 +205,27 @@ func Simulate(t Trace, o Oracle, cfg Config) (Result, error) {
 		if sec <= 0 {
 			return Result{}, fmt.Errorf("serve: non-positive service time %v for model %q", sec, m)
 		}
-		baseUS[m] = sec * 1e6
+		modelIdx[m], baseUS[i], rows[i].Model = i, sec*1e6, m
 	}
 	alpha := cfg.alpha()
 	reqs := t.Requests
 
 	res := Result{Scenario: o.Scenario, Envelope: o.Envelope}
 	latency := make([]float64, len(reqs)) // indexed like reqs
-	perModel := make(map[string]*ModelRow)
-	modelLat := make(map[string][]float64)
-	for _, m := range t.Models() {
-		perModel[m] = &ModelRow{Model: m}
-	}
+	modelLat := make([][]float64, len(models))
 
-	queued := make([]int, 0, len(reqs)) // indices into reqs, FIFO
-	next := 0                           // next arrival to enqueue
+	// Queues are pumped up to the launch instant before a batch forms, so
+	// every queued request has already arrived and a batch is always a
+	// prefix of its model's FIFO. One FIFO per model (indices into reqs):
+	// the head-of-line request is the earliest of their fronts.
+	queues := make([][]int, len(models))
+	queued := 0
+	next := 0 // next arrival to enqueue
 	pump := func(now float64) {
 		for next < len(reqs) && reqs[next].InjectUS <= now {
-			queued = append(queued, next)
+			q := modelIdx[reqs[next].Model]
+			queues[q] = append(queues[q], next)
+			queued++
 			next++
 		}
 	}
@@ -227,18 +234,24 @@ func Simulate(t Trace, o Oracle, cfg Config) (Result, error) {
 	var lastEnd float64
 	for completed < len(reqs) {
 		pump(tFree)
-		if len(queued) == 0 {
+		if queued == 0 {
 			// Idle fabric: jump to the next arrival instant.
 			pump(reqs[next].InjectUS)
 		}
-		head := reqs[queued[0]]
+		hq := -1
+		for q, fifo := range queues {
+			if len(fifo) > 0 && (hq < 0 || fifo[0] < queues[hq][0]) {
+				hq = q
+			}
+		}
+		head := reqs[queues[hq][0]]
 		deadline := math.Max(tFree, head.InjectUS+cfg.WindowUS)
 		launch := math.Max(tFree, head.InjectUS)
-		var members []int
+		var n int
 		for {
 			pump(launch)
 			var full bool
-			members, full = gather(reqs, queued, head.Model, launch, cfg.MaxBatch)
+			n, full = batchPrefix(reqs, queues[hq], cfg.MaxBatch)
 			if full || launch >= deadline {
 				break
 			}
@@ -262,26 +275,28 @@ func Simulate(t Trace, o Oracle, cfg Config) (Result, error) {
 			}
 			launch = step
 		}
+		members := queues[hq][:n]
+		queues[hq] = queues[hq][n:]
+		queued -= n
 		inputs := 0
 		for _, idx := range members {
 			inputs += reqs[idx].Inputs
 		}
-		service := baseUS[head.Model] * (1 + alpha*float64(inputs-1))
+		service := baseUS[hq] * (1 + alpha*float64(inputs-1))
 		end := launch + service
 		tFree = end
 		lastEnd = end
 		res.BusyUS += service
 		res.Batches++
-		row := perModel[head.Model]
+		row := &rows[hq]
 		row.Batches++
 		for _, idx := range members {
 			latency[idx] = end - reqs[idx].InjectUS
 			row.Requests++
 			row.Inputs += reqs[idx].Inputs
-			modelLat[head.Model] = append(modelLat[head.Model], latency[idx])
+			modelLat[hq] = append(modelLat[hq], latency[idx])
 			completed++
 		}
-		queued = remove(queued, members)
 		res.Inputs += inputs
 	}
 
@@ -299,57 +314,35 @@ func Simulate(t Trace, o Oracle, cfg Config) (Result, error) {
 	res.P99US = percentile(all, 0.99)
 	res.MaxUS = all[len(all)-1]
 	res.MeanUS = mean(all)
-	for _, m := range t.Models() {
-		row := perModel[m]
-		lats := modelLat[m]
+	for i, lats := range modelLat {
 		sort.Float64s(lats)
-		row.P50US = percentile(lats, 0.50)
-		row.P95US = percentile(lats, 0.95)
-		row.P99US = percentile(lats, 0.99)
-		row.MeanUS = mean(lats)
-		res.PerModel = append(res.PerModel, *row)
+		rows[i].P50US = percentile(lats, 0.50)
+		rows[i].P95US = percentile(lats, 0.95)
+		rows[i].P99US = percentile(lats, 0.99)
+		rows[i].MeanUS = mean(lats)
 	}
+	res.PerModel = rows
 	return res, nil
 }
 
-// gather collects the members of the next batch: queued indices of the given
-// model, in FIFO order, with arrival ≤ now, accumulating inputs until the
-// cap. It never skips an earlier same-model request to admit a later one —
-// the first same-model request that does not fit closes the batch (full).
-// full also reports a batch at exactly the cap. A head request alone larger
-// than the cap is served solo.
-func gather(reqs []Request, queued []int, model string, now float64, maxBatch int) (members []int, full bool) {
+// batchPrefix returns how many requests from the front of one model's FIFO
+// the next batch takes, accumulating inputs until the cap. It never skips an
+// earlier same-model request to admit a later one — the first request that
+// does not fit closes the batch (full). full also reports a batch at exactly
+// the cap. A head request alone larger than the cap is served solo.
+func batchPrefix(reqs []Request, fifo []int, maxBatch int) (n int, full bool) {
 	total := 0
-	for _, idx := range queued {
-		r := reqs[idx]
-		if r.Model != model || r.InjectUS > now {
-			continue
+	for ; n < len(fifo); n++ {
+		in := reqs[fifo[n]].Inputs
+		if maxBatch > 0 && n > 0 && total+in > maxBatch {
+			return n, true
 		}
-		if maxBatch > 0 && len(members) > 0 && total+r.Inputs > maxBatch {
-			return members, true
-		}
-		members = append(members, idx)
-		total += r.Inputs
+		total += in
 		if maxBatch > 0 && total >= maxBatch {
-			return members, true
+			return n + 1, true
 		}
 	}
-	return members, false
-}
-
-// remove deletes the member indices from the FIFO queue, preserving order.
-func remove(queued, members []int) []int {
-	drop := make(map[int]bool, len(members))
-	for _, idx := range members {
-		drop[idx] = true
-	}
-	out := queued[:0]
-	for _, idx := range queued {
-		if !drop[idx] {
-			out = append(out, idx)
-		}
-	}
-	return out
+	return n, false
 }
 
 // percentile returns the nearest-rank percentile of an ascending-sorted

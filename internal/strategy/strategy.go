@@ -10,8 +10,8 @@ import (
 	"fmt"
 	"io"
 
-	"nnbaton/internal/c3p"
 	"nnbaton/internal/hardware"
+	"nnbaton/internal/mapper"
 	"nnbaton/internal/mapping"
 	"nnbaton/internal/workload"
 )
@@ -73,18 +73,21 @@ func Read(r io.Reader) (File, error) {
 	return f, nil
 }
 
-// Reprice re-runs the C³P evaluation for every layer of a loaded strategy on
-// its hardware, returning the aggregate traffic. It verifies that a strategy
-// file remains executable (e.g. after hand edits) and provides the compiler
-// with fresh per-level access counts.
-func Reprice(f File) (c3p.Traffic, error) {
-	var total c3p.Traffic
-	for _, ls := range f.Layers {
-		a, err := c3p.Analyze(ls.Layer, f.Hardware, ls.Mapping)
-		if err != nil {
-			return c3p.Traffic{}, fmt.Errorf("strategy: repricing %s: %w", ls.Layer.Name, err)
-		}
-		total = total.Add(a.Traffic())
+// Reprice re-prices every layer of a loaded strategy on its hardware through
+// the mapper's pricing kernel, returning one option per layer in file order —
+// the same energy and cycles the search reports for those mappings. It
+// verifies that a strategy file remains executable (e.g. after hand edits)
+// and provides the compiler with fresh per-level access counts.
+func Reprice(f File, cm *hardware.CostModel) ([]mapper.Option, error) {
+	fab, err := mapper.NewFabric(f.Hardware, hardware.FaultMask{}, cm)
+	if err != nil {
+		return nil, fmt.Errorf("strategy: repricing: %w", err)
 	}
-	return total, nil
+	opts := make([]mapper.Option, len(f.Layers))
+	for i, ls := range f.Layers {
+		if opts[i], err = fab.Evaluate(ls.Layer, f.Hardware, ls.Mapping); err != nil {
+			return nil, fmt.Errorf("strategy: repricing %s: %w", ls.Layer.Name, err)
+		}
+	}
+	return opts, nil
 }

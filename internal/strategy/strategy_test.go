@@ -83,17 +83,21 @@ func TestReadRejectsUnknownFields(t *testing.T) {
 
 func TestReprice(t *testing.T) {
 	f := sampleFile(t)
-	tr, err := Reprice(f)
+	cm := hardware.MustCostModel()
+	opts, err := Reprice(f, cm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.MACs != f.Layers[0].Layer.MACs() {
-		t.Errorf("repriced MACs = %d", tr.MACs)
+	if len(opts) != 1 || opts[0].Analysis.Traffic().MACs != f.Layers[0].Layer.MACs() {
+		t.Errorf("repriced %d layers, want 1 with the layer's MACs", len(opts))
+	}
+	if opts[0].Energy.Total() <= 0 || opts[0].Cycles <= 0 {
+		t.Errorf("repriced option has no cost: %v, %d cycles", opts[0].Energy, opts[0].Cycles)
 	}
 	// Repricing an invalid strategy fails cleanly.
 	f.Hardware.Chiplets = 3
 	f.Layers[0].Mapping.COt = 1 // stale vs the new chiplet count
-	if _, err := Reprice(f); err == nil {
+	if _, err := Reprice(f, cm); err == nil {
 		t.Error("expected reprice error")
 	}
 }
