@@ -44,10 +44,15 @@ equiv:
 vet:
 	$(GO) vet ./...
 
-# lint runs staticcheck when it is installed (CI installs it; locally it is
-# optional) on top of go vet. `go run`-ing the tool would add a dependency to
-# go.mod, so the binary is looked up on PATH instead.
+# lint fails when gofmt would reformat any file, then runs staticcheck when
+# it is installed (CI installs it; locally it is optional) on top of go vet.
+# `go run`-ing the tool would add a dependency to go.mod, so the binary is
+# looked up on PATH instead.
 lint: vet
+	@unformatted="$$(gofmt -l .)"; \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt would reformat:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -67,9 +72,10 @@ degradation:
 # on either ring implementation across searched zoo mappings, and the engine
 # cache must key ring/mesh/torus separately, and every pricing entry point
 # must price a mapping exactly as the search does on ring, mesh, torus and a
-# degraded ring — all under the race detector.
+# degraded ring, and explore's cell-wise memory-grid re-pricing must match
+# the per-point reference — all under the race detector.
 topo-equiv:
-	$(GO) test -race -count=1 -run 'TestGenericRing|TestMeshTorus|TestGridDims|TestTopologyConstructorErrors|TestDegradedMeshReroutes|TestNewInterconnect|TestParseTopology|TestTopology|TestConfigTupleTopologySuffix|TestConfigValidateTopology|TestSimZooRingGenericEquivalence|TestCacheKeyTopologySeparation|TestEvalTopologyCostOrdering|TestGranularityTopologyAxis|TestGranularityMeshCostsAtLeastRing|TestPricingKernelEquivalence' \
+	$(GO) test -race -count=1 -run 'TestGenericRing|TestMeshTorus|TestGridDims|TestTopologyConstructorErrors|TestDegradedMeshReroutes|TestNewInterconnect|TestParseTopology|TestTopology|TestConfigTupleTopologySuffix|TestConfigValidateTopology|TestSimZooRingGenericEquivalence|TestCacheKeyTopologySeparation|TestEvalTopologyCostOrdering|TestGranularityTopologyAxis|TestGranularityMeshCostsAtLeastRing|TestPricingKernelEquivalence|TestExploreMatchesReference' \
 		./internal/noc ./internal/hardware ./internal/sim ./internal/engine ./internal/dse
 
 # serve is the serving-simulation determinism gate: trace parsing, DES

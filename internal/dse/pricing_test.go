@@ -162,7 +162,13 @@ func TestPricingKernelEquivalence(t *testing.T) {
 			}
 			one := workload.Model{Name: "one", Layers: []workload.Layer{l}}
 			pool := [][]*c3p.Analysis{{win.Analysis}}
-			pt, ok := priceMemoryPoint(one, hw, pool, 0, fab, cm)
+			rp := newRepricer(one, hw, pool, []int{hw.OL1Bytes}, 0, fab, cm)
+			rp.priceCell(hw)
+			pts := rp.points()
+			pt, ok := Point{}, len(pts) == 1
+			if ok {
+				pt = pts[0]
+			}
 			if !ok {
 				t.Fatalf("%s: explore could not price the winner at its anchor", name)
 			}

@@ -65,17 +65,17 @@ func TestParseFaultMaskRoundTrip(t *testing.T) {
 func TestParseFaultMaskErrors(t *testing.T) {
 	c := CaseStudy()
 	for _, spec := range []string{
-		"chiplet9",                              // index past package
-		"chiplet-1",                             // negative index
-		"cores9@0",                              // more dead cores than cores
-		"cores0@0",                              // zero count
-		"cores3",                                // missing @chiplet
-		"lanes8@0",                              // bins every lane
-		"freq0%",                                // stopped clock
-		"freq45%",                               // not a multiple of 10
-		"bogus",                                 // unknown term
-		"chiplet0,chiplet1,chiplet2,chiplet3",   // no survivor
-		"chiplet0,,chiplet1",                    // empty term
+		"chiplet9",                            // index past package
+		"chiplet-1",                           // negative index
+		"cores9@0",                            // more dead cores than cores
+		"cores0@0",                            // zero count
+		"cores3",                              // missing @chiplet
+		"lanes8@0",                            // bins every lane
+		"freq0%",                              // stopped clock
+		"freq45%",                             // not a multiple of 10
+		"bogus",                               // unknown term
+		"chiplet0,chiplet1,chiplet2,chiplet3", // no survivor
+		"chiplet0,,chiplet1",                  // empty term
 	} {
 		if _, err := ParseFaultMask(spec, c); err == nil {
 			t.Errorf("ParseFaultMask(%q) should fail", spec)

@@ -16,6 +16,16 @@ import (
 // Feasible(l, hw) == (Validate(l, hw) == nil), a lockstep enforced by
 // TestFeasibleMatchesValidate.
 func (m Mapping) Feasible(l workload.Layer, hw hardware.Config) bool {
+	return m.StructurallyFeasible(l, hw) && m.BufferNeeds(l, hw).Fits(hw)
+}
+
+// StructurallyFeasible reports whether the mapping passes Validate's checks
+// that do not involve buffer sizes: spatial kinds and split arity, pattern
+// bounds, tile bounds, and rotation on a multi-chiplet package. It reads
+// only hw's compute allocation, so for a fixed compute configuration it is
+// fixed per (layer shape, mapping) — the pre-design memory sweep checks it
+// once per candidate and only BufferNeeds per memory point.
+func (m Mapping) StructurallyFeasible(l workload.Layer, hw hardware.Config) bool {
 	switch m.PackageSpatial {
 	case SpatialC:
 		if l.CO < hw.Chiplets {
@@ -55,20 +65,63 @@ func (m Mapping) Feasible(l workload.Layer, hw hardware.Config) bool {
 		m.ChipletPattern.Rows > m.HOt || m.ChipletPattern.Cols > m.WOt:
 		return false
 	}
-	if m.Rotate && hw.Chiplets == 1 {
-		return false
+	return !(m.Rotate && hw.Chiplets == 1)
+}
+
+// BufferNeeds is the minimum buffer allocation one mapping of one layer
+// needs, in bytes. It depends only on the layer shape, the mapping and the
+// compute allocation, never on the buffer sizes it is checked against.
+type BufferNeeds struct {
+	// OL1 holds the 24-bit partial sums of one HOc×WOc×Lanes core workload.
+	OL1 int64
+	// AL1 streams the double-buffered P-channel input slice of the core tile.
+	AL1 int64
+	// WL1 streams the double-buffered Lanes×P×R×S weight chunk.
+	WL1 int64
+	// AL2 stages the double-buffered chiplet-resident activation chunk: 1/N_P
+	// of the chiplet-workload input when rotating a C-type package split,
+	// the core-workload slice otherwise.
+	AL2 int64
+	// RotatingChunk is the per-hop weight chunk of a rotating P-type package
+	// split (0 otherwise); it must fit the W-L1 pool merged across the
+	// WeightShare cores that use identical weights.
+	RotatingChunk int64
+	WeightShare   int64
+}
+
+// BufferNeeds derives the mapping's buffer needs on hw's compute allocation.
+// Validate renders them into error messages and Feasible only compares them,
+// so the two can never disagree on the accept set.
+func (m Mapping) BufferNeeds(l workload.Layer, hw hardware.Config) BufferNeeds {
+	ci := min(hw.Vector, l.CIPerGroup())
+	slice := 2 * l.TileInputBytes(m.HOc, m.WOc, ci)
+	n := BufferNeeds{
+		OL1:         int64(m.HOc) * int64(m.WOc) * int64(hw.Lanes) * 3,
+		AL1:         slice,
+		WL1:         2 * int64(hw.Lanes) * int64(ci) * int64(l.R) * int64(l.S),
+		AL2:         slice,
+		WeightShare: int64(m.ChipletPattern.Parts()),
 	}
-	if m.ol1Need(hw) > int64(hw.OL1Bytes) ||
-		m.al1Need(l, hw) > int64(hw.AL1Bytes) ||
-		m.wl1Need(l, hw) > int64(hw.WL1Bytes) ||
-		m.al2Need(l, hw) > int64(hw.AL2Bytes) {
-		return false
+	if m.Rotate && m.PackageSpatial == SpatialC {
+		n.AL2 = 2 * l.TileInputBytes(m.HOt, m.WOt, ceilDiv(l.CI, hw.Chiplets))
 	}
-	if m.Rotate && m.PackageSpatial == SpatialP &&
-		m.rotatingChunk(l, hw) > m.wl1Pool(hw, s) {
-		return false
+	if m.Rotate && m.PackageSpatial == SpatialP {
+		n.RotatingChunk = 2 * int64(m.COt) * int64(l.CIPerGroup()) * int64(l.R) * int64(l.S) / int64(hw.Chiplets)
 	}
-	return true
+	return n
+}
+
+// Fits reports whether buffers of hw's sizes meet every need.
+func (n BufferNeeds) Fits(hw hardware.Config) bool {
+	return n.OL1 <= int64(hw.OL1Bytes) && n.FitsAt(hw.AL1Bytes, hw.WL1Bytes, hw.AL2Bytes)
+}
+
+// FitsAt reports whether the given per-core A-L1 and W-L1 and per-chiplet
+// A-L2 sizes — the capacities c3p.Analysis.TrafficAt substitutes — meet
+// every need but O-L1's.
+func (n BufferNeeds) FitsAt(al1, wl1, al2 int) bool {
+	return n.AL1 <= int64(al1) && n.WL1 <= int64(wl1) && n.AL2 <= int64(al2) &&
+		n.RotatingChunk <= int64(wl1)*n.WeightShare
 }
 
 // Compare orders two mappings by a fixed lexicographic key over every field:

@@ -253,74 +253,26 @@ func (m Mapping) Validate(l workload.Layer, hw hardware.Config) error {
 	if m.Rotate && hw.Chiplets == 1 {
 		return fmt.Errorf("mapping: rotation requires more than one chiplet")
 	}
-	return m.validateBuffers(l, hw, s)
+	return m.validateBuffers(l, hw)
 }
 
-func (m Mapping) validateBuffers(l workload.Layer, hw hardware.Config, s Shape) error {
-	// O-L1 holds the 24-bit partial sums of one HOc×WOc×L core workload.
-	if psum := m.ol1Need(hw); psum > int64(hw.OL1Bytes) {
+func (m Mapping) validateBuffers(l workload.Layer, hw hardware.Config) error {
+	n := m.BufferNeeds(l, hw)
+	if n.OL1 > int64(hw.OL1Bytes) {
 		return fmt.Errorf("mapping: O-L1 needs %d B for %dx%dx%d psums, has %d",
-			psum, m.HOc, m.WOc, hw.Lanes, hw.OL1Bytes)
+			n.OL1, m.HOc, m.WOc, hw.Lanes, hw.OL1Bytes)
 	}
-	// A-L1 streams double-buffered P-channel input slices of the core tile.
-	if need := m.al1Need(l, hw); need > int64(hw.AL1Bytes) {
-		return fmt.Errorf("mapping: A-L1 needs %d B double-buffered slice, has %d", need, hw.AL1Bytes)
+	if n.AL1 > int64(hw.AL1Bytes) {
+		return fmt.Errorf("mapping: A-L1 needs %d B double-buffered slice, has %d", n.AL1, hw.AL1Bytes)
 	}
-	// W-L1 streams double-buffered L×P×R×S weight chunks.
-	if need := m.wl1Need(l, hw); need > int64(hw.WL1Bytes) {
-		return fmt.Errorf("mapping: W-L1 needs %d B double-buffered chunk, has %d", need, hw.WL1Bytes)
+	if n.WL1 > int64(hw.WL1Bytes) {
+		return fmt.Errorf("mapping: W-L1 needs %d B double-buffered chunk, has %d", n.WL1, hw.WL1Bytes)
 	}
-	// A-L2 must stage the chiplet-resident activation chunk (1/N_P of the
-	// chiplet-workload input when rotating, the core-workload slice
-	// otherwise), double-buffered.
-	if stage := m.al2Need(l, hw); stage > int64(hw.AL2Bytes) {
-		return fmt.Errorf("mapping: A-L2 needs %d B staging, has %d", stage, hw.AL2Bytes)
+	if n.AL2 > int64(hw.AL2Bytes) {
+		return fmt.Errorf("mapping: A-L2 needs %d B staging, has %d", n.AL2, hw.AL2Bytes)
 	}
-	// The rotating weight chunk must fit the merged W-L1 pool.
-	if m.Rotate && m.PackageSpatial == SpatialP {
-		if chunk, pool := m.rotatingChunk(l, hw), m.wl1Pool(hw, s); chunk > pool {
-			return fmt.Errorf("mapping: rotating weight chunk %d B exceeds W-L1 pool %d", chunk, pool)
-		}
+	if pool := int64(hw.WL1Bytes) * n.WeightShare; n.RotatingChunk > pool {
+		return fmt.Errorf("mapping: rotating weight chunk %d B exceeds W-L1 pool %d", n.RotatingChunk, pool)
 	}
 	return nil
-}
-
-// Buffer requirements, shared verbatim by Validate (which renders them into
-// error messages) and Feasible (which only compares them) so the two can
-// never disagree on the accept set.
-
-// ol1Need is the 24-bit partial-sum footprint of one core workload.
-func (m Mapping) ol1Need(hw hardware.Config) int64 {
-	return int64(m.HOc) * int64(m.WOc) * int64(hw.Lanes) * 3
-}
-
-// al1Need is the double-buffered P-channel input slice of the core tile.
-func (m Mapping) al1Need(l workload.Layer, hw hardware.Config) int64 {
-	return 2 * l.TileInputBytes(m.HOc, m.WOc, min(hw.Vector, l.CIPerGroup()))
-}
-
-// wl1Need is the double-buffered L×P×R×S streaming weight chunk.
-func (m Mapping) wl1Need(l workload.Layer, hw hardware.Config) int64 {
-	ci := min(hw.Vector, l.CIPerGroup())
-	return 2 * int64(hw.Lanes) * int64(ci) * int64(l.R) * int64(l.S)
-}
-
-// al2Need is the double-buffered A-L2 staging chunk: 1/N_P of the
-// chiplet-workload input when rotating a C-type package split, the
-// core-workload slice otherwise.
-func (m Mapping) al2Need(l workload.Layer, hw hardware.Config) int64 {
-	if m.Rotate && m.PackageSpatial == SpatialC {
-		return 2 * l.TileInputBytes(m.HOt, m.WOt, ceilDiv(l.CI, hw.Chiplets))
-	}
-	return 2 * l.TileInputBytes(m.HOc, m.WOc, min(l.CIPerGroup(), hw.Vector))
-}
-
-// rotatingChunk is the per-hop weight chunk of a rotating P-type split.
-func (m Mapping) rotatingChunk(l workload.Layer, hw hardware.Config) int64 {
-	return 2 * int64(m.COt) * int64(l.CIPerGroup()) * int64(l.R) * int64(l.S) / int64(hw.Chiplets)
-}
-
-// wl1Pool is the merged W-L1 pool of the weight-sharing core group.
-func (m Mapping) wl1Pool(hw hardware.Config, s Shape) int64 {
-	return int64(hw.WL1Bytes) * int64(s.WeightShareCores)
 }

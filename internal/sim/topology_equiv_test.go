@@ -33,9 +33,9 @@ func TestSimZooRingGenericEquivalence(t *testing.T) {
 		chiplets int
 		mask     hardware.FaultMask
 	}{
-		{4, hardware.FaultMask{}},                     // healthy case study
-		{3, hardware.FaultMask{Chiplets: 4, Dead: 1 << 2}},  // one dead relay
-		{2, hardware.FaultMask{Chiplets: 4, Dead: 0b0101}},  // alternating survivors
+		{4, hardware.FaultMask{}},                          // healthy case study
+		{3, hardware.FaultMask{Chiplets: 4, Dead: 1 << 2}}, // one dead relay
+		{2, hardware.FaultMask{Chiplets: 4, Dead: 0b0101}}, // alternating survivors
 	}
 	model := workload.ResNet50(64)
 	seen := map[string]bool{}
