@@ -37,9 +37,10 @@ bench-smoke:
 		| $(GO) run ./cmd/benchjson
 
 # equiv pins the branch-and-bound search to the exhaustive reference across
-# the model zoo under the race detector (the perf-PR correctness gate).
+# the model zoo under the race detector (the perf-PR correctness gate), and
+# holds searches that share pooled worker scratch to fresh references.
 equiv:
-	$(GO) test -race -count=1 -run 'TestSearchAllMatchesExhaustive|TestSearchAllWorkersInvariant|TestBestPerSpatialCombo' ./internal/mapper
+	$(GO) test -race -count=1 -run 'TestSearchAllMatchesExhaustive|TestSearchAllWorkersInvariant|TestBestPerSpatialCombo|TestSearchScratch' ./internal/mapper
 
 vet:
 	$(GO) vet ./...

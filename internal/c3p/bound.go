@@ -49,16 +49,16 @@ type GroupFloorTerms struct {
 	AL1IntrMin int64
 }
 
-// GroupTrafficFloor assembles a traffic record that is component-wise ≤ the
-// TrafficFloor of every probe in the group. pkg/rotate/csplit are the group's
+// GroupTrafficFloor writes into t a traffic record that is component-wise ≤
+// the TrafficFloor of every probe in the group. pkg/rotate/csplit are the group's
 // subtree constants (every member shares them); the open tile choices enter
 // only through the minimized terms. The body mirrors fixedTraffic and
 // assembleTraffic term by term — same branches, same integer divisions — so
 // the group bound and the exact evaluation can never diverge structurally.
 // Admissibility is pinned by the mapper's TestGroupBoundAdmissible.
-func GroupTrafficFloor(l workload.Layer, hw hardware.Config, pkg mapping.Spatial,
-	rotate bool, csplit int, gt GroupFloorTerms) Traffic {
-	var t Traffic
+func GroupTrafficFloor(t *Traffic, l *workload.Layer, hw *hardware.Config, pkg mapping.Spatial,
+	rotate bool, csplit int, gt *GroupFloorTerms) {
+	*t = Traffic{}
 	chiplets := int64(hw.Chiplets)
 	cores := int64(hw.Cores)
 	ciSteps := ceilDiv64(int64(l.CIPerGroup()), int64(hw.Vector))
@@ -107,13 +107,12 @@ func GroupTrafficFloor(l workload.Layer, hw hardware.Config, pkg mapping.Spatial
 	if pkg == mapping.SpatialC && rotate {
 		t.AL2Reads += perChipletAct * (chiplets - 1)
 	}
-	return t
 }
 
 // GroupCyclesFloor lower-bounds sim.ComputeBoundCyclesOf over every member
 // probe of the group: pkgPos·chipPos·HOc·WOc·R·S·ciSteps factored through the
 // same minimized terms as GroupTrafficFloor.
-func GroupCyclesFloor(l workload.Layer, hw hardware.Config, gt GroupFloorTerms) int64 {
+func GroupCyclesFloor(l *workload.Layer, hw *hardware.Config, gt *GroupFloorTerms) int64 {
 	ciSteps := ceilDiv64(int64(l.CIPerGroup()), int64(hw.Vector))
 	return gt.C12Min * gt.H1W1 * gt.PlanarCovMin * int64(l.R) * int64(l.S) * ciSteps
 }

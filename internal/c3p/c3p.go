@@ -118,12 +118,12 @@ func (w *walker) finish(base int64) FillAnalysis {
 // channels over the layer's full CI×R×S reduction. Output-channel loops are
 // relevant; planar loops are irrelevant.
 func WeightWalk(l workload.Layer, nest []mapping.Loop, baseCO int) FillAnalysis {
-	return weightWalk(l, nest, baseCO, nil)
+	return weightWalk(&l, nest, baseCO, nil)
 }
 
 // weightWalk is WeightWalk writing thresholds into buf (appended from buf[:0]
 // by the caller; nil allocates).
-func weightWalk(l workload.Layer, nest []mapping.Loop, baseCO int, buf []Threshold) FillAnalysis {
+func weightWalk(l *workload.Layer, nest []mapping.Loop, baseCO int, buf []Threshold) FillAnalysis {
 	base := int64(baseCO) * int64(l.CIPerGroup()) * int64(l.R) * int64(l.S)
 	w := newWalker(base, buf)
 	for i := len(nest) - 1; i >= 0; i-- {
@@ -147,12 +147,12 @@ func weightWalk(l workload.Layer, nest []mapping.Loop, baseCO int, buf []Thresho
 // exactly); channel loops are irrelevant (the same activations feed every
 // output channel).
 func ActivationWalk(l workload.Layer, nest []mapping.Loop, baseHO, baseWO, ci int) FillAnalysis {
-	return activationWalk(l, nest, baseHO, baseWO, ci, nil)
+	return activationWalk(&l, nest, baseHO, baseWO, ci, nil)
 }
 
 // activationWalk is ActivationWalk writing thresholds into buf (appended from
 // buf[:0] by the caller; nil allocates).
-func activationWalk(l workload.Layer, nest []mapping.Loop, baseHO, baseWO, ci int, buf []Threshold) FillAnalysis {
+func activationWalk(l *workload.Layer, nest []mapping.Loop, baseHO, baseWO, ci int, buf []Threshold) FillAnalysis {
 	h, wo := baseHO, baseWO
 	base := l.TileInputBytes(h, wo, ci)
 	w := newWalker(base, buf)

@@ -56,10 +56,10 @@ func (t Traffic) Add(o Traffic) Traffic {
 }
 
 // DRAMBytes returns total off-package traffic.
-func (t Traffic) DRAMBytes() int64 { return t.DRAMActReads + t.DRAMWtReads + t.DRAMOutWrites }
+func (t *Traffic) DRAMBytes() int64 { return t.DRAMActReads + t.DRAMWtReads + t.DRAMOutWrites }
 
 // D2DBytes returns total die-to-die traffic.
-func (t Traffic) D2DBytes() int64 { return t.D2DActs + t.D2DWts + t.D2DPsums + t.D2DOutput }
+func (t *Traffic) D2DBytes() int64 { return t.D2DActs + t.D2DWts + t.D2DPsums + t.D2DOutput }
 
 // ScaleD2D returns the traffic with the die-to-die components scaled by the
 // exact rational num/den (ceil division, so the result stays an upper bound
@@ -122,7 +122,7 @@ func Analyze(l workload.Layer, hw hardware.Config, m mapping.Mapping) (*Analysis
 		return nil, err
 	}
 	a := &Analysis{}
-	AnalyzeInto(a, &Scratch{}, l, hw, m)
+	AnalyzeInto(a, &Scratch{}, &l, &hw, &m)
 	return a, nil
 }
 
@@ -140,9 +140,10 @@ type Scratch struct {
 // feasible (mapping.Mapping.Feasible). The resulting Analysis aliases sc's
 // threshold buffers and is invalidated by the next AnalyzeInto call with the
 // same Scratch; call Clone to retain it.
-func AnalyzeInto(a *Analysis, sc *Scratch, l workload.Layer, hw hardware.Config, m mapping.Mapping) {
-	s := m.Shape(l, hw)
-	a.Layer, a.HW, a.Map, a.Shape = l, hw, m, s
+func AnalyzeInto(a *Analysis, sc *Scratch, l *workload.Layer, hw *hardware.Config, m *mapping.Mapping) {
+	a.Layer, a.HW, a.Map = *l, *hw, *m
+	a.Shape = m.Shape(l, hw)
+	s := &a.Shape
 
 	// AppendNest lays out the package level in nest[:3] and the chiplet
 	// level in nest[3:], so one append serves all three walks.
@@ -159,22 +160,30 @@ func AnalyzeInto(a *Analysis, sc *Scratch, l workload.Layer, hw hardware.Config,
 		withInnerThresholdInPlace(2*slice, int64(l.R)*int64(l.S))
 	sc.a1ths = a.AL1.Thresholds
 
-	a.fixed = fixedTraffic(l, hw, m, s)
+	a.fixed = Traffic{}
+	fixedTraffic(&a.fixed, l, hw, m, s)
 }
 
 // Clone detaches the analysis from any Scratch buffers it aliases, returning
 // a copy that stays valid after the scratch is reused.
 func (a *Analysis) Clone() *Analysis {
 	out := *a
-	out.WL1.Thresholds = append([]Threshold(nil), a.WL1.Thresholds...)
-	out.AL2.Thresholds = append([]Threshold(nil), a.AL2.Thresholds...)
-	out.AL1.Thresholds = append([]Threshold(nil), a.AL1.Thresholds...)
+	// One backing array holds all three threshold lists; each list is capped
+	// at its own length, so appending to one can never overwrite the next.
+	nw, n2 := len(a.WL1.Thresholds), len(a.AL2.Thresholds)
+	ths := make([]Threshold, 0, nw+n2+len(a.AL1.Thresholds))
+	ths = append(append(append(ths, a.WL1.Thresholds...), a.AL2.Thresholds...), a.AL1.Thresholds...)
+	out.WL1.Thresholds = ths[:nw:nw]
+	out.AL2.Thresholds = ths[nw : nw+n2 : nw+n2]
+	out.AL1.Thresholds = ths[nw+n2:]
 	return &out
 }
 
-// fixedTraffic computes the buffer-size-independent traffic of a mapping.
-func fixedTraffic(l workload.Layer, hw hardware.Config, m mapping.Mapping, s mapping.Shape) Traffic {
-	var t Traffic
+// fixedTraffic sets the buffer-size-independent components of t for a
+// mapping; assembleTraffic sets the rest. The traffic helpers fill records
+// in place because the search calls them per candidate and per bound, and
+// returning a record built in a branching body costs a 144-byte copy.
+func fixedTraffic(t *Traffic, l *workload.Layer, hw *hardware.Config, m *mapping.Mapping, s *mapping.Shape) {
 	chiplets := int64(hw.Chiplets)
 	cores := int64(hw.Cores)
 	pkgPos := s.PackagePositions()
@@ -205,7 +214,6 @@ func fixedTraffic(l workload.Layer, hw hardware.Config, m mapping.Mapping, s map
 	t.DRAMOutWrites = out
 	t.OL2Writes = out
 	t.OL2Reads = out
-	return t
 }
 
 // Traffic evaluates the total package traffic at the analysis' own hardware
@@ -217,13 +225,15 @@ func (a *Analysis) Traffic() Traffic {
 // TrafficAt evaluates the total package traffic with substituted buffer
 // sizes (per-core A-L1 and W-L1, per-chiplet A-L2). This is the fast path of
 // the pre-design memory sweep.
-func (a *Analysis) TrafficAt(al1, wl1, al2 int) Traffic {
+func (a *Analysis) TrafficAt(al1, wl1, al2 int) (t Traffic) {
 	pool := int64(wl1) * int64(a.Shape.WeightShareCores)
-	return assembleTraffic(a.fixed, a.HW, a.Map, a.Shape,
+	t = a.fixed
+	assembleTraffic(&t, &a.HW, &a.Map, &a.Shape,
 		a.WL1.Fills(pool), a.AL2.Fills(int64(al2)), a.AL1.Fills(int64(al1)))
+	return t
 }
 
-// TrafficFloor returns a component-wise lower bound on the traffic of a
+// TrafficFloor writes into t a component-wise lower bound on the traffic of a
 // feasible mapping, valid for any buffer capacities: each fill volume is
 // replaced by its intrinsic (infinite-capacity) value, while the
 // buffer-size-independent terms are exact. Because FillAnalysis.Fills only
@@ -232,25 +242,26 @@ func (a *Analysis) TrafficAt(al1, wl1, al2 int) Traffic {
 // component-wise — the property that makes it an admissible bound for the
 // mapper's branch-and-bound search. The intrinsic volumes are in closed form
 // (walk base × product of relevant loop counts), so no nest walk is needed.
-func TrafficFloor(l workload.Layer, hw hardware.Config, m mapping.Mapping, s mapping.Shape) Traffic {
+func TrafficFloor(t *Traffic, l *workload.Layer, hw *hardware.Config, m *mapping.Mapping, s *mapping.Shape) {
 	// Weight walk: base Lanes·CIg·R·S, relevant DimC counts C1·C2.
 	wIntr := int64(hw.Lanes) * int64(l.CIPerGroup()) * int64(l.R) * int64(l.S) *
 		int64(s.C1) * int64(s.C2)
 	// Activation walks: base input-tile bytes, relevant DimH/DimW counts.
 	aL2Intr := l.TileInputBytes(m.HOt, m.WOt, l.CI) * int64(s.H1) * int64(s.W1)
 	aL1Intr := l.TileInputBytes(m.HOc, m.WOc, l.CI) * int64(s.H2) * int64(s.W2)
-	return assembleTraffic(fixedTraffic(l, hw, m, s), hw, m, s, wIntr, aL2Intr, aL1Intr)
+	*t = Traffic{}
+	fixedTraffic(t, l, hw, m, s)
+	assembleTraffic(t, hw, m, s, wIntr, aL2Intr, aL1Intr)
 }
 
-// assembleTraffic combines the fixed traffic with the three fill volumes —
+// assembleTraffic combines the fixed traffic in t with the three fill volumes —
 // per-weight-group W-L1 fills, per-chiplet A-L2 fills, per-core-workload A-L1
 // fills — through the dataflow's distribution branches. It is the single
 // assembly path behind TrafficAt and TrafficFloor, so the bound and the exact
 // evaluation can never diverge structurally; it is monotone non-decreasing in
 // each fill argument.
-func assembleTraffic(fixed Traffic, hw hardware.Config, m mapping.Mapping, s mapping.Shape,
-	groupFills, chipletActFills, coreActFills int64) Traffic {
-	t := fixed
+func assembleTraffic(t *Traffic, hw *hardware.Config, m *mapping.Mapping, s *mapping.Shape,
+	groupFills, chipletActFills, coreActFills int64) {
 	chiplets := int64(hw.Chiplets)
 	pkgPos := s.PackagePositions()
 
@@ -292,7 +303,6 @@ func assembleTraffic(fixed Traffic, hw hardware.Config, m mapping.Mapping, s map
 		// Rotation forwarding also reads the resident chunk out of A-L2.
 		t.AL2Reads += perChipletAct * (chiplets - 1)
 	}
-	return t
 }
 
 // MinPenaltyFreeAL2 returns the A-L2 capacity above which the package-level

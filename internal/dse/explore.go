@@ -477,10 +477,10 @@ func newRepricer(model workload.Model, comp hardware.Config, pool [][]*c3p.Analy
 			index[key] = si
 			var cands []candidate
 			for _, a := range pool[li] {
-				if !a.Map.StructurallyFeasible(l, comp) {
+				if !a.Map.StructurallyFeasible(&l, &comp) {
 					continue
 				}
-				cands = append(cands, candidate{a: a, needs: a.Map.BufferNeeds(l, comp)})
+				cands = append(cands, candidate{a: a, needs: a.Map.BufferNeeds(&l, &comp)})
 			}
 			r.shapes = append(r.shapes, cands)
 		}
@@ -516,7 +516,7 @@ func (r *repricer) priceCell(cell hardware.Config) {
 				}
 				hw := cell
 				hw.OL1Bytes = ol1
-				br := r.fab.Energy(tr, hw)
+				br := r.fab.Energy(&tr, &hw)
 				if win[k].ok && br.Total() >= win[k].br.Total() {
 					continue
 				}

@@ -62,7 +62,7 @@ func priceMemoryPoint(model workload.Model, hw hardware.Config, pool [][]*c3p.An
 				continue
 			}
 			tr := a.TrafficAt(hw.AL1Bytes, hw.WL1Bytes, hw.AL2Bytes)
-			br := fab.Energy(tr, hw)
+			br := fab.Energy(&tr, &hw)
 			if bestE >= 0 && br.Total() >= bestE {
 				continue
 			}
@@ -119,7 +119,7 @@ func (b *bindingTally) pricer(model workload.Model, space Space, comp hardware.C
 	ol1, rotate := 0, 0
 	for li, l := range model.Layers {
 		for _, a := range pool[li] {
-			n := a.Map.BufferNeeds(l, comp)
+			n := a.Map.BufferNeeds(&l, &comp)
 			for _, perLane := range space.OL1PerLane {
 				for _, al1 := range space.AL1 {
 					for _, wl1 := range space.WL1 {

@@ -222,6 +222,13 @@ func (m *Manager) tryClaimOne(shard int) (bool, error) {
 	path := m.leasePath(shard)
 	l := m.fresh(shard)
 	if ok, err := m.install(path, l, true); err != nil || ok {
+		if ok && m.Done(shard) {
+			// The owner completed between our done check and the install:
+			// Complete writes the marker before it removes the lease, so the
+			// missing lease we claimed was a finished shard's. Drop our lease.
+			os.Remove(path)
+			return false, nil
+		}
 		if ok {
 			m.shard = shard
 		}

@@ -203,6 +203,37 @@ func TestCompletionBeatsTakeover(t *testing.T) {
 	}
 }
 
+func TestCompletionBeatsFreshClaim(t *testing.T) {
+	// The owner completes — done marker written, lease removed — after a
+	// second worker's done check but before its exclusive install: the free
+	// lease path must not hand the finished shard out again. The second
+	// worker's clock hook runs inside that window, so it completes the owner.
+	dir := t.TempDir()
+	owner := mgr(t, dir, "owner", Options{TTL: time.Minute})
+	if _, err := owner.TryClaim(bg, 1); err != nil {
+		t.Fatal(err)
+	}
+	completed := false
+	late := mgr(t, dir, "late", Options{TTL: time.Minute, Now: func() time.Time {
+		if !completed {
+			completed = true
+			if err := owner.Complete(); err != nil {
+				t.Error(err)
+			}
+		}
+		return time.Now()
+	}})
+	if shard, err := late.TryClaim(bg, 1); !errors.Is(err, ErrAllDone) {
+		t.Fatalf("claim of a shard completed mid-claim = %d, %v, want ErrAllDone", shard, err)
+	}
+	if !completed {
+		t.Fatal("the clock hook never ran; the test exercised nothing")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "shard-0000.lease")); !errors.Is(err, os.ErrNotExist) {
+		t.Error("the late claimant left a lease on a completed shard")
+	}
+}
+
 func TestHeartbeatWithoutClaim(t *testing.T) {
 	m := mgr(t, t.TempDir(), "w", Options{})
 	if err := m.Heartbeat(); err == nil {

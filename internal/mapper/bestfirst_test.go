@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"nnbaton/internal/c3p"
 	"nnbaton/internal/hardware"
 	"nnbaton/internal/mapping"
 	"nnbaton/internal/workload"
@@ -43,9 +44,18 @@ func TestGroupBoundAdmissible(t *testing.T) {
 		}
 		ctx := fmt.Sprintf("trial %d: %s/%s on %s obj=%v fault=%s",
 			trial, l.Model, l.Name, hw.Tuple(), cfg.Objective, cfg.Fault)
+		// groupBound of g restricted to the given tile lists, with the terms
+		// composed from the same helpers the frontier uses.
+		groupBound := func(st *subtree, g *bfGroup, cots []int, cps [][2]int) float64 {
+			var terms c3p.GroupFloorTerms
+			srch.channelTerms(&terms, st, cots)
+			srch.planarTerms(&terms, st, g)
+			srch.coreTerms(&terms, g, cps)
+			return srch.groupBound(st, &terms)
+		}
 		for _, st := range subtrees(l, hw, cfg) {
 			var cots []int
-			for _, cot := range tileCandidates(st.cop, st.cop) {
+			for _, cot := range tileCandidates(nil, st.cop, st.cop) {
 				if cot >= st.cs.csplit {
 					cots = append(cots, cot)
 				}
@@ -53,21 +63,21 @@ func TestGroupBoundAdmissible(t *testing.T) {
 			if len(cots) == 0 {
 				continue
 			}
-			for _, pp := range planarPairs(st.hop, st.wop) {
+			for _, pp := range planarPairs(nil, st.hop, st.wop) {
 				hot, wot := pp[0], pp[1]
 				if st.cs.pattern.Rows > hot || st.cs.pattern.Cols > wot {
 					continue
 				}
 				g := bfGroup{hot: hot, wot: wot,
 					hs: ceilDiv(hot, st.cs.pattern.Rows), ws: ceilDiv(wot, st.cs.pattern.Cols)}
-				g.cps = coreTilePairs(l, hw, g.hs, g.ws)
-				if len(g.cps) == 0 {
+				cps := coreTilePairs(nil, &l, &hw, g.hs, g.ws)
+				if len(cps) == 0 {
 					continue
 				}
-				gb := srch.groupBound(st, cots, g)
+				gb := groupBound(&st, &g, cots, cps)
 				for ci, cot := range cots {
-					sub := srch.groupBound(st, cots[ci:ci+1], g)
-					for pi, cp := range g.cps {
+					sub := groupBound(&st, &g, cots[ci:ci+1], cps)
+					for pi, cp := range cps {
 						probe := mapping.Mapping{
 							PackageSpatial: st.ps.kind, PackagePattern: st.ps.pattern, Rotate: st.rotate,
 							ChipletSpatial: st.cs.kind, ChipletCSplit: st.cs.csplit, ChipletPattern: st.cs.pattern,
@@ -76,8 +86,8 @@ func TestGroupBoundAdmissible(t *testing.T) {
 						if !probe.Feasible(l, hw) {
 							continue
 						}
-						sh := probe.Shape(l, hw)
-						fl := srch.lowerBound(probe, sh)
+						sh := probe.Shape(&l, &hw)
+						fl := srch.lowerBound(&probe, &sh)
 						if gb > fl {
 							t.Fatalf("%s: group bound %.6g > member floor %.6g for %+v",
 								ctx, gb, fl, probe)
@@ -88,9 +98,7 @@ func TestGroupBoundAdmissible(t *testing.T) {
 						}
 						// Cell level: both tile axes fixed — the singleton
 						// bound the frontier prices one probe with.
-						gc := g
-						gc.cps = g.cps[pi : pi+1]
-						if cell := srch.groupBound(st, cots[ci:ci+1], gc); cell > fl {
+						if cell := groupBound(&st, &g, cots[ci:ci+1], cps[pi:pi+1]); cell > fl {
 							t.Fatalf("%s: cell bound %.6g > member floor %.6g for %+v",
 								ctx, cell, fl, probe)
 						}

@@ -41,24 +41,33 @@ func uniqueZooLayers(resolution int) []workload.Layer {
 // requireSameOptions asserts two option lists agree on scores and mappings.
 func requireSameOptions(t *testing.T, ctx string, want, got []Option, obj Objective) {
 	t.Helper()
+	if err := sameOptions(want, got, obj); err != nil {
+		t.Fatalf("%s: %v", ctx, err)
+	}
+}
+
+// sameOptions reports how two option lists disagree on scores and mappings,
+// or nil when they agree.
+func sameOptions(want, got []Option, obj Objective) error {
 	if len(want) != len(got) {
-		t.Fatalf("%s: got %d options, want %d", ctx, len(got), len(want))
+		return fmt.Errorf("got %d options, want %d", len(got), len(want))
 	}
 	for i := range want {
 		if want[i].Analysis.Map != got[i].Analysis.Map {
-			t.Fatalf("%s: option %d mapping mismatch:\n got %+v\nwant %+v",
-				ctx, i, got[i].Analysis.Map, want[i].Analysis.Map)
+			return fmt.Errorf("option %d mapping mismatch:\n got %+v\nwant %+v",
+				i, got[i].Analysis.Map, want[i].Analysis.Map)
 		}
 		if want[i].Energy != got[i].Energy {
-			t.Fatalf("%s: option %d energy mismatch: got %+v want %+v", ctx, i, got[i].Energy, want[i].Energy)
+			return fmt.Errorf("option %d energy mismatch: got %+v want %+v", i, got[i].Energy, want[i].Energy)
 		}
 		if want[i].Cycles != got[i].Cycles {
-			t.Fatalf("%s: option %d cycles mismatch: got %d want %d", ctx, i, got[i].Cycles, want[i].Cycles)
+			return fmt.Errorf("option %d cycles mismatch: got %d want %d", i, got[i].Cycles, want[i].Cycles)
 		}
 		if want[i].Score(obj) != got[i].Score(obj) {
-			t.Fatalf("%s: option %d score mismatch", ctx, i)
+			return fmt.Errorf("option %d score mismatch", i)
 		}
 	}
+	return nil
 }
 
 // TestSearchAllMatchesExhaustiveZoo holds the pruned, parallel SearchAll to

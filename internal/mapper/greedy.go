@@ -59,7 +59,7 @@ func SearchGreedy(l workload.Layer, hw hardware.Config, cm *hardware.CostModel) 
 		hop = ceilDiv(l.HO, m.PackagePattern.Rows)
 		wop = ceilDiv(l.WO, m.PackagePattern.Cols)
 	}
-	core := coreTilePairs(l, hw, hop, wop)
+	core := coreTilePairs(nil, &l, &hw, hop, wop)
 	if len(core) == 0 {
 		return Option{}, fmt.Errorf("mapper: greedy: no feasible core tile for %s", l.String())
 	}

@@ -7,6 +7,7 @@ package mapper
 
 import (
 	"fmt"
+	"slices"
 
 	"nnbaton/internal/c3p"
 	"nnbaton/internal/energy"
@@ -58,78 +59,66 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 // splitSeries are the tiling factors tried per dimension.
 var splitSeries = []int{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64}
 
-// tileCandidates returns deduplicated candidate tile extents ⌈dim/n⌉ for the
-// split series, largest first.
-func tileCandidates(dim, limit int) []int {
-	seen := make(map[int]bool)
-	var out []int
+// tileCandidates appends to dst the deduplicated candidate tile extents
+// ⌈dim/n⌉ for the split series, largest first. The tile generators append
+// into caller-owned storage and dedupe by scanning what they appended (at
+// most a few dozen entries), so the search can keep their lists in reused
+// worker scratch.
+func tileCandidates(dst []int, dim, limit int) []int {
+	base := len(dst)
 	for _, n := range splitSeries {
 		if n > dim {
 			break
 		}
 		t := ceilDiv(dim, n)
-		if t > limit || seen[t] {
+		if t > limit || slices.Contains(dst[base:], t) {
 			continue
 		}
-		seen[t] = true
-		out = append(out, t)
+		dst = append(dst, t)
 	}
-	if len(out) == 0 && dim >= 1 {
-		out = append(out, min(dim, max(1, limit)))
+	if len(dst) == base && dim >= 1 {
+		dst = append(dst, min(dim, max(1, limit)))
 	}
-	return out
+	return dst
 }
 
-// planarPairs generates (HOt, WOt) candidates for a region: a square-biased
-// series plus row- and column-stripe variants (the pattern ratios of §IV-C).
-func planarPairs(h, w int) [][2]int {
-	seen := make(map[[2]int]bool)
-	var out [][2]int
+// planarPairs appends to dst the (HOt, WOt) candidates for a region: a
+// square-biased series plus row- and column-stripe variants (the pattern
+// ratios of §IV-C).
+func planarPairs(dst [][2]int, h, w int) [][2]int {
+	base := len(dst)
 	add := func(th, tw int) {
-		if th < 1 || tw < 1 || th > h || tw > w {
+		p := [2]int{th, tw}
+		if th < 1 || tw < 1 || th > h || tw > w || slices.Contains(dst[base:], p) {
 			return
 		}
-		p := [2]int{th, tw}
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
+		dst = append(dst, p)
 	}
-	for _, n := range []int{1, 2, 4, 8, 16} {
+	for _, n := range [...]int{1, 2, 4, 8, 16} {
 		add(ceilDiv(h, n), ceilDiv(w, n)) // square-biased
 		add(ceilDiv(h, n), w)             // row stripes
 		add(h, ceilDiv(w, n))             // column stripes
 		add(ceilDiv(h, n*n), w)           // fine row stripes
 	}
-	return out
+	return dst
 }
 
-// coreTilePairs generates (HOc, WOc) candidates bounded by the O-L1 psum
-// capacity and the A-L1 streaming constraint.
-func coreTilePairs(l workload.Layer, hw hardware.Config, hs, ws int) [][2]int {
-	maxElems := hw.OL1Bytes / (3 * hw.Lanes)
-	if maxElems < 1 {
-		maxElems = 1
-	}
+// coreTilePairs appends to dst the (HOc, WOc) candidates of an hs×ws
+// per-core region, bounded by the O-L1 psum capacity and the A-L1 streaming
+// constraint.
+func coreTilePairs(dst [][2]int, l *workload.Layer, hw *hardware.Config, hs, ws int) [][2]int {
+	maxElems := max(1, hw.OL1Bytes/(3*hw.Lanes))
 	ci := min(hw.Vector, l.CI)
-	fits := func(th, tw int) bool {
-		if th*tw > maxElems {
-			return false
-		}
-		return 2*l.TileInputBytes(th, tw, ci) <= int64(hw.AL1Bytes)
-	}
-	seen := make(map[[2]int]bool)
-	var out [][2]int
+	base := len(dst)
 	add := func(th, tw int) {
 		th, tw = min(th, hs), min(tw, ws)
-		if th < 1 || tw < 1 || !fits(th, tw) {
+		p := [2]int{th, tw}
+		if th < 1 || tw < 1 || th*tw > maxElems ||
+			2*l.TileInputBytes(th, tw, ci) > int64(hw.AL1Bytes) ||
+			slices.Contains(dst[base:], p) {
 			return
 		}
-		p := [2]int{th, tw}
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
+		dst = append(dst, p)
 	}
 	// Largest feasible square, then smaller squares and stripes.
 	for s := 8; s >= 1; s-- {
@@ -139,7 +128,7 @@ func coreTilePairs(l workload.Layer, hw hardware.Config, hs, ws int) [][2]int {
 	add(1, min(maxElems, ws))
 	add(2, maxElems/2)
 	add(1, 4)
-	return out
+	return dst
 }
 
 // chipletSplits enumerates the chiplet-level spatial alternatives for a
@@ -240,14 +229,24 @@ type subtree struct {
 	rotate        bool
 }
 
+// base returns the subtree's probe template: its spatial splits and
+// rotation, with every tile still unset.
+func (st *subtree) base() mapping.Mapping {
+	return mapping.Mapping{
+		PackageSpatial: st.ps.kind, PackagePattern: st.ps.pattern, Rotate: st.rotate,
+		ChipletSpatial: st.cs.kind, ChipletCSplit: st.cs.csplit, ChipletPattern: st.cs.pattern,
+	}
+}
+
 // subtrees materializes every shard of the mapping space for a layer,
 // skipping package splits the layer geometry rules out (the same rejects the
 // exhaustive loop applies). Its order is the canonical enumeration order.
 func subtrees(l workload.Layer, hw hardware.Config, cfg Config) []subtree {
 	rotate := hw.Chiplets > 1 && !cfg.DisableRotation
 	css := chipletSplits(hw)
-	var out []subtree
-	for _, ps := range packageSplits(hw) {
+	pss := packageSplits(hw)
+	out := make([]subtree, 0, len(pss)*len(css))
+	for _, ps := range pss {
 		hop, wop, cop := l.HO, l.WO, l.CO
 		if ps.kind == mapping.SpatialC {
 			if l.CO < hw.Chiplets {
@@ -275,18 +274,15 @@ func subtrees(l workload.Layer, hw hardware.Config, cfg Config) []subtree {
 // pruned search and the exhaustive reference enumerate through this one
 // walker, which is what guarantees they see identical candidate sets.
 func (st subtree) walk(l workload.Layer, hw hardware.Config, yield func(probe mapping.Mapping)) {
-	base := mapping.Mapping{
-		PackageSpatial: st.ps.kind, PackagePattern: st.ps.pattern, Rotate: st.rotate,
-		ChipletSpatial: st.cs.kind, ChipletCSplit: st.cs.csplit, ChipletPattern: st.cs.pattern,
-	}
-	cots := tileCandidates(st.cop, st.cop)
-	for _, pp := range planarPairs(st.hop, st.wop) {
+	base := st.base()
+	cots := tileCandidates(nil, st.cop, st.cop)
+	for _, pp := range planarPairs(nil, st.hop, st.wop) {
 		hot, wot := pp[0], pp[1]
 		if st.cs.pattern.Rows > hot || st.cs.pattern.Cols > wot {
 			continue
 		}
 		hs, ws := ceilDiv(hot, st.cs.pattern.Rows), ceilDiv(wot, st.cs.pattern.Cols)
-		cps := coreTilePairs(l, hw, hs, ws)
+		cps := coreTilePairs(nil, &l, &hw, hs, ws)
 		for _, cot := range cots {
 			if cot < st.cs.csplit {
 				continue
@@ -333,8 +329,8 @@ func NewSpaceChecker(l workload.Layer, hw hardware.Config, cfg Config) *SpaceChe
 
 // Contains reports whether the search would enumerate m.
 func (c *SpaceChecker) Contains(m mapping.Mapping) bool {
-	l, hw := c.l, c.hw
-	if !c.ok || m.Validate(l, hw) != nil {
+	l, hw := &c.l, &c.hw
+	if !c.ok || m.Validate(*l, *hw) != nil {
 		return false
 	}
 	for _, st := range c.sts {
@@ -343,17 +339,17 @@ func (c *SpaceChecker) Contains(m mapping.Mapping) bool {
 			st.cs.pattern != m.ChipletPattern || st.rotate != m.Rotate {
 			continue
 		}
-		if m.COt < st.cs.csplit || !containsInt(tileCandidates(st.cop, st.cop), m.COt) {
+		if m.COt < st.cs.csplit || !containsInt(tileCandidates(nil, st.cop, st.cop), m.COt) {
 			return false
 		}
 		if st.cs.pattern.Rows > m.HOt || st.cs.pattern.Cols > m.WOt {
 			return false
 		}
-		if !containsPair(planarPairs(st.hop, st.wop), m.HOt, m.WOt) {
+		if !containsPair(planarPairs(nil, st.hop, st.wop), m.HOt, m.WOt) {
 			return false
 		}
 		hs, ws := ceilDiv(m.HOt, st.cs.pattern.Rows), ceilDiv(m.WOt, st.cs.pattern.Cols)
-		if !containsPair(coreTilePairs(l, hw, hs, ws), m.HOc, m.WOc) {
+		if !containsPair(coreTilePairs(nil, l, hw, hs, ws), m.HOc, m.WOc) {
 			return false
 		}
 		sh := m.Shape(l, hw)
@@ -404,7 +400,7 @@ func forEachTemporal(probe mapping.Mapping, sh mapping.Shape, yield func(mapping
 }
 
 // temporalVariants counts the mappings forEachTemporal yields for a shape.
-func temporalVariants(sh mapping.Shape) int64 {
+func temporalVariants(sh *mapping.Shape) int64 {
 	n := int64(len(temporalChoices(sh.C1, sh.H1*sh.W1)))
 	return n * int64(len(temporalChoices(sh.C2, sh.H2*sh.W2)))
 }
@@ -441,7 +437,7 @@ func enumerate(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg
 	}
 	for _, st := range subtrees(l, hw, cfg) {
 		st.walk(l, hw, func(probe mapping.Mapping) {
-			forEachTemporal(probe, probe.Shape(l, hw), consider)
+			forEachTemporal(probe, probe.Shape(&l, &hw), consider)
 		})
 	}
 }

@@ -11,9 +11,9 @@ import (
 var cm = hardware.MustCostModel()
 
 func TestTileCandidates(t *testing.T) {
-	got := tileCandidates(56, 56)
+	got := tileCandidates(nil, 56, 56)
 	if len(got) == 0 || got[0] != 56 {
-		t.Fatalf("tileCandidates(56) = %v", got)
+		t.Fatalf("tileCandidates(nil, 56) = %v", got)
 	}
 	seen := map[int]bool{}
 	for _, v := range got {
@@ -23,31 +23,31 @@ func TestTileCandidates(t *testing.T) {
 		seen[v] = true
 	}
 	// Limit is respected and the list never comes back empty.
-	for _, v := range tileCandidates(100, 10) {
+	for _, v := range tileCandidates(nil, 100, 10) {
 		if v > 10 {
 			t.Errorf("candidate %d exceeds limit", v)
 		}
 	}
-	if got := tileCandidates(5, 0); len(got) == 0 {
+	if got := tileCandidates(nil, 5, 0); len(got) == 0 {
 		t.Error("empty candidates for tiny limit")
 	}
 }
 
 func TestPlanarPairsWithinBounds(t *testing.T) {
-	for _, p := range planarPairs(56, 28) {
+	for _, p := range planarPairs(nil, 56, 28) {
 		if p[0] < 1 || p[0] > 56 || p[1] < 1 || p[1] > 28 {
 			t.Errorf("pair %v out of bounds", p)
 		}
 	}
-	if len(planarPairs(1, 1)) != 1 {
-		t.Errorf("1x1 plane pairs = %v", planarPairs(1, 1))
+	if len(planarPairs(nil, 1, 1)) != 1 {
+		t.Errorf("1x1 plane pairs = %v", planarPairs(nil, 1, 1))
 	}
 }
 
 func TestCoreTilePairsRespectBuffers(t *testing.T) {
 	l := workload.Layer{HO: 56, WO: 56, CO: 64, CI: 64, R: 3, S: 3, StrideH: 1, StrideW: 1}
 	hw := hardware.CaseStudy()
-	pairs := coreTilePairs(l, hw, 14, 14)
+	pairs := coreTilePairs(nil, &l, &hw, 14, 14)
 	if len(pairs) == 0 {
 		t.Fatal("no core tile candidates")
 	}

@@ -40,11 +40,12 @@ func NewFabric(hw hardware.Config, mask hardware.FaultMask, cm *hardware.CostMod
 
 // Energy prices a logical traffic record (or an admissible floor of one) at
 // hw's buffer sizes. On its own it is the search's pre-simulation stage.
-func (f *Fabric) Energy(tr c3p.Traffic, hw hardware.Config) energy.Breakdown {
+func (f *Fabric) Energy(tr *c3p.Traffic, hw *hardware.Config) energy.Breakdown {
 	if f.num != f.den {
-		tr = tr.ScaleD2D(f.num, f.den)
+		scaled := tr.ScaleD2D(f.num, f.den)
+		return energy.Price(&scaled, hw, f.cm)
 	}
-	return energy.FromTraffic(tr, hw, f.cm)
+	return energy.Price(tr, hw, f.cm)
 }
 
 // Cycles simulates the analysis' mapping against the logical traffic record.
@@ -65,5 +66,5 @@ func (f *Fabric) Evaluate(l workload.Layer, hw hardware.Config, m mapping.Mappin
 	if err != nil {
 		return Option{}, err
 	}
-	return Option{Analysis: a, Energy: f.Energy(tr, hw), Cycles: cycles}, nil
+	return Option{Analysis: a, Energy: f.Energy(&tr, &hw), Cycles: cycles}, nil
 }

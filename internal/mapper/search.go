@@ -5,7 +5,9 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
+	"sync"
 
 	"nnbaton/internal/c3p"
 	"nnbaton/internal/hardware"
@@ -133,14 +135,16 @@ func (t *topK) add(o Option, s float64) {
 
 // bfGroup is one unexpanded candidate group of the best-first frontier: every
 // probe of a subtree sharing one planar pair (HOt, WOt). st indexes the
-// frontier's subtree list; the per-core region (hs, ws) and the core-tile
-// candidates are computed once, used first by the group bound and again —
-// without recomputation — when the group expands.
+// frontier's subtree list; the per-core region (hs, ws), the span
+// [cp0, cp1) of its core-tile candidates in the worker's tile memo and the
+// group's coarse bound terms are computed once, used first by the group
+// bound and again — without recomputation — when the group expands. The
+// group holds no pointers, so the GC never scans the frontier's group list.
 type bfGroup struct {
-	st       int32
-	hot, wot int
-	hs, ws   int
-	cps      [][2]int
+	st, cp0, cp1 int32
+	hot, wot     int
+	hs, ws       int
+	terms        c3p.GroupFloorTerms
 }
 
 // bfProbe is a materialized probe parked off-heap: the frontier node only
@@ -219,9 +223,11 @@ func heapPop(h []bfNode) (bfNode, []bfNode) {
 }
 
 // searchState is one worker's private scratch: the C³P analysis and its
-// buffers, the best-first frontier and the funnel tally. Reusing it across
-// every candidate a worker evaluates is what takes the steady-state search to
-// near-zero allocations per candidate.
+// buffers, the best-first frontier, the funnel tally and the per-search tile
+// memos. Reusing it across every candidate a worker evaluates is what takes
+// the steady-state search to near-zero allocations per candidate, and
+// pooling it across searches (statePool) keeps a warm search from regrowing
+// any of it.
 type searchState struct {
 	sc     c3p.Scratch
 	a      c3p.Analysis
@@ -229,6 +235,64 @@ type searchState struct {
 	heap   []bfNode
 	groups []bfGroup
 	probes []bfProbe
+	// The chiplet-tile candidates of the frontier's subtrees, one span of
+	// cots per subtree.
+	cotSpan [][2]int32
+	cots    []int
+	// Per-search tile memos: within one search planarPairs depends only on
+	// the region (hop, wop) and coreTilePairs only on the per-core region
+	// (hs, ws), so each list is generated once into pairs and looked up by
+	// its span afterwards. takeStates clears them, since the lists depend on the
+	// search's layer and hardware.
+	pairs    [][2]int
+	planarAt map[[2]int][2]int32
+	coreAt   map[[2]int][2]int32
+	// sts and byCombo hold a worker's strided share of the subtrees.
+	sts     []subtree
+	byCombo [numCombos][]subtree
+}
+
+// statePool recycles worker scratch across searches. The Clone-on-accept
+// rule keeps every returned Option independent of the scratch, so a state
+// can serve the next search as soon as its frontier finishes.
+var statePool = sync.Pool{New: func() any {
+	return &searchState{planarAt: make(map[[2]int][2]int32), coreAt: make(map[[2]int][2]int32)}
+}}
+
+// takeStates draws one reset state per worker from the pool.
+func takeStates(workers int) []*searchState {
+	states := make([]*searchState, workers)
+	for i := range states {
+		ws := statePool.Get().(*searchState)
+		ws.tally = tally{}
+		ws.pairs = ws.pairs[:0]
+		clear(ws.planarAt)
+		clear(ws.coreAt)
+		states[i] = ws
+	}
+	return states
+}
+
+// releaseStates returns the states to the pool. It drops the analysis the
+// worker last evaluated, so an idle pooled state pins no layer or mapping.
+func releaseStates(states []*searchState) {
+	for _, ws := range states {
+		ws.a = c3p.Analysis{}
+		statePool.Put(ws)
+	}
+}
+
+// memoPairs returns the tile list memoized under key, generating it into
+// the shared pairs store on first use. gen appends the list to its argument.
+func (ws *searchState) memoPairs(memo map[[2]int][2]int32, key [2]int, gen func([][2]int) [][2]int) [2]int32 {
+	if sp, ok := memo[key]; ok {
+		return sp
+	}
+	off := len(ws.pairs)
+	ws.pairs = gen(ws.pairs)
+	sp := [2]int32{int32(off), int32(len(ws.pairs))}
+	memo[key] = sp
+	return sp
 }
 
 // search carries the per-search immutable inputs shared by all workers:
@@ -269,62 +333,75 @@ func newSearch(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg
 // under-counts nothing negative, so the true score of every temporal variant
 // of the probe is ≥ this value — the admissibility property the pruning
 // relies on. See DESIGN.md.
-func (s *search) lowerBound(m mapping.Mapping, sh mapping.Shape) float64 {
-	l, hw := s.l, s.hw
-	e := s.fab.Energy(c3p.TrafficFloor(l, hw, m, sh), hw).Total()
+func (s *search) lowerBound(m *mapping.Mapping, sh *mapping.Shape) float64 {
+	l, hw := &s.l, &s.hw
+	var tr c3p.Traffic
+	c3p.TrafficFloor(&tr, l, hw, m, sh)
+	e := s.fab.Energy(&tr, hw).Total()
 	if s.cfg.Objective == MinEDP {
 		e *= hardware.Seconds(sim.ComputeBoundCyclesOf(l, hw, m, sh))
 	}
 	return e
 }
 
-// groupBound prices the best case of every probe a group restricted to the
-// given chiplet-tile candidates can produce: each shape-product term is
-// minimized independently over the candidate lists (the passed tile slice and
-// the group's core-tile pairs) and assembled through c3p.GroupTrafficFloor —
-// the group-level counterpart of lowerBound. The frontier calls it twice per
-// group: once with the full tile list (the cheap coarse bound) and once per
-// single-tile sub-slice when the group expands, which makes the channel terms
-// exact and the subgroup bound correspondingly tighter. Admissible because
-// every term is a true lower bound on its per-member value, the assembly
-// mirrors the exact one branch for branch, and the energy model is linear
-// with non-negative coefficients, so
+// groupBound prices the best case of every probe whose shape-product terms
+// are bounded below by t: the terms are assembled through
+// c3p.GroupTrafficFloor — the group-level counterpart of lowerBound — and
+// priced by the fabric. The frontier prices one group at three levels, each
+// with the terms minimized over a narrower candidate set: the full chiplet-
+// and core-tile lists (the cheap coarse bound), a single chiplet tile
+// (channel terms exact) and a single (chiplet tile, core tile) cell (every
+// term exact). channelTerms and coreTerms fill in the minima; a term that
+// depends on only one of the two lists is computed once per list, not once
+// per bound. Admissible because every term is a true lower bound on its
+// per-member value, the assembly mirrors the exact one branch for branch,
+// and the energy model is linear with non-negative coefficients, so
 // groupBound ≤ lowerBound(probe) ≤ score(probe) for every member probe
 // (pinned by TestGroupBoundAdmissible).
-func (s *search) groupBound(st subtree, cots []int, g bfGroup) float64 {
-	l, hw := s.l, s.hw
-	h1w1 := int64(ceilDiv(st.hop, g.hot)) * int64(ceilDiv(st.wop, g.wot))
-	csplit := max(1, st.cs.csplit)
-	const huge = math.MaxInt64
-	var c1Min, c12Min, olChanMin int64 = huge, huge, huge
+func (s *search) groupBound(st *subtree, t *c3p.GroupFloorTerms) float64 {
+	l, hw := &s.l, &s.hw
+	var tr c3p.Traffic
+	c3p.GroupTrafficFloor(&tr, l, hw, st.ps.kind, st.rotate, max(1, st.cs.csplit), t)
+	e := s.fab.Energy(&tr, hw).Total()
+	if s.cfg.Objective == MinEDP {
+		e *= hardware.Seconds(c3p.GroupCyclesFloor(l, hw, t))
+	}
+	return e
+}
+
+// channelTerms sets t's channel-product minima over the chiplet-tile
+// candidates cots of subtree st.
+func (s *search) channelTerms(t *c3p.GroupFloorTerms, st *subtree, cots []int) {
+	lanes, csplit := s.hw.Lanes, max(1, st.cs.csplit)
+	t.C1Min, t.C12Min, t.OLChanMin = math.MaxInt64, math.MaxInt64, math.MaxInt64
 	for _, cot := range cots {
 		c1 := int64(ceilDiv(st.cop, cot))
 		cos := ceilDiv(cot, csplit)
-		c12 := c1 * int64(ceilDiv(cos, hw.Lanes))
-		c1Min = min(c1Min, c1)
-		c12Min = min(c12Min, c12)
-		olChanMin = min(olChanMin, c12*int64(min(hw.Lanes, cos)))
+		c12 := c1 * int64(ceilDiv(cos, lanes))
+		t.C1Min = min(t.C1Min, c1)
+		t.C12Min = min(t.C12Min, c12)
+		t.OLChanMin = min(t.OLChanMin, c12*int64(min(lanes, cos)))
 	}
-	var h2w2Min, covMin, al1Min int64 = huge, huge, huge
-	for _, cp := range g.cps {
+}
+
+// planarTerms sets the terms that the planar pair of g fixes exactly.
+func (s *search) planarTerms(t *c3p.GroupFloorTerms, st *subtree, g *bfGroup) {
+	l := &s.l
+	t.H1W1 = int64(ceilDiv(st.hop, g.hot)) * int64(ceilDiv(st.wop, g.wot))
+	t.AL2Intr = l.TileInputBytes(g.hot, g.wot, l.CI) * t.H1W1
+}
+
+// coreTerms sets t's core-tile minima over the candidates cps of group g.
+func (s *search) coreTerms(t *c3p.GroupFloorTerms, g *bfGroup, cps [][2]int) {
+	l := &s.l
+	t.H2W2Min, t.PlanarCovMin, t.AL1IntrMin = math.MaxInt64, math.MaxInt64, math.MaxInt64
+	for _, cp := range cps {
 		h2 := int64(ceilDiv(g.hs, cp[0]))
 		w2 := int64(ceilDiv(g.ws, cp[1]))
-		h2w2Min = min(h2w2Min, h2*w2)
-		covMin = min(covMin, h2*int64(cp[0])*w2*int64(cp[1]))
-		al1Min = min(al1Min, l.TileInputBytes(cp[0], cp[1], l.CI)*h2*w2)
+		t.H2W2Min = min(t.H2W2Min, h2*w2)
+		t.PlanarCovMin = min(t.PlanarCovMin, h2*int64(cp[0])*w2*int64(cp[1]))
+		t.AL1IntrMin = min(t.AL1IntrMin, l.TileInputBytes(cp[0], cp[1], l.CI)*h2*w2)
 	}
-	terms := c3p.GroupFloorTerms{
-		C1Min: c1Min, C12Min: c12Min, OLChanMin: olChanMin,
-		H1W1: h1w1, H2W2Min: h2w2Min, PlanarCovMin: covMin,
-		AL2Intr:    l.TileInputBytes(g.hot, g.wot, l.CI) * h1w1,
-		AL1IntrMin: al1Min,
-	}
-	tr := c3p.GroupTrafficFloor(l, hw, st.ps.kind, st.rotate, csplit, terms)
-	e := s.fab.Energy(tr, hw).Total()
-	if s.cfg.Objective == MinEDP {
-		e *= hardware.Seconds(c3p.GroupCyclesFloor(l, hw, terms))
-	}
-	return e
 }
 
 // runFrontier evaluates a set of subtree shards best-first through one shared
@@ -349,42 +426,47 @@ func (s *search) groupBound(st subtree, cots []int, g bfGroup) float64 {
 // on visit order, only on the candidate set, which this generator shares with
 // the exhaustive walker.
 func (s *search) runFrontier(sts []subtree, ws *searchState, dest *topK, shared *par.MinBound) {
-	l, hw, obj := s.l, s.hw, s.cfg.Objective
-	bases := make([]mapping.Mapping, len(sts))
-	cotsPer := make([][]int, len(sts))
+	l, hw, obj := &s.l, &s.hw, s.cfg.Objective
 	groups, heap, probes := ws.groups[:0], ws.heap[:0], ws.probes[:0]
-	for si, st := range sts {
+	ws.cotSpan, ws.cots = ws.cotSpan[:0], ws.cots[:0]
+	for si := range sts {
+		st := &sts[si]
 		// Chiplet-tile candidates of the subtree, pre-filtered by the channel
-		// split (the same reject the exhaustive walker applies); the filter
-		// reuses the fresh slice tileCandidates returns.
-		all := tileCandidates(st.cop, st.cop)
-		cots := all[:0]
-		for _, cot := range all {
-			if cot >= st.cs.csplit {
-				cots = append(cots, cot)
-			}
-		}
-		if len(cots) == 0 {
+		// split (the same reject the exhaustive walker applies).
+		off := len(ws.cots)
+		ws.cots = tileCandidates(ws.cots, st.cop, st.cop)
+		kept := slices.DeleteFunc(ws.cots[off:], func(cot int) bool { return cot < st.cs.csplit })
+		ws.cots = ws.cots[:off+len(kept)]
+		ws.cotSpan = append(ws.cotSpan, [2]int32{int32(off), int32(len(ws.cots))})
+		if len(ws.cots) == off {
 			continue
 		}
-		cotsPer[si] = cots
-		bases[si] = mapping.Mapping{
-			PackageSpatial: st.ps.kind, PackagePattern: st.ps.pattern, Rotate: st.rotate,
-			ChipletSpatial: st.cs.kind, ChipletCSplit: st.cs.csplit, ChipletPattern: st.cs.pattern,
-		}
-		for _, pp := range planarPairs(st.hop, st.wop) {
-			hot, wot := pp[0], pp[1]
+		// The channel minima over the full tile list are shared by every
+		// group of the subtree.
+		var chans c3p.GroupFloorTerms
+		s.channelTerms(&chans, st, ws.cots[off:])
+		pp := ws.memoPairs(ws.planarAt, [2]int{st.hop, st.wop}, func(dst [][2]int) [][2]int {
+			return planarPairs(dst, st.hop, st.wop)
+		})
+		for pi := pp[0]; pi < pp[1]; pi++ {
+			hot, wot := ws.pairs[pi][0], ws.pairs[pi][1]
 			if st.cs.pattern.Rows > hot || st.cs.pattern.Cols > wot {
 				continue
 			}
 			g := bfGroup{st: int32(si), hot: hot, wot: wot,
 				hs: ceilDiv(hot, st.cs.pattern.Rows), ws: ceilDiv(wot, st.cs.pattern.Cols)}
-			g.cps = coreTilePairs(l, hw, g.hs, g.ws)
-			if len(g.cps) == 0 {
+			cp := ws.memoPairs(ws.coreAt, [2]int{g.hs, g.ws}, func(dst [][2]int) [][2]int {
+				return coreTilePairs(dst, l, hw, g.hs, g.ws)
+			})
+			if cp[0] == cp[1] {
 				continue
 			}
+			g.cp0, g.cp1 = cp[0], cp[1]
+			g.terms = chans
+			s.planarTerms(&g.terms, st, &g)
+			s.coreTerms(&g.terms, &g, ws.pairs[g.cp0:g.cp1])
 			groups = append(groups, g)
-			heap = heapPush(heap, bfNode{bound: s.groupBound(st, cots, g), group: int32(len(groups) - 1), cot: -1, cp: -1, probe: -1})
+			heap = heapPush(heap, bfNode{bound: s.groupBound(st, &g.terms), group: int32(len(groups) - 1), cot: -1, cp: -1, probe: -1})
 		}
 	}
 
@@ -408,77 +490,78 @@ func (s *search) runFrontier(sts []subtree, ws *searchState, dest *topK, shared 
 			}
 			break
 		}
-		if n.group >= 0 && n.cot < 0 {
-			// Refine the group into one subgroup per chiplet tile: the
-			// single-tile bound makes the channel-product terms exact.
-			g := &groups[n.group]
-			st, cots := sts[g.st], cotsPer[g.st]
-			for i := range cots {
-				heap = heapPush(heap, bfNode{
-					bound: s.groupBound(st, cots[i:i+1], *g),
-					group: n.group, cot: int32(i), cp: -1, probe: -1,
-				})
-			}
-			continue
-		}
-		if n.group >= 0 && n.cp < 0 {
-			// Refine the subgroup into one cell per core tile: with both
-			// tile axes fixed the singleton-list bound has every term exact,
-			// so a cell's bound is essentially its member's floor — computed
-			// through the cheap group assembly, without the feasibility
-			// check and TrafficFloor walk the real floor pays.
-			g := &groups[n.group]
-			st, cots := sts[g.st], cotsPer[g.st]
-			for j := range g.cps {
-				gc := *g
-				gc.cps = g.cps[j : j+1]
-				heap = heapPush(heap, bfNode{
-					bound: s.groupBound(st, cots[n.cot:n.cot+1], gc),
-					group: n.group, cot: n.cot, cp: int32(j), probe: -1,
-				})
-			}
-			continue
-		}
 		if n.group >= 0 {
-			// Materialize the cell: floor its probe exactly once (the floor
-			// is temporal-invariant and covers every variant).
 			g := &groups[n.group]
-			cp := g.cps[n.cp]
-			probe := bases[g.st]
-			probe.COt, probe.HOt, probe.WOt = cotsPer[g.st][n.cot], g.hot, g.wot
-			probe.HOc, probe.WOc = cp[0], cp[1]
-			if !probe.Feasible(l, hw) {
-				continue
+			st := &sts[g.st]
+			sp := ws.cotSpan[g.st]
+			cots, cps := ws.cots[sp[0]:sp[1]], ws.pairs[g.cp0:g.cp1]
+			switch {
+			case n.cot < 0:
+				// Refine the group into one subgroup per chiplet tile: the
+				// single-tile bound makes the channel-product terms exact.
+				t := g.terms
+				for i := range cots {
+					s.channelTerms(&t, st, cots[i:i+1])
+					heap = heapPush(heap, bfNode{
+						bound: s.groupBound(st, &t),
+						group: n.group, cot: int32(i), cp: -1, probe: -1,
+					})
+				}
+			case n.cp < 0:
+				// Refine the subgroup into one cell per core tile: with both
+				// tile axes fixed the singleton-list bound has every term
+				// exact, so a cell's bound is essentially its member's floor
+				// — computed through the cheap group assembly, without the
+				// feasibility check and TrafficFloor walk the real floor
+				// pays.
+				t := g.terms
+				s.channelTerms(&t, st, cots[n.cot:n.cot+1])
+				for j := range cps {
+					s.coreTerms(&t, g, cps[j:j+1])
+					heap = heapPush(heap, bfNode{
+						bound: s.groupBound(st, &t),
+						group: n.group, cot: n.cot, cp: int32(j), probe: -1,
+					})
+				}
+			default:
+				// Materialize the cell: floor its probe exactly once (the
+				// floor is temporal-invariant and covers every variant).
+				probe := st.base()
+				probe.COt, probe.HOt, probe.WOt = cots[n.cot], g.hot, g.wot
+				probe.HOc, probe.WOc = cps[n.cp][0], cps[n.cp][1]
+				if !probe.FeasibleOn(l, hw) {
+					continue
+				}
+				sh := probe.Shape(l, hw)
+				nvar := temporalVariants(&sh)
+				ws.tally.floors++
+				ws.tally.generated += nvar
+				fl := s.lowerBound(&probe, &sh)
+				if fl > thresh {
+					ws.tally.boundPruned += nvar
+					continue
+				}
+				probes = append(probes, bfProbe{m: probe, nvar: nvar})
+				heap = heapPush(heap, bfNode{bound: fl, probe: int32(len(probes) - 1), group: -1, cot: -1, cp: -1})
 			}
-			sh := probe.Shape(l, hw)
-			nvar := temporalVariants(sh)
-			ws.tally.floors++
-			ws.tally.generated += nvar
-			fl := s.lowerBound(probe, sh)
-			if fl > thresh {
-				ws.tally.boundPruned += nvar
-				continue
-			}
-			probes = append(probes, bfProbe{m: probe, nvar: nvar})
-			heap = heapPush(heap, bfNode{bound: fl, probe: int32(len(probes) - 1), group: -1, cot: -1, cp: -1})
 			continue
 		}
 		// Evaluate the probe's temporal variants through the staged pipeline.
-		probe := probes[n.probe].m
+		probe := &probes[n.probe].m
 		sh := probe.Shape(l, hw)
 		for _, pt := range temporalChoices(sh.C1, sh.H1*sh.W1) {
 			for _, ct := range temporalChoices(sh.C2, sh.H2*sh.W2) {
-				m := probe
+				m := *probe
 				m.PackageTemporal, m.ChipletTemporal = pt, ct
-				c3p.AnalyzeInto(&ws.a, &ws.sc, l, hw, m)
+				c3p.AnalyzeInto(&ws.a, &ws.sc, l, hw, &m)
 				tr := ws.a.Traffic()
-				br := s.fab.Energy(tr, hw)
+				br := s.fab.Energy(&tr, hw)
 				// Stage prune: the exact energy is known before the
 				// simulator runs; for EDP, pair it with the compute-bound
 				// runtime — still a lower bound on the final score.
 				stage := br.Total()
 				if obj == MinEDP {
-					stage *= hardware.Seconds(sim.ComputeBoundCyclesOf(l, hw, m, sh))
+					stage *= hardware.Seconds(sim.ComputeBoundCyclesOf(l, hw, &m, &sh))
 				}
 				thresh = min(dest.worst(), shared.Load())
 				if stage > thresh {
@@ -508,19 +591,15 @@ func (s *search) runFrontier(sts []subtree, ws *searchState, dest *topK, shared 
 	ws.groups, ws.heap, ws.probes = groups[:0], heap[:0], probes[:0]
 }
 
-// strided returns every workers-th subtree starting at w — the fixed shard a
-// worker's frontier spans. Static striding (vs dynamic dispatch) is fine
-// because frontiers terminate early anyway; which worker owns which subtree
-// never affects the result.
-func strided(sts []subtree, w, workers int) []subtree {
-	if workers <= 1 {
-		return sts
-	}
-	out := make([]subtree, 0, (len(sts)+workers-1)/workers)
+// strided appends to dst every workers-th subtree starting at w — the fixed
+// shard a worker's frontier spans. Static striding (vs dynamic dispatch) is
+// fine because frontiers terminate early anyway; which worker owns which
+// subtree never affects the result.
+func strided(dst, sts []subtree, w, workers int) []subtree {
 	for i := w; i < len(sts); i += workers {
-		out = append(out, sts[i])
+		dst = append(dst, sts[i])
 	}
-	return out
+	return dst
 }
 
 // resolveWorkers mirrors par's worker resolution so per-worker state can be
@@ -575,7 +654,8 @@ func SearchAll(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg
 		return nil
 	}
 	workers := resolveWorkers(cfg.Workers, len(srch.sts))
-	states := make([]searchState, workers)
+	states := takeStates(workers)
+	defer releaseStates(states)
 	tops := make([]*topK, workers)
 	for i := range tops {
 		tops[i] = newTopK(cfg.KeepTop, cfg.Objective)
@@ -586,7 +666,9 @@ func SearchAll(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg
 	// so a worker's weak subtrees die as unexpanded group nodes instead of
 	// each warming up its own frontier.
 	err := par.ParallelForWorker(context.Background(), workers, workers, func(w, i int) error {
-		srch.runFrontier(strided(srch.sts, i, workers), &states[w], tops[w], shared)
+		ws := states[w]
+		ws.sts = strided(ws.sts[:0], srch.sts, i, workers)
+		srch.runFrontier(ws.sts, ws, tops[w], shared)
 		return nil
 	})
 	if err != nil {
@@ -594,8 +676,8 @@ func SearchAll(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg
 		return nil
 	}
 	var t tally
-	for i := range states {
-		t.add(states[i].tally)
+	for _, ws := range states {
+		t.add(ws.tally)
 	}
 	cfg.Counters.flush(t)
 
@@ -649,7 +731,8 @@ func BestPerSpatialCombo(l workload.Layer, hw hardware.Config, cm *hardware.Cost
 		return best
 	}
 	workers := resolveWorkers(0, len(srch.sts))
-	states := make([]searchState, workers)
+	states := takeStates(workers)
+	defer releaseStates(states)
 	tops := make([][numCombos]*topK, workers)
 	for i := range tops {
 		for c := range tops[i] {
@@ -664,14 +747,18 @@ func BestPerSpatialCombo(l workload.Layer, hw hardware.Config, cm *hardware.Cost
 	// one frontier per combo over its strided share: within a combo the
 	// frontier spans subtree boundaries, across combos nothing is shared.
 	err := par.ParallelForWorker(context.Background(), workers, workers, func(w, i int) error {
-		var byCombo [numCombos][]subtree
-		for _, st := range strided(srch.sts, i, workers) {
-			c := comboIndex(st.ps.kind, st.cs.kind)
-			byCombo[c] = append(byCombo[c], st)
+		ws := states[w]
+		for c := range ws.byCombo {
+			ws.byCombo[c] = ws.byCombo[c][:0]
 		}
-		for c, group := range byCombo {
+		ws.sts = strided(ws.sts[:0], srch.sts, i, workers)
+		for _, st := range ws.sts {
+			c := comboIndex(st.ps.kind, st.cs.kind)
+			ws.byCombo[c] = append(ws.byCombo[c], st)
+		}
+		for c, group := range ws.byCombo {
 			if len(group) > 0 {
-				srch.runFrontier(group, &states[w], tops[w][c], bounds[c])
+				srch.runFrontier(group, ws, tops[w][c], bounds[c])
 			}
 		}
 		return nil

@@ -16,6 +16,12 @@ import (
 // Feasible(l, hw) == (Validate(l, hw) == nil), a lockstep enforced by
 // TestFeasibleMatchesValidate.
 func (m Mapping) Feasible(l workload.Layer, hw hardware.Config) bool {
+	return m.FeasibleOn(&l, &hw)
+}
+
+// FeasibleOn is Feasible reading its arguments through pointers, for the
+// mapper's search, which checks every probe it materializes.
+func (m *Mapping) FeasibleOn(l *workload.Layer, hw *hardware.Config) bool {
 	return m.StructurallyFeasible(l, hw) && m.BufferNeeds(l, hw).Fits(hw)
 }
 
@@ -25,7 +31,7 @@ func (m Mapping) Feasible(l workload.Layer, hw hardware.Config) bool {
 // only hw's compute allocation, so for a fixed compute configuration it is
 // fixed per (layer shape, mapping) — the pre-design memory sweep checks it
 // once per candidate and only BufferNeeds per memory point.
-func (m Mapping) StructurallyFeasible(l workload.Layer, hw hardware.Config) bool {
+func (m *Mapping) StructurallyFeasible(l *workload.Layer, hw *hardware.Config) bool {
 	switch m.PackageSpatial {
 	case SpatialC:
 		if l.CO < hw.Chiplets {
@@ -92,7 +98,7 @@ type BufferNeeds struct {
 // BufferNeeds derives the mapping's buffer needs on hw's compute allocation.
 // Validate renders them into error messages and Feasible only compares them,
 // so the two can never disagree on the accept set.
-func (m Mapping) BufferNeeds(l workload.Layer, hw hardware.Config) BufferNeeds {
+func (m *Mapping) BufferNeeds(l *workload.Layer, hw *hardware.Config) BufferNeeds {
 	ci := min(hw.Vector, l.CIPerGroup())
 	slice := 2 * l.TileInputBytes(m.HOc, m.WOc, ci)
 	n := BufferNeeds{
@@ -112,7 +118,7 @@ func (m Mapping) BufferNeeds(l workload.Layer, hw hardware.Config) BufferNeeds {
 }
 
 // Fits reports whether buffers of hw's sizes meet every need.
-func (n BufferNeeds) Fits(hw hardware.Config) bool {
+func (n BufferNeeds) Fits(hw *hardware.Config) bool {
 	return n.OL1 <= int64(hw.OL1Bytes) && n.FitsAt(hw.AL1Bytes, hw.WL1Bytes, hw.AL2Bytes)
 }
 

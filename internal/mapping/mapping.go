@@ -145,15 +145,16 @@ type Shape struct {
 }
 
 // PackagePositions returns the package-temporal step count per chiplet.
-func (s Shape) PackagePositions() int64 { return int64(s.C1) * int64(s.H1) * int64(s.W1) }
+func (s *Shape) PackagePositions() int64 { return int64(s.C1) * int64(s.H1) * int64(s.W1) }
 
 // ChipletPositions returns the chiplet-temporal step count per core.
-func (s Shape) ChipletPositions() int64 { return int64(s.C2) * int64(s.H2) * int64(s.W2) }
+func (s *Shape) ChipletPositions() int64 { return int64(s.C2) * int64(s.H2) * int64(s.W2) }
 
 // Shape derives the per-level extents and trip counts for a layer on the
-// given hardware. It does not validate; call Validate first.
-func (m Mapping) Shape(l workload.Layer, hw hardware.Config) Shape {
-	var s Shape
+// given hardware. It does not validate; call Validate first. It reads the
+// mapping, layer and hardware through pointers because the mapper's search
+// derives a shape for every probe it materializes and evaluates.
+func (m *Mapping) Shape(l *workload.Layer, hw *hardware.Config) (s Shape) {
 	// Package spatial split.
 	switch m.PackageSpatial {
 	case SpatialC:
@@ -235,7 +236,7 @@ func (m Mapping) Validate(l workload.Layer, hw hardware.Config) error {
 	default:
 		return fmt.Errorf("mapping: bad chiplet spatial %v", m.ChipletSpatial)
 	}
-	s := m.Shape(l, hw)
+	s := m.Shape(&l, &hw)
 	// Tile bounds.
 	switch {
 	case m.COt <= 0 || m.HOt <= 0 || m.WOt <= 0 || m.HOc <= 0 || m.WOc <= 0:
@@ -257,7 +258,7 @@ func (m Mapping) Validate(l workload.Layer, hw hardware.Config) error {
 }
 
 func (m Mapping) validateBuffers(l workload.Layer, hw hardware.Config) error {
-	n := m.BufferNeeds(l, hw)
+	n := m.BufferNeeds(&l, &hw)
 	if n.OL1 > int64(hw.OL1Bytes) {
 		return fmt.Errorf("mapping: O-L1 needs %d B for %dx%dx%d psums, has %d",
 			n.OL1, m.HOc, m.WOc, hw.Lanes, hw.OL1Bytes)

@@ -64,13 +64,13 @@ func appendOrdered(dst []Loop, t Temporal, c, h, w Loop) []Loop {
 // Nest returns the full temporal loop nest from outermost to innermost:
 // package-temporal loops followed by chiplet-temporal loops. Unit loops
 // (count 1) are retained; analyses treat them as free.
-func (m Mapping) Nest(s Shape) []Loop { return m.AppendNest(nil, s) }
+func (m Mapping) Nest(s Shape) []Loop { return m.AppendNest(nil, &s) }
 
 // AppendNest appends the full temporal loop nest to dst (usually dst[:0] of a
 // reused buffer) and returns the extended slice — the allocation-free form of
 // Nest for the mapper's candidate loop. The first three loops are always the
 // package level and the last three the chiplet level.
-func (m Mapping) AppendNest(dst []Loop, s Shape) []Loop {
+func (m *Mapping) AppendNest(dst []Loop, s *Shape) []Loop {
 	dst = m.AppendPackageNest(dst, s)
 	return m.AppendChipletNest(dst, s)
 }
@@ -78,20 +78,20 @@ func (m Mapping) AppendNest(dst []Loop, s Shape) []Loop {
 // ChipletNest returns only the chiplet-level temporal loops (outer→inner),
 // the reuse scope of the per-core A-L1 and the W-L1 pool within one chiplet
 // workload.
-func (m Mapping) ChipletNest(s Shape) []Loop { return m.AppendChipletNest(nil, s) }
+func (m Mapping) ChipletNest(s Shape) []Loop { return m.AppendChipletNest(nil, &s) }
 
 // AppendChipletNest is the allocation-free form of ChipletNest.
-func (m Mapping) AppendChipletNest(dst []Loop, s Shape) []Loop {
+func (m *Mapping) AppendChipletNest(dst []Loop, s *Shape) []Loop {
 	return appendOrdered(dst, m.ChipletTemporal,
 		Loop{DimC, s.C2, LevelChiplet}, Loop{DimH, s.H2, LevelChiplet}, Loop{DimW, s.W2, LevelChiplet})
 }
 
 // PackageNest returns only the package-level temporal loops (outer→inner),
 // the reuse scope of the chiplet A-L2.
-func (m Mapping) PackageNest(s Shape) []Loop { return m.AppendPackageNest(nil, s) }
+func (m Mapping) PackageNest(s Shape) []Loop { return m.AppendPackageNest(nil, &s) }
 
 // AppendPackageNest is the allocation-free form of PackageNest.
-func (m Mapping) AppendPackageNest(dst []Loop, s Shape) []Loop {
+func (m *Mapping) AppendPackageNest(dst []Loop, s *Shape) []Loop {
 	return appendOrdered(dst, m.PackageTemporal,
 		Loop{DimC, s.C1, LevelPackage}, Loop{DimH, s.H1, LevelPackage}, Loop{DimW, s.W1, LevelPackage})
 }

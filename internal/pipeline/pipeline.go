@@ -163,8 +163,8 @@ func Study(m workload.Model, hw hardware.Config, layers []mapper.Option, cm *har
 		return Savings{}, err
 	}
 	for i := range perLayer {
-		sv.Unfused = sv.Unfused.Add(fab.Energy(perLayer[i], hw))
-		sv.Fused = sv.Fused.Add(fab.Energy(fused[i], hw))
+		sv.Unfused = sv.Unfused.Add(fab.Energy(&perLayer[i], &hw))
+		sv.Fused = sv.Fused.Add(fab.Energy(&fused[i], &hw))
 	}
 	return sv, nil
 }

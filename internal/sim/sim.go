@@ -118,7 +118,7 @@ func SimulateTrafficOn(topo noc.Topology, xbar *noc.Crossbar, a *c3p.Analysis, t
 // mapping — the runtime with infinite bandwidth. Used as a sanity reference
 // and by the mapper's fast runtime estimate.
 func ComputeBoundCycles(a *c3p.Analysis) int64 {
-	return ComputeBoundCyclesOf(a.Layer, a.HW, a.Map, a.Shape)
+	return ComputeBoundCyclesOf(&a.Layer, &a.HW, &a.Map, &a.Shape)
 }
 
 // ComputeBoundCyclesOf is ComputeBoundCycles without an Analysis: the compute
@@ -127,7 +127,7 @@ func ComputeBoundCycles(a *c3p.Analysis) int64 {
 // true lower bound on SimulateTraffic's total for the same mapping: the
 // simulated total is loadPerPos + positions×max(compute, load) ≥
 // positions×computePerPos, which is exactly this product.
-func ComputeBoundCyclesOf(l workload.Layer, hw hardware.Config, m mapping.Mapping, s mapping.Shape) int64 {
+func ComputeBoundCyclesOf(l *workload.Layer, hw *hardware.Config, m *mapping.Mapping, s *mapping.Shape) int64 {
 	ciSteps := (int64(l.CIPerGroup()) + int64(hw.Vector) - 1) / int64(hw.Vector)
 	return s.PackagePositions() * s.ChipletPositions() *
 		int64(m.HOc) * int64(m.WOc) * int64(l.R) * int64(l.S) * ciSteps
