@@ -37,10 +37,11 @@ bench-smoke:
 		| $(GO) run ./cmd/benchjson
 
 # equiv pins the branch-and-bound search to the exhaustive reference across
-# the model zoo under the race detector (the perf-PR correctness gate), and
-# holds searches that share pooled worker scratch to fresh references.
+# the model zoo under the race detector (the perf-PR correctness gate), holds
+# score ties to the exhaustive order at every worker count, and holds
+# searches that share pooled worker scratch to fresh references.
 equiv:
-	$(GO) test -race -count=1 -run 'TestSearchAllMatchesExhaustive|TestSearchAllWorkersInvariant|TestBestPerSpatialCombo|TestSearchScratch' ./internal/mapper
+	$(GO) test -race -count=1 -run 'TestSearchAllMatchesExhaustive|TestSearchAllWorkersInvariant|TestBestPerSpatialCombo|TestSearchScratch|TestSearchDeterministicOnTies' ./internal/mapper
 
 vet:
 	$(GO) vet ./...

@@ -34,7 +34,6 @@ import (
 	"nnbaton/internal/engine"
 	"nnbaton/internal/fab"
 	"nnbaton/internal/faults"
-	"nnbaton/internal/fleet"
 	"nnbaton/internal/hardware"
 	"nnbaton/internal/lease"
 	"nnbaton/internal/mapper"
@@ -604,37 +603,4 @@ func DegradationRows(pts []ScenarioPoint) []report.DegradationRow {
 		rows[i] = r
 	}
 	return rows
-}
-
-// Fleet re-exports (internal/fleet): the long-lived DSE control service —
-// an HTTP coordinator with bounded admission, worker liveness, graceful
-// drain and journal-replay crash recovery over the sharded-sweep substrate.
-type (
-	// FleetCoordinator admits, schedules, monitors and merges fleet studies.
-	FleetCoordinator = fleet.Coordinator
-	// FleetOptions tunes the coordinator (queue bound, TTLs, retry policy).
-	FleetOptions = fleet.Options
-	// FleetStudySpec is one study submission: model, space, objective and
-	// fleet scheduling parameters.
-	FleetStudySpec = fleet.StudySpec
-	// FleetStudyStatus is the externally visible state of one study.
-	FleetStudyStatus = fleet.StudyStatus
-	// FleetWorker is the worker-side client loop of the fleet protocol.
-	FleetWorker = fleet.Worker
-	// FleetWorkerOptions configures one fleet worker.
-	FleetWorkerOptions = fleet.WorkerOptions
-)
-
-// OpenFleetCoordinator starts (or crash-recovers) a fleet coordinator over a
-// shared data directory; serve its Handler() over HTTP and point workers at
-// it with NewFleetWorker.
-func OpenFleetCoordinator(opts FleetOptions) (*FleetCoordinator, error) {
-	return fleet.Open(opts)
-}
-
-// NewFleetWorker builds a fleet worker joining the coordinator at
-// opts.Coordinator; its Run loop registers, heartbeats, and executes
-// assigned studies until the context ends or the coordinator drains.
-func NewFleetWorker(opts FleetWorkerOptions) (*FleetWorker, error) {
-	return fleet.NewWorker(opts)
 }

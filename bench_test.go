@@ -488,9 +488,9 @@ func BenchmarkServeReferenceTrace(b *testing.B) {
 	b.ReportMetric(rps, "req/s")
 }
 
-// benchSweepHWs is the hardware neighborhood the warm-start sweep benchmarks
-// walk: the case-study point with its core count and A-L1 allocation varied,
-// the adjacency pattern a Fig 14/15 sweep produces.
+// benchSweepHWs is the hardware neighborhood BenchmarkSweep walks: the
+// case-study point with its core count and A-L1 allocation varied, the
+// adjacency pattern a Fig 14/15 sweep produces.
 func benchSweepHWs() []hardware.Config {
 	base := hardware.CaseStudy()
 	var hws []hardware.Config
@@ -505,10 +505,9 @@ func benchSweepHWs() []hardware.Config {
 	return hws
 }
 
-// benchSweepModel is the workload the warm-start sweep benchmarks map at
-// every point: the heavy ResNet-50 convs where the mapping search dominates
-// the sweep cost (light layers would bury the search under fixed per-point
-// overhead).
+// benchSweepModel is the workload BenchmarkSweep maps at every point: the
+// heavy ResNet-50 convs where the mapping search dominates the sweep cost
+// (light layers would bury the search under fixed per-point overhead).
 func benchSweepModel(b *testing.B) workload.Model {
 	rn := ResNet50(224)
 	m := workload.Model{Name: "resnet50-heavy", Resolution: 224}
@@ -522,17 +521,16 @@ func benchSweepModel(b *testing.B) workload.Model {
 	return m
 }
 
-// benchSweep runs one end-to-end EvalSweep on a fresh evaluator per
-// iteration, so cross-point warm-starting (when enabled) is the only
-// carryover between points — the memo cache never spans iterations.
-func benchSweep(b *testing.B, disableWarmStart bool) {
+// BenchmarkSweep runs one end-to-end EvalSweep of the reduced hardware
+// neighborhood on a fresh evaluator per iteration, so the memo cache never
+// spans iterations.
+func BenchmarkSweep(b *testing.B) {
 	m := benchSweepModel(b)
 	hws := benchSweepHWs()
 	models := []workload.Model{m}
 	b.ReportAllocs()
-	var hits, misses int64
 	for i := 0; i < b.N; i++ {
-		eng := engine.NewFromConfig(benchCM, engine.Config{DisableWarmStart: disableWarmStart})
+		eng := engine.New(benchCM)
 		pts, err := eng.EvalSweep(context.Background(), models, hws, mapper.Config{})
 		if err != nil {
 			b.Fatal(err)
@@ -542,22 +540,8 @@ func benchSweep(b *testing.B, disableWarmStart bool) {
 				b.Fatal(pt.Err)
 			}
 		}
-		st := eng.Stats()
-		hits, misses = st.WarmStartHits, st.WarmStartMisses
 	}
-	b.ReportMetric(float64(hits), "warmhits/op")
-	b.ReportMetric(float64(misses), "warmmisses/op")
 }
-
-// BenchmarkSweepWarmStart measures the reduced hardware sweep with
-// cross-point incumbent warm-starting on: each point's searches are seeded by
-// the nearest solved neighbor (benchjson derives the cold/warm sweep speedup
-// from this pair).
-func BenchmarkSweepWarmStart(b *testing.B) { benchSweep(b, false) }
-
-// BenchmarkSweepColdStart is the identical sweep with warm-starting disabled
-// — the result-identical baseline the warm variant is measured against.
-func BenchmarkSweepColdStart(b *testing.B) { benchSweep(b, true) }
 
 // BenchmarkEngineGranularityCold runs the reduced Fig 14 sweep on a fresh
 // engine per iteration (the pre-refactor behavior: every sweep pays for its

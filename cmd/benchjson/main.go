@@ -251,19 +251,4 @@ func derive(rep *Report) {
 			put(base+"_mesh_vs_ring", mn/rn)
 		}
 	}
-	// Cold-vs-warm sweep ratio: the end-to-end win of cross-point incumbent
-	// warm-starting.
-	for name, warm := range byName {
-		base, ok := strings.CutSuffix(name, "WarmStart")
-		if !ok {
-			continue
-		}
-		cold, ok := byName[base+"ColdStart"]
-		if !ok {
-			continue
-		}
-		if cn, wn := cold.Metrics["ns/op"], warm.Metrics["ns/op"]; wn > 0 {
-			put(base+"_warmstart_speedup", cn/wn)
-		}
-	}
 }

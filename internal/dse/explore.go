@@ -221,13 +221,8 @@ func exploreComputes(ctx context.Context, model workload.Model, space Space, tot
 	// Progress is tracked per compute configuration (the unit of anchor
 	// harvesting); the memory cross-product within each is pure re-pricing.
 	track := obs.NewTracker(eng.ProgressSink(), label, len(computes))
-	// Serpentine neighbor order keeps consecutive compute configurations
-	// adjacent, so the engine's warm-start hints stay hot point-to-point;
-	// the canonical re-sort below makes output order-independent, and shard
-	// boundaries stay hint-adjacent through the persistent cache.
-	order := engine.NeighborOrder(computes)
-	err := engine.ParallelFor(ctx, len(computes), eng.Workers(), func(oi int) error {
-		comp := computes[order[oi]]
+	err := engine.ParallelFor(ctx, len(computes), eng.Workers(), func(i int) error {
+		comp := computes[i]
 		key := exploreKey(model, space, totalMACs, areaLimitMM2, comp)
 		if raw, ok := jrn.Lookup(key); ok {
 			var rec exploreRecord

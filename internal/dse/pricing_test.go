@@ -46,8 +46,8 @@ func referencePrice(t *testing.T, l workload.Layer, hw hardware.Config, mask har
 // TestPricingKernelEquivalence holds every pricing entry point to the same
 // (energy breakdown, cycles) for the same (layer, hardware, mapping): the
 // best-first winner, the exhaustive reference, the persistent-cache
-// re-derivation, the warm-start re-cost, the explore memory-point re-pricing
-// at the anchor's own buffer sizes, the greedy baseline and strategy-file
+// re-derivation, the explore memory-point re-pricing at the anchor's own
+// buffer sizes, the greedy baseline and strategy-file
 // repricing — on ring, mesh and torus, and on a degraded ring. Mesh and
 // torus scale D2D energy by their hop ratio, so a path that skips the scale
 // reports ring energy there.
@@ -137,22 +137,6 @@ func TestPricingKernelEquivalence(t *testing.T) {
 			}
 			check("disk re-derivation", disk[0].Analysis.Map, disk[0].Energy, disk[0].Cycles)
 			st.Close()
-
-			// Warm start: the KeepTop=1 search is seeded by re-costing the
-			// KeepTop=2 search's winners at the same point. An exact re-cost
-			// seeds the true optimum (gap 0); a low one would prune it away.
-			eng := engine.New(cm)
-			if _, err := eng.SearchAll(ctx, l, hw, mapper.Config{Fault: fc.mask, KeepTop: 2}); err != nil {
-				t.Fatal(err)
-			}
-			seeded, err := eng.SearchAll(ctx, l, hw, mapper.Config{Fault: fc.mask, KeepTop: 1})
-			if err != nil || len(seeded) == 0 {
-				t.Fatalf("%s: warm-started search: %v", name, err)
-			}
-			if s := eng.Stats(); s.WarmStartHits != 1 || s.WarmStartSeedGap != 0 {
-				t.Errorf("%s: warm start %d hits, seed gap %d bp; want one exact seed", name, s.WarmStartHits, s.WarmStartSeedGap)
-			}
-			check("warm-started search", seeded[0].Analysis.Map, seeded[0].Energy, seeded[0].Cycles)
 
 			// Explore: the winner alone in the pool, re-priced at its own
 			// anchor's buffer sizes.

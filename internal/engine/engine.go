@@ -138,14 +138,8 @@ type Stats struct {
 	FloorsComputed int64
 	HeapPopped     int64
 
-	// Warm-start tallies (zero with Config.DisableWarmStart): searches seeded
-	// from a solved neighbor point's hint, searches that looked for a hint
-	// and found no sound seed, and the cumulative seed slack in basis points
-	// (seed vs the search's actual k-th best score; WarmStartSeedGap /
-	// WarmStartHits is the mean — 0 bp means the seed was already exact).
-	WarmStartHits    int64
-	WarmStartMisses  int64
-	WarmStartSeedGap int64
+	// WarmStartHits and WarmStartSeedGap are always zero: every search is cold.
+	WarmStartHits, WarmStartSeedGap int64
 }
 
 // PrunedFraction returns the fraction of generated candidates the search
@@ -169,14 +163,6 @@ func (s Stats) String() string {
 		out += fmt.Sprintf("; search: %d candidates, %d bound-pruned, %d stage-pruned, %d evaluated (%.1f%% pruned), %d floors, %d heap pops",
 			s.Generated, s.BoundPruned, s.StagePruned, s.Evaluated, 100*s.PrunedFraction(),
 			s.FloorsComputed, s.HeapPopped)
-	}
-	if s.WarmStartHits > 0 || s.WarmStartMisses > 0 {
-		gap := 0.0
-		if s.WarmStartHits > 0 {
-			gap = float64(s.WarmStartSeedGap) / float64(s.WarmStartHits)
-		}
-		out += fmt.Sprintf("; warm-start: %d hits, %d misses, avg seed gap %.1f bp",
-			s.WarmStartHits, s.WarmStartMisses, gap)
 	}
 	if s.Panics > 0 || s.Retries > 0 || s.Timeouts > 0 || s.Replayed > 0 || s.Evictions > 0 {
 		out += fmt.Sprintf("; resilience: %d panics, %d retries, %d timeouts, %d replayed, %d evicted",
@@ -216,20 +202,11 @@ type Evaluator struct {
 	replayed, evictions                *obs.Counter
 	diskHits, diskMisses               *obs.Counter
 	diskPuts, diskCorrupt              *obs.Counter
-	warmHits, warmMisses               *obs.Counter
-	warmSeedGap                        *obs.Counter
 	cacheEntries                       *obs.Gauge
 
 	// searchCtrs receives the mapper's search-funnel tallies for every
 	// search the engine leads (unless the caller supplied its own Counters).
 	searchCtrs *mapper.Counters
-
-	// hints is the warm-start hint table: per layer shape, the winning
-	// mappings of already-solved hardware points (see warmstart.go). A new
-	// point re-validates and re-costs a near neighbor's mappings to seed the
-	// search incumbent before any candidate is generated.
-	hintMu sync.Mutex
-	hints  map[ShapeKey][]hintEntry
 }
 
 // New builds an evaluator over a cost model with GOMAXPROCS workers.
@@ -276,9 +253,6 @@ func NewFromConfig(cm *hardware.CostModel, cfg Config) *Evaluator {
 		e.diskMisses = reg.Counter("engine.disk_misses")
 		e.diskPuts = reg.Counter("engine.disk_puts")
 		e.diskCorrupt = reg.Counter("engine.disk_corrupt")
-		e.warmHits = reg.Counter("engine.warm_start_hits")
-		e.warmMisses = reg.Counter("engine.warm_start_misses")
-		e.warmSeedGap = reg.Counter("engine.warm_start_seed_gap_bp")
 		e.cacheEntries = reg.Gauge("engine.cache_entries")
 		e.searchCtrs = &mapper.Counters{
 			Generated:      reg.Counter("mapper.candidates_generated"),
@@ -296,8 +270,6 @@ func NewFromConfig(cm *hardware.CostModel, cfg Config) *Evaluator {
 		e.evictions = &obs.Counter{}
 		e.diskHits, e.diskMisses = &obs.Counter{}, &obs.Counter{}
 		e.diskPuts, e.diskCorrupt = &obs.Counter{}, &obs.Counter{}
-		e.warmHits, e.warmMisses = &obs.Counter{}, &obs.Counter{}
-		e.warmSeedGap = &obs.Counter{}
 		e.searchCtrs = &mapper.Counters{
 			Generated: &obs.Counter{}, BoundPruned: &obs.Counter{},
 			StagePruned: &obs.Counter{}, Evaluated: &obs.Counter{},
@@ -346,10 +318,6 @@ func (e *Evaluator) Stats() Stats {
 		Evaluated:      e.searchCtrs.Evaluated.Value(),
 		FloorsComputed: e.searchCtrs.FloorsComputed.Value(),
 		HeapPopped:     e.searchCtrs.HeapPopped.Value(),
-
-		WarmStartHits:    e.warmHits.Value(),
-		WarmStartMisses:  e.warmMisses.Value(),
-		WarmStartSeedGap: e.warmSeedGap.Value(),
 	}
 }
 
@@ -366,9 +334,6 @@ func (e *Evaluator) pruneNote() string {
 	note := fmt.Sprintf("%d candidates, %.1f%% pruned", gen, 100*float64(pruned)/float64(gen))
 	if fl := e.searchCtrs.FloorsComputed.Value(); fl > 0 {
 		note += fmt.Sprintf(", %d floors", fl)
-	}
-	if h, m := e.warmHits.Value(), e.warmMisses.Value(); h+m > 0 {
-		note += fmt.Sprintf(", warm %d/%d", h, h+m)
 	}
 	return note
 }
@@ -390,15 +355,12 @@ func normalize(cfg mapper.Config) mapper.Config {
 }
 
 // cacheCfg strips the Config fields that cannot affect search results — the
-// intra-layer worker count, the counter sink, and the warm-start seed — so
-// they never fragment the memoization key: a 1-worker and an 8-worker search
-// of the same space share one cache entry (the parallel search is
-// result-identical by construction), and a warm-seeded search shares the
-// entry of a cold one (a sound seed never changes the winning options).
+// intra-layer worker count and the counter sink — so they never fragment the
+// memoization key: a 1-worker and an 8-worker search of the same space share
+// one cache entry (the parallel search is result-identical by construction).
 func cacheCfg(cfg mapper.Config) mapper.Config {
 	cfg.Workers = 0
 	cfg.Counters = nil
-	cfg.SeedBound = 0
 	return cfg
 }
 
@@ -479,12 +441,6 @@ func (e *Evaluator) lead(ctx context.Context, en *entry, key searchKey, l worklo
 	op := l.Name + " on " + hw.String()
 	finish := func(opts []mapper.Option, err error) ([]mapper.Option, error) {
 		if err == nil {
-			// Publish the winning mappings as warm-start hints for later
-			// hardware points of the same shape. Running this in finish —
-			// not in searchAttempt — also captures searches served from the
-			// persistent cache, which is how a sharded sweep's shard N warms
-			// from shard N−1's disk results.
-			e.recordHint(key.shape, hw, opts)
 			en.opts = opts
 			close(en.done)
 			return retag(opts, l), nil
@@ -576,23 +532,9 @@ func (e *Evaluator) searchAttempt(ctx context.Context, l workload.Layer, hw hard
 		if cfg.Counters == nil {
 			cfg.Counters = e.searchCtrs
 		}
-		// Seed the search incumbent from a solved neighbor point before any
-		// candidate is generated. The seed is sound by construction (see
-		// warmSeed), so the result is byte-identical to a cold search —
-		// warm-starting only changes how fast the frontier converges.
-		warmed := false
-		if cfg.SeedBound == 0 && !e.cfg.DisableWarmStart {
-			if seed, ok := e.warmSeed(l, hw, cfg); ok {
-				cfg.SeedBound = seed
-				warmed = true
-			}
-		}
 		stop := e.reg.Span("engine.search")
 		opts := mapper.SearchAll(l, hw, e.cm, cfg)
 		stop()
-		if warmed {
-			e.recordSeedGap(cfg, opts)
-		}
 		ch <- outcome{opts: opts}
 	}()
 
@@ -779,12 +721,7 @@ func (e *Evaluator) EvalSweep(ctx context.Context, models []workload.Model, hws 
 	track.SetNote(e.pruneNote)
 	sig := modelsSig(models)
 	jrn := e.cfg.Journal
-	// Evaluate in serpentine neighbor order so each point's searches are
-	// warm-started by a just-solved adjacent configuration; results land at
-	// their original indices, so output is order-independent.
-	order := NeighborOrder(hws)
-	err := ParallelFor(ctx, len(hws), e.cfg.Workers, func(oi int) error {
-		i := order[oi]
+	err := ParallelFor(ctx, len(hws), e.cfg.Workers, func(i int) error {
 		key := sweepPointKey(sig, cfg, hws[i])
 		if raw, ok := jrn.Lookup(key); ok {
 			if pt, ok := replaySweepPoint(raw, hws[i]); ok {

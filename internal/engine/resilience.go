@@ -44,14 +44,6 @@ type Config struct {
 	// Cached payloads are revalidated on load and quarantined on any defect,
 	// so a poisoned cache degrades to recompute. Nil disables persistence.
 	Cache ResultCache
-
-	// DisableWarmStart turns off cross-point incumbent warm-starting: the
-	// evaluator then neither records solved-point mapping hints nor seeds new
-	// searches from them. Warm-starting is provably result-identical (the
-	// seed is always a sound upper bound on the k-th best score, see
-	// mapper.Config.SeedBound), so this knob exists for benchmarking the
-	// cold path and for bisecting, not for correctness.
-	DisableWarmStart bool
 }
 
 // DefaultBackoff is the first-retry delay when Config.Backoff is unset.

@@ -9,11 +9,11 @@
 // keyed — a duplicated point carries an identical value.
 //
 // The takeover path is the only race: several workers may observe the same
-// expired lease. O_EXCL creation of a takeover token named by the stale
-// lease's generation admits exactly one of them, and only the token holder
-// installs the new lease (see takeover). The claim path has no race at all
-// (a hard link, like O_EXCL, admits one winner), and the done path is
-// monotonic (done markers are never removed).
+// expired lease, and its owner may still be heartbeating it. O_EXCL creation
+// of a takeover token named by the stale lease's generation admits exactly
+// one of them, and only the token holder replaces the lease (see takeover).
+// The claim path has no race at all (a hard link, like O_EXCL, admits one
+// winner), and the done path is monotonic (done markers are never removed).
 //
 // Leases bind to a study signature: a directory accidentally shared by two
 // different sweeps refuses to cross-claim, the same guard ckpt.MergeFiles
@@ -248,7 +248,7 @@ func (m *Manager) tryClaimOne(shard int) (bool, error) {
 		if m.now().UnixNano() < cur.Deadline {
 			return false, nil // live lease: someone else is on it
 		}
-		gen = fmt.Sprintf("%x", cur.Nonce)
+		gen = generation(cur.Nonce)
 	}
 	won, err := m.takeover(path, gen, stale, l)
 	if err != nil || !won {
@@ -264,12 +264,17 @@ func (m *Manager) tryClaimOne(shard int) (bool, error) {
 	return true, nil
 }
 
+// generation names a decodable lease's takeover tokens by its nonce, so an
+// heir and the lease's own heartbeat contend for the same token.
+func generation(nonce int64) string { return fmt.Sprintf("%x", nonce) }
+
 // takeover replaces one stale lease generation with l, reporting whether
 // this contender did. Only the contender that O_EXCL-creates the
 // generation's takeover token installs, so at most one contender wins per
 // generation. A token older than the TTL was abandoned by a holder that died
 // before installing; contenders then race for the generation's next token,
-// so a dead holder wedges the shard for at most one TTL. The holder installs
+// so a dead holder wedges the shard for at most one TTL. The generation's own
+// owner renews through the same token (see Heartbeat). The holder installs
 // only while the lease file still holds the exact stale bytes it judged —
 // a contender that read them long ago finds the lease already replaced.
 func (m *Manager) takeover(path, gen string, stale []byte, l lease) (bool, error) {
@@ -345,18 +350,20 @@ func (m *Manager) TryClaim(ctx context.Context, shards int) (int, error) {
 // fails if this worker's nonce no longer owns the lease file — the lease
 // expired and another worker took the shard over; the caller must abandon
 // the shard (its work is not wasted: keyed, deterministic journal records
-// merge cleanly with the new owner's).
+// merge cleanly with the new owner's). The renewal contends for the same
+// takeover token an heir of this generation would, so an heir that installs
+// between the read and the renewal is never overwritten.
 func (m *Manager) Heartbeat() error {
 	if m.shard < 0 {
 		return errors.New("lease: no shard held")
 	}
 	path := m.leasePath(m.shard)
-	cur, _, ok := m.read(path)
+	cur, raw, ok := m.read(path)
 	if !ok || cur.Nonce != m.nonce {
 		return fmt.Errorf("lease: shard %d was taken over (lease lost)", m.shard)
 	}
 	cur.Deadline = m.now().Add(m.opts.TTL).UnixNano()
-	won, err := m.install(path, cur, false)
+	won, err := m.takeover(path, generation(cur.Nonce), raw, cur)
 	if err != nil {
 		return err
 	}

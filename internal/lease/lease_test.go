@@ -234,6 +234,43 @@ func TestCompletionBeatsFreshClaim(t *testing.T) {
 	}
 }
 
+func TestZombieHeartbeatLosesToHeir(t *testing.T) {
+	// An heir takes an expired lease over after its zombie owner read the
+	// lease for a heartbeat but before the renewal lands: the renewal must
+	// not overwrite the heir's lease, and the zombie must learn it lost the
+	// shard. The zombie's clock hook runs inside that window, so it runs
+	// the heir's takeover; the heir's clock is past the zombie's deadline.
+	dir := t.TempDir()
+	heir := mgr(t, dir, "heir", Options{TTL: time.Minute, Retries: 1, Backoff: time.Millisecond,
+		Now: func() time.Time { return time.Now().Add(2 * time.Minute) }})
+	armed, fired := false, false
+	zombie := mgr(t, dir, "zombie", Options{TTL: time.Minute, Now: func() time.Time {
+		if armed && !fired {
+			fired = true
+			if shard, err := heir.TryClaim(bg, 1); err != nil || shard != 0 {
+				t.Errorf("heir takeover mid-heartbeat = %d, %v, want shard 0", shard, err)
+			}
+		}
+		return time.Now()
+	}})
+	if _, err := zombie.TryClaim(bg, 1); err != nil {
+		t.Fatal(err)
+	}
+	armed = true
+	if err := zombie.Heartbeat(); err == nil {
+		t.Error("zombie heartbeat succeeded over the heir's lease")
+	}
+	if !fired {
+		t.Fatal("the clock hook never ran; the test exercised nothing")
+	}
+	if err := heir.Heartbeat(); err != nil {
+		t.Errorf("heir lost its lease to the zombie heartbeat: %v", err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "shard-0000.lease.take-*")); len(left) != 0 {
+		t.Errorf("takeover tokens left behind: %v", left)
+	}
+}
+
 func TestHeartbeatWithoutClaim(t *testing.T) {
 	m := mgr(t, t.TempDir(), "w", Options{})
 	if err := m.Heartbeat(); err == nil {

@@ -2,7 +2,6 @@ package mapper
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -173,41 +172,5 @@ func TestSearchDeterministicOnTies(t *testing.T) {
 	}
 	if !sawTie {
 		t.Fatal("no trial produced a shared-optimal-cost tie; the audit tested nothing")
-	}
-}
-
-// TestSearchSeedBoundIdentity pins the warm-start contract from the mapper
-// side: seeding the incumbent with the exact k-th best score of the space —
-// the strongest sound seed the engine can ever derive — must leave the result
-// byte-identical to a cold search, while an unsound over-tight seed is
-// rejected by construction only when it still dominates the k-th best. Also
-// covers the degenerate seeds (0, +Inf, negative) the engine may pass.
-func TestSearchSeedBoundIdentity(t *testing.T) {
-	cm := hardware.MustCostModel()
-	hw := hardware.CaseStudy()
-	l := workload.ResNet50(224).Layers[10]
-	cfg := Config{Objective: MinEnergy, KeepTop: 8}
-	cold := SearchAll(l, hw, cm, cfg)
-	if len(cold) != cfg.KeepTop {
-		t.Fatalf("cold search returned %d options", len(cold))
-	}
-	kth := cold[len(cold)-1].Score(cfg.Objective)
-	for _, tc := range []struct {
-		name string
-		seed float64
-	}{
-		{"exact-kth", kth},
-		{"above-kth", kth * 1.5},
-		{"zero", 0},
-		{"inf", math.Inf(1)},
-		{"negative", -1},
-	} {
-		for _, workers := range []int{1, 4} {
-			c := cfg
-			c.SeedBound = tc.seed
-			c.Workers = workers
-			got := SearchAll(l, hw, cm, c)
-			requireSameOptions(t, fmt.Sprintf("%s workers=%d", tc.name, workers), cold, got, cfg.Objective)
-		}
 	}
 }

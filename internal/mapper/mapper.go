@@ -194,17 +194,6 @@ type Config struct {
 	// Counters, when non-nil, receives the search funnel tallies
 	// (generated / bound-pruned / stage-pruned / evaluated candidates).
 	Counters *Counters
-	// SeedBound, when positive and finite, warm-starts the shared incumbent
-	// bound of SearchAll before any candidate is generated — the engine's
-	// cross-point warm-starting derives it from a neighboring hardware
-	// point's solution. Soundness contract: the seed must be the exact
-	// re-costed score (under THIS l/hw/cm/cfg) of the KeepTop-th best of at
-	// least KeepTop distinct mappings that are members of this search space
-	// (SpaceChecker); then the enumerated k-th best is ≤ the seed, the
-	// strict (>) pruning keeps ties alive, and the result — including the
-	// funnel's evaluated set, hence journals and reports — is byte-identical
-	// to a cold search. Zero (or +Inf) means cold start.
-	SeedBound float64
 }
 
 // Search returns the optimal mapping option for one layer, or an error if no
@@ -295,95 +284,6 @@ func (st subtree) walk(l workload.Layer, hw hardware.Config, yield func(probe ma
 			}
 		}
 	}
-}
-
-// SpaceChecker reports whether SearchAll would enumerate a mapping — i.e.
-// whether it is reachable through the subtree walker and the temporal
-// expansion for one (layer, hardware, config) triple. The engine's
-// warm-starting depends on it: a hint mapping carried over from a different
-// hardware point can be Feasible here yet lie outside the heuristic
-// enumeration, and such a mapping may score better than everything
-// enumerable — seeding the incumbent from it would prune true top-K members.
-// Only members may seed (see Config.SeedBound). The subtree enumeration and
-// the layer/hardware validation run once at construction instead of per
-// query, since the warm-start path probes several hint entries of KeepTop
-// mappings each per search.
-type SpaceChecker struct {
-	l   workload.Layer
-	hw  hardware.Config
-	sts []subtree
-	ok  bool
-}
-
-// NewSpaceChecker builds a membership checker for SearchAll's enumeration of
-// (l, hw) under cfg. An invalid layer or hardware yields a checker that
-// reports false for every mapping.
-func NewSpaceChecker(l workload.Layer, hw hardware.Config, cfg Config) *SpaceChecker {
-	c := &SpaceChecker{l: l, hw: hw}
-	if l.Validate() == nil && hw.Validate() == nil {
-		c.sts = subtrees(l, hw, cfg)
-		c.ok = true
-	}
-	return c
-}
-
-// Contains reports whether the search would enumerate m.
-func (c *SpaceChecker) Contains(m mapping.Mapping) bool {
-	l, hw := &c.l, &c.hw
-	if !c.ok || m.Validate(*l, *hw) != nil {
-		return false
-	}
-	for _, st := range c.sts {
-		if st.ps.kind != m.PackageSpatial || st.ps.pattern != m.PackagePattern ||
-			st.cs.kind != m.ChipletSpatial || st.cs.csplit != m.ChipletCSplit ||
-			st.cs.pattern != m.ChipletPattern || st.rotate != m.Rotate {
-			continue
-		}
-		if m.COt < st.cs.csplit || !containsInt(tileCandidates(nil, st.cop, st.cop), m.COt) {
-			return false
-		}
-		if st.cs.pattern.Rows > m.HOt || st.cs.pattern.Cols > m.WOt {
-			return false
-		}
-		if !containsPair(planarPairs(nil, st.hop, st.wop), m.HOt, m.WOt) {
-			return false
-		}
-		hs, ws := ceilDiv(m.HOt, st.cs.pattern.Rows), ceilDiv(m.WOt, st.cs.pattern.Cols)
-		if !containsPair(coreTilePairs(nil, l, hw, hs, ws), m.HOc, m.WOc) {
-			return false
-		}
-		sh := m.Shape(l, hw)
-		return containsTemporal(temporalChoices(sh.C1, sh.H1*sh.W1), m.PackageTemporal) &&
-			containsTemporal(temporalChoices(sh.C2, sh.H2*sh.W2), m.ChipletTemporal)
-	}
-	return false
-}
-
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func containsPair(s [][2]int, a, b int) bool {
-	for _, p := range s {
-		if p[0] == a && p[1] == b {
-			return true
-		}
-	}
-	return false
-}
-
-func containsTemporal(s []mapping.Temporal, t mapping.Temporal) bool {
-	for _, x := range s {
-		if x == t {
-			return true
-		}
-	}
-	return false
 }
 
 // forEachTemporal expands a probe into its live temporal-order variants.

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"nnbaton/internal/c3p"
 	"nnbaton/internal/hardware"
@@ -425,7 +426,7 @@ func (s *search) coreTerms(t *c3p.GroupFloorTerms, g *bfGroup, cps [][2]int) {
 // bound-pruned candidate is pruned for good; result identity does not depend
 // on visit order, only on the candidate set, which this generator shares with
 // the exhaustive walker.
-func (s *search) runFrontier(sts []subtree, ws *searchState, dest *topK, shared *par.MinBound) {
+func (s *search) runFrontier(sts []subtree, ws *searchState, dest *topK, shared *minBound) {
 	l, hw, obj := &s.l, &s.hw, s.cfg.Objective
 	groups, heap, probes := ws.groups[:0], ws.heap[:0], ws.probes[:0]
 	ws.cotSpan, ws.cots = ws.cotSpan[:0], ws.cots[:0]
@@ -623,18 +624,34 @@ func rethrowPanics(err error) {
 	}
 }
 
-// newIncumbent builds the shared CAS-min incumbent, seeded with the
-// cross-point warm-start bound when the caller provides one. Seeding is
-// sound only because the engine derives SeedBound from re-validated,
-// re-costed members of this exact search space (see Config.SeedBound); the
-// strict (>) pruning keeps score ties alive, so a seeded search returns
-// byte-identical results to a cold one.
-func newIncumbent(cfg Config) *par.MinBound {
-	b := par.NewMinBound()
-	if cfg.SeedBound > 0 && !math.IsInf(cfg.SeedBound, 1) {
-		b.Update(cfg.SeedBound)
-	}
+// minBound is the lock-free shared incumbent of a parallel search: the
+// smallest bound any worker has published so far. Workers fold it into their
+// local pruning threshold so a strong incumbent found in one shard prunes
+// every other shard. Lowering is a CAS-min; the bound only ever decreases, so
+// a stale read is merely conservative, never unsound.
+type minBound struct{ bits atomic.Uint64 }
+
+// newMinBound returns a bound at +Inf — no incumbent yet.
+func newMinBound() *minBound {
+	b := &minBound{}
+	b.bits.Store(math.Float64bits(math.Inf(1)))
 	return b
+}
+
+// Load returns the current bound.
+func (b *minBound) Load() float64 { return math.Float64frombits(b.bits.Load()) }
+
+// Update lowers the bound to v when v is smaller; larger values are ignored.
+func (b *minBound) Update(v float64) {
+	for {
+		old := b.bits.Load()
+		if math.Float64frombits(old) <= v {
+			return
+		}
+		if b.bits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
+	}
 }
 
 // SearchAll evaluates the mapping space and returns the best KeepTop options
@@ -642,8 +659,8 @@ func newIncumbent(cfg Config) *par.MinBound {
 // result-identical to SearchExhaustive — enforced by randomized equivalence
 // tests — but orders the space best-first under admissible lower bounds,
 // stages the evaluation pipeline so the simulator only runs for survivors,
-// shards the space across Workers goroutines with a shared incumbent bound
-// (optionally warm-started by the engine), and reuses per-worker scratch so
+// shards the space across Workers goroutines with a shared incumbent bound,
+// and reuses per-worker scratch so
 // the steady-state candidate path does not allocate.
 func SearchAll(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg Config) []Option {
 	if cfg.KeepTop <= 0 {
@@ -660,7 +677,7 @@ func SearchAll(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg
 	for i := range tops {
 		tops[i] = newTopK(cfg.KeepTop, cfg.Objective)
 	}
-	shared := newIncumbent(cfg)
+	shared := newMinBound()
 	// One frontier per worker, spanning the worker's strided share of the
 	// subtrees: the best-first order then holds across subtree boundaries,
 	// so a worker's weak subtrees die as unexpanded group nodes instead of
@@ -739,9 +756,9 @@ func BestPerSpatialCombo(l workload.Layer, hw hardware.Config, cm *hardware.Cost
 			tops[i][c] = newTopK(1, MinEnergy)
 		}
 	}
-	var bounds [numCombos]*par.MinBound
+	var bounds [numCombos]*minBound
 	for c := range bounds {
-		bounds[c] = par.NewMinBound()
+		bounds[c] = newMinBound()
 	}
 	// Each combo keeps its own incumbent and destination, so a worker runs
 	// one frontier per combo over its strided share: within a combo the
