@@ -38,12 +38,10 @@ import (
 	"nnbaton/internal/lease"
 	"nnbaton/internal/mapper"
 	"nnbaton/internal/mapping"
-	"nnbaton/internal/obs"
 	"nnbaton/internal/pipeline"
 	"nnbaton/internal/report"
 	"nnbaton/internal/serve"
 	"nnbaton/internal/simba"
-	"nnbaton/internal/store"
 	"nnbaton/internal/workload"
 )
 
@@ -86,13 +84,6 @@ const (
 	// TopoTorus is the mesh with wraparound links.
 	TopoTorus = hardware.TopoTorus
 )
-
-// ParseTopology maps a -topology flag value ("ring", "mesh", "torus") to a
-// Topology, listing the valid names on failure.
-func ParseTopology(name string) (Topology, error) { return hardware.ParseTopology(name) }
-
-// TopologyNames returns the valid -topology flag values.
-func TopologyNames() []string { return hardware.TopologyNames() }
 
 // DefaultProcess returns the 16 nm-class fabrication cost structure used by
 // the manufacturing-cost extension.
@@ -139,32 +130,6 @@ type EngineStats = engine.Stats
 // behavior (panic isolation is always on).
 type EngineConfig = engine.Config
 
-// Checkpoint is the crash-safe JSONL journal the pre-design sweeps record
-// completed points to and replay them from (internal/ckpt).
-type Checkpoint = ckpt.Journal
-
-// OpenCheckpoint opens (or creates) a checkpoint journal. With resume set,
-// existing records are loaded and sweeps replay them; without it, the file
-// is truncated for a fresh run. Records are fsynced as they are appended;
-// use OpenCheckpointWith to trade that durability for throughput.
-func OpenCheckpoint(path string, resume bool) (*Checkpoint, error) { return ckpt.Open(path, resume) }
-
-// CheckpointOptions tunes OpenCheckpointWith: Resume replays existing
-// records, Fsync forces every appended record to stable storage before the
-// append returns (off, the journal still loses nothing on SIGKILL — each
-// record is a single write syscall — but an OS crash may drop the tail).
-type CheckpointOptions = ckpt.Options
-
-// OpenCheckpointWith opens a checkpoint journal under explicit options.
-func OpenCheckpointWith(path string, opts CheckpointOptions) (*Checkpoint, error) {
-	return ckpt.OpenWith(path, opts)
-}
-
-// ValidateCheckpointPath fails fast if a checkpoint journal could not be
-// created or appended at path — the CLIs call it from flag validation so a
-// sweep cannot run for hours and then fail to record.
-func ValidateCheckpointPath(path string) error { return ckpt.ValidateWritable(path) }
-
 // MergeStats reports what a checkpoint merge folded together.
 type MergeStats = ckpt.MergeStats
 
@@ -176,30 +141,6 @@ type MergeStats = ckpt.MergeStats
 func MergeCheckpoints(w io.Writer, paths ...string) (MergeStats, error) {
 	return ckpt.MergeFiles(w, paths...)
 }
-
-// ResultCache is the persistent result cache interface the engine layers
-// under its in-memory memo (EngineConfig.Cache). Nil disables persistence.
-type ResultCache = engine.ResultCache
-
-// ResultStore is the crash-safe on-disk ResultCache implementation
-// (internal/store): CRC-framed append-only segments, one per writer, with
-// torn-tail recovery and quarantine-on-corruption.
-type ResultStore = store.Store
-
-// StoreOptions tunes OpenResultCache: Repair truncates torn segment tails in
-// place (only safe when this process owns the directory exclusively), Fsync
-// forces every Put to stable storage, Registry receives cache counters.
-type StoreOptions = store.Options
-
-// OpenResultCache opens (or creates) a persistent result cache directory.
-// Multiple processes may share dir — each appends to its own segment.
-func OpenResultCache(dir string, opts StoreOptions) (*ResultStore, error) {
-	return store.Open(dir, opts)
-}
-
-// EnsureCacheDir fails fast if dir cannot be created or written — the CLIs
-// call it from flag validation.
-func EnsureCacheDir(dir string) error { return store.EnsureWritableDir(dir) }
 
 // Sharded-sweep re-exports (internal/lease, internal/dse): N-worker Fig 15
 // studies over a shared filesystem with worker-death recovery.
@@ -236,21 +177,6 @@ func (b *Baton) ExploreSharded(ctx context.Context, m Model, space Space, totalM
 	return dse.RunShardedExplore(ctx, m, space, totalMACs, areaLimitMM2, b.eng, mgr, shards)
 }
 
-// Observability re-exports (internal/obs). A nil registry or sink disables
-// the corresponding instrumentation at near-zero cost.
-type (
-	// Metrics is the concurrency-safe metrics registry: counters, gauges
-	// and per-phase duration histograms, dumped as JSON by the CLIs'
-	// -metrics flag.
-	Metrics = obs.Registry
-	// ProgressSink receives sweep progress events (points done/total,
-	// failures, ETA) from the pre-design flows.
-	ProgressSink = obs.ProgressSink
-)
-
-// NewMetrics builds an empty metrics registry for NewObserved.
-func NewMetrics() *Metrics { return obs.NewRegistry() }
-
 // Baton is the NN-Baton automatic tool (Fig 9): it bundles the C³P
 // evaluation engine with the fitted 16 nm cost model. All flows share one
 // evaluation engine, so layer searches are memoized on layer shape for the
@@ -262,19 +188,7 @@ type Baton struct {
 }
 
 // New builds the tool with the default 16 nm cost model.
-func New() *Baton {
-	return NewObserved(nil, nil)
-}
-
-// NewObserved builds the tool with an attached metrics registry and sweep
-// progress sink; either may be nil. The engine's cache counters and phase
-// timings register under reg, and the pre-design sweeps report progress to
-// sink. Library-level phases (c3p.analyze, sim.pipeline, halo.redundancy)
-// report to the process-wide default registry — install reg there with
-// obs.SetDefault to capture them too, as the CLIs' -metrics flag does.
-func NewObserved(reg *Metrics, sink ProgressSink) *Baton {
-	return NewWithConfig(EngineConfig{Registry: reg, Sink: sink})
-}
+func New() *Baton { return NewWithConfig(EngineConfig{}) }
 
 // NewWithConfig builds the tool under a full engine policy: worker bound,
 // per-point deadline, bounded retry with backoff, observation hooks and the
@@ -459,13 +373,6 @@ func (b *Baton) GranularityIn(m Model, space Space, totalMACs int, areaLimitMM2 
 	return b.GranularityContext(context.Background(), m, space, totalMACs, areaLimitMM2)
 }
 
-// GranularitySet runs the granularity study jointly over several target
-// models, recommending one hardware allocation for the whole deployment set.
-func (b *Baton) GranularitySet(models []Model, totalMACs int, areaLimitMM2 float64) (dse.GranularityResult, error) {
-	return dse.GranularitySet(context.Background(), models, TableIISpace(), totalMACs, areaLimitMM2,
-		hardware.DefaultProportion(), b.eng)
-}
-
 // ChipletAreaMM2 returns the modeled silicon area of one chiplet.
 func (b *Baton) ChipletAreaMM2(hw Hardware) float64 { return b.cm.ChipletAreaMM2(hw) }
 
@@ -545,18 +452,6 @@ func ReferenceServingTrace(n int, meanGapUS float64, models ...string) ServingTr
 // breakdowns of serving results; the output is byte-stable.
 func RenderServing(w io.Writer, title string, results []ServingResult) error {
 	return serve.Render(w, title, results)
-}
-
-// ServeTrace replays an arrival trace on a (possibly degraded) fabric: the
-// engine evaluates each traced model once per scenario (memoized), and the
-// deterministic discrete-event loop applies the batching/queueing policy.
-// The zero mask serves on the healthy fabric.
-func (b *Baton) ServeTrace(ctx context.Context, t ServingTrace, models []Model, hw Hardware, mask FaultMask, cfg ServingConfig) (ServingResult, error) {
-	o, err := serve.BuildOracle(ctx, b.eng, models, hw, mask, mapper.Config{})
-	if err != nil {
-		return ServingResult{}, err
-	}
-	return serve.Simulate(t, o, cfg)
 }
 
 // ServeTraceScenarios replays one trace across a list of fault scenarios

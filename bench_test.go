@@ -439,7 +439,7 @@ func BenchmarkEngineEvalModelResNet50Warm(b *testing.B) {
 func BenchmarkEngineEvalModelResNet50WarmObserved(b *testing.B) {
 	m := ResNet50(224)
 	hw := CaseStudyHardware()
-	eng := engine.NewObserved(benchCM, 0, obs.NewRegistry(), obs.NewWriterSink(io.Discard))
+	eng := engine.NewFromConfig(benchCM, engine.Config{Registry: obs.NewRegistry(), Sink: obs.NewWriterSink(io.Discard)})
 	if _, err := eng.EvalModel(context.Background(), m, hw, mapper.Config{}); err != nil {
 		b.Fatal(err)
 	}

@@ -12,137 +12,54 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"nnbaton/internal/ckpt"
-	"nnbaton/internal/engine"
+	"nnbaton/internal/cli"
 	"nnbaton/internal/experiments"
-	"nnbaton/internal/hardware"
-	"nnbaton/internal/obs"
-	"nnbaton/internal/store"
 )
 
 func main() {
+	shared := cli.Register(flag.CommandLine, "experiments", cli.Progress|cli.Checkpoint)
 	exp := flag.String("exp", "all", "experiment id (or 'all')")
 	quick := flag.Bool("quick", false, "reduced workloads for a fast pass")
 	list := flag.Bool("list", false, "list experiment ids")
-	metrics := flag.String("metrics", "", "write per-phase timing and engine cache metrics as JSON to this file on exit")
-	progress := flag.Bool("progress", false, "report sweep progress on stderr")
-	timeout := flag.Duration("timeout", 0, "per-point search deadline (e.g. 30s); 0 disables")
-	retries := flag.Int("retries", 0, "max re-attempts after a retryable point failure (panic, deadline, transient)")
-	checkpoint := flag.String("checkpoint", "", "journal completed sweep points to this JSONL file (crash-safe)")
-	resume := flag.Bool("resume", false, "replay points already journaled in the -checkpoint file instead of re-evaluating them")
-	cacheDir := flag.String("cache-dir", "", "persist layer-search results to this crash-safe cache directory and reuse them across runs")
-	topology := flag.String("topology", "ring", "on-package interconnect for every experiment: "+strings.Join(hardware.TopologyNames(), "|"))
 	flag.Parse()
-	topo, err := hardware.ParseTopology(*topology)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: -topology: %v\n", err)
-		os.Exit(2)
-	}
-	experiments.SetTopology(topo)
-	if *timeout < 0 {
-		fmt.Fprintf(os.Stderr, "experiments: -timeout must be non-negative, got %v\n", *timeout)
-		os.Exit(2)
-	}
-	if *retries < 0 {
-		fmt.Fprintf(os.Stderr, "experiments: -retries must be non-negative, got %d\n", *retries)
-		os.Exit(2)
-	}
-
-	var reg *obs.Registry
-	if *metrics != "" {
-		reg = obs.NewRegistry()
-		obs.SetDefault(reg)
-	}
-	var sink obs.ProgressSink
-	if *progress {
-		sink = obs.NewWriterSink(os.Stderr)
-	}
-	if *resume && *checkpoint == "" {
-		fmt.Fprintln(os.Stderr, "experiments: -resume requires -checkpoint")
+	shared.MustValidate(nil)
+	experiments.SetTopology(shared.Topology())
+	if err := run(shared, *exp, *quick, *list); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-	// Fail fast on unwritable persistence targets before any experiment runs.
-	if *checkpoint != "" {
-		if err := ckpt.ValidateWritable(*checkpoint); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: -checkpoint:", err)
-			os.Exit(2)
-		}
-	}
-	if *cacheDir != "" {
-		if err := store.EnsureWritableDir(*cacheDir); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: -cache-dir:", err)
-			os.Exit(2)
-		}
-	}
-	var journal *ckpt.Journal
-	if *checkpoint != "" {
-		var err error
-		journal, err = ckpt.Open(*checkpoint, *resume)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		defer journal.Close()
-		if *resume {
-			fmt.Fprintf(os.Stderr, "resuming from %s: %d journaled points\n", *checkpoint, journal.Len())
-		}
-	}
-	var cache *store.Store
-	if *cacheDir != "" {
-		var err error
-		cache, err = store.Open(*cacheDir, store.Options{Registry: reg})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		defer cache.Close()
-	}
-	if reg != nil || sink != nil || journal != nil || cache != nil || *timeout > 0 || *retries > 0 {
-		cfg := engine.Config{
-			PointTimeout: *timeout,
-			MaxRetries:   *retries,
-			Registry:     reg,
-			Sink:         sink,
-			Journal:      journal,
-		}
-		if cache != nil {
-			cfg.Cache = cache
-		}
-		experiments.SetEngineConfig(cfg)
-	}
-	if *metrics != "" {
-		defer func() {
-			if err := reg.WriteFile(*metrics); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-			} else {
-				fmt.Fprintf(os.Stderr, "wrote metrics to %s\n", *metrics)
-			}
-		}()
-	}
+}
 
+// run regenerates the selected experiments (or lists them) on an engine
+// built from the shared flags, which it releases on every return.
+func run(shared *cli.Flags, exp string, quick, list bool) error {
+	cfg, err := shared.Setup()
+	if err != nil {
+		return err
+	}
+	experiments.SetEngineConfig(cfg)
+	defer shared.Close(nil)
 	all := experiments.All()
-	if *list {
+	if list {
 		for _, e := range all {
 			fmt.Printf("%-8s %s\n", e.ID, e.Desc)
 		}
-		return
+		return nil
 	}
 	ran := 0
 	for _, e := range all {
-		if *exp != "all" && e.ID != *exp {
+		if exp != "all" && e.ID != exp {
 			continue
 		}
 		fmt.Printf("### %s — %s\n\n", e.ID, e.Desc)
-		if err := e.Run(os.Stdout, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.ID, err)
-			os.Exit(1)
+		if err := e.Run(os.Stdout, quick); err != nil {
+			return fmt.Errorf("%s: %v", e.ID, err)
 		}
 		ran++
 	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (try -list)\n", *exp)
-		os.Exit(1)
+		return fmt.Errorf("unknown experiment %q (try -list)", exp)
 	}
+	return nil
 }

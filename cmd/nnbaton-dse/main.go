@@ -15,64 +15,39 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"sort"
-	"syscall"
 	"time"
 
 	"nnbaton"
-	"nnbaton/internal/obs"
+	"nnbaton/internal/cli"
 	"nnbaton/internal/report"
 	"nnbaton/internal/workload"
 )
 
 // options collects the flag values of one invocation.
 type options struct {
-	model      string
-	res        int
-	macs       int
-	area       float64
-	mode       string
-	stats      bool
-	progress   bool
-	metrics    string
-	pprofAddr  string
-	timeout    time.Duration
-	retries    int
-	checkpoint string
-	resume     bool
-	fsync      bool
-	cacheDir   string
-	degrade    int
-	faultSeed  int64
-	topology   string
-	shards     int
-	worker     string
-	leaseTTL   time.Duration
-	merge      bool
+	*cli.Flags
+	model     string
+	res       int
+	macs      int
+	area      float64
+	mode      string
+	degrade   int
+	faultSeed int64
+	shards    int
+	worker    string
+	leaseTTL  time.Duration
+	merge     bool
 }
 
-// validate rejects nonsense flag values before any work starts, so the
-// process fails on line one instead of deep inside a sweep.
+// validate rejects nonsense values of the command's own flags.
 func (o options) validate() error {
-	if o.timeout < 0 {
-		return fmt.Errorf("-timeout must be non-negative, got %v", o.timeout)
-	}
-	if o.retries < 0 {
-		return fmt.Errorf("-retries must be non-negative, got %d", o.retries)
-	}
 	if o.degrade < 0 {
 		return fmt.Errorf("-degradation must be non-negative, got %d", o.degrade)
 	}
 	if o.degrade > 0 && o.mode != "granularity" {
 		return fmt.Errorf("-degradation requires -mode granularity (it degrades the recommended point)")
-	}
-	if o.resume && o.checkpoint == "" {
-		return fmt.Errorf("-resume requires -checkpoint")
-	}
-	if o.fsync && o.checkpoint == "" {
-		return fmt.Errorf("-fsync requires -checkpoint")
 	}
 	if o.shards < 0 {
 		return fmt.Errorf("-shards must be non-negative, got %d", o.shards)
@@ -81,30 +56,15 @@ func (o options) validate() error {
 		if o.mode != "explore" {
 			return fmt.Errorf("-shards requires -mode explore")
 		}
-		if o.checkpoint == "" {
+		if o.Checkpoint == "" {
 			return fmt.Errorf("-shards requires -checkpoint (each worker journals its shards)")
 		}
-		if o.cacheDir == "" {
+		if o.CacheDir == "" {
 			return fmt.Errorf("-shards requires -cache-dir (lease files live on the shared store)")
 		}
 	}
 	if o.leaseTTL <= 0 {
 		return fmt.Errorf("-lease-ttl must be positive, got %v", o.leaseTTL)
-	}
-	if _, err := nnbaton.ParseTopology(o.topology); err != nil {
-		return fmt.Errorf("-topology: %w", err)
-	}
-	// Fail fast on unwritable persistence targets: a sweep must not run for
-	// hours and then discover it cannot record.
-	if o.checkpoint != "" {
-		if err := nnbaton.ValidateCheckpointPath(o.checkpoint); err != nil {
-			return fmt.Errorf("-checkpoint: %w", err)
-		}
-	}
-	if o.cacheDir != "" {
-		if err := nnbaton.EnsureCacheDir(o.cacheDir); err != nil {
-			return fmt.Errorf("-cache-dir: %w", err)
-		}
 	}
 	return nil
 }
@@ -112,30 +72,20 @@ func (o options) validate() error {
 // space returns the Table II exploration space under the selected fabric.
 func (o options) space() nnbaton.Space {
 	s := nnbaton.TableIISpace()
-	s.Topology, _ = nnbaton.ParseTopology(o.topology) // validated on line one
+	s.Topology = o.Topology()
 	return s
 }
 
 func main() {
-	var o options
+	o := options{Flags: cli.Register(flag.CommandLine, "nnbaton-dse",
+		cli.Pprof|cli.Stats|cli.Progress|cli.Checkpoint|cli.Fsync)}
 	flag.StringVar(&o.model, "model", "vgg16", "model name (see workload.Load) or .txt description file")
 	flag.IntVar(&o.res, "res", 224, "input resolution (224 or 512)")
 	flag.IntVar(&o.macs, "macs", 2048, "total MAC budget")
 	flag.Float64Var(&o.area, "area", 2.0, "chiplet area constraint in mm² (0 = unconstrained)")
 	flag.StringVar(&o.mode, "mode", "granularity", "granularity | explore | cost")
-	flag.BoolVar(&o.stats, "stats", false, "print engine search-cache statistics after the sweep")
-	flag.BoolVar(&o.progress, "progress", false, "report sweep progress (points done/total, failures, ETA) on stderr")
-	flag.StringVar(&o.metrics, "metrics", "", "write per-phase timing and engine cache metrics as JSON to this file on exit")
-	flag.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	flag.DurationVar(&o.timeout, "timeout", 0, "per-point search deadline (e.g. 30s); 0 disables")
-	flag.IntVar(&o.retries, "retries", 0, "max re-attempts after a retryable point failure (panic, deadline, transient)")
-	flag.StringVar(&o.checkpoint, "checkpoint", "", "journal completed sweep points to this JSONL file (crash-safe)")
-	flag.BoolVar(&o.resume, "resume", false, "replay points already journaled in the -checkpoint file instead of re-evaluating them")
-	flag.BoolVar(&o.fsync, "fsync", false, "fsync every -checkpoint record before acknowledging it (survives OS crashes and power loss, slower)")
-	flag.StringVar(&o.cacheDir, "cache-dir", "", "persist layer-search results to this crash-safe cache directory and reuse them across runs")
 	flag.IntVar(&o.degrade, "degradation", 0, "with -mode granularity: follow up with an N-step graceful-degradation sweep of the recommended point")
 	flag.Int64Var(&o.faultSeed, "fault-seed", 1, "seed for the -degradation yield series")
-	flag.StringVar(&o.topology, "topology", "ring", "on-package interconnect for every swept point: ring|mesh|torus")
 	flag.IntVar(&o.shards, "shards", 0, "with -mode explore: shard the sweep across N cooperating worker processes (requires -checkpoint and -cache-dir)")
 	flag.StringVar(&o.worker, "worker", fmt.Sprintf("pid-%d", os.Getpid()), "worker identity for sharded sweeps (diagnostic; shows up in lease files)")
 	flag.DurationVar(&o.leaseTTL, "lease-ttl", 30*time.Second, "sharded-sweep lease time-to-live: a dead worker's shard is reclaimed after this long without a heartbeat")
@@ -148,15 +98,8 @@ func main() {
 		}
 		return
 	}
-	if err := o.validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "nnbaton-dse:", err)
-		os.Exit(2)
-	}
-	// Sweeps can run for minutes; Ctrl-C or a supervisor's SIGTERM cancels
-	// the evaluation engine's workers cleanly instead of killing the process
-	// mid-write: the checkpoint journal flushes (deferred Close), shard
-	// leases release, and the exit code says the sweep did not finish.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	o.MustValidate(o.validate())
+	ctx, stop := cli.SignalContext()
 	defer stop()
 	if err := run(ctx, o); err != nil {
 		if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
@@ -169,72 +112,16 @@ func main() {
 }
 
 func run(ctx context.Context, o options) error {
-	if o.pprofAddr != "" {
-		addr, err := obs.ServePprof(o.pprofAddr)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "pprof: http://%s/debug/pprof/\n", addr)
-	}
 	m, err := workload.Load(o.model, o.res)
 	if err != nil {
 		return err
 	}
-	var reg *obs.Registry
-	if o.metrics != "" {
-		reg = obs.NewRegistry()
-		obs.SetDefault(reg) // capture c3p/sim/halo phases too
-		defer func() {
-			if err := reg.WriteFile(o.metrics); err != nil {
-				fmt.Fprintln(os.Stderr, "nnbaton-dse:", err)
-			} else {
-				fmt.Fprintf(os.Stderr, "wrote metrics to %s\n", o.metrics)
-			}
-		}()
-	}
-	var sink obs.ProgressSink
-	if o.progress {
-		sink = obs.NewWriterSink(os.Stderr)
-	}
-	if o.resume && o.checkpoint == "" {
-		return fmt.Errorf("-resume requires -checkpoint")
-	}
-	var journal *nnbaton.Checkpoint
-	if o.checkpoint != "" {
-		journal, err = nnbaton.OpenCheckpointWith(o.checkpoint, nnbaton.CheckpointOptions{Resume: o.resume, Fsync: o.fsync})
-		if err != nil {
-			return err
-		}
-		defer journal.Close()
-		if o.resume {
-			fmt.Fprintf(os.Stderr, "resuming from %s: %d journaled points", o.checkpoint, journal.Len())
-			if t := journal.Torn(); t > 0 {
-				fmt.Fprintf(os.Stderr, " (%d torn/skipped)", t)
-			}
-			fmt.Fprintln(os.Stderr)
-		}
-	}
-	cfg := nnbaton.EngineConfig{
-		PointTimeout: o.timeout,
-		MaxRetries:   o.retries,
-		Registry:     reg,
-		Sink:         sink,
-		Journal:      journal,
-	}
-	if o.cacheDir != "" {
-		cache, err := nnbaton.OpenResultCache(o.cacheDir, nnbaton.StoreOptions{Registry: reg})
-		if err != nil {
-			return err
-		}
-		defer cache.Close()
-		cfg.Cache = cache
+	cfg, err := o.Setup()
+	if err != nil {
+		return err
 	}
 	tool := nnbaton.NewWithConfig(cfg)
-	defer func() {
-		if o.stats {
-			fmt.Fprintln(os.Stderr, tool.EngineStats())
-		}
-	}()
+	defer o.Close(tool.EngineStats)
 	switch o.mode {
 	case "granularity":
 		return granularity(ctx, tool, m, o)
@@ -346,7 +233,7 @@ func merge(paths []string) error {
 // are reclaimed. Fold the worker journals afterwards with -merge.
 func sharded(ctx context.Context, tool *nnbaton.Baton, m nnbaton.Model, o options) error {
 	sig := nnbaton.StudySignature(m, o.space(), o.macs, o.area, o.shards)
-	mgr, err := nnbaton.NewLeaseManager(filepath.Join(o.cacheDir, "leases"), sig, o.worker,
+	mgr, err := nnbaton.NewLeaseManager(filepath.Join(o.CacheDir, "leases"), sig, o.worker,
 		nnbaton.LeaseOptions{TTL: o.leaseTTL})
 	if err != nil {
 		return err

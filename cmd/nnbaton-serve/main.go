@@ -19,46 +19,28 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"time"
 
 	"nnbaton"
-	"nnbaton/internal/hardware"
-	"nnbaton/internal/obs"
+	"nnbaton/internal/cli"
 	"nnbaton/internal/workload"
 )
 
 // options collects the flag values of one invocation.
 type options struct {
+	*cli.Flags
 	trace    string
 	requests int
 	gapUS    float64
 	mix      string
 	res      int
-
-	chiplets int
-	cores    int
-	lanes    int
-	vector   int
-	topology string
 	faults   string
-
 	batch    int
 	windowUS float64
 	alpha    float64
-
-	stats      bool
-	metrics    string
-	pprofAddr  string
-	timeout    time.Duration
-	retries    int
-	checkpoint string
-	resume     bool
-	cacheDir   string
 }
 
-// validate rejects nonsense flag values before any work starts.
+// validate rejects nonsense values of the command's own flags.
 func (o options) validate() error {
 	if o.trace == "" && o.requests <= 0 {
 		return fmt.Errorf("-requests must be positive when no -trace file is given")
@@ -72,62 +54,24 @@ func (o options) validate() error {
 	if o.alpha < 0 || o.alpha > 1 {
 		return fmt.Errorf("-alpha must be in (0,1] (0 selects the default 1)")
 	}
-	if o.timeout < 0 {
-		return fmt.Errorf("-timeout must be non-negative, got %v", o.timeout)
-	}
-	if o.retries < 0 {
-		return fmt.Errorf("-retries must be non-negative, got %d", o.retries)
-	}
-	if o.resume && o.checkpoint == "" {
-		return fmt.Errorf("-resume requires -checkpoint")
-	}
-	if _, err := nnbaton.ParseTopology(o.topology); err != nil {
-		return fmt.Errorf("-topology: %w", err)
-	}
-	// Fail fast on unwritable persistence targets, before any evaluation.
-	if o.checkpoint != "" {
-		if err := nnbaton.ValidateCheckpointPath(o.checkpoint); err != nil {
-			return fmt.Errorf("-checkpoint: %w", err)
-		}
-	}
-	if o.cacheDir != "" {
-		if err := nnbaton.EnsureCacheDir(o.cacheDir); err != nil {
-			return fmt.Errorf("-cache-dir: %w", err)
-		}
-	}
 	return nil
 }
 
 func main() {
-	var o options
+	o := options{Flags: cli.Register(flag.CommandLine, "nnbaton-serve",
+		cli.Pprof|cli.Stats|cli.Checkpoint|cli.Hardware)}
 	flag.StringVar(&o.trace, "trace", "", "arrival-trace CSV (net_idx,inject_time_us,network,num_inputs); empty generates a reference trace")
 	flag.IntVar(&o.requests, "requests", 120, "reference trace: number of requests")
 	flag.Float64Var(&o.gapUS, "gap", 2500, "reference trace: mean inter-arrival gap in microseconds")
 	flag.StringVar(&o.mix, "mix", "alexnet,darknet19", "reference trace: comma-separated model mix")
 	flag.IntVar(&o.res, "res", 224, "input resolution every traced model is loaded at (224 or 512)")
-	flag.IntVar(&o.chiplets, "chiplets", 0, "override: chiplets per package")
-	flag.IntVar(&o.cores, "cores", 0, "override: cores per chiplet")
-	flag.IntVar(&o.lanes, "lanes", 0, "override: lanes per core")
-	flag.IntVar(&o.vector, "vector", 0, "override: vector-MAC size")
-	flag.StringVar(&o.topology, "topology", "ring", "on-package interconnect: "+strings.Join(hardware.TopologyNames(), "|"))
 	flag.StringVar(&o.faults, "faults", "healthy", "semicolon-separated fault scenarios to serve under (each a spec like 'chiplet2,cores3@1,freq90%' or 'healthy')")
 	flag.IntVar(&o.batch, "batch", 8, "max inputs per launched batch (<= 0 unlimited)")
 	flag.Float64Var(&o.windowUS, "window", 500, "batching window in microseconds, anchored at the head-of-line arrival")
 	flag.Float64Var(&o.alpha, "alpha", 0.8, "marginal batch cost per extra input in (0,1]; 0 selects 1 (no amortization)")
-	flag.BoolVar(&o.stats, "stats", false, "print engine search-cache statistics after the run")
-	flag.StringVar(&o.metrics, "metrics", "", "write per-phase timing and engine cache metrics as JSON to this file on exit")
-	flag.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	flag.DurationVar(&o.timeout, "timeout", 0, "per-point search deadline (e.g. 30s); 0 disables")
-	flag.IntVar(&o.retries, "retries", 0, "max re-attempts after a retryable point failure (panic, deadline, transient)")
-	flag.StringVar(&o.checkpoint, "checkpoint", "", "journal completed scenario evaluations to this JSONL file (crash-safe)")
-	flag.BoolVar(&o.resume, "resume", false, "replay scenarios already journaled in the -checkpoint file instead of re-evaluating them")
-	flag.StringVar(&o.cacheDir, "cache-dir", "", "persist layer-search results to this crash-safe cache directory and reuse them across runs")
 	flag.Parse()
-	if err := o.validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "nnbaton-serve:", err)
-		os.Exit(2)
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	o.MustValidate(o.validate())
+	ctx, stop := cli.SignalContext()
 	defer stop()
 	if err := run(ctx, o); err != nil {
 		fmt.Fprintln(os.Stderr, "nnbaton-serve:", err)
@@ -154,42 +98,12 @@ func loadTrace(o options) (nnbaton.ServingTrace, error) {
 	return nnbaton.ParseServingTrace(f)
 }
 
-// fabric builds the package configuration from the case study plus overrides.
-func fabric(o options) nnbaton.Hardware {
-	hw := nnbaton.CaseStudyHardware()
-	if o.chiplets > 0 || o.cores > 0 || o.lanes > 0 || o.vector > 0 {
-		if o.chiplets > 0 {
-			hw.Chiplets = o.chiplets
-		}
-		if o.cores > 0 {
-			hw.Cores = o.cores
-		}
-		if o.lanes > 0 {
-			hw.Lanes = o.lanes
-		}
-		if o.vector > 0 {
-			hw.Vector = o.vector
-		}
-		hw = hardware.Config{Chiplets: hw.Chiplets, Cores: hw.Cores, Lanes: hw.Lanes, Vector: hw.Vector}.
-			WithProportionalMemory(hardware.DefaultProportion())
-	}
-	hw.Topology, _ = nnbaton.ParseTopology(o.topology) // validated on line one
-	return hw
-}
-
 func run(ctx context.Context, o options) error {
-	if o.pprofAddr != "" {
-		addr, err := obs.ServePprof(o.pprofAddr)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "pprof: http://%s/debug/pprof/\n", addr)
-	}
 	tr, err := loadTrace(o)
 	if err != nil {
 		return err
 	}
-	hw := fabric(o)
+	hw := o.Hardware()
 	models := make([]nnbaton.Model, 0, len(tr.Models()))
 	for _, name := range tr.Models() {
 		m, err := workload.Load(name, o.res)
@@ -198,49 +112,12 @@ func run(ctx context.Context, o options) error {
 		}
 		models = append(models, m)
 	}
-	var reg *obs.Registry
-	if o.metrics != "" {
-		reg = obs.NewRegistry()
-		obs.SetDefault(reg) // capture serve.simulate and engine phases too
-		defer func() {
-			if err := reg.WriteFile(o.metrics); err != nil {
-				fmt.Fprintln(os.Stderr, "nnbaton-serve:", err)
-			} else {
-				fmt.Fprintf(os.Stderr, "wrote metrics to %s\n", o.metrics)
-			}
-		}()
-	}
-	var journal *nnbaton.Checkpoint
-	if o.checkpoint != "" {
-		journal, err = nnbaton.OpenCheckpoint(o.checkpoint, o.resume)
-		if err != nil {
-			return err
-		}
-		defer journal.Close()
-		if o.resume {
-			fmt.Fprintf(os.Stderr, "resuming from %s: %d journaled points\n", o.checkpoint, journal.Len())
-		}
-	}
-	cfg := nnbaton.EngineConfig{
-		PointTimeout: o.timeout,
-		MaxRetries:   o.retries,
-		Registry:     reg,
-		Journal:      journal,
-	}
-	if o.cacheDir != "" {
-		cache, err := nnbaton.OpenResultCache(o.cacheDir, nnbaton.StoreOptions{Registry: reg})
-		if err != nil {
-			return err
-		}
-		defer cache.Close()
-		cfg.Cache = cache
+	cfg, err := o.Setup()
+	if err != nil {
+		return err
 	}
 	tool := nnbaton.NewWithConfig(cfg)
-	defer func() {
-		if o.stats {
-			fmt.Fprintln(os.Stderr, tool.EngineStats())
-		}
-	}()
+	defer o.Close(tool.EngineStats)
 	policy := nnbaton.ServingConfig{MaxBatch: o.batch, WindowUS: o.windowUS, Alpha: o.alpha}
 	var masks []nnbaton.FaultMask
 	for _, spec := range strings.Split(o.faults, ";") {

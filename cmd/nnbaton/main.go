@@ -17,13 +17,12 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"nnbaton"
 	"nnbaton/internal/c3p"
+	"nnbaton/internal/cli"
 	"nnbaton/internal/energy"
 	"nnbaton/internal/hardware"
-	"nnbaton/internal/obs"
 	"nnbaton/internal/report"
 	"nnbaton/internal/sim"
 	"nnbaton/internal/simba"
@@ -33,36 +32,19 @@ import (
 
 // options collects the flag values of one invocation.
 type options struct {
-	model     string
-	res       int
-	layer     string
-	simba     bool
-	trace     bool
-	stats     bool
-	chiplets  int
-	cores     int
-	lanes     int
-	vector    int
-	out       string
-	load      string
-	metrics   string
-	pprofAddr string
-	timeout   time.Duration
-	retries   int
-	faults    string
-	topology  string
-	cacheDir  string
+	*cli.Flags
+	model  string
+	res    int
+	layer  string
+	simba  bool
+	trace  bool
+	out    string
+	load   string
+	faults string
 }
 
-// validate rejects nonsense flag values before any work starts, so the
-// process fails on line one instead of deep inside a sweep.
+// validate rejects nonsense values of the command's own flags.
 func (o options) validate() error {
-	if o.timeout < 0 {
-		return fmt.Errorf("-timeout must be non-negative, got %v", o.timeout)
-	}
-	if o.retries < 0 {
-		return fmt.Errorf("-retries must be non-negative, got %d", o.retries)
-	}
 	if o.res <= 0 {
 		return fmt.Errorf("-res must be positive, got %d", o.res)
 	}
@@ -72,59 +54,21 @@ func (o options) validate() error {
 	if o.faults != "" && o.out != "" {
 		return fmt.Errorf("-faults does not export strategy files; drop -o")
 	}
-	if _, err := hardware.ParseTopology(o.topology); err != nil {
-		return fmt.Errorf("-topology: %w", err)
-	}
-	// Fail fast on an unwritable cache directory, before any search runs.
-	if o.cacheDir != "" {
-		if err := nnbaton.EnsureCacheDir(o.cacheDir); err != nil {
-			return fmt.Errorf("-cache-dir: %w", err)
-		}
-	}
 	return nil
 }
 
 func main() {
-	var o options
+	o := options{Flags: cli.Register(flag.CommandLine, "nnbaton", cli.Pprof|cli.Stats|cli.Hardware)}
 	flag.StringVar(&o.model, "model", "vgg16", "model: alexnet|vgg16|resnet50|darknet19|mobilenetv2|yolov2, or a .txt description file")
 	flag.IntVar(&o.res, "res", 224, "input resolution (224 or 512)")
 	flag.StringVar(&o.layer, "layer", "", "map a single named layer instead of the whole model")
 	flag.BoolVar(&o.simba, "simba", false, "also evaluate the Simba weight-centric baseline")
-	flag.IntVar(&o.chiplets, "chiplets", 0, "override: chiplets per package")
-	flag.IntVar(&o.cores, "cores", 0, "override: cores per chiplet")
-	flag.IntVar(&o.lanes, "lanes", 0, "override: lanes per core")
-	flag.IntVar(&o.vector, "vector", 0, "override: vector-MAC size")
 	flag.StringVar(&o.out, "o", "", "write the mapping strategy to this JSON file")
 	flag.BoolVar(&o.trace, "trace", false, "with -layer: run the discrete-event trace and print a pipeline timeline")
 	flag.StringVar(&o.load, "load", "", "load and reprice a strategy JSON file instead of searching")
-	flag.BoolVar(&o.stats, "stats", false, "print engine search-cache statistics (shape deduplication) after mapping")
-	flag.StringVar(&o.metrics, "metrics", "", "write per-phase timing and engine cache metrics as JSON to this file on exit")
-	flag.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	flag.DurationVar(&o.timeout, "timeout", 0, "per-layer search deadline (e.g. 30s); 0 disables")
-	flag.IntVar(&o.retries, "retries", 0, "max re-attempts after a retryable search failure (panic, deadline, transient)")
 	flag.StringVar(&o.faults, "faults", "", "map onto a degraded fabric: fault spec like 'chiplet2,cores3@1,freq90%' (see ParseFault)")
-	flag.StringVar(&o.topology, "topology", "ring", "on-package interconnect: "+strings.Join(hardware.TopologyNames(), "|"))
-	flag.StringVar(&o.cacheDir, "cache-dir", "", "persist layer-search results to this crash-safe cache directory and reuse them across runs")
 	flag.Parse()
-	if err := o.validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "nnbaton:", err)
-		os.Exit(2)
-	}
-	if o.pprofAddr != "" {
-		addr, err := obs.ServePprof(o.pprofAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nnbaton:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "pprof: http://%s/debug/pprof/\n", addr)
-	}
-	if o.load != "" {
-		if err := reprice(o.load); err != nil {
-			fmt.Fprintln(os.Stderr, "nnbaton:", err)
-			os.Exit(1)
-		}
-		return
-	}
+	o.MustValidate(o.validate())
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "nnbaton:", err)
 		os.Exit(1)
@@ -157,67 +101,27 @@ func reprice(path string) error {
 }
 
 func run(o options) error {
+	cfg, err := o.Setup()
+	if err != nil {
+		return err
+	}
+	tool := nnbaton.NewWithConfig(cfg)
+	defer o.Close(tool.EngineStats)
+	if o.load != "" {
+		return reprice(o.load)
+	}
 	m, err := workload.Load(o.model, o.res)
 	if err != nil {
 		return err
 	}
-	hw := nnbaton.CaseStudyHardware()
-	if o.chiplets > 0 || o.cores > 0 || o.lanes > 0 || o.vector > 0 {
-		if o.chiplets > 0 {
-			hw.Chiplets = o.chiplets
-		}
-		if o.cores > 0 {
-			hw.Cores = o.cores
-		}
-		if o.lanes > 0 {
-			hw.Lanes = o.lanes
-		}
-		if o.vector > 0 {
-			hw.Vector = o.vector
-		}
-		hw = hardware.Config{Chiplets: hw.Chiplets, Cores: hw.Cores, Lanes: hw.Lanes, Vector: hw.Vector}.
-			WithProportionalMemory(hardware.DefaultProportion())
-	}
-	hw.Topology, _ = hardware.ParseTopology(o.topology) // validated on line one
-	if err := hw.Validate(); err != nil {
-		return err
-	}
+	hw := o.Hardware()
 	var mask nnbaton.FaultMask
 	if o.faults != "" {
 		if mask, err = nnbaton.ParseFault(o.faults, hw); err != nil {
 			return err
 		}
 	}
-	var reg *obs.Registry
-	if o.metrics != "" {
-		reg = obs.NewRegistry()
-		obs.SetDefault(reg) // capture c3p/sim/halo phases too
-		defer func() {
-			if err := reg.WriteFile(o.metrics); err != nil {
-				fmt.Fprintln(os.Stderr, "nnbaton:", err)
-			} else {
-				fmt.Fprintf(os.Stderr, "wrote metrics to %s\n", o.metrics)
-			}
-		}()
-	}
-	cfg := nnbaton.EngineConfig{
-		PointTimeout: o.timeout,
-		MaxRetries:   o.retries,
-		Registry:     reg,
-	}
-	if o.cacheDir != "" {
-		cache, err := nnbaton.OpenResultCache(o.cacheDir, nnbaton.StoreOptions{Registry: reg})
-		if err != nil {
-			return err
-		}
-		defer cache.Close()
-		cfg.Cache = cache
-	}
-	tool := nnbaton.NewWithConfig(cfg)
 	fmt.Printf("hardware: %s  (chiplet area %.2f mm²)\n\n", hw, tool.ChipletAreaMM2(hw))
-	if o.stats {
-		defer func() { fmt.Fprintln(os.Stderr, tool.EngineStats()) }()
-	}
 	if o.faults != "" {
 		return runDegraded(tool, m, hw, mask)
 	}

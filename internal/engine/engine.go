@@ -218,13 +218,6 @@ func NewWithWorkers(cm *hardware.CostModel, workers int) *Evaluator {
 	return NewFromConfig(cm, Config{Workers: workers})
 }
 
-// NewObserved builds an evaluator wired to a metrics registry and a sweep
-// progress sink. Both may be nil — the disabled fast path, identical in cost
-// to an unobserved evaluator.
-func NewObserved(cm *hardware.CostModel, workers int, reg *obs.Registry, sink obs.ProgressSink) *Evaluator {
-	return NewFromConfig(cm, Config{Workers: workers, Registry: reg, Sink: sink})
-}
-
 // NewFromConfig builds an evaluator under a full concurrency/resilience
 // policy (see Config; the zero value is the historical default behavior).
 func NewFromConfig(cm *hardware.CostModel, cfg Config) *Evaluator {

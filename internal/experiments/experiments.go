@@ -20,7 +20,6 @@ import (
 	"nnbaton/internal/mapper"
 	"nnbaton/internal/mapping"
 	"nnbaton/internal/noc"
-	"nnbaton/internal/obs"
 	"nnbaton/internal/pipeline"
 	"nnbaton/internal/report"
 	"nnbaton/internal/simba"
@@ -33,13 +32,6 @@ var cm = hardware.MustCostModel()
 // searches are memoized on layer shape, so the drivers reuse each other's
 // work (e.g. fig13's VGG-16 searches warm the cache for ext-fusion).
 var eng = engine.New(cm)
-
-// SetObserver rebuilds the shared engine with a metrics registry and a sweep
-// progress sink attached (either may be nil). Call before running any
-// experiment; the previous engine's memoized searches are discarded.
-func SetObserver(reg *obs.Registry, sink obs.ProgressSink) {
-	SetEngineConfig(engine.Config{Registry: reg, Sink: sink})
-}
 
 // SetEngineConfig rebuilds the shared engine under a full concurrency and
 // resilience policy (deadlines, retries, checkpoint journal, observation).
