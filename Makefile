@@ -3,7 +3,7 @@ GO ?= go
 .PHONY: build test bench benchall bench-smoke bench-check vet race fuzz chaos crash check equiv lint degradation topo-equiv serve fleet
 
 # The benchmark set committed to BENCH_mapper.json (and gated by bench-check).
-BENCH_PATTERN = BenchmarkSearchLayer|BenchmarkEngineEvalModelResNet50|BenchmarkServeReferenceTrace|BenchmarkSweep
+BENCH_PATTERN = BenchmarkSearchLayer|BenchmarkEngineEvalModelResNet50|BenchmarkEngineGranularityCold|BenchmarkServeReferenceTrace|BenchmarkSweep
 
 build:
 	$(GO) build ./...
@@ -38,10 +38,11 @@ bench-smoke:
 
 # equiv pins the branch-and-bound search to the exhaustive reference across
 # the model zoo under the race detector (the perf-PR correctness gate), holds
-# score ties to the exhaustive order at every worker count, and holds
-# searches that share pooled worker scratch to fresh references.
+# score ties to the exhaustive order at every worker count, holds searches
+# that share pooled worker scratch to fresh references, and holds the
+# search's analysis-free stage pricing to the C³P analysis it replaces.
 equiv:
-	$(GO) test -race -count=1 -run 'TestSearchAllMatchesExhaustive|TestSearchAllWorkersInvariant|TestBestPerSpatialCombo|TestSearchScratch|TestSearchDeterministicOnTies' ./internal/mapper
+	$(GO) test -race -count=1 -run 'TestSearchAllMatchesExhaustive|TestSearchAllWorkersInvariant|TestBestPerSpatialCombo|TestSearchScratch|TestSearchDeterministicOnTies|TestStageTrafficMatchesAnalysis' ./internal/mapper ./internal/c3p
 
 vet:
 	$(GO) vet ./...

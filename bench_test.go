@@ -327,7 +327,8 @@ func BenchmarkSearchLayerExhaustive(b *testing.B) {
 // BenchmarkSearchLayerPruned measures the branch-and-bound search on the same
 // layer and config — result-identical to the exhaustive reference (pinned by
 // TestSearchAllMatchesExhaustiveZoo) but with bound and stage pruning plus
-// subtree parallelism. Extra metrics report the candidate funnel.
+// subtree parallelism. Extra metrics report the candidate funnel, with the
+// feasible cells the group scan materialized and the groups it expanded.
 func BenchmarkSearchLayerPruned(b *testing.B) {
 	l := benchSearchLayer(b)
 	hw := hardware.CaseStudy()
@@ -350,8 +351,8 @@ func BenchmarkSearchLayerPruned(b *testing.B) {
 	b.ReportMetric(float64(ctr.Generated.Value())/n, "candidates/op")
 	b.ReportMetric(float64(ctr.BoundPruned.Value()+ctr.StagePruned.Value())/n, "pruned/op")
 	b.ReportMetric(float64(ctr.Evaluated.Value())/n, "evaluated/op")
-	b.ReportMetric(float64(ctr.FloorsComputed.Value())/n, "floors/op")
-	b.ReportMetric(float64(ctr.HeapPopped.Value())/n, "popped/op")
+	b.ReportMetric(float64(ctr.FloorsComputed.Value())/n, "cells/op")
+	b.ReportMetric(float64(ctr.HeapPopped.Value())/n, "groups/op")
 }
 
 // BenchmarkSearchLayerMeshPruned is the branch-and-bound search on the same

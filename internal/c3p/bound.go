@@ -1,9 +1,9 @@
 package c3p
 
-// Group-level admissible traffic floors for the mapper's best-first search.
+// Group-level admissible traffic floors for the mapper's bound-ordered search.
 //
 // The per-probe TrafficFloor already under-counts every component of a single
-// mapping's traffic. The best-first generator needs one level more: a bound on
+// mapping's traffic. The mapper's group scan needs one level more: a bound on
 // the *best* probe a whole candidate group — a spatial subtree × planar pair,
 // with the chiplet-tile and core-tile choices still open — can possibly
 // produce, cheap enough to price hundreds of groups before expanding any. The
@@ -11,7 +11,7 @@ package c3p
 // small candidate lists (min of a product is ≥ the product of per-factor
 // minima, all factors being positive counts) and hands the minima to
 // GroupTrafficFloor, which assembles them through exactly the distribution
-// branches of fixedTraffic + assembleTraffic. Every assembled component is
+// branches of FixedTraffic + assembleTraffic. Every assembled component is
 // therefore ≤ the corresponding TrafficFloor component of every member probe,
 // and since the energy model is linear with non-negative coefficients the
 // priced group bound is admissible for the whole group.
@@ -52,7 +52,7 @@ type GroupFloorTerms struct {
 // GroupTrafficFloor writes into t a traffic record that is component-wise ≤
 // the TrafficFloor of every probe in the group. pkg/rotate/csplit are the group's
 // subtree constants (every member shares them); the open tile choices enter
-// only through the minimized terms. The body mirrors fixedTraffic and
+// only through the minimized terms. The body mirrors FixedTraffic and
 // assembleTraffic term by term — same branches, same integer divisions — so
 // the group bound and the exact evaluation can never diverge structurally.
 // Admissibility is pinned by the mapper's TestGroupBoundAdmissible.
@@ -64,7 +64,7 @@ func GroupTrafficFloor(t *Traffic, l *workload.Layer, hw *hardware.Config, pkg m
 	ciSteps := ceilDiv64(int64(l.CIPerGroup()), int64(hw.Vector))
 	rs := int64(l.R) * int64(l.S)
 
-	// fixedTraffic counterparts. pkgPos·chipPos factors as
+	// FixedTraffic counterparts. pkgPos·chipPos factors as
 	// (C1·C2)·(H1·W1)·(H2·W2); cyclesPerWL contributes HOc·WOc·R·S·ciSteps,
 	// and (H2·W2)·(HOc·WOc) is bounded jointly by PlanarCovMin.
 	t.MACs = l.MACs()

@@ -73,18 +73,26 @@ func (f FillAnalysis) String() string {
 	return fmt.Sprintf("base=%dB intrinsic=%dB thresholds=%v", f.Base, f.Intrinsic, f.Thresholds)
 }
 
-// walker accumulates the generic inner→outer C³P scan. It appends critical
-// points to a caller-provided buffer (nil for the allocating convenience
-// paths), so the mapper's candidate loop can reuse one buffer per worker.
+// walker accumulates the generic inner→outer C³P scan in one of two modes.
+// A recording walker appends every critical point to ths (a caller-provided
+// buffer, nil for the allocating convenience paths), so the resulting
+// FillAnalysis can be re-evaluated at any capacity. An evaluating walker
+// instead applies each critical point at the one capacity at as it crosses
+// it and records nothing: fills() then equals FillAnalysis.Fills(at) of the
+// recording walk, which is all the search's stage pricing needs.
 type walker struct {
+	record    bool
+	at        int64 // capacity an evaluating walker prices at
+	base      int64 // footprint of the innermost reuse unit
 	foot      int64 // accumulated footprint (critical capacity candidate)
 	intrinsic int64
 	pending   int64 // trip count of the open irrelevant reuse region
+	penalty   int64 // product of the penalties incurred at capacity at
 	ths       []Threshold
 }
 
-func newWalker(base int64, buf []Threshold) walker {
-	return walker{foot: base, intrinsic: base, pending: 1, ths: buf}
+func (w *walker) start(base int64) {
+	w.base, w.foot, w.intrinsic, w.pending, w.penalty = base, base, base, 1, 1
 }
 
 // relevant crosses a relevant loop: flush any open reuse region first (its
@@ -101,31 +109,58 @@ func (w *walker) irrelevant(count int64) { w.pending *= count }
 
 func (w *walker) flush() {
 	if w.pending > 1 {
-		w.ths = append(w.ths, Threshold{Capacity: w.foot, Penalty: w.pending})
+		w.threshold(w.foot, w.pending)
 		w.pending = 1
 	}
 }
 
-func (w *walker) finish(base int64) FillAnalysis {
-	// A reuse region at the nest boundary still needs the accumulated
-	// footprint to be reused across it (paper example-1).
-	w.flush()
-	return FillAnalysis{Base: base, Intrinsic: w.intrinsic, Thresholds: w.ths}
+// threshold takes one critical point: recorded, or applied when the walk's
+// capacity is below it — the same strict test as FillAnalysis.Fills.
+func (w *walker) threshold(capacity, penalty int64) {
+	if w.record {
+		w.ths = append(w.ths, Threshold{Capacity: capacity, Penalty: penalty})
+	} else if w.at < capacity {
+		w.penalty *= penalty
+	}
 }
+
+// inner adds the supplemental Cc₀ critical point of Fig 6(e) ahead of the
+// walked ones (see WithInnerThreshold), shifting a recording walker's
+// thresholds within its own buffer instead of allocating a fresh slice.
+func (w *walker) inner(capacity, penalty int64) {
+	if penalty <= 1 {
+		return
+	}
+	if !w.record {
+		w.threshold(capacity, penalty)
+		return
+	}
+	w.ths = append(w.ths, Threshold{})
+	copy(w.ths[1:], w.ths)
+	w.ths[0] = Threshold{Capacity: capacity, Penalty: penalty}
+}
+
+// analysis returns a recording walk's result.
+func (w *walker) analysis() FillAnalysis {
+	return FillAnalysis{Base: w.base, Intrinsic: w.intrinsic, Thresholds: w.ths}
+}
+
+// fills returns an evaluating walk's fill volume at its capacity.
+func (w *walker) fills() int64 { return w.intrinsic * w.penalty }
 
 // WeightWalk analyzes weight fills over a temporal nest (outer→inner). The
 // innermost unit is the weight set of one core workload: baseCO output
 // channels over the layer's full CI×R×S reduction. Output-channel loops are
 // relevant; planar loops are irrelevant.
 func WeightWalk(l workload.Layer, nest []mapping.Loop, baseCO int) FillAnalysis {
-	return weightWalk(&l, nest, baseCO, nil)
+	w := walker{record: true}
+	weightWalk(&w, &l, nest, baseCO)
+	return w.analysis()
 }
 
-// weightWalk is WeightWalk writing thresholds into buf (appended from buf[:0]
-// by the caller; nil allocates).
-func weightWalk(l *workload.Layer, nest []mapping.Loop, baseCO int, buf []Threshold) FillAnalysis {
-	base := int64(baseCO) * int64(l.CIPerGroup()) * int64(l.R) * int64(l.S)
-	w := newWalker(base, buf)
+// weightWalk runs the WeightWalk scan through w in either mode.
+func weightWalk(w *walker, l *workload.Layer, nest []mapping.Loop, baseCO int) {
+	w.start(int64(baseCO) * int64(l.CIPerGroup()) * int64(l.R) * int64(l.S))
 	for i := len(nest) - 1; i >= 0; i-- {
 		lp := nest[i]
 		if lp.Count <= 1 {
@@ -137,7 +172,9 @@ func weightWalk(l *workload.Layer, nest []mapping.Loop, baseCO int, buf []Thresh
 			w.irrelevant(int64(lp.Count))
 		}
 	}
-	return w.finish(base)
+	// A reuse region at the nest boundary still needs the accumulated
+	// footprint to be reused across it (paper example-1).
+	w.flush()
 }
 
 // ActivationWalk analyzes input-activation fills over a temporal nest
@@ -147,15 +184,15 @@ func weightWalk(l *workload.Layer, nest []mapping.Loop, baseCO int, buf []Thresh
 // exactly); channel loops are irrelevant (the same activations feed every
 // output channel).
 func ActivationWalk(l workload.Layer, nest []mapping.Loop, baseHO, baseWO, ci int) FillAnalysis {
-	return activationWalk(&l, nest, baseHO, baseWO, ci, nil)
+	w := walker{record: true}
+	activationWalk(&w, &l, nest, baseHO, baseWO, ci)
+	return w.analysis()
 }
 
-// activationWalk is ActivationWalk writing thresholds into buf (appended from
-// buf[:0] by the caller; nil allocates).
-func activationWalk(l *workload.Layer, nest []mapping.Loop, baseHO, baseWO, ci int, buf []Threshold) FillAnalysis {
+// activationWalk runs the ActivationWalk scan through w in either mode.
+func activationWalk(w *walker, l *workload.Layer, nest []mapping.Loop, baseHO, baseWO, ci int) {
 	h, wo := baseHO, baseWO
-	base := l.TileInputBytes(h, wo, ci)
-	w := newWalker(base, buf)
+	w.start(l.TileInputBytes(h, wo, ci))
 	for i := len(nest) - 1; i >= 0; i-- {
 		lp := nest[i]
 		if lp.Count <= 1 {
@@ -172,7 +209,7 @@ func activationWalk(l *workload.Layer, nest []mapping.Loop, baseHO, baseWO, ci i
 			w.irrelevant(int64(lp.Count))
 		}
 	}
-	return w.finish(base)
+	w.flush()
 }
 
 // WithInnerThreshold prepends the supplemental Cc₀ critical point of Fig 6(e):
@@ -185,17 +222,4 @@ func (f FillAnalysis) WithInnerThreshold(capacity, penalty int64) FillAnalysis {
 	out := f
 	out.Thresholds = append([]Threshold{{Capacity: capacity, Penalty: penalty}}, f.Thresholds...)
 	return out
-}
-
-// withInnerThresholdInPlace is WithInnerThreshold shifting within (and possibly
-// growing) the existing threshold buffer instead of allocating a fresh slice.
-// The caller must own the backing array.
-func (f FillAnalysis) withInnerThresholdInPlace(capacity, penalty int64) FillAnalysis {
-	if penalty <= 1 {
-		return f
-	}
-	f.Thresholds = append(f.Thresholds, Threshold{})
-	copy(f.Thresholds[1:], f.Thresholds)
-	f.Thresholds[0] = Threshold{Capacity: capacity, Penalty: penalty}
-	return f
 }

@@ -148,20 +148,46 @@ func AnalyzeInto(a *Analysis, sc *Scratch, l *workload.Layer, hw *hardware.Confi
 	// AppendNest lays out the package level in nest[:3] and the chiplet
 	// level in nest[3:], so one append serves all three walks.
 	sc.nest = m.AppendNest(sc.nest[:0], s)
-	a.WL1 = weightWalk(l, sc.nest, hw.Lanes, sc.wths[:0])
-	sc.wths = a.WL1.Thresholds
-	a.AL2 = activationWalk(l, sc.nest[:3], m.HOt, m.WOt, l.CI, sc.a2ths[:0])
-	sc.a2ths = a.AL2.Thresholds
-	// A-L1 carries the supplemental Cc0 point: below one double-buffered
-	// P-channel slice of the core tile, the R×S window passes each refetch
-	// the slice from A-L2.
-	slice := l.TileInputBytes(m.HOc, m.WOc, min(hw.Vector, l.CIPerGroup()))
-	a.AL1 = activationWalk(l, sc.nest[3:], m.HOc, m.WOc, l.CI, sc.a1ths[:0]).
-		withInnerThresholdInPlace(2*slice, int64(l.R)*int64(l.S))
-	sc.a1ths = a.AL1.Thresholds
+	w := walker{record: true, ths: sc.wths[:0]}
+	weightWalk(&w, l, sc.nest, hw.Lanes)
+	a.WL1, sc.wths = w.analysis(), w.ths
+	w = walker{record: true, ths: sc.a2ths[:0]}
+	activationWalk(&w, l, sc.nest[:3], m.HOt, m.WOt, l.CI)
+	a.AL2, sc.a2ths = w.analysis(), w.ths
+	w = walker{record: true, ths: sc.a1ths[:0]}
+	al1Walk(&w, l, hw, m, sc.nest[3:])
+	a.AL1, sc.a1ths = w.analysis(), w.ths
 
-	a.fixed = Traffic{}
-	fixedTraffic(&a.fixed, l, hw, m, s)
+	FixedTraffic(&a.fixed, l, hw, m, s)
+}
+
+// al1Walk is the A-L1 activation walk over the chiplet nest plus its
+// supplemental Cc0 point: below one double-buffered P-channel slice of the
+// core tile, the R×S window passes each refetch the slice from A-L2.
+func al1Walk(w *walker, l *workload.Layer, hw *hardware.Config, m *mapping.Mapping, chipletNest []mapping.Loop) {
+	activationWalk(w, l, chipletNest, m.HOc, m.WOc, l.CI)
+	slice := l.TileInputBytes(m.HOc, m.WOc, min(hw.Vector, l.CIPerGroup()))
+	w.inner(2*slice, int64(l.R)*int64(l.S))
+}
+
+// StageTraffic writes into t the traffic of a feasible mapping at hw's own
+// buffer sizes — field for field what AnalyzeInto followed by Traffic
+// returns — without building an Analysis: the three walks run in evaluating
+// mode at the A-L1, merged W-L1 and A-L2 capacities, so no threshold list,
+// shape or struct copy is made. s is m's shape and fixed its FixedTraffic;
+// sc lends the nest buffer. The search prices every temporal variant this
+// way and analyzes only the few that survive the stage prune.
+func StageTraffic(t *Traffic, sc *Scratch, l *workload.Layer, hw *hardware.Config, m *mapping.Mapping,
+	s *mapping.Shape, fixed *Traffic) {
+	sc.nest = m.AppendNest(sc.nest[:0], s)
+	wl1 := walker{at: int64(hw.WL1Bytes) * int64(s.WeightShareCores)}
+	weightWalk(&wl1, l, sc.nest, hw.Lanes)
+	al2 := walker{at: int64(hw.AL2Bytes)}
+	activationWalk(&al2, l, sc.nest[:3], m.HOt, m.WOt, l.CI)
+	al1 := walker{at: int64(hw.AL1Bytes)}
+	al1Walk(&al1, l, hw, m, sc.nest[3:])
+	*t = *fixed
+	assembleTraffic(t, hw, m, s, wl1.fills(), al2.fills(), al1.fills())
 }
 
 // Clone detaches the analysis from any Scratch buffers it aliases, returning
@@ -179,11 +205,15 @@ func (a *Analysis) Clone() *Analysis {
 	return &out
 }
 
-// fixedTraffic sets the buffer-size-independent components of t for a
-// mapping; assembleTraffic sets the rest. The traffic helpers fill records
-// in place because the search calls them per candidate and per bound, and
-// returning a record built in a branching body costs a 144-byte copy.
-func fixedTraffic(t *Traffic, l *workload.Layer, hw *hardware.Config, m *mapping.Mapping, s *mapping.Shape) {
+// FixedTraffic sets t to the buffer-size-independent traffic of m, the part
+// of the record that the fill volumes complete (assembleTraffic). It depends
+// on m's tiles and shape s but not on its temporal orders, so one record
+// serves every temporal variant of a tile choice. The traffic helpers fill
+// records in place because the search calls them per candidate and per
+// bound, and returning a record built in a branching body costs a 144-byte
+// copy.
+func FixedTraffic(t *Traffic, l *workload.Layer, hw *hardware.Config, m *mapping.Mapping, s *mapping.Shape) {
+	*t = Traffic{}
 	chiplets := int64(hw.Chiplets)
 	cores := int64(hw.Cores)
 	pkgPos := s.PackagePositions()
@@ -249,8 +279,7 @@ func TrafficFloor(t *Traffic, l *workload.Layer, hw *hardware.Config, m *mapping
 	// Activation walks: base input-tile bytes, relevant DimH/DimW counts.
 	aL2Intr := l.TileInputBytes(m.HOt, m.WOt, l.CI) * int64(s.H1) * int64(s.W1)
 	aL1Intr := l.TileInputBytes(m.HOc, m.WOc, l.CI) * int64(s.H2) * int64(s.W2)
-	*t = Traffic{}
-	fixedTraffic(t, l, hw, m, s)
+	FixedTraffic(t, l, hw, m, s)
 	assembleTraffic(t, hw, m, s, wIntr, aL2Intr, aL1Intr)
 }
 

@@ -128,9 +128,11 @@ type Stats struct {
 	DiskCorrupt int64
 
 	// Search funnel tallies, aggregated over every search the engine ran
-	// (see mapper.Counters): candidates generated, pruned by the admissible
-	// bound, pruned between pipeline stages, and fully evaluated, plus the
-	// best-first frontier's exact floor computations and heap pops.
+	// (see mapper.Counters): candidates generated, pruned by a bound
+	// (structurally 0: the group scan bounds cells before materializing
+	// them), pruned between pipeline stages, and fully evaluated, plus the
+	// feasible cells the scan materialized (FloorsComputed) and the
+	// candidate groups it expanded (HeapPopped).
 	Generated      int64
 	BoundPruned    int64
 	StagePruned    int64
@@ -160,7 +162,7 @@ func (s Stats) String() string {
 	out := fmt.Sprintf("engine: %d lookups, %d searches, %d hits, %d coalesced (%.1fx dedup)",
 		s.Lookups, s.Searches, s.Hits, s.Coalesced, dedup)
 	if s.Generated > 0 {
-		out += fmt.Sprintf("; search: %d candidates, %d bound-pruned, %d stage-pruned, %d evaluated (%.1f%% pruned), %d floors, %d heap pops",
+		out += fmt.Sprintf("; search: %d candidates, %d bound-pruned, %d stage-pruned, %d evaluated (%.1f%% pruned), %d cells, %d groups expanded",
 			s.Generated, s.BoundPruned, s.StagePruned, s.Evaluated, 100*s.PrunedFraction(),
 			s.FloorsComputed, s.HeapPopped)
 	}
@@ -326,7 +328,7 @@ func (e *Evaluator) pruneNote() string {
 	pruned := e.searchCtrs.BoundPruned.Value() + e.searchCtrs.StagePruned.Value()
 	note := fmt.Sprintf("%d candidates, %.1f%% pruned", gen, 100*float64(pruned)/float64(gen))
 	if fl := e.searchCtrs.FloorsComputed.Value(); fl > 0 {
-		note += fmt.Sprintf(", %d floors", fl)
+		note += fmt.Sprintf(", %d cells", fl)
 	}
 	return note
 }

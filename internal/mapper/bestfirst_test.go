@@ -8,14 +8,50 @@ import (
 	"nnbaton/internal/c3p"
 	"nnbaton/internal/hardware"
 	"nnbaton/internal/mapping"
+	"nnbaton/internal/sim"
 	"nnbaton/internal/workload"
 )
 
-// TestGroupBoundAdmissible pins the property the best-first frontier is built
-// on: for every candidate group, the group bound is ≤ the exact per-probe
-// lower bound of every member probe (and transitively ≤ every member's true
-// score, which lowerBound's own admissibility covers). Randomized over layers,
-// hardware points, objectives and fault masks.
+// lowerBound prices a probe's best case for the active objective: the C³P
+// traffic floor (intrinsic fills, exact fixed terms) through the fabric's
+// energy step — D2D scaled to physical bytes — and, for EDP, the
+// compute-bound runtime. Both models are monotone in their traffic/cycle
+// inputs, ceil scaling preserves component-wise ≤, and the floor
+// under-counts nothing negative, so the true score of every temporal variant
+// of the probe is ≥ this value. The scan no longer prices it; the test keeps
+// it as the per-probe rung between the group bounds and the stage scores.
+func (s *search) lowerBound(m *mapping.Mapping, sh *mapping.Shape) float64 {
+	l, hw := &s.l, &s.hw
+	var tr c3p.Traffic
+	c3p.TrafficFloor(&tr, l, hw, m, sh)
+	e := s.fab.Energy(&tr, hw).Total()
+	if s.cfg.Objective == MinEDP {
+		e *= hardware.Seconds(sim.ComputeBoundCyclesOf(l, hw, m, sh))
+	}
+	return e
+}
+
+// stageScore is the score evalCell stage-prunes a temporal variant on: its
+// exact energy at hw's buffer sizes, for EDP times the compute-bound runtime.
+func (s *search) stageScore(m *mapping.Mapping, sh *mapping.Shape) float64 {
+	l, hw := &s.l, &s.hw
+	var fixed, tr c3p.Traffic
+	c3p.FixedTraffic(&fixed, l, hw, m, sh)
+	c3p.StageTraffic(&tr, &c3p.Scratch{}, l, hw, m, sh, &fixed)
+	e := s.fab.Energy(&tr, hw).Total()
+	if s.cfg.Objective == MinEDP {
+		e *= hardware.Seconds(sim.ComputeBoundCyclesOf(l, hw, m, sh))
+	}
+	return e
+}
+
+// TestGroupBoundAdmissible pins the property the group scan is built on:
+// for every candidate group, the group, subgroup and cell bounds are ≤ the
+// exact per-probe lower bound of every member probe, and each cell bound is
+// ≤ the stage score of every temporal variant of its probe — the score the
+// scan compares a materialized cell against, so a cell skipped on its bound
+// could never have passed the stage prune. Randomized over layers, hardware
+// points, objectives and fault masks.
 func TestGroupBoundAdmissible(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260809))
 	cm := hardware.MustCostModel()
@@ -44,8 +80,8 @@ func TestGroupBoundAdmissible(t *testing.T) {
 		ctx := fmt.Sprintf("trial %d: %s/%s on %s obj=%v fault=%s",
 			trial, l.Model, l.Name, hw.Tuple(), cfg.Objective, cfg.Fault)
 		// groupBound of g restricted to the given tile lists, with the terms
-		// composed from the same helpers the frontier uses.
-		groupBound := func(st *subtree, g *bfGroup, cots []int, cps [][2]int) float64 {
+		// composed from the same helpers the scan uses.
+		groupBound := func(st *subtree, g *candGroup, cots []int, cps [][2]int) float64 {
 			var terms c3p.GroupFloorTerms
 			srch.channelTerms(&terms, st, cots)
 			srch.planarTerms(&terms, st, g)
@@ -67,7 +103,7 @@ func TestGroupBoundAdmissible(t *testing.T) {
 				if st.cs.pattern.Rows > hot || st.cs.pattern.Cols > wot {
 					continue
 				}
-				g := bfGroup{hot: hot, wot: wot,
+				g := candGroup{hot: hot, wot: wot,
 					hs: ceilDiv(hot, st.cs.pattern.Rows), ws: ceilDiv(wot, st.cs.pattern.Cols)}
 				cps := coreTilePairs(nil, &l, &hw, g.hs, g.ws)
 				if len(cps) == 0 {
@@ -96,11 +132,18 @@ func TestGroupBoundAdmissible(t *testing.T) {
 								ctx, sub, fl, probe)
 						}
 						// Cell level: both tile axes fixed — the singleton
-						// bound the frontier prices one probe with.
-						if cell := groupBound(&st, &g, cots[ci:ci+1], cps[pi:pi+1]); cell > fl {
+						// bound the scan prices one probe with.
+						cell := groupBound(&st, &g, cots[ci:ci+1], cps[pi:pi+1])
+						if cell > fl {
 							t.Fatalf("%s: cell bound %.6g > member floor %.6g for %+v",
 								ctx, cell, fl, probe)
 						}
+						forEachTemporal(probe, sh, func(m mapping.Mapping) {
+							if stage := srch.stageScore(&m, &sh); cell > stage {
+								t.Fatalf("%s: cell bound %.6g > stage score %.6g for %+v",
+									ctx, cell, stage, m)
+							}
+						})
 					}
 				}
 			}
@@ -120,7 +163,7 @@ func tieHW() hardware.Config {
 }
 
 // TestSearchDeterministicOnTies is the determinism audit: on layers/configs
-// where multiple candidates share the optimal cost, the best-first parallel
+// where multiple candidates share the optimal cost, the bound-ordered parallel
 // search, the same search serially, and the exhaustive reference must return
 // the identical mapping — the (score, mapping.Compare) tie-break, not
 // evaluation order, decides. Square layers on a symmetric hardware point

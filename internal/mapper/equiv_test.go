@@ -151,8 +151,9 @@ func TestSearchAllWorkersInvariant(t *testing.T) {
 
 // TestSearchCountersConsistent checks the funnel accounting under lazy
 // generation: every materialized candidate lands in exactly one outcome
-// bucket, the lazy generator never materializes more than the exhaustive
-// candidate count (nor fewer floors than heap pops can explain), and a
+// bucket, the scan never materializes more than the exhaustive candidate
+// count (nor more cells than candidates, each cell having at least one
+// temporal variant), and a
 // KeepTop large enough to disable pruning recovers the exhaustive count
 // exactly — the materialization saving is pruning, not omission.
 func TestSearchCountersConsistent(t *testing.T) {

@@ -1,6 +1,7 @@
 package mapper
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"math"
@@ -19,35 +20,36 @@ import (
 	"nnbaton/internal/workload"
 )
 
-// Counters receives the search funnel tallies of SearchAll. The best-first
-// generator materializes a candidate — computes its admissible floor — only
-// when the frontier reaches it, so Generated counts the candidates that
-// actually entered the funnel, not the full space the exhaustive reference
-// enumerates; the gap between the two is the lazy generator's saving. Each
-// materialized candidate (probe × temporal order) lands in exactly one of the
-// three outcome buckets, so Generated = BoundPruned + StagePruned + Evaluated
-// always holds. The counters are nil-safe; a zero Counters discards tallies.
+// Counters receives the search funnel tallies of SearchAll. The group scan
+// materializes a candidate — a feasible (chiplet tile, core tile) cell and
+// its temporal variants — only when the scan reaches it with a cell bound
+// at or below the incumbent threshold, so Generated counts the candidates
+// that actually entered the funnel, not the full space the exhaustive
+// reference enumerates; the gap between the two is what the bounds save.
+// Each materialized candidate lands in exactly one of the outcome buckets,
+// so Generated = BoundPruned + StagePruned + Evaluated always holds. The
+// counters are nil-safe; a zero Counters discards tallies.
 type Counters struct {
-	// Generated counts feasible candidates materialized by the lazy
-	// generator (floored probes × their temporal variants).
+	// Generated counts feasible candidates materialized by the scan
+	// (materialized cells × their temporal variants).
 	Generated *obs.Counter
-	// BoundPruned counts materialized candidates discarded by the admissible
-	// lower bound — at floor time or when the frontier terminated — before
-	// any C³P analysis ran.
+	// BoundPruned counts materialized candidates discarded by a bound. The
+	// scan bounds groups, subgroups and cells before materializing them, so
+	// it is structurally 0; the field stays for the funnel's consumers.
 	BoundPruned *obs.Counter
-	// StagePruned counts candidates dropped after traffic/energy evaluation
-	// but before the runtime simulator ran.
+	// StagePruned counts candidates dropped on their exact energy (for EDP
+	// times the compute-bound runtime) before any C³P analysis or the
+	// runtime simulator ran.
 	StagePruned *obs.Counter
 	// Evaluated counts candidates that went through the full pipeline
 	// including simulation.
 	Evaluated *obs.Counter
-	// FloorsComputed counts exact per-probe admissible floors computed by the
-	// generator — the dominant pre-evaluation cost the best-first ordering
-	// exists to shrink (one floor covers every temporal variant of a probe).
+	// FloorsComputed counts the feasible cells the scan materialized — each
+	// one shape and one fixed-traffic record, shared by its temporal
+	// variants.
 	FloorsComputed *obs.Counter
-	// HeapPopped counts best-first frontier pops (candidate groups expanded
-	// plus probes scheduled), a direct measure of how much of the space the
-	// search actually visited before the incumbent cut it off.
+	// HeapPopped counts the candidate groups the scan expanded before the
+	// incumbent cut it off: how much of the space it actually visited.
 	HeapPopped *obs.Counter
 }
 
@@ -134,97 +136,30 @@ func (t *topK) add(o Option, s float64) {
 	t.scores[i] = s
 }
 
-// bfGroup is one unexpanded candidate group of the best-first frontier: every
-// probe of a subtree sharing one planar pair (HOt, WOt). st indexes the
-// frontier's subtree list; the per-core region (hs, ws), the span
-// [cp0, cp1) of its core-tile candidates in the worker's tile memo and the
-// group's coarse bound terms are computed once, used first by the group
-// bound and again — without recomputation — when the group expands. The
-// group holds no pointers, so the GC never scans the frontier's group list.
-type bfGroup struct {
+// candGroup is one candidate group of the scan: every probe of a subtree
+// sharing one planar pair (HOt, WOt). st indexes the scan's subtree list;
+// the per-core region (hs, ws), the span [cp0, cp1) of its core-tile
+// candidates in the worker's tile memo and the group's coarse bound terms
+// are computed once, used first by the group bound and again — without
+// recomputation — when the group expands. The group holds no pointers, so
+// the GC never scans the worker's group list.
+type candGroup struct {
 	st, cp0, cp1 int32
 	hot, wot     int
 	hs, ws       int
 	terms        c3p.GroupFloorTerms
 }
 
-// bfProbe is a materialized probe parked off-heap: the frontier node only
-// carries its index, keeping heap sift swaps to a few words instead of a full
-// Mapping copy (the sift copies dominated the profile when nodes embedded the
-// probe). nvar caches the temporal-variant count so the termination drain can
-// account bound-pruned candidates without recomputing shapes.
-type bfProbe struct {
-	m    mapping.Mapping
-	nvar int64
-}
-
-// bfNode is one frontier entry at one of four refinement levels: a candidate
-// group awaiting expansion into subgroups (group >= 0, cot < 0), a subgroup —
-// the group under one fixed chiplet tile — awaiting per-core-tile refinement
-// (group >= 0, cot >= 0 indexing the subtree's tile list, cp < 0), a cell —
-// one (chiplet tile, core tile) choice, i.e. a single not-yet-materialized
-// probe — awaiting its exact floor (cp >= 0 indexing the group's core pairs),
-// or a floored probe awaiting evaluation (probe >= 0 indexing the worker's
-// parked probes, group < 0). bound is admissible at every level — it
-// lower-bounds every probe the node can produce — so the heap pops in
-// ascending floor order and the first pop above the incumbent threshold
-// proves everything still queued can only be worse. The middle levels exist
-// for tightness: fixing the chiplet tile makes the channel-product terms
-// exact, and fixing the core tile makes every term exact, so most refined
-// nodes die on the heap without the generator ever running the full
-// feasibility + TrafficFloor pipeline for them.
-type bfNode struct {
+// groupRef orders the scan: one group's coarse bound and its index in the
+// worker's group list. The scan sorts these small keys rather than the
+// groups themselves, whose swaps would copy the bound terms.
+type groupRef struct {
 	bound float64
-	probe int32
-	group int32
-	cot   int32
-	cp    int32
-}
-
-// heapPush and heapPop are a minimal slice min-heap on bound, kept free of
-// the container/heap interface so nodes never escape to the heap's interface
-// boxes. Pop order among equal bounds is an implementation detail: result
-// identity never depends on visit order, only on the candidate set.
-func heapPush(h []bfNode, n bfNode) []bfNode {
-	h = append(h, n)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p].bound <= h[i].bound {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-	return h
-}
-
-func heapPop(h []bfNode) (bfNode, []bfNode) {
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h) && h[l].bound < h[small].bound {
-			small = l
-		}
-		if r < len(h) && h[r].bound < h[small].bound {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-	return top, h
+	g     int32
 }
 
 // searchState is one worker's private scratch: the C³P analysis and its
-// buffers, the best-first frontier, the funnel tally and the per-search tile
+// buffers, the candidate groups, the funnel tally and the per-search tile
 // memos. Reusing it across every candidate a worker evaluates is what takes
 // the steady-state search to near-zero allocations per candidate, and
 // pooling it across searches (statePool) keeps a warm search from regrowing
@@ -233,10 +168,9 @@ type searchState struct {
 	sc     c3p.Scratch
 	a      c3p.Analysis
 	tally  tally
-	heap   []bfNode
-	groups []bfGroup
-	probes []bfProbe
-	// The chiplet-tile candidates of the frontier's subtrees, one span of
+	groups []candGroup
+	order  []groupRef
+	// The chiplet-tile candidates of the scan's subtrees, one span of
 	// cots per subtree.
 	cotSpan [][2]int32
 	cots    []int
@@ -255,7 +189,7 @@ type searchState struct {
 
 // statePool recycles worker scratch across searches. The Clone-on-accept
 // rule keeps every returned Option independent of the scratch, so a state
-// can serve the next search as soon as its frontier finishes.
+// can serve the next search as soon as its scan finishes.
 var statePool = sync.Pool{New: func() any {
 	return &searchState{planarAt: make(map[[2]int][2]int32), coreAt: make(map[[2]int][2]int32)}
 }}
@@ -326,39 +260,20 @@ func newSearch(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg
 	return &search{l: l, hw: hw, fab: fab, cfg: cfg, sts: sts}
 }
 
-// lowerBound prices a probe's best case for the active objective: the C³P
-// traffic floor (intrinsic fills, exact fixed terms) through the fabric's
-// energy step — D2D scaled to physical bytes — and, for EDP, the
-// compute-bound runtime. Both models are monotone in their traffic/cycle
-// inputs, ceil scaling preserves component-wise ≤, and the floor
-// under-counts nothing negative, so the true score of every temporal variant
-// of the probe is ≥ this value — the admissibility property the pruning
-// relies on. See DESIGN.md.
-func (s *search) lowerBound(m *mapping.Mapping, sh *mapping.Shape) float64 {
-	l, hw := &s.l, &s.hw
-	var tr c3p.Traffic
-	c3p.TrafficFloor(&tr, l, hw, m, sh)
-	e := s.fab.Energy(&tr, hw).Total()
-	if s.cfg.Objective == MinEDP {
-		e *= hardware.Seconds(sim.ComputeBoundCyclesOf(l, hw, m, sh))
-	}
-	return e
-}
-
 // groupBound prices the best case of every probe whose shape-product terms
 // are bounded below by t: the terms are assembled through
-// c3p.GroupTrafficFloor — the group-level counterpart of lowerBound — and
-// priced by the fabric. The frontier prices one group at three levels, each
-// with the terms minimized over a narrower candidate set: the full chiplet-
-// and core-tile lists (the cheap coarse bound), a single chiplet tile
-// (channel terms exact) and a single (chiplet tile, core tile) cell (every
-// term exact). channelTerms and coreTerms fill in the minima; a term that
-// depends on only one of the two lists is computed once per list, not once
-// per bound. Admissible because every term is a true lower bound on its
-// per-member value, the assembly mirrors the exact one branch for branch,
-// and the energy model is linear with non-negative coefficients, so
-// groupBound ≤ lowerBound(probe) ≤ score(probe) for every member probe
-// (pinned by TestGroupBoundAdmissible).
+// c3p.GroupTrafficFloor and priced by the fabric, and for EDP scaled by the
+// compute-bound runtime floor. The scan prices one group at three levels,
+// each with the terms minimized over a narrower candidate set: the full
+// chiplet- and core-tile lists (the coarse bound the groups are sorted by),
+// a single chiplet tile (channel terms exact) and a single (chiplet tile,
+// core tile) cell (every term exact). channelTerms and coreTerms fill in the
+// minima; a term that depends on only one of the two lists is computed once
+// per list, not once per bound. Admissible because every term is a true
+// lower bound on its per-member value, the assembly mirrors the exact one
+// branch for branch, and the energy model is linear with non-negative
+// coefficients, so groupBound ≤ stage score ≤ score for every temporal
+// variant of every member probe (pinned by TestGroupBoundAdmissible).
 func (s *search) groupBound(st *subtree, t *c3p.GroupFloorTerms) float64 {
 	l, hw := &s.l, &s.hw
 	var tr c3p.Traffic
@@ -386,14 +301,14 @@ func (s *search) channelTerms(t *c3p.GroupFloorTerms, st *subtree, cots []int) {
 }
 
 // planarTerms sets the terms that the planar pair of g fixes exactly.
-func (s *search) planarTerms(t *c3p.GroupFloorTerms, st *subtree, g *bfGroup) {
+func (s *search) planarTerms(t *c3p.GroupFloorTerms, st *subtree, g *candGroup) {
 	l := &s.l
 	t.H1W1 = int64(ceilDiv(st.hop, g.hot)) * int64(ceilDiv(st.wop, g.wot))
 	t.AL2Intr = l.TileInputBytes(g.hot, g.wot, l.CI) * t.H1W1
 }
 
 // coreTerms sets t's core-tile minima over the candidates cps of group g.
-func (s *search) coreTerms(t *c3p.GroupFloorTerms, g *bfGroup, cps [][2]int) {
+func (s *search) coreTerms(t *c3p.GroupFloorTerms, g *candGroup, cps [][2]int) {
 	l := &s.l
 	t.H2W2Min, t.PlanarCovMin, t.AL1IntrMin = math.MaxInt64, math.MaxInt64, math.MaxInt64
 	for _, cp := range cps {
@@ -405,30 +320,24 @@ func (s *search) coreTerms(t *c3p.GroupFloorTerms, g *bfGroup, cps [][2]int) {
 	}
 }
 
-// runFrontier evaluates a set of subtree shards best-first through one shared
-// frontier. The frontier starts with one node per candidate group (subtree ×
-// planar pair), bounded by the cheap coarse group floor; popping a group
-// refines it into one subgroup per chiplet tile (tighter bounds, channel
-// terms exact); popping a subgroup materializes its probes — exact per-probe
-// floors, one per feasibility-checked probe — and popping a probe runs the
-// staged pipeline (C³P traffic/energy, then the simulator) over its temporal
-// variants, exactly as the enumerate-then-filter loop did. Because every
-// node's bound is admissible and the heap pops in ascending bound order, the
-// first pop that strictly exceeds the incumbent threshold min(dest.worst(),
-// shared) proves every queued and unrefined candidate scores at least as
-// high, and the whole frontier terminates — the ~60k floors the old loop
-// priced per layer collapse to the few hundred the frontier actually reaches.
-// Spanning all of a worker's subtrees with one frontier (rather than one per
-// subtree) is what lets the incumbent converge before weak subtrees spend
-// anything: their groups die unrefined. Pruning compares bounds strictly (>):
-// an exact tie with the threshold must still be evaluated because the Compare
-// tie-break could admit it. The threshold only ever decreases, so a
-// bound-pruned candidate is pruned for good; result identity does not depend
-// on visit order, only on the candidate set, which this generator shares with
-// the exhaustive walker.
-func (s *search) runFrontier(sts []subtree, ws *searchState, dest *topK, shared *minBound) {
-	l, hw, obj := &s.l, &s.hw, s.cfg.Objective
-	groups, heap, probes := ws.groups[:0], ws.heap[:0], ws.probes[:0]
+// scan evaluates a set of subtree shards in ascending bound order. It
+// builds one group per (subtree, planar pair), prices each with the coarse
+// group bound and sorts them by it, then expands the groups in that order:
+// a group's chiplet tiles (subgroups) and then their core tiles (cells) are
+// each skipped when their tighter bound exceeds the incumbent threshold
+// min(dest.worst(), shared), and every feasible cell that remains is
+// evaluated on the spot (evalCell). The first group whose bound exceeds the
+// threshold ends the scan: the groups after it bound at least as high, and
+// the threshold only ever decreases, so none of them could place.
+// Spanning all of a worker's subtrees with one scan (rather than one per
+// subtree) lets the incumbent converge before weak subtrees spend anything.
+// Pruning compares bounds strictly (>): an exact tie with the threshold must
+// still be evaluated because the Compare tie-break could admit it. Result
+// identity does not depend on visit order, only on the candidate set, which
+// this generator shares with the exhaustive walker.
+func (s *search) scan(sts []subtree, ws *searchState, dest *topK, shared *minBound) {
+	l, hw := &s.l, &s.hw
+	groups, order := ws.groups[:0], ws.order[:0]
 	ws.cotSpan, ws.cots = ws.cotSpan[:0], ws.cots[:0]
 	for si := range sts {
 		st := &sts[si]
@@ -454,7 +363,7 @@ func (s *search) runFrontier(sts []subtree, ws *searchState, dest *topK, shared 
 			if st.cs.pattern.Rows > hot || st.cs.pattern.Cols > wot {
 				continue
 			}
-			g := bfGroup{st: int32(si), hot: hot, wot: wot,
+			g := candGroup{st: int32(si), hot: hot, wot: wot,
 				hs: ceilDiv(hot, st.cs.pattern.Rows), ws: ceilDiv(wot, st.cs.pattern.Cols)}
 			cp := ws.memoPairs(ws.coreAt, [2]int{g.hs, g.ws}, func(dst [][2]int) [][2]int {
 				return coreTilePairs(dst, l, hw, g.hs, g.ws)
@@ -466,135 +375,101 @@ func (s *search) runFrontier(sts []subtree, ws *searchState, dest *topK, shared 
 			g.terms = chans
 			s.planarTerms(&g.terms, st, &g)
 			s.coreTerms(&g.terms, &g, ws.pairs[g.cp0:g.cp1])
+			order = append(order, groupRef{bound: s.groupBound(st, &g.terms), g: int32(len(groups))})
 			groups = append(groups, g)
-			heap = heapPush(heap, bfNode{bound: s.groupBound(st, &g.terms), group: int32(len(groups) - 1), cot: -1, cp: -1, probe: -1})
 		}
 	}
+	slices.SortFunc(order, func(a, b groupRef) int { return cmp.Compare(a.bound, b.bound) })
 
-	for len(heap) > 0 {
-		var n bfNode
-		n, heap = heapPop(heap)
-		ws.tally.popped++
-		thresh := min(dest.worst(), shared.Load())
-		if n.bound > thresh {
-			// The frontier's minimum exceeds the incumbent threshold, so
-			// every remaining candidate bounds at least as high. Probes
-			// already materialized resolve as bound-pruned; unrefined groups
-			// and subgroups never enter the funnel at all.
-			if n.probe >= 0 {
-				ws.tally.boundPruned += probes[n.probe].nvar
-			}
-			for _, r := range heap {
-				if r.probe >= 0 {
-					ws.tally.boundPruned += probes[r.probe].nvar
-				}
-			}
+	for _, ref := range order {
+		if ref.bound > min(dest.worst(), shared.Load()) {
 			break
 		}
-		if n.group >= 0 {
-			g := &groups[n.group]
-			st := &sts[g.st]
-			sp := ws.cotSpan[g.st]
-			cots, cps := ws.cots[sp[0]:sp[1]], ws.pairs[g.cp0:g.cp1]
-			switch {
-			case n.cot < 0:
-				// Refine the group into one subgroup per chiplet tile: the
-				// single-tile bound makes the channel-product terms exact.
-				t := g.terms
-				for i := range cots {
-					s.channelTerms(&t, st, cots[i:i+1])
-					heap = heapPush(heap, bfNode{
-						bound: s.groupBound(st, &t),
-						group: n.group, cot: int32(i), cp: -1, probe: -1,
-					})
-				}
-			case n.cp < 0:
-				// Refine the subgroup into one cell per core tile: with both
-				// tile axes fixed the singleton-list bound has every term
-				// exact, so a cell's bound is essentially its member's floor
-				// — computed through the cheap group assembly, without the
-				// feasibility check and TrafficFloor walk the real floor
-				// pays.
-				t := g.terms
-				s.channelTerms(&t, st, cots[n.cot:n.cot+1])
-				for j := range cps {
-					s.coreTerms(&t, g, cps[j:j+1])
-					heap = heapPush(heap, bfNode{
-						bound: s.groupBound(st, &t),
-						group: n.group, cot: n.cot, cp: int32(j), probe: -1,
-					})
-				}
-			default:
-				// Materialize the cell: floor its probe exactly once (the
-				// floor is temporal-invariant and covers every variant).
-				probe := st.base()
-				probe.COt, probe.HOt, probe.WOt = cots[n.cot], g.hot, g.wot
-				probe.HOc, probe.WOc = cps[n.cp][0], cps[n.cp][1]
-				if !probe.FeasibleOn(l, hw) {
-					continue
-				}
-				sh := probe.Shape(l, hw)
-				nvar := temporalVariants(&sh)
-				ws.tally.floors++
-				ws.tally.generated += nvar
-				fl := s.lowerBound(&probe, &sh)
-				if fl > thresh {
-					ws.tally.boundPruned += nvar
-					continue
-				}
-				probes = append(probes, bfProbe{m: probe, nvar: nvar})
-				heap = heapPush(heap, bfNode{bound: fl, probe: int32(len(probes) - 1), group: -1, cot: -1, cp: -1})
+		g := &groups[ref.g]
+		ws.tally.popped++
+		st := &sts[g.st]
+		sp := ws.cotSpan[g.st]
+		cots, cps := ws.cots[sp[0]:sp[1]], ws.pairs[g.cp0:g.cp1]
+		for i := range cots {
+			// A single chiplet tile makes the channel-product terms exact.
+			sub := g.terms
+			s.channelTerms(&sub, st, cots[i:i+1])
+			if s.groupBound(st, &sub) > min(dest.worst(), shared.Load()) {
+				continue
 			}
-			continue
-		}
-		// Evaluate the probe's temporal variants through the staged pipeline.
-		probe := &probes[n.probe].m
-		sh := probe.Shape(l, hw)
-		for _, pt := range temporalChoices(sh.C1, sh.H1*sh.W1) {
-			for _, ct := range temporalChoices(sh.C2, sh.H2*sh.W2) {
-				m := *probe
-				m.PackageTemporal, m.ChipletTemporal = pt, ct
-				c3p.AnalyzeInto(&ws.a, &ws.sc, l, hw, &m)
-				tr := ws.a.Traffic()
-				br := s.fab.Energy(&tr, hw)
-				// Stage prune: the exact energy is known before the
-				// simulator runs; for EDP, pair it with the compute-bound
-				// runtime — still a lower bound on the final score.
-				stage := br.Total()
-				if obj == MinEDP {
-					stage *= hardware.Seconds(sim.ComputeBoundCyclesOf(l, hw, &m, &sh))
-				}
-				thresh = min(dest.worst(), shared.Load())
-				if stage > thresh {
-					ws.tally.stagePruned++
+			cell := sub
+			for j := range cps {
+				// With both tile axes fixed every term is exact, so the cell
+				// bound matches its probe's floor, priced through the cheap
+				// group assembly before the feasibility check runs.
+				s.coreTerms(&cell, g, cps[j:j+1])
+				if s.groupBound(st, &cell) > min(dest.worst(), shared.Load()) {
 					continue
 				}
-				cycles, err := s.fab.Cycles(&ws.a, tr)
-				if err != nil {
-					ws.tally.stagePruned++
-					continue
-				}
-				ws.tally.evaluated++
-				o := Option{Analysis: &ws.a, Energy: br, Cycles: cycles}
-				sc := o.Score(obj)
-				if dest.wouldAccept(sc, m) {
-					// Detach the analysis from the worker scratch only for
-					// the few candidates that actually enter the top-K.
-					o.Analysis = ws.a.Clone()
-					dest.add(o, sc)
-					if w := dest.worst(); !math.IsInf(w, 1) {
-						shared.Update(w)
-					}
+				probe := st.base()
+				probe.COt, probe.HOt, probe.WOt = cots[i], g.hot, g.wot
+				probe.HOc, probe.WOc = cps[j][0], cps[j][1]
+				if probe.FeasibleOn(l, hw) {
+					s.evalCell(&probe, ws, dest, shared)
 				}
 			}
 		}
 	}
-	ws.groups, ws.heap, ws.probes = groups[:0], heap[:0], probes[:0]
+	ws.groups, ws.order = groups[:0], order[:0]
+}
+
+// evalCell runs the staged pipeline over the temporal variants of one
+// feasible probe, setting the probe's temporal orders in place. The shape,
+// the fixed traffic and (for EDP) the compute-bound runtime are
+// temporal-invariant, so they are computed once per cell. Each variant is first priced by c3p.StageTraffic, which builds
+// no analysis: its exact energy — for EDP times the compute-bound runtime,
+// still a lower bound on the final score — decides the stage prune. Only
+// the survivors are analyzed and simulated.
+func (s *search) evalCell(probe *mapping.Mapping, ws *searchState, dest *topK, shared *minBound) {
+	l, hw, obj := &s.l, &s.hw, s.cfg.Objective
+	sh := probe.Shape(l, hw)
+	ws.tally.floors++
+	ws.tally.generated += temporalVariants(&sh)
+	var fixed, tr c3p.Traffic
+	c3p.FixedTraffic(&fixed, l, hw, probe, &sh)
+	secs := 1.0 // scales the stage energy to the stage score exactly
+	if obj == MinEDP {
+		secs = hardware.Seconds(sim.ComputeBoundCyclesOf(l, hw, probe, &sh))
+	}
+	for _, pt := range temporalChoices(sh.C1, sh.H1*sh.W1) {
+		for _, ct := range temporalChoices(sh.C2, sh.H2*sh.W2) {
+			probe.PackageTemporal, probe.ChipletTemporal = pt, ct
+			c3p.StageTraffic(&tr, &ws.sc, l, hw, probe, &sh, &fixed)
+			br := s.fab.Energy(&tr, hw)
+			if stage := br.Total() * secs; stage > min(dest.worst(), shared.Load()) {
+				ws.tally.stagePruned++
+				continue
+			}
+			c3p.AnalyzeInto(&ws.a, &ws.sc, l, hw, probe)
+			cycles, err := s.fab.Cycles(&ws.a, tr)
+			if err != nil {
+				ws.tally.stagePruned++
+				continue
+			}
+			ws.tally.evaluated++
+			o := Option{Analysis: &ws.a, Energy: br, Cycles: cycles}
+			sc := o.Score(obj)
+			if dest.wouldAccept(sc, *probe) {
+				// Detach the analysis from the worker scratch only for
+				// the few candidates that actually enter the top-K.
+				o.Analysis = ws.a.Clone()
+				dest.add(o, sc)
+				if w := dest.worst(); !math.IsInf(w, 1) {
+					shared.Update(w)
+				}
+			}
+		}
+	}
 }
 
 // strided appends to dst every workers-th subtree starting at w — the fixed
-// shard a worker's frontier spans. Static striding (vs dynamic dispatch) is
-// fine because frontiers terminate early anyway; which worker owns which
+// shard a worker's scan spans. Static striding (vs dynamic dispatch) is
+// fine because scans terminate early anyway; which worker owns which
 // subtree never affects the result.
 func strided(dst, sts []subtree, w, workers int) []subtree {
 	for i := w; i < len(sts); i += workers {
@@ -657,7 +532,7 @@ func (b *minBound) Update(v float64) {
 // SearchAll evaluates the mapping space and returns the best KeepTop options
 // sorted by the objective (ties broken by mapping.Compare). It is
 // result-identical to SearchExhaustive — enforced by randomized equivalence
-// tests — but orders the space best-first under admissible lower bounds,
+// tests — but scans the space in ascending order of admissible lower bounds,
 // stages the evaluation pipeline so the simulator only runs for survivors,
 // shards the space across Workers goroutines with a shared incumbent bound,
 // and reuses per-worker scratch so
@@ -678,14 +553,14 @@ func SearchAll(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg
 		tops[i] = newTopK(cfg.KeepTop, cfg.Objective)
 	}
 	shared := newMinBound()
-	// One frontier per worker, spanning the worker's strided share of the
-	// subtrees: the best-first order then holds across subtree boundaries,
-	// so a worker's weak subtrees die as unexpanded group nodes instead of
-	// each warming up its own frontier.
+	// One scan per worker, spanning the worker's strided share of the
+	// subtrees: the bound order then holds across subtree boundaries, so a
+	// worker's weak subtrees die as unexpanded groups instead of each
+	// warming up its own incumbent.
 	err := par.ParallelForWorker(context.Background(), workers, workers, func(w, i int) error {
 		ws := states[w]
 		ws.sts = strided(ws.sts[:0], srch.sts, i, workers)
-		srch.runFrontier(ws.sts, ws, tops[w], shared)
+		srch.scan(ws.sts, ws, tops[w], shared)
 		return nil
 	})
 	if err != nil {
@@ -761,8 +636,8 @@ func BestPerSpatialCombo(l workload.Layer, hw hardware.Config, cm *hardware.Cost
 		bounds[c] = newMinBound()
 	}
 	// Each combo keeps its own incumbent and destination, so a worker runs
-	// one frontier per combo over its strided share: within a combo the
-	// frontier spans subtree boundaries, across combos nothing is shared.
+	// one scan per combo over its strided share: within a combo the scan
+	// spans subtree boundaries, across combos nothing is shared.
 	err := par.ParallelForWorker(context.Background(), workers, workers, func(w, i int) error {
 		ws := states[w]
 		for c := range ws.byCombo {
@@ -775,7 +650,7 @@ func BestPerSpatialCombo(l workload.Layer, hw hardware.Config, cm *hardware.Cost
 		}
 		for c, group := range ws.byCombo {
 			if len(group) > 0 {
-				srch.runFrontier(group, ws, tops[w][c], bounds[c])
+				srch.scan(group, ws, tops[w][c], bounds[c])
 			}
 		}
 		return nil
