@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench benchall bench-smoke bench-check vet race fuzz chaos crash check equiv lint degradation topo-equiv serve fleet
+.PHONY: build test bench benchall bench-smoke bench-check bench-ab vet race fuzz chaos crash check equiv lint degradation topo-equiv serve fleet
 
 # The benchmark set committed to BENCH_mapper.json (and gated by bench-check).
 BENCH_PATTERN = BenchmarkSearchLayer|BenchmarkEngineEvalModelResNet50|BenchmarkEngineGranularityCold|BenchmarkServeReferenceTrace|BenchmarkSweep
@@ -26,6 +26,31 @@ bench-check:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count=1 . \
 		| $(GO) run ./cmd/benchjson -check BENCH_mapper.json
 
+# bench-ab compares the working tree against the revision BASE on the
+# committed benchmark set: it exports BASE into a temporary directory,
+# builds both test binaries, runs them N times each, alternating which side
+# goes first so that an order effect falls on both sides, and prints each
+# benchmark's median head/base ns/op ratio and the pairs the working tree
+# won. It fails when a search/engine/sweep benchmark's median ratio is
+# above 1.25 and the working tree loses at least two thirds of the pairs.
+# The export is a `git archive`, so an interrupted run leaves no registered
+# worktree behind.
+# Usage: make bench-ab BASE=<rev> N=<pairs>.
+N ?= 10
+bench-ab:
+	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev> N=<pairs>" >&2; exit 2; }
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/base" && git archive "$(BASE)" | tar -x -C "$$tmp/base" && \
+	(cd "$$tmp/base" && $(GO) test -c -o "$$tmp/base.test" .) && \
+	$(GO) test -c -o "$$tmp/head.test" . || exit 1; \
+	base() { (cd "$$tmp/base" && "$$tmp/base.test" -test.run '^$$' -test.bench '$(BENCH_PATTERN)' -test.benchmem -test.timeout 10m) >>"$$tmp/base.txt"; }; \
+	head() { "$$tmp/head.test" -test.run '^$$' -test.bench '$(BENCH_PATTERN)' -test.benchmem -test.timeout 10m >>"$$tmp/head.txt"; }; \
+	for i in $$(seq $(N)); do \
+		echo "bench-ab: pair $$i of $(N)" >&2; \
+		if [ $$((i % 2)) -eq 1 ]; then base && head; else head && base; fi || exit 1; \
+	done; \
+	$(GO) run ./cmd/benchjson -ab "$$tmp/base.txt" <"$$tmp/head.txt"
+
 # benchall is the full suite across every package (the pre-perf-PR `bench`).
 benchall:
 	$(GO) test -bench=. -benchmem ./...
@@ -40,9 +65,11 @@ bench-smoke:
 # the model zoo under the race detector (the perf-PR correctness gate), holds
 # score ties to the exhaustive order at every worker count, holds searches
 # that share pooled worker scratch to fresh references, and holds the
-# search's analysis-free stage pricing to the C³P analysis it replaces.
+# search's analysis-free stage pricing to the C³P analysis it replaces, its
+# rate card to the per-call pricing formula and to every pricing entry
+# point, and its shape-returning feasibility check to Validate plus Shape.
 equiv:
-	$(GO) test -race -count=1 -run 'TestSearchAllMatchesExhaustive|TestSearchAllWorkersInvariant|TestBestPerSpatialCombo|TestSearchScratch|TestSearchDeterministicOnTies|TestStageTrafficMatchesAnalysis' ./internal/mapper ./internal/c3p
+	$(GO) test -race -count=1 -run 'TestSearchAllMatchesExhaustive|TestSearchAllWorkersInvariant|TestBestPerSpatialCombo|TestSearchScratch|TestSearchDeterministicOnTies|TestStageTrafficMatchesAnalysis|TestCardMatchesPrice|TestPricingKernelEquivalence|TestFeasibleShapeMatchesShape' ./internal/mapper ./internal/c3p ./internal/energy ./internal/dse ./internal/mapping
 
 vet:
 	$(GO) vet ./...
@@ -74,12 +101,14 @@ degradation:
 # every fault mask over 2-8 positions), the simulator must be byte-identical
 # on either ring implementation across searched zoo mappings, and the engine
 # cache must key ring/mesh/torus separately, and every pricing entry point
-# must price a mapping exactly as the search does on ring, mesh, torus and a
-# degraded ring, and explore's cell-wise memory-grid re-pricing must match
-# the per-point reference — all under the race detector.
+# (the fabric's rate card included) must price a mapping exactly as the
+# search does on ring, mesh, torus and a degraded ring, the rate card must
+# match the per-call pricing formula bit for bit, and explore's cell-wise
+# memory-grid re-pricing must match the per-point reference — all under the
+# race detector.
 topo-equiv:
-	$(GO) test -race -count=1 -run 'TestGenericRing|TestMeshTorus|TestGridDims|TestTopologyConstructorErrors|TestDegradedMeshReroutes|TestNewInterconnect|TestParseTopology|TestTopology|TestConfigTupleTopologySuffix|TestConfigValidateTopology|TestSimZooRingGenericEquivalence|TestCacheKeyTopologySeparation|TestEvalTopologyCostOrdering|TestGranularityTopologyAxis|TestGranularityMeshCostsAtLeastRing|TestPricingKernelEquivalence|TestExploreMatchesReference' \
-		./internal/noc ./internal/hardware ./internal/sim ./internal/engine ./internal/dse
+	$(GO) test -race -count=1 -run 'TestGenericRing|TestMeshTorus|TestGridDims|TestTopologyConstructorErrors|TestDegradedMeshReroutes|TestNewInterconnect|TestParseTopology|TestTopology|TestConfigTupleTopologySuffix|TestConfigValidateTopology|TestSimZooRingGenericEquivalence|TestCacheKeyTopologySeparation|TestEvalTopologyCostOrdering|TestGranularityTopologyAxis|TestGranularityMeshCostsAtLeastRing|TestPricingKernelEquivalence|TestExploreMatchesReference|TestCardMatchesPrice' \
+		./internal/noc ./internal/hardware ./internal/sim ./internal/engine ./internal/dse ./internal/energy
 
 # serve is the serving-simulation determinism gate: trace parsing, DES
 # batching/queueing semantics, the single-request EvalModel identity, and the

@@ -6,6 +6,11 @@
 // plus any b.ReportMetric extras such as candidates/op or pruned/op). When
 // both a `<base>Exhaustive` and `<base>Pruned` benchmark appear, a derived
 // speedup/alloc-reduction summary is emitted alongside the raw numbers.
+//
+// With -ab, stdin instead holds repeated runs of the working tree and the
+// named file the same number of runs of a base revision, taken alternately
+// (the `bench-ab` Makefile target): each benchmark's runs are paired in
+// order and compared.
 package main
 
 import (
@@ -15,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -39,6 +45,7 @@ type Report struct {
 func main() {
 	out := flag.String("o", "", "output file (default stdout)")
 	check := flag.String("check", "", "committed baseline JSON to gate against: fail on a >25% ns/op regression of any search/engine/sweep benchmark")
+	ab := flag.String("ab", "", "base revision's benchmark output to compare stdin's runs against pair by pair: fail when a search/engine/sweep benchmark's median ns/op ratio is >1.25 and it loses at least two thirds of the pairs")
 	flag.Parse()
 
 	rep, err := parse(os.Stdin)
@@ -48,6 +55,13 @@ func main() {
 	}
 	derive(rep)
 
+	if *ab != "" {
+		if err := compareRuns(rep, *ab, os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+		return
+	}
 	if *check != "" {
 		if err := checkBaseline(rep, *check, os.Stderr); err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
@@ -143,6 +157,73 @@ func checkBaseline(fresh *Report, path string, w io.Writer) error {
 			len(failures), 100*(regressionTolerance-1), strings.Join(failures, "\n  "))
 	}
 	fmt.Fprintf(w, "benchjson: %d benchmark(s) within tolerance\n", compared)
+	return nil
+}
+
+// compareRuns pairs the i-th run of each benchmark in head with the i-th
+// run of the same benchmark in the base output at path, and prints per
+// benchmark the median head/base ns/op ratio and the pairs head won (ran
+// faster). It returns an error when a gated benchmark regressed: its median
+// ratio exceeds the tolerance and head lost at least two thirds of the
+// pairs. Alternating the runs spreads machine drift over both sides, which
+// a single run against a committed baseline cannot.
+func compareRuns(head *Report, path string, w io.Writer) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	base, err := parse(f)
+	if err != nil {
+		return fmt.Errorf("base %s: %w", path, err)
+	}
+	runs := func(r *Report) (map[string][]float64, []string) {
+		ns, names := map[string][]float64{}, []string(nil)
+		for _, b := range r.Benchmarks {
+			if _, seen := ns[b.Name]; !seen {
+				names = append(names, b.Name)
+			}
+			ns[b.Name] = append(ns[b.Name], b.Metrics["ns/op"])
+		}
+		return ns, names
+	}
+	headNS, names := runs(head)
+	baseNS, _ := runs(base)
+	compared := 0
+	var failures []string
+	for _, name := range names {
+		h, b := headNS[name], baseNS[name]
+		n := min(len(h), len(b))
+		if n == 0 {
+			fmt.Fprintf(w, "%-45s not in base, skipped\n", name)
+			continue
+		}
+		ratios := make([]float64, n)
+		wins := 0
+		for i := range ratios {
+			ratios[i] = h[i] / b[i]
+			if h[i] < b[i] {
+				wins++
+			}
+		}
+		slices.Sort(ratios)
+		med := (ratios[(n-1)/2] + ratios[n/2]) / 2
+		compared++
+		verdict := ""
+		if lost := n - wins; gated(name) && med > regressionTolerance && 3*lost >= 2*n {
+			verdict = " REGRESSED"
+			failures = append(failures, fmt.Sprintf("%s: median %.2fx, lost %d of %d pairs", name, med, lost, n))
+		}
+		fmt.Fprintf(w, "%-45s median head/base %.3fx  head faster in %d/%d pairs%s\n",
+			name, med, wins, n, verdict)
+	}
+	if compared == 0 {
+		return fmt.Errorf("no benchmark was measured on both sides")
+	}
+	if len(failures) > 0 {
+		return fmt.Errorf("%d benchmark(s) regressed past %.0f%%:\n  %s",
+			len(failures), 100*(regressionTolerance-1), strings.Join(failures, "\n  "))
+	}
 	return nil
 }
 

@@ -71,17 +71,29 @@ func (t Traffic) ScaleD2D(num, den int64) Traffic {
 	if num == den || den <= 0 {
 		return t
 	}
-	ceil := func(v int64) int64 {
-		if v <= 0 {
-			return v
-		}
-		return (v*num + den - 1) / den
-	}
-	t.D2DActs = ceil(t.D2DActs)
-	t.D2DWts = ceil(t.D2DWts)
-	t.D2DPsums = ceil(t.D2DPsums)
-	t.D2DOutput = ceil(t.D2DOutput)
+	t.D2DActs = scaleCeil(t.D2DActs, num, den)
+	t.D2DWts = scaleCeil(t.D2DWts, num, den)
+	t.D2DPsums = scaleCeil(t.D2DPsums, num, den)
+	t.D2DOutput = scaleCeil(t.D2DOutput, num, den)
 	return t
+}
+
+// D2DBytesScaled returns ScaleD2D(num, den).D2DBytes() without copying the
+// record, for pricing.
+func (t *Traffic) D2DBytesScaled(num, den int64) int64 {
+	if num == den || den <= 0 {
+		return t.D2DBytes()
+	}
+	return scaleCeil(t.D2DActs, num, den) + scaleCeil(t.D2DWts, num, den) +
+		scaleCeil(t.D2DPsums, num, den) + scaleCeil(t.D2DOutput, num, den)
+}
+
+// scaleCeil scales one positive byte count by num/den, rounding up.
+func scaleCeil(v, num, den int64) int64 {
+	if v <= 0 {
+		return v
+	}
+	return (v*num + den - 1) / den
 }
 
 // Analysis is the C³P evaluation of one (layer, hardware, mapping) triple.

@@ -424,9 +424,10 @@ type candidate struct {
 }
 
 // incumbent is the lowest-energy candidate of one (shape, O-L1 size) at the
-// cell being priced.
+// cell being priced; total is br.Total(), stored when the incumbent is set.
 type incumbent struct {
 	br     energy.Breakdown
+	total  float64
 	cycles int64
 	ok     bool
 }
@@ -443,8 +444,8 @@ type repricer struct {
 	fab          *mapper.Fabric
 	cm           *hardware.CostModel
 
-	win    []incumbent // [shape*len(ol1s) + k] at the current cell
-	brs    []energy.Breakdown
+	win    []incumbent   // [shape*len(ol1s) + k] at the current cell
+	cards  []energy.Card // per O-L1 size at the current cell
 	beats  []bool
 	byOL1  [][]Point // valid points per O-L1 size, in cell order
 	priced int64     // candidates whose traffic was evaluated
@@ -461,7 +462,7 @@ func newRepricer(model workload.Model, comp hardware.Config, pool [][]*c3p.Analy
 	areaLimitMM2 float64, fab *mapper.Fabric, cm *hardware.CostModel) *repricer {
 	r := &repricer{layerShape: make([]int, len(model.Layers)), ol1s: ol1s,
 		areaLimitMM2: areaLimitMM2, fab: fab, cm: cm,
-		brs: make([]energy.Breakdown, len(ol1s)), beats: make([]bool, len(ol1s)),
+		cards: make([]energy.Card, len(ol1s)), beats: make([]bool, len(ol1s)),
 		byOL1: make([][]Point, len(ol1s))}
 	index := make(map[engine.ShapeKey]int)
 	for li, l := range model.Layers {
@@ -487,13 +488,19 @@ func newRepricer(model workload.Model, comp hardware.Config, pool [][]*c3p.Analy
 
 // priceCell prices every O-L1 size at one cell — cell carries the A-L1,
 // W-L1, A-L2 and O-L2 sizes — and records each size's point when every
-// layer has a candidate there. Per shape and candidate, the traffic is
-// evaluated once, the energy once per O-L1 size, and the simulator at most
-// once, only when the candidate beats an incumbent. The winner rule is the
-// per-point one: the first candidate in pool order with the strictly lowest
-// energy total whose simulation succeeds.
+// layer has a candidate there. The cell's rate card per O-L1 size is built
+// once. Per shape and candidate, the traffic is evaluated once, the energy
+// total once per O-L1 size, and the breakdown and the simulator only when
+// the candidate beats an incumbent. The winner rule is the per-point one:
+// the first candidate in pool order with the strictly lowest energy total
+// whose simulation succeeds.
 func (r *repricer) priceCell(cell hardware.Config) {
 	nk := len(r.ol1s)
+	for k, ol1 := range r.ol1s {
+		hw := cell
+		hw.OL1Bytes = ol1
+		r.cards[k] = r.fab.Card(&hw)
+	}
 	clear(r.win)
 	for si, cands := range r.shapes {
 		win := r.win[si*nk : (si+1)*nk]
@@ -509,13 +516,10 @@ func (r *repricer) priceCell(cell hardware.Config) {
 				if c.needs.OL1 > int64(ol1) {
 					continue
 				}
-				hw := cell
-				hw.OL1Bytes = ol1
-				br := r.fab.Energy(&tr, &hw)
-				if win[k].ok && br.Total() >= win[k].br.Total() {
+				if win[k].ok && r.cards[k].Total(&tr) >= win[k].total {
 					continue
 				}
-				r.brs[k], r.beats[k], beats = br, true, true
+				r.beats[k], beats = true, true
 			}
 			if !beats {
 				continue
@@ -527,7 +531,8 @@ func (r *repricer) priceCell(cell hardware.Config) {
 			}
 			for k := range win {
 				if r.beats[k] {
-					win[k] = incumbent{br: r.brs[k], cycles: cycles, ok: true}
+					br := r.cards[k].Price(&tr)
+					win[k] = incumbent{br: br, total: br.Total(), cycles: cycles, ok: true}
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"nnbaton/internal/c3p"
@@ -46,11 +47,11 @@ func referencePrice(t *testing.T, l workload.Layer, hw hardware.Config, mask har
 // TestPricingKernelEquivalence holds every pricing entry point to the same
 // (energy breakdown, cycles) for the same (layer, hardware, mapping): the
 // best-first winner, the exhaustive reference, the persistent-cache
-// re-derivation, the explore memory-point re-pricing at the anchor's own
-// buffer sizes, the greedy baseline and strategy-file
-// repricing — on ring, mesh and torus, and on a degraded ring. Mesh and
-// torus scale D2D energy by their hop ratio, so a path that skips the scale
-// reports ring energy there.
+// re-derivation, the fabric's rate card, the explore memory-point
+// re-pricing at the anchor's own buffer sizes, the greedy baseline and
+// strategy-file repricing — on ring, mesh and torus, and on a degraded
+// ring. Mesh and torus scale D2D energy by their hop ratio, so a path that
+// skips the scale reports ring energy there.
 func TestPricingKernelEquivalence(t *testing.T) {
 	cm := hardware.MustCostModel()
 	ctx := context.Background()
@@ -144,6 +145,25 @@ func TestPricingKernelEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The fabric's rate card prices as Fabric.Energy at the anchor's
+			// buffer sizes and at a second buffer configuration without an
+			// O-L2 size, and its total is the breakdown's bit for bit.
+			tr := win.Analysis.Traffic()
+			other := hw
+			other.OL1Bytes, other.AL2Bytes, other.OL2Bytes = 2*hw.OL1Bytes, 2*hw.AL2Bytes, 0
+			for _, bufs := range []hardware.Config{hw, other} {
+				card := fab.Card(&bufs)
+				br := card.Price(&tr)
+				if want := fab.Energy(&tr, &bufs); br != want {
+					t.Errorf("%s: card at %s prices %v; Fabric.Energy %v", name, bufs.Tuple(), br, want)
+				}
+				if got := card.Total(&tr); math.Float64bits(got) != math.Float64bits(br.Total()) {
+					t.Errorf("%s: card total %v at %s; breakdown total %v", name, got, bufs.Tuple(), br.Total())
+				}
+			}
+			card := fab.Card(&hw)
+			check("Fabric.Card", win.Analysis.Map, card.Price(&tr), win.Cycles)
+
 			one := workload.Model{Name: "one", Layers: []workload.Layer{l}}
 			pool := [][]*c3p.Analysis{{win.Analysis}}
 			rp := newRepricer(one, hw, pool, []int{hw.OL1Bytes}, 0, fab, cm)

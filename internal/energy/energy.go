@@ -25,7 +25,13 @@ type Breakdown struct {
 
 // Total returns the summed energy in pJ.
 func (b Breakdown) Total() float64 {
-	return b.DRAM + b.D2D + b.AL2 + b.AL1 + b.WL1 + b.OL1 + b.OL2 + b.MAC
+	return sum(b.DRAM, b.D2D, b.AL2, b.AL1, b.WL1, b.OL1, b.OL2, b.MAC)
+}
+
+// sum adds the eight components in Breakdown order: the one summation both
+// Breakdown.Total and Card.Total run.
+func sum(dram, d2d, al2, al1, wl1, ol1, ol2, mac float64) float64 {
+	return dram + d2d + al2 + al1 + wl1 + ol1 + ol2 + mac
 }
 
 // Add returns the element-wise sum.
@@ -85,39 +91,98 @@ func FromTraffic(t c3p.Traffic, hw hardware.Config, cm *hardware.CostModel) Brea
 	return Price(&t, &hw, cm)
 }
 
-// Price prices a traffic record on a hardware configuration. SRAM accesses
-// cost the fitted per-bit energy of their macro size; the O-L1 register file
-// costs one 24-bit read-modify-write per accumulation; Simba's partial-sum
-// spills are priced at the A-L2 macro rate and its NoP psum hops at the D2D
-// rate (already included in D2DBytes). It reads its arguments through
-// pointers because the mapper's search calls it once per bound and candidate.
+// Price prices a traffic record on a hardware configuration through that
+// configuration's rate card; see Card.
 func Price(t *c3p.Traffic, hw *hardware.Config, cm *hardware.CostModel) Breakdown {
-	bits := func(bytes int64) float64 { return float64(bytes) * 8 }
+	c := NewCard(hw, cm)
+	return c.Price(t)
+}
+
+// Card is the rate card of one hardware configuration: the per-unit energy
+// of every component that depends on the buffer sizes and chiplet count,
+// derived once so that pricing a traffic record is a dot product with
+// constant rates. SRAM accesses cost the fitted per-bit energy of their
+// macro size; the O-L1 register file costs one 24-bit read-modify-write per
+// accumulation; Simba's partial-sum spills are priced at the A-L2 macro rate
+// and its NoP psum hops at the D2D rate (already included in D2DBytes). A
+// Card is a small value: the mapper's search keeps one per search and
+// prices every bound and candidate through it without allocating.
+type Card struct {
+	al2, al1, wl1, ol2 float64 // SRAM pJ per bit at each buffer's macro size
+	ol1                float64 // pJ per O-L1 read-modify-write
+	// cross is the fraction of DRAM bytes that cross the package at the
+	// die-to-die rate: chiplets reach the whole DRAM space through the
+	// package crossbar (§III-A3), and an address lands on the chiplet's
+	// local channel with probability 1/N_P. This is the physical cost that
+	// makes scattering a fixed MAC budget over many chiplets progressively
+	// more expensive (Fig 14).
+	cross float64
+	// num/den converts the record's logical die-to-die bytes to the
+	// physical bytes the fabric moves (c3p.Traffic.ScaleD2D).
+	num, den int64
+}
+
+// NewCard derives hw's rate card from the cost model. The O-L2 buffer falls
+// back to the A-L2 macro rate when hw has no separate O-L2 size. The card
+// charges the record's die-to-die bytes as they are; see WithD2DScale.
+func NewCard(hw *hardware.Config, cm *hardware.CostModel) Card {
 	ol2Size := hw.OL2Bytes
 	if ol2Size <= 0 {
 		ol2Size = hw.AL2Bytes
 	}
-	// Chiplets reach the whole DRAM space through the package crossbar
-	// (§III-A3); an address lands on the chiplet's local channel with
-	// probability 1/N_P, so the remaining fraction crosses the package at
-	// the die-to-die rate. This is the physical cost that makes scattering
-	// a fixed MAC budget over many chiplets progressively more expensive
-	// (Fig 14).
-	crossing := 0.0
+	c := Card{
+		al2: cm.SRAMPJPerBit(hw.AL2Bytes),
+		al1: cm.SRAMPJPerBit(hw.AL1Bytes),
+		wl1: cm.SRAMPJPerBit(hw.WL1Bytes),
+		ol2: cm.SRAMPJPerBit(ol2Size),
+		ol1: cm.RFRMWPJ(hw.OL1Bytes),
+		num: 1, den: 1,
+	}
 	if hw.Chiplets > 1 {
-		frac := float64(hw.Chiplets-1) / float64(hw.Chiplets)
-		crossing = bits(t.DRAMBytes()) * frac * hardware.D2DPJPerBit
+		c.cross = float64(hw.Chiplets-1) / float64(hw.Chiplets)
 	}
-	return Breakdown{
-		DRAM: bits(t.DRAMBytes()) * hardware.DRAMPJPerBit,
-		D2D:  bits(t.D2DBytes())*hardware.D2DPJPerBit + crossing,
-		AL2:  bits(t.AL2Writes+t.AL2Reads+t.L2Psum) * cm.SRAMPJPerBit(hw.AL2Bytes),
-		AL1:  bits(t.AL1Writes+t.AL1Reads) * cm.SRAMPJPerBit(hw.AL1Bytes),
-		WL1:  bits(t.WL1Writes+t.WL1Reads) * cm.SRAMPJPerBit(hw.WL1Bytes),
-		OL1:  float64(t.OL1RMW) * cm.RFRMWPJ(hw.OL1Bytes),
-		OL2:  bits(t.OL2Writes+t.OL2Reads) * cm.SRAMPJPerBit(ol2Size),
-		MAC:  float64(t.MACs) * hardware.MACPJPerOp,
-	}
+	return c
+}
+
+// WithD2DScale returns the card charging every record's die-to-die bytes
+// scaled by num/den exactly as c3p.Traffic.ScaleD2D scales them.
+func (c Card) WithD2DScale(num, den int64) Card {
+	c.num, c.den = num, den
+	return c
+}
+
+// Price prices a traffic record component by component.
+func (c *Card) Price(t *c3p.Traffic) Breakdown {
+	var b Breakdown
+	b.DRAM, b.D2D, b.AL2, b.AL1, b.WL1, b.OL1, b.OL2, b.MAC = c.terms(t)
+	return b
+}
+
+// Total returns Price(t).Total() bit for bit, without building the
+// breakdown: the search's bounds and stage prune only compare totals.
+// Breakdown has too many fields for the compiler to keep in registers, so
+// summing a built one costs a store and a reload per component.
+func (c *Card) Total(t *c3p.Traffic) float64 {
+	return sum(c.terms(t))
+}
+
+// terms is the one pricing formula behind Price and Total, returning the
+// components in Breakdown order. Every product is rounded explicitly (the
+// float64 conversions), so no target may fuse it into a following addition
+// (arm64 FMA) differently in Price and in Total.
+func (c *Card) terms(t *c3p.Traffic) (dram, d2d, al2, al1, wl1, ol1, ol2, mac float64) {
+	bits := func(bytes int64) float64 { return float64(bytes) * 8 }
+	dramBits := bits(t.DRAMBytes())
+	dram = float64(dramBits * hardware.DRAMPJPerBit)
+	d2d = float64(bits(t.D2DBytesScaled(c.num, c.den))*hardware.D2DPJPerBit) +
+		float64(dramBits*c.cross*hardware.D2DPJPerBit)
+	al2 = float64(bits(t.AL2Writes+t.AL2Reads+t.L2Psum) * c.al2)
+	al1 = float64(bits(t.AL1Writes+t.AL1Reads) * c.al1)
+	wl1 = float64(bits(t.WL1Writes+t.WL1Reads) * c.wl1)
+	ol1 = float64(float64(t.OL1RMW) * c.ol1)
+	ol2 = float64(bits(t.OL2Writes+t.OL2Reads) * c.ol2)
+	mac = float64(float64(t.MACs) * hardware.MACPJPerOp)
+	return
 }
 
 // EDP returns the energy-delay product in pJ·s.

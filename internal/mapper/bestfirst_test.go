@@ -25,7 +25,7 @@ func (s *search) lowerBound(m *mapping.Mapping, sh *mapping.Shape) float64 {
 	var tr c3p.Traffic
 	c3p.TrafficFloor(&tr, l, hw, m, sh)
 	e := s.fab.Energy(&tr, hw).Total()
-	if s.cfg.Objective == MinEDP {
+	if s.obj == MinEDP {
 		e *= hardware.Seconds(sim.ComputeBoundCyclesOf(l, hw, m, sh))
 	}
 	return e
@@ -39,7 +39,7 @@ func (s *search) stageScore(m *mapping.Mapping, sh *mapping.Shape) float64 {
 	c3p.FixedTraffic(&fixed, l, hw, m, sh)
 	c3p.StageTraffic(&tr, &c3p.Scratch{}, l, hw, m, sh, &fixed)
 	e := s.fab.Energy(&tr, hw).Total()
-	if s.cfg.Objective == MinEDP {
+	if s.obj == MinEDP {
 		e *= hardware.Seconds(sim.ComputeBoundCyclesOf(l, hw, m, sh))
 	}
 	return e

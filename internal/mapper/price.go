@@ -38,14 +38,20 @@ func NewFabric(hw hardware.Config, mask hardware.FaultMask, cm *hardware.CostMod
 	return &Fabric{topo: topo, xbar: xbar, num: num, den: den, cm: cm}, nil
 }
 
+// Card returns the rate card of hw's buffer sizes on this fabric: energy
+// charges the physical die-to-die bytes, the logical record scaled by the
+// topology's hop ratio. Buffer sizes vary under one fabric (the explore
+// memory grid), so cards are built per buffer configuration, not per fabric.
+func (f *Fabric) Card(hw *hardware.Config) energy.Card {
+	return energy.NewCard(hw, f.cm).WithD2DScale(f.num, f.den)
+}
+
 // Energy prices a logical traffic record (or an admissible floor of one) at
-// hw's buffer sizes. On its own it is the search's pre-simulation stage.
+// hw's buffer sizes through hw's card. Callers that price many records at
+// one buffer configuration hold the Card instead.
 func (f *Fabric) Energy(tr *c3p.Traffic, hw *hardware.Config) energy.Breakdown {
-	if f.num != f.den {
-		scaled := tr.ScaleD2D(f.num, f.den)
-		return energy.Price(&scaled, hw, f.cm)
-	}
-	return energy.Price(tr, hw, f.cm)
+	c := f.Card(hw)
+	return c.Price(tr)
 }
 
 // Cycles simulates the analysis' mapping against the logical traffic record.

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"nnbaton/internal/c3p"
+	"nnbaton/internal/energy"
 	"nnbaton/internal/hardware"
 	"nnbaton/internal/mapping"
 	"nnbaton/internal/obs"
@@ -231,13 +232,16 @@ func (ws *searchState) memoPairs(memo map[[2]int][2]int32, key [2]int, gen func(
 }
 
 // search carries the per-search immutable inputs shared by all workers:
-// the subtree shards and the one pricing kernel they all evaluate through.
+// the objective (the one Config field they read), the subtree shards, the
+// one pricing kernel they all evaluate through and its rate card at the
+// search's buffer sizes, which prices every bound and stage.
 type search struct {
-	l   workload.Layer
-	hw  hardware.Config
-	fab *Fabric
-	cfg Config
-	sts []subtree
+	l    workload.Layer
+	hw   hardware.Config
+	fab  *Fabric
+	card energy.Card
+	obj  Objective
+	sts  []subtree
 }
 
 // newSearch validates the inputs and builds the search's fabric and shards,
@@ -257,29 +261,30 @@ func newSearch(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg
 	if len(sts) == 0 {
 		return nil
 	}
-	return &search{l: l, hw: hw, fab: fab, cfg: cfg, sts: sts}
+	return &search{l: l, hw: hw, fab: fab, card: fab.Card(&hw), obj: cfg.Objective, sts: sts}
 }
 
 // groupBound prices the best case of every probe whose shape-product terms
 // are bounded below by t: the terms are assembled through
-// c3p.GroupTrafficFloor and priced by the fabric, and for EDP scaled by the
-// compute-bound runtime floor. The scan prices one group at three levels,
-// each with the terms minimized over a narrower candidate set: the full
-// chiplet- and core-tile lists (the coarse bound the groups are sorted by),
-// a single chiplet tile (channel terms exact) and a single (chiplet tile,
-// core tile) cell (every term exact). channelTerms and coreTerms fill in the
-// minima; a term that depends on only one of the two lists is computed once
-// per list, not once per bound. Admissible because every term is a true
-// lower bound on its per-member value, the assembly mirrors the exact one
-// branch for branch, and the energy model is linear with non-negative
-// coefficients, so groupBound ≤ stage score ≤ score for every temporal
-// variant of every member probe (pinned by TestGroupBoundAdmissible).
+// c3p.GroupTrafficFloor and totalled by the search's card, and for EDP
+// scaled by the compute-bound runtime floor. The scan prices one group at
+// three levels, each with the terms minimized over a narrower candidate set:
+// the full chiplet- and core-tile lists (the coarse bound the groups are
+// sorted by), a single chiplet tile (channel terms exact) and a single
+// (chiplet tile, core tile) cell (every term exact). channelTerms and
+// coreTerms fill in the minima; a term that depends on only one of the two
+// lists is computed once per list, not once per bound. Admissible because
+// every term is a true lower bound on its per-member value, the assembly
+// mirrors the exact one branch for branch, and the energy model is linear
+// with non-negative coefficients, so groupBound ≤ stage score ≤ score for
+// every temporal variant of every member probe (pinned by
+// TestGroupBoundAdmissible).
 func (s *search) groupBound(st *subtree, t *c3p.GroupFloorTerms) float64 {
 	l, hw := &s.l, &s.hw
 	var tr c3p.Traffic
 	c3p.GroupTrafficFloor(&tr, l, hw, st.ps.kind, st.rotate, max(1, st.cs.csplit), t)
-	e := s.fab.Energy(&tr, hw).Total()
-	if s.cfg.Objective == MinEDP {
+	e := s.card.Total(&tr)
+	if s.obj == MinEDP {
 		e *= hardware.Seconds(c3p.GroupCyclesFloor(l, hw, t))
 	}
 	return e
@@ -381,6 +386,7 @@ func (s *search) scan(sts []subtree, ws *searchState, dest *topK, shared *minBou
 	}
 	slices.SortFunc(order, func(a, b groupRef) int { return cmp.Compare(a.bound, b.bound) })
 
+	var sh mapping.Shape // the shape of the cell being evaluated
 	for _, ref := range order {
 		if ref.bound > min(dest.worst(), shared.Load()) {
 			break
@@ -409,8 +415,8 @@ func (s *search) scan(sts []subtree, ws *searchState, dest *topK, shared *minBou
 				probe := st.base()
 				probe.COt, probe.HOt, probe.WOt = cots[i], g.hot, g.wot
 				probe.HOc, probe.WOc = cps[j][0], cps[j][1]
-				if probe.FeasibleOn(l, hw) {
-					s.evalCell(&probe, ws, dest, shared)
+				if probe.FeasibleShape(l, hw, &sh) {
+					s.evalCell(&probe, &sh, ws, dest, shared)
 				}
 			}
 		}
@@ -419,29 +425,28 @@ func (s *search) scan(sts []subtree, ws *searchState, dest *topK, shared *minBou
 }
 
 // evalCell runs the staged pipeline over the temporal variants of one
-// feasible probe, setting the probe's temporal orders in place. The shape,
-// the fixed traffic and (for EDP) the compute-bound runtime are
-// temporal-invariant, so they are computed once per cell. Each variant is first priced by c3p.StageTraffic, which builds
-// no analysis: its exact energy — for EDP times the compute-bound runtime,
+// feasible probe of shape sh, setting the probe's temporal orders in place.
+// The shape, the fixed traffic and (for EDP) the compute-bound runtime are
+// temporal-invariant, so they are computed once per cell. Each variant is
+// first priced by c3p.StageTraffic, which builds no analysis, and totalled
+// by the card: its exact energy — for EDP times the compute-bound runtime,
 // still a lower bound on the final score — decides the stage prune. Only
-// the survivors are analyzed and simulated.
-func (s *search) evalCell(probe *mapping.Mapping, ws *searchState, dest *topK, shared *minBound) {
-	l, hw, obj := &s.l, &s.hw, s.cfg.Objective
-	sh := probe.Shape(l, hw)
+// the survivors get a breakdown, an analysis and a simulation.
+func (s *search) evalCell(probe *mapping.Mapping, sh *mapping.Shape, ws *searchState, dest *topK, shared *minBound) {
+	l, hw, obj := &s.l, &s.hw, s.obj
 	ws.tally.floors++
-	ws.tally.generated += temporalVariants(&sh)
+	ws.tally.generated += temporalVariants(sh)
 	var fixed, tr c3p.Traffic
-	c3p.FixedTraffic(&fixed, l, hw, probe, &sh)
+	c3p.FixedTraffic(&fixed, l, hw, probe, sh)
 	secs := 1.0 // scales the stage energy to the stage score exactly
 	if obj == MinEDP {
-		secs = hardware.Seconds(sim.ComputeBoundCyclesOf(l, hw, probe, &sh))
+		secs = hardware.Seconds(sim.ComputeBoundCyclesOf(l, hw, probe, sh))
 	}
 	for _, pt := range temporalChoices(sh.C1, sh.H1*sh.W1) {
 		for _, ct := range temporalChoices(sh.C2, sh.H2*sh.W2) {
 			probe.PackageTemporal, probe.ChipletTemporal = pt, ct
-			c3p.StageTraffic(&tr, &ws.sc, l, hw, probe, &sh, &fixed)
-			br := s.fab.Energy(&tr, hw)
-			if stage := br.Total() * secs; stage > min(dest.worst(), shared.Load()) {
+			c3p.StageTraffic(&tr, &ws.sc, l, hw, probe, sh, &fixed)
+			if stage := s.card.Total(&tr) * secs; stage > min(dest.worst(), shared.Load()) {
 				ws.tally.stagePruned++
 				continue
 			}
@@ -452,7 +457,7 @@ func (s *search) evalCell(probe *mapping.Mapping, ws *searchState, dest *topK, s
 				continue
 			}
 			ws.tally.evaluated++
-			o := Option{Analysis: &ws.a, Energy: br, Cycles: cycles}
+			o := Option{Analysis: &ws.a, Energy: s.card.Price(&tr), Cycles: cycles}
 			sc := o.Score(obj)
 			if dest.wouldAccept(sc, *probe) {
 				// Detach the analysis from the worker scratch only for

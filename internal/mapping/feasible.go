@@ -8,21 +8,25 @@ import (
 )
 
 // Feasible reports whether the mapping passes every structural and buffer
-// constraint that Validate checks, without constructing error values — the
-// mapper's branch-and-bound search calls it once per probe, where the
-// fmt.Errorf allocations of Validate's reject paths would dominate the
-// profile. It assumes the layer and hardware configuration are themselves
-// valid (Validate re-checks those first); under that precondition
+// constraint that Validate checks, without constructing error values. It
+// assumes the layer and hardware configuration are themselves valid
+// (Validate re-checks those first); under that precondition
 // Feasible(l, hw) == (Validate(l, hw) == nil), a lockstep enforced by
 // TestFeasibleMatchesValidate.
 func (m Mapping) Feasible(l workload.Layer, hw hardware.Config) bool {
-	return m.FeasibleOn(&l, &hw)
+	var s Shape
+	return m.FeasibleShape(&l, &hw, &s)
 }
 
-// FeasibleOn is Feasible reading its arguments through pointers, for the
-// mapper's search, which checks every probe it materializes.
-func (m *Mapping) FeasibleOn(l *workload.Layer, hw *hardware.Config) bool {
-	return m.StructurallyFeasible(l, hw) && m.BufferNeeds(l, hw).Fits(hw)
+// FeasibleShape is Feasible reading its arguments through pointers that
+// also hands back the shape the check derives: when it reports true, *s
+// equals Shape(l, hw) (otherwise *s is unspecified). The mapper's search
+// checks every cell it materializes and prices the feasible ones from their
+// shape, so it derives each shape once; the fmt.Errorf allocations of
+// Validate's reject paths would dominate its profile. The shape is written
+// in place because copying the 100-byte value out was visible there too.
+func (m *Mapping) FeasibleShape(l *workload.Layer, hw *hardware.Config, s *Shape) bool {
+	return m.structurallyFeasible(l, hw, s) && m.BufferNeeds(l, hw).Fits(hw)
 }
 
 // StructurallyFeasible reports whether the mapping passes Validate's checks
@@ -32,6 +36,14 @@ func (m *Mapping) FeasibleOn(l *workload.Layer, hw *hardware.Config) bool {
 // fixed per (layer shape, mapping) — the pre-design memory sweep checks it
 // once per candidate and only BufferNeeds per memory point.
 func (m *Mapping) StructurallyFeasible(l *workload.Layer, hw *hardware.Config) bool {
+	var s Shape
+	return m.structurallyFeasible(l, hw, &s)
+}
+
+// structurallyFeasible is StructurallyFeasible writing the shape it derives
+// on the way into s; s is left as it was when a check before the
+// derivation rejects.
+func (m *Mapping) structurallyFeasible(l *workload.Layer, hw *hardware.Config, s *Shape) bool {
 	switch m.PackageSpatial {
 	case SpatialC:
 		if l.CO < hw.Chiplets {
@@ -62,7 +74,7 @@ func (m *Mapping) StructurallyFeasible(l *workload.Layer, hw *hardware.Config) b
 	default:
 		return false
 	}
-	s := m.Shape(l, hw)
+	m.shapeInto(s, l, hw)
 	switch {
 	case m.COt <= 0 || m.HOt <= 0 || m.WOt <= 0 || m.HOc <= 0 || m.WOc <= 0,
 		m.COt > s.COp || m.HOt > s.HOp || m.WOt > s.WOp,

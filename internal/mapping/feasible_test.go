@@ -52,10 +52,9 @@ func randomMapping(rng *rand.Rand, l workload.Layer, hw hardware.Config) Mapping
 	return m
 }
 
-// TestFeasibleMatchesValidate pins the lockstep contract of the allocation-
-// free fast path: for valid layers and hardware, Feasible must accept exactly
-// the mappings Validate accepts.
-func TestFeasibleMatchesValidate(t *testing.T) {
+// feasibleDraws calls visit on every (layer, hardware, random mapping)
+// input of the Feasible lockstep tests, in a fixed order.
+func feasibleDraws(visit func(l workload.Layer, hw hardware.Config, m Mapping)) {
 	rng := rand.New(rand.NewSource(42))
 	layers := []workload.Layer{
 		{Model: "t", Name: "conv", HO: 56, WO: 56, CO: 64, CI: 64, R: 3, S: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
@@ -72,25 +71,52 @@ func TestFeasibleMatchesValidate(t *testing.T) {
 	small.WL1Bytes = 512
 	hws = append(hws, small)
 
-	accepted := 0
 	for _, l := range layers {
 		for _, hw := range hws {
 			for i := 0; i < 4000; i++ {
-				m := randomMapping(rng, l, hw)
-				err := m.Validate(l, hw)
-				if got := m.Feasible(l, hw); got != (err == nil) {
-					t.Fatalf("Feasible=%v but Validate err=%v for %+v on %s/%s @ %s",
-						got, err, m, l.Model, l.Name, hw.Tuple())
-				}
-				if err == nil {
-					accepted++
-				}
+				visit(l, hw, randomMapping(rng, l, hw))
 			}
 		}
 	}
+}
+
+// TestFeasibleMatchesValidate pins the lockstep contract of the allocation-
+// free fast path: for valid layers and hardware, Feasible must accept exactly
+// the mappings Validate accepts.
+func TestFeasibleMatchesValidate(t *testing.T) {
+	accepted := 0
+	feasibleDraws(func(l workload.Layer, hw hardware.Config, m Mapping) {
+		err := m.Validate(l, hw)
+		if got := m.Feasible(l, hw); got != (err == nil) {
+			t.Fatalf("Feasible=%v but Validate err=%v for %+v on %s/%s @ %s",
+				got, err, m, l.Model, l.Name, hw.Tuple())
+		}
+		if err == nil {
+			accepted++
+		}
+	})
 	if accepted < 100 {
 		t.Fatalf("only %d of the random mappings were valid; distribution too narrow", accepted)
 	}
+}
+
+// TestFeasibleShapeMatchesShape holds the search's shape-returning check to
+// Validate plus Shape on every input TestFeasibleMatchesValidate draws: it
+// accepts exactly the valid mappings and returns each one's Shape.
+func TestFeasibleShapeMatchesShape(t *testing.T) {
+	feasibleDraws(func(l workload.Layer, hw hardware.Config, m Mapping) {
+		var sh Shape
+		ok := m.FeasibleShape(&l, &hw, &sh)
+		if valid := m.Validate(l, hw) == nil; ok != valid {
+			t.Fatalf("FeasibleShape ok=%v but valid=%v for %+v on %s @ %s", ok, valid, m, l.Name, hw.Tuple())
+		}
+		if !ok {
+			return
+		}
+		if want := m.Shape(&l, &hw); sh != want {
+			t.Fatalf("FeasibleShape shape %+v, Shape %+v for %+v on %s @ %s", sh, want, m, l.Name, hw.Tuple())
+		}
+	})
 }
 
 // TestCompareTotalOrder spot-checks Compare's contract: reflexive zero,

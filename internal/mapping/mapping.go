@@ -155,6 +155,12 @@ func (s *Shape) ChipletPositions() int64 { return int64(s.C2) * int64(s.H2) * in
 // mapping, layer and hardware through pointers because the mapper's search
 // derives a shape for every probe it materializes and evaluates.
 func (m *Mapping) Shape(l *workload.Layer, hw *hardware.Config) (s Shape) {
+	m.shapeInto(&s, l, hw)
+	return s
+}
+
+// shapeInto is Shape writing every field of s in place.
+func (m *Mapping) shapeInto(s *Shape, l *workload.Layer, hw *hardware.Config) {
 	// Package spatial split.
 	switch m.PackageSpatial {
 	case SpatialC:
@@ -184,7 +190,6 @@ func (m *Mapping) Shape(l *workload.Layer, hw *hardware.Config) (s Shape) {
 	// cores along the planar split share weights (merged W-L1 pool).
 	s.PlanarShareCores = csplit
 	s.WeightShareCores = m.ChipletPattern.Parts()
-	return s
 }
 
 // Validate checks structural consistency of the mapping for a layer and
