@@ -68,7 +68,7 @@ type Journal struct {
 	torn     int
 }
 
-// Open opens (or creates) the journal at path with the historical policy:
+// Open opens (or creates) the journal at path with the durable policy:
 // fsync on every record. See OpenWith for the buffered mode.
 func Open(path string, resume bool) (*Journal, error) {
 	return OpenWith(path, Options{Resume: resume, Fsync: true})

@@ -17,6 +17,7 @@ import (
 	"nnbaton/internal/ckpt"
 	"nnbaton/internal/engine"
 	"nnbaton/internal/faults"
+	"nnbaton/internal/obs"
 )
 
 // paretoQuadratic is the O(n²) pairwise-dominance reference the optimized
@@ -99,9 +100,23 @@ func TestChaosExploreComputePanicIsolated(t *testing.T) {
 	faults.Set(faults.NewInjector(faults.Rule{Site: "dse.explore_compute",
 		Match: victim, Kind: faults.KindPanic, Times: 1}))
 	defer faults.Clear()
-	res, err := Explore(ctx, tinyModel(), tinySpace(), 512, 3.0, newEng())
+	reg := obs.NewRegistry()
+	eng := engine.NewFromConfig(cm, engine.Config{Registry: reg})
+	res, err := Explore(ctx, tinyModel(), tinySpace(), 512, 3.0, eng)
 	if err != nil {
 		t.Fatalf("a panicking configuration must not fail the study: %v", err)
+	}
+	if got := eng.Stats().Panics; got != 1 {
+		t.Errorf("Stats().Panics = %d, want 1", got)
+	}
+	var logged int
+	for _, ev := range reg.Events() {
+		if ev.Name == "panic.dse.explore_compute" {
+			logged++
+		}
+	}
+	if logged != 1 {
+		t.Errorf("%d panic.dse.explore_compute events in the registry, want 1", logged)
 	}
 	if len(res.Failed) != 1 {
 		t.Fatalf("Failed = %v, want exactly the victim", res.Failed)
@@ -117,6 +132,29 @@ func TestChaosExploreComputePanicIsolated(t *testing.T) {
 	}
 	if len(res.Points) == 0 {
 		t.Error("sibling configurations degraded")
+	}
+}
+
+func TestChaosExploreComputePanicRetried(t *testing.T) {
+	// One panic in one compute configuration, one point retry allowed: the
+	// retry absorbs it and the study equals a clean one.
+	clean, err := Explore(ctx, tinyModel(), tinySpace(), 512, 3.0, newEng())
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults.Set(faults.NewInjector(faults.Rule{Site: "dse.explore_compute",
+		Match: tinySpace().ComputeConfigs(512)[0].Tuple(), Kind: faults.KindPanic, Times: 1}))
+	defer faults.Clear()
+	eng := engine.NewFromConfig(cm, engine.Config{MaxRetries: 1, Backoff: 1})
+	res, err := Explore(ctx, tinyModel(), tinySpace(), 512, 3.0, eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := exploreSig(t, res), exploreSig(t, clean); got != want {
+		t.Errorf("retried study differs from the clean one:\n got %s\nwant %s", got, want)
+	}
+	if st := eng.Stats(); st.Panics != 1 || st.Retries != 1 {
+		t.Errorf("Stats() = %d panics, %d retries; want 1 and 1", st.Panics, st.Retries)
 	}
 }
 
@@ -204,6 +242,9 @@ func TestChaosExploreKillResumeByteIdentical(t *testing.T) {
 	}
 	if res.Replayed != completed {
 		t.Errorf("Replayed = %d, want %d", res.Replayed, completed)
+	}
+	if got := e2.Stats().Replayed; got != int64(res.Replayed) {
+		t.Errorf("Stats().Replayed = %d, want the study's %d", got, res.Replayed)
 	}
 	if j2.Appended() != total-completed {
 		t.Errorf("resume run appended %d records, want %d", j2.Appended(), total-completed)

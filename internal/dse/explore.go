@@ -2,12 +2,10 @@ package dse
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime/debug"
+	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"nnbaton/internal/c3p"
@@ -17,7 +15,6 @@ import (
 	"nnbaton/internal/hardware"
 	"nnbaton/internal/mapper"
 	"nnbaton/internal/mapping"
-	"nnbaton/internal/obs"
 	"nnbaton/internal/workload"
 )
 
@@ -209,77 +206,59 @@ func ExploreRange(ctx context.Context, model workload.Model, space Space, totalM
 }
 
 // exploreComputes is the shared body of Explore and ExploreRange: evaluate
-// (or replay) each given compute configuration, restore canonical order, and
-// pick the best point of the covered range. price re-prices each compute
-// configuration's harvested pool across the memory grid.
+// (or replay) each given compute configuration through engine.RunPoints,
+// restore canonical order, and pick the best point of the covered range.
+// price re-prices each compute configuration's harvested pool across the
+// memory grid.
 func exploreComputes(ctx context.Context, model workload.Model, space Space, totalMACs int,
 	areaLimitMM2 float64, eng *engine.Evaluator, computes []hardware.Config, label string, price gridPricer) (ExploreResult, error) {
-	res := ExploreResult{Model: model.Name}
-	jrn := eng.Config().Journal
-	var mu sync.Mutex
-
-	// Progress is tracked per compute configuration (the unit of anchor
-	// harvesting); the memory cross-product within each is pure re-pricing.
-	track := obs.NewTracker(eng.ProgressSink(), label, len(computes))
-	err := engine.ParallelFor(ctx, len(computes), eng.Workers(), func(i int) error {
-		comp := computes[i]
-		key := exploreKey(model, space, totalMACs, areaLimitMM2, comp)
-		if raw, ok := jrn.Lookup(key); ok {
-			var rec exploreRecord
-			if err := json.Unmarshal(raw, &rec); err == nil {
-				mu.Lock()
-				res.Swept += rec.Swept
-				res.Points = append(res.Points, rec.Points...)
-				if rec.Err != "" {
-					res.Failed = append(res.Failed, PointFailure{HW: comp, Err: rec.Err})
-				}
-				res.Replayed++
-				mu.Unlock()
-				var ptErr error
-				if rec.Err != "" {
-					ptErr = errors.New(rec.Err)
-				}
-				track.Replayed(ptErr)
-				return nil
+	// A point is one compute configuration (the unit of anchor harvesting);
+	// the memory cross-product within it is pure re-pricing.
+	outs, err := engine.RunPoints(ctx, eng, engine.Points[exploreRecord, exploreRecord]{
+		Label: label, Span: "dse.explore_compute", Site: "dse.explore_compute", N: len(computes),
+		Key: func(i int) string { return exploreKey(model, space, totalMACs, areaLimitMM2, computes[i]) },
+		Op:  func(i int) string { return computes[i].Tuple() },
+		Eval: func(ctx context.Context, i int, rec *exploreRecord) error {
+			return exploreCompute(ctx, model, space, computes[i], areaLimitMM2, eng, price, rec)
+		},
+		Record: func(o engine.Outcome[exploreRecord]) exploreRecord {
+			rec := o.Val
+			if o.Err != nil {
+				rec.Err = o.Err.Error()
 			}
-		}
-		stop := eng.Obs().Span("dse.explore_compute")
-		points, swept, err := exploreComputeSafe(ctx, model, space, comp, areaLimitMM2, eng, price)
-		stop()
-		if err != nil && ctx.Err() != nil {
-			// Cancelled mid-configuration: abort, and never journal — a
-			// resumed run must re-evaluate it.
-			return ctx.Err()
-		}
-		rec := exploreRecord{Points: points, Swept: swept}
-		if err != nil {
-			rec.Err = err.Error()
-		} else if len(points) == 0 {
-			rec.Err = fmt.Sprintf("dse: no valid memory point for %s", comp.Tuple())
-		}
-		mu.Lock()
-		res.Swept += swept
-		res.Points = append(res.Points, points...)
-		if rec.Err != "" {
-			res.Failed = append(res.Failed, PointFailure{HW: comp, Err: rec.Err})
-		}
-		mu.Unlock()
-		if jerr := jrn.Append(key, rec); jerr != nil {
-			return jerr
-		}
-		var ptErr error
-		if rec.Err != "" {
-			ptErr = errors.New(rec.Err)
-		}
-		track.Done(ptErr)
-		return nil
+			return rec
+		},
+		Replay: func(_ int, rec exploreRecord) engine.Outcome[exploreRecord] {
+			o := engine.Outcome[exploreRecord]{Val: rec}
+			if rec.Err != "" {
+				o.Err = errors.New(rec.Err)
+			}
+			return o
+		},
 	})
 	if err != nil {
 		return ExploreResult{}, err
 	}
+	// Sized up front: growing the slice by append while the per-configuration
+	// points are still held would need about twice the memory of one copy.
+	n := 0
+	for _, o := range outs {
+		n += len(o.Val.Points)
+	}
+	res := ExploreResult{Model: model.Name, Points: slices.Grow([]Point(nil), n)}
+	for i, o := range outs {
+		res.Swept += o.Val.Swept
+		res.Points = append(res.Points, o.Val.Points...)
+		if o.Err != nil {
+			res.Failed = append(res.Failed, PointFailure{HW: computes[i], Err: o.Err.Error()})
+		}
+		if o.Replayed {
+			res.Replayed++
+		}
+	}
 
-	// Parallel completion interleaves the per-compute appends; restore the
-	// canonical order so output (and a resumed run) is deterministic.
+	// A custom space may list its sizes out of order; restore the canonical
+	// order so output does not depend on how the space was written.
 	sort.SliceStable(res.Points, func(i, j int) bool { return lessHW(res.Points[i].HW, res.Points[j].HW) })
 	sort.SliceStable(res.Failed, func(i, j int) bool { return lessHW(res.Failed[i].HW, res.Failed[j].HW) })
 
@@ -315,24 +294,13 @@ func anchorConfigs(space Space, comp hardware.Config) []hardware.Config {
 	}
 }
 
-// exploreComputeSafe is exploreCompute under panic isolation: a panic inside
-// the harvest or re-pricing of one compute configuration becomes that
-// configuration's failure, not the study's crash.
-func exploreComputeSafe(ctx context.Context, model workload.Model, space Space, comp hardware.Config,
-	areaLimitMM2 float64, eng *engine.Evaluator, price gridPricer) (points []Point, swept int, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			points, swept = nil, 0
-			err = &engine.PanicError{Site: "dse.explore_compute", Op: comp.Tuple(), Value: r, Stack: debug.Stack()}
-		}
-	}()
-	return exploreCompute(ctx, model, space, comp, areaLimitMM2, eng, price)
-}
-
+// exploreCompute harvests one compute configuration's candidate mappings
+// at the anchor allocations and re-prices them across the memory grid into
+// rec. A configuration without a valid memory point fails.
 func exploreCompute(ctx context.Context, model workload.Model, space Space, comp hardware.Config,
-	areaLimitMM2 float64, eng *engine.Evaluator, price gridPricer) ([]Point, int, error) {
+	areaLimitMM2 float64, eng *engine.Evaluator, price gridPricer, rec *exploreRecord) error {
 	if err := faults.InjectContext(ctx, "dse.explore_compute", comp.Tuple()); err != nil {
-		return nil, 0, err
+		return err
 	}
 	// Harvest mapping candidates per layer at the anchor allocations. The
 	// engine deduplicates repeated shapes and coalesces identical anchor
@@ -347,7 +315,7 @@ func exploreCompute(ctx context.Context, model workload.Model, space Space, comp
 		for li, l := range model.Layers {
 			opts, err := eng.SearchAll(ctx, l, anchor, mapper.Config{KeepTop: 4})
 			if err != nil {
-				return nil, 0, err
+				return err
 			}
 			for _, opt := range opts {
 				pool[li] = append(pool[li], opt.Analysis)
@@ -355,15 +323,19 @@ func exploreCompute(ctx context.Context, model workload.Model, space Space, comp
 		}
 	}
 	if validAnchors == 0 {
-		return nil, 0, fmt.Errorf("dse: no valid anchor configuration for %s", comp.Tuple())
+		return fmt.Errorf("dse: no valid anchor configuration for %s", comp.Tuple())
 	}
 	// Every memory point shares the compute configuration's interconnect, so
 	// one pricing kernel serves the whole memory cross-product.
 	fab, err := mapper.NewFabric(comp, hardware.FaultMask{}, eng.CostModel())
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
-	return price(model, space, comp, pool, areaLimitMM2, fab, eng), space.MemoryPoints(), nil
+	rec.Points, rec.Swept = price(model, space, comp, pool, areaLimitMM2, fab, eng), space.MemoryPoints()
+	if len(rec.Points) == 0 {
+		return fmt.Errorf("dse: no valid memory point for %s", comp.Tuple())
+	}
+	return nil
 }
 
 // gridPricer re-prices one compute configuration's per-layer candidate pool

@@ -110,7 +110,7 @@ func RunShardedExplore(ctx context.Context, model workload.Model, space Space, t
 			// Every unfinished shard is under a live lease: stand by. The
 			// holder may finish (all done) or die (its lease expires and the
 			// next claim sweep takes the shard over).
-			if serr := sleepCtx(ctx, lease.DefaultBackoff); serr != nil {
+			if serr := engine.SleepCtx(ctx, lease.DefaultBackoff); serr != nil {
 				return res, serr
 			}
 			continue
@@ -183,16 +183,4 @@ func RunShardedExplore(ctx context.Context, model workload.Model, space Space, t
 // so pathologically short TTLs cannot spin the heartbeat loop.
 func heartbeatEvery(ttl time.Duration) time.Duration {
 	return max(ttl/3, 5*time.Millisecond)
-}
-
-// sleepCtx sleeps for d unless ctx ends first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }

@@ -228,6 +228,9 @@ func TestChaosSweepPointPanicIsolated(t *testing.T) {
 	if len(pts[0].Evals) == 0 || pts[1].Evals != nil {
 		t.Errorf("evals: healthy=%d panicked=%d", len(pts[0].Evals), len(pts[1].Evals))
 	}
+	if got := e.Stats().Panics; got != 1 {
+		t.Errorf("Stats().Panics = %d, want 1", got)
+	}
 }
 
 func TestChaosSweepPointPanicRetried(t *testing.T) {
@@ -244,6 +247,18 @@ func TestChaosSweepPointPanicRetried(t *testing.T) {
 	}
 	if pts[0].Attempts != 2 {
 		t.Errorf("Attempts = %d, want 2", pts[0].Attempts)
+	}
+}
+
+func TestChaosScenarioPanicRetried(t *testing.T) {
+	withInjector(t, faults.Rule{Site: "engine.scenario", Kind: faults.KindPanic, Times: 1})
+	e := NewFromConfig(cm, Config{MaxRetries: 1, Backoff: time.Millisecond})
+	pt := e.EvalScenario(bg, []workload.Model{tinyModel()}, caseBase(), hardware.FaultMask{}, mapper.Config{})
+	if pt.Err != nil || pt.Attempts != 2 {
+		t.Fatalf("retry did not recover the scenario: Err = %v, Attempts = %d", pt.Err, pt.Attempts)
+	}
+	if st := e.Stats(); st.Panics != 1 || st.Retries != 1 {
+		t.Errorf("Stats() = %d panics, %d retries; want 1 and 1", st.Panics, st.Retries)
 	}
 }
 

@@ -31,11 +31,9 @@ package engine
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"strings"
 	"sync"
 	"time"
@@ -113,7 +111,8 @@ type Stats struct {
 	Retries int64
 	// Timeouts counts search attempts abandoned at the point deadline.
 	Timeouts int64
-	// Replayed counts sweep points served from the checkpoint journal.
+	// Replayed counts journaled points (sweep points, scenario points and
+	// explore compute configurations) served from the checkpoint journal.
 	Replayed int64
 	// Evictions counts cache entries evicted after a failed search (the
 	// entry is removed so a later request re-attempts).
@@ -221,7 +220,7 @@ func NewWithWorkers(cm *hardware.CostModel, workers int) *Evaluator {
 }
 
 // NewFromConfig builds an evaluator under a full concurrency/resilience
-// policy (see Config; the zero value is the historical default behavior).
+// policy (see Config; the zero value is the default behavior).
 func NewFromConfig(cm *hardware.CostModel, cfg Config) *Evaluator {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -331,13 +330,6 @@ func (e *Evaluator) pruneNote() string {
 		note += fmt.Sprintf(", %d cells", fl)
 	}
 	return note
-}
-
-// recordPanic counts a recovered panic and preserves its value and stack in
-// the registry's event ring for the -metrics dump.
-func (e *Evaluator) recordPanic(pe *PanicError) {
-	e.panics.Add(1)
-	e.reg.Event("panic."+pe.Site, fmt.Sprintf("%s: %v\n%s", pe.Op, pe.Value, pe.Stack))
 }
 
 // normalize folds the SearchAll KeepTop default into the cache key so
@@ -480,7 +472,7 @@ func (e *Evaluator) lead(ctx context.Context, en *entry, key searchKey, l worklo
 			return finish(nil, err)
 		}
 		e.retries.Add(1)
-		if serr := sleepCtx(ctx, e.cfg.backoff(attempt)); serr != nil {
+		if serr := SleepCtx(ctx, e.cfg.backoff(attempt)); serr != nil {
 			return finish(nil, &leaderCancelled{cause: serr})
 		}
 	}
@@ -513,24 +505,20 @@ func (e *Evaluator) searchAttempt(ctx context.Context, l workload.Layer, hw hard
 	ch := make(chan outcome, 1)
 	go func() {
 		defer func() { <-e.sem }()
-		defer func() {
-			if r := recover(); r != nil {
-				pe := &PanicError{Site: "engine.search", Op: op, Value: r, Stack: debug.Stack()}
-				e.recordPanic(pe)
-				ch <- outcome{err: pe}
+		var o outcome
+		o.err = e.isolate("engine.search", op, func() error {
+			if err := faults.InjectContext(ctx, "engine.search", op); err != nil {
+				return err
 			}
-		}()
-		if err := faults.InjectContext(ctx, "engine.search", op); err != nil {
-			ch <- outcome{err: err}
-			return
-		}
-		if cfg.Counters == nil {
-			cfg.Counters = e.searchCtrs
-		}
-		stop := e.reg.Span("engine.search")
-		opts := mapper.SearchAll(l, hw, e.cm, cfg)
-		stop()
-		ch <- outcome{opts: opts}
+			if cfg.Counters == nil {
+				cfg.Counters = e.searchCtrs
+			}
+			stop := e.reg.Span("engine.search")
+			o.opts = mapper.SearchAll(l, hw, e.cm, cfg)
+			stop()
+			return nil
+		})
+		ch <- o
 	}()
 
 	var deadline <-chan time.Time
@@ -624,6 +612,14 @@ type ModelEval struct {
 	Skipped []string         `json:"skipped,omitempty"`
 }
 
+// evalOf is the compact aggregate of one model evaluation.
+func evalOf(res mapper.ModelResult) ModelEval {
+	return ModelEval{
+		Model: res.Model.Name, Energy: res.Energy, Cycles: res.Cycles,
+		Mapped: len(res.Layers), Skipped: res.Skipped,
+	}
+}
+
 // SweepPoint is the evaluation of a model set on one hardware configuration.
 type SweepPoint struct {
 	HW hardware.Config
@@ -664,36 +660,14 @@ func modelsSig(models []workload.Model) string {
 // sweepPointKey is the checkpoint key of one sweep point: the model set, the
 // search configuration and the full hardware configuration, so a journal is
 // only ever replayed into the sweep that produced it. A degraded-fabric
-// search config extends the key with the fault mask (healthy sweeps keep the
-// historical key shape, so pre-fault journals stay replayable).
+// search config extends the key with the fault mask; a healthy sweep's key
+// carries no fault suffix.
 func sweepPointKey(sig string, cfg mapper.Config, hw hardware.Config) string {
 	key := fmt.Sprintf("sweep|%s|obj%d-keep%d-rot%v|%s", sig, cfg.Objective, cfg.KeepTop, !cfg.DisableRotation, hw.String())
 	if !cfg.Fault.IsZero() {
 		key += "|fault:" + cfg.Fault.Key()
 	}
 	return key
-}
-
-// replaySweepPoint reconstructs a sweep point from its journal record.
-func replaySweepPoint(raw json.RawMessage, hw hardware.Config) (SweepPoint, bool) {
-	var rec sweepRecord
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		return SweepPoint{}, false
-	}
-	pt := SweepPoint{HW: hw, Evals: rec.Evals, Replayed: true, Attempts: rec.Attempts}
-	if rec.Err != "" {
-		pt.Err = errors.New(rec.Err)
-	}
-	return pt, true
-}
-
-// recordOf converts a completed sweep point to its journal form.
-func recordOf(pt SweepPoint) sweepRecord {
-	rec := sweepRecord{HW: pt.HW, Evals: pt.Evals, Attempts: pt.Attempts}
-	if pt.Err != nil {
-		rec.Err = pt.Err.Error()
-	}
-	return rec
 }
 
 // EvalSweep evaluates every model on every hardware configuration — the
@@ -703,99 +677,60 @@ func recordOf(pt SweepPoint) sweepRecord {
 // or past its deadline after retries — is recorded on its SweepPoint rather
 // than aborting the sweep; only context cancellation returns an error.
 //
-// With a checkpoint journal configured, each completed point is appended as
-// a JSONL record and points already journaled by an earlier (crashed or
-// killed) run are replayed instead of re-evaluated. Progress (points
-// done/total, failures with the latest reason, replays, ETA) flows to the
-// attached progress sink, and each point is timed under the
-// engine.sweep_point phase.
+// With a checkpoint journal configured, each completed point is journaled
+// and points already journaled by an earlier (crashed or killed) run are
+// replayed instead of re-evaluated (see RunPoints). Each point is timed
+// under the engine.sweep_point phase.
 func (e *Evaluator) EvalSweep(ctx context.Context, models []workload.Model, hws []hardware.Config, cfg mapper.Config) ([]SweepPoint, error) {
 	cfg = normalize(cfg)
-	pts := make([]SweepPoint, len(hws))
-	track := obs.NewTracker(e.sink, "sweep", len(hws))
-	track.SetNote(e.pruneNote)
 	sig := modelsSig(models)
-	jrn := e.cfg.Journal
-	err := ParallelFor(ctx, len(hws), e.cfg.Workers, func(i int) error {
-		key := sweepPointKey(sig, cfg, hws[i])
-		if raw, ok := jrn.Lookup(key); ok {
-			if pt, ok := replaySweepPoint(raw, hws[i]); ok {
-				pts[i] = pt
-				e.replayed.Add(1)
-				track.Replayed(pt.Err)
-				return nil
-			}
-		}
-		stop := e.reg.Span("engine.sweep_point")
-		pt := e.evalSweepPoint(ctx, models, hws[i], cfg)
-		stop()
-		if pt.Err != nil && ctx.Err() != nil {
-			// Cancelled mid-point: not a point failure, and never journaled
-			// — a resumed run must re-evaluate it.
-			return ctx.Err()
-		}
-		pts[i] = pt
-		if err := jrn.Append(key, recordOf(pt)); err != nil {
-			return err
-		}
-		track.Done(pt.Err)
-		return nil
+	outs, err := RunPoints(ctx, e, Points[SweepPoint, sweepRecord]{
+		Label: "sweep", Span: "engine.sweep_point", Site: "engine.sweep_point", N: len(hws),
+		Key: func(i int) string { return sweepPointKey(sig, cfg, hws[i]) },
+		Op:  func(i int) string { return hws[i].String() },
+		Eval: func(ctx context.Context, i int, pt *SweepPoint) error {
+			return e.evalSweepPoint(ctx, models, hws[i], cfg, pt)
+		},
+		Record: func(o Outcome[SweepPoint]) sweepRecord {
+			return sweepRecord{HW: o.Val.HW, Evals: o.Val.Evals, Err: errText(o.Err), Attempts: o.Attempts}
+		},
+		Replay: func(i int, rec sweepRecord) Outcome[SweepPoint] {
+			return Outcome[SweepPoint]{Val: SweepPoint{HW: hws[i], Evals: rec.Evals}, Err: errOf(rec.Err), Attempts: rec.Attempts}
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
+	pts := make([]SweepPoint, len(outs))
+	for i, o := range outs {
+		pts[i] = o.Val
+		pts[i].Err, pts[i].Attempts, pts[i].Replayed = o.Err, o.Attempts, o.Replayed
+	}
 	return pts, nil
 }
 
-// evalSweepPoint evaluates one sweep point under the bounded retry policy.
-func (e *Evaluator) evalSweepPoint(ctx context.Context, models []workload.Model, hw hardware.Config, cfg mapper.Config) SweepPoint {
-	for attempt := 0; ; attempt++ {
-		pt := e.evalSweepPointOnce(ctx, models, hw, cfg)
-		pt.Attempts = attempt + 1
-		if pt.Err == nil || ctx.Err() != nil || !IsRetryable(pt.Err) || attempt >= e.cfg.MaxRetries {
-			return pt
-		}
-		e.retries.Add(1)
-		if sleepCtx(ctx, e.cfg.backoff(attempt)) != nil {
-			return pt
-		}
-	}
-}
-
-// evalSweepPointOnce is one panic-isolated point evaluation attempt: the
-// configuration is validated up front (an invalid Table II combination is a
-// structured failure, not NaN energies downstream), and a panic anywhere in
-// the point body becomes a PanicError on the point.
-func (e *Evaluator) evalSweepPointOnce(ctx context.Context, models []workload.Model, hw hardware.Config, cfg mapper.Config) (pt SweepPoint) {
-	pt = SweepPoint{HW: hw}
-	defer func() {
-		if r := recover(); r != nil {
-			pe := &PanicError{Site: "engine.sweep_point", Op: hw.String(), Value: r, Stack: debug.Stack()}
-			e.recordPanic(pe)
-			pt.Evals, pt.Results = nil, nil
-			pt.Err = pe
-		}
-	}()
+// evalSweepPoint is one attempt at a sweep point: the configuration is
+// validated up front (an invalid Table II combination is a structured
+// failure, not NaN energies downstream), then every model is evaluated. A
+// failed point carries only its configuration.
+func (e *Evaluator) evalSweepPoint(ctx context.Context, models []workload.Model, hw hardware.Config, cfg mapper.Config, pt *SweepPoint) error {
+	pt.HW = hw
 	if err := faults.InjectContext(ctx, "engine.sweep_point", hw.String()); err != nil {
-		pt.Err = err
-		return pt
+		return err
 	}
 	if err := hw.Validate(); err != nil {
-		pt.Err = err
-		return pt
+		return err
 	}
+	var evals []ModelEval
+	var results []mapper.ModelResult
 	for _, m := range models {
 		res, err := e.EvalModel(ctx, m, hw, cfg)
 		if err != nil {
-			pt.Evals, pt.Results = nil, nil
-			pt.Err = err
-			return pt
+			return err
 		}
-		pt.Results = append(pt.Results, res)
-		pt.Evals = append(pt.Evals, ModelEval{
-			Model: m.Name, Energy: res.Energy, Cycles: res.Cycles,
-			Mapped: len(res.Layers), Skipped: res.Skipped,
-		})
+		results = append(results, res)
+		evals = append(evals, evalOf(res))
 	}
-	return pt
+	pt.Evals, pt.Results = evals, results
+	return nil
 }

@@ -31,10 +31,10 @@ func safeCall(f func(int) error, i int) (err error) {
 // panicking body is recovered and surfaced as a *PanicError rather than
 // crashing the process.
 //
-// It subsumes the former dse.parallelFor and is the single fan-out primitive
-// of the evaluation engine; the pool mechanics live in internal/par (shared
-// with the mapper's intra-layer shard search), while this wrapper converts
-// body panics into the engine's richer *PanicError before par can see them.
+// It is the single fan-out primitive of the evaluation engine; the pool
+// mechanics live in internal/par (shared with the mapper's intra-layer shard
+// search), while this wrapper converts body panics into the engine's richer
+// *PanicError before par can see them.
 // Nesting is safe because the engine bounds actual search computation with
 // its own semaphore, never this goroutine count.
 func ParallelFor(ctx context.Context, n, workers int, f func(int) error) error {

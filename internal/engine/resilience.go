@@ -11,8 +11,8 @@ import (
 )
 
 // Config is an Evaluator's concurrency and resilience policy. The zero value
-// reproduces the historical behavior — GOMAXPROCS workers, no deadlines, no
-// retries, no checkpointing — with panic isolation always on.
+// means GOMAXPROCS workers, no deadlines, no retries and no checkpointing,
+// with panic isolation always on.
 type Config struct {
 	// Workers bounds concurrently computing searches (<=0 = GOMAXPROCS).
 	Workers int
@@ -123,9 +123,9 @@ func IsRetryable(err error) bool {
 	return false
 }
 
-// sleepCtx sleeps for d unless ctx ends first, returning ctx's error when it
-// does.
-func sleepCtx(ctx context.Context, d time.Duration) error {
+// SleepCtx sleeps for d unless ctx ends first, returning ctx's error when it
+// does (at once, for d <= 0).
+func SleepCtx(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()
 	}

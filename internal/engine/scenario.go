@@ -11,15 +11,11 @@ package engine
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"runtime/debug"
 
 	"nnbaton/internal/faults"
 	"nnbaton/internal/hardware"
 	"nnbaton/internal/mapper"
-	"nnbaton/internal/obs"
 	"nnbaton/internal/workload"
 )
 
@@ -81,82 +77,54 @@ func scenarioPointKey(sig string, cfg mapper.Config, base hardware.Config, mask 
 		sig, cfg.Objective, cfg.KeepTop, !cfg.DisableRotation, base.String(), mask.Key())
 }
 
-// replayScenarioPoint reconstructs a scenario point from its journal record.
-func replayScenarioPoint(raw json.RawMessage) (ScenarioPoint, bool) {
-	var rec scenarioRecord
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		return ScenarioPoint{}, false
-	}
-	pt := ScenarioPoint{
-		Mask: rec.Mask, Alive: rec.Alive, TotalMACs: rec.TotalMACs,
-		FailedUnits: rec.FailedUnits, Envelope: rec.Envelope, EnvMask: rec.EnvMask,
-		Evals: rec.Evals, Energy: rec.Energy, Cycles: rec.Cycles, Seconds: rec.Seconds,
-		Replayed: true, Attempts: rec.Attempts,
-	}
-	if rec.Err != "" {
-		pt.Err = errors.New(rec.Err)
-	}
-	return pt, true
-}
-
-// scenarioRecordOf converts a completed scenario point to its journal form.
+// scenarioRecordOf converts a scenario point to its journal form.
 func scenarioRecordOf(pt ScenarioPoint) scenarioRecord {
-	rec := scenarioRecord{
+	return scenarioRecord{
 		Mask: pt.Mask, Alive: pt.Alive, TotalMACs: pt.TotalMACs,
 		FailedUnits: pt.FailedUnits, Envelope: pt.Envelope, EnvMask: pt.EnvMask,
 		Evals: pt.Evals, Energy: pt.Energy, Cycles: pt.Cycles, Seconds: pt.Seconds,
-		Attempts: pt.Attempts,
+		Err: errText(pt.Err), Attempts: pt.Attempts,
 	}
-	if pt.Err != nil {
-		rec.Err = pt.Err.Error()
-	}
-	return rec
+}
+
+// scenarioOp names a scenario in a PanicError.
+func scenarioOp(base hardware.Config, mask hardware.FaultMask) string {
+	return mask.Key() + " on " + base.String()
+}
+
+// scenarioOf stamps a scenario's outcome on its point.
+func scenarioOf(o Outcome[ScenarioPoint]) ScenarioPoint {
+	pt := o.Val
+	pt.Err, pt.Attempts, pt.Replayed = o.Err, o.Attempts, o.Replayed
+	return pt
 }
 
 // EvalScenario evaluates a model set on one degraded fabric under the
-// bounded retry policy: the mask is canonicalized and validated against the
-// base configuration, the surviving fabric's uniform envelopes are each
-// evaluated through the memoized model path, and the envelope minimizing the
-// search objective (ties broken by envelope order, which is deterministic)
-// becomes the scenario result. Failures land on the point's Err.
+// point retry-and-isolate policy: the mask is canonicalized and validated
+// against the base configuration, the surviving fabric's uniform envelopes
+// are each evaluated through the memoized model path, and the envelope
+// minimizing the search objective (ties broken by envelope order, which is
+// deterministic) becomes the scenario result. Failures land on the point's
+// Err.
 func (e *Evaluator) EvalScenario(ctx context.Context, models []workload.Model, base hardware.Config, mask hardware.FaultMask, cfg mapper.Config) ScenarioPoint {
 	cfg = normalize(cfg)
-	for attempt := 0; ; attempt++ {
-		pt := e.evalScenarioOnce(ctx, models, base, mask, cfg)
-		pt.Attempts = attempt + 1
-		if pt.Err == nil || ctx.Err() != nil || !IsRetryable(pt.Err) || attempt >= e.cfg.MaxRetries {
-			return pt
-		}
-		e.retries.Add(1)
-		if sleepCtx(ctx, e.cfg.backoff(attempt)) != nil {
-			return pt
-		}
-	}
+	return scenarioOf(runPoint(ctx, e, "engine.scenario", scenarioOp(base, mask), func(ctx context.Context, pt *ScenarioPoint) error {
+		return e.evalScenario(ctx, models, base, mask, cfg, pt)
+	}))
 }
 
-// evalScenarioOnce is one panic-isolated scenario evaluation attempt.
-func (e *Evaluator) evalScenarioOnce(ctx context.Context, models []workload.Model, base hardware.Config, mask hardware.FaultMask, cfg mapper.Config) (pt ScenarioPoint) {
-	pt = ScenarioPoint{Mask: mask}
-	defer func() {
-		if r := recover(); r != nil {
-			pe := &PanicError{Site: "engine.scenario", Op: mask.Key() + " on " + base.String(), Value: r, Stack: debug.Stack()}
-			e.recordPanic(pe)
-			pt = ScenarioPoint{Mask: pt.Mask, Err: pe}
-		}
-	}()
+// evalScenario is one attempt at a scenario point. A failure before the
+// mask is canonicalized leaves only the input mask on the point.
+func (e *Evaluator) evalScenario(ctx context.Context, models []workload.Model, base hardware.Config, mask hardware.FaultMask, cfg mapper.Config, pt *ScenarioPoint) error {
+	pt.Mask = mask
 	if err := faults.InjectContext(ctx, "engine.scenario", mask.Key()); err != nil {
-		pt.Err = err
-		return pt
+		return err
 	}
 	fab, err := base.Degrade(mask)
 	if err != nil {
-		pt.Err = err
-		return pt
+		return err
 	}
 	pt.Mask = fab.Mask // canonical
-	pt.Alive = fab.AliveChiplets()
-	pt.TotalMACs = fab.TotalMACs()
-	pt.FailedUnits = fab.Mask.FailedUnits()
 	freq := fab.Mask.FreqScale()
 
 	type candidate struct {
@@ -176,17 +144,13 @@ func (e *Evaluator) evalScenarioOnce(ctx context.Context, models []workload.Mode
 			res, err := e.EvalModel(ctx, m, env.HW, ecfg)
 			if err != nil {
 				if ctx.Err() != nil {
-					pt.Err = ctx.Err()
-					return pt
+					return ctx.Err()
 				}
 				lastErr = err
 				cand.evals = nil
 				break
 			}
-			cand.evals = append(cand.evals, ModelEval{
-				Model: m.Name, Energy: res.Energy, Cycles: res.Cycles,
-				Mapped: len(res.Layers), Skipped: res.Skipped,
-			})
+			cand.evals = append(cand.evals, evalOf(res))
 			cand.complete = cand.complete && res.Complete()
 			cand.energy += res.Energy.Total()
 			cand.cycles += res.Cycles
@@ -200,12 +164,16 @@ func (e *Evaluator) evalScenarioOnce(ctx context.Context, models []workload.Mode
 			best = &c
 		}
 	}
+	// Set only now, so a point that panics in the envelope loop carries just
+	// its mask.
+	pt.Alive = fab.AliveChiplets()
+	pt.TotalMACs = fab.TotalMACs()
+	pt.FailedUnits = fab.Mask.FailedUnits()
 	if best == nil {
 		if lastErr == nil {
 			lastErr = fmt.Errorf("engine: mask %s leaves no mappable envelope of %s", fab.Mask, base.Tuple())
 		}
-		pt.Err = lastErr
-		return pt
+		return lastErr
 	}
 	pt.Envelope = best.env.HW
 	pt.EnvMask = best.env.Mask
@@ -213,7 +181,7 @@ func (e *Evaluator) evalScenarioOnce(ctx context.Context, models []workload.Mode
 	pt.Energy = best.energy
 	pt.Cycles = best.cycles
 	pt.Seconds = hardware.Seconds(best.cycles) / freq
-	return pt
+	return nil
 }
 
 // scenarioBetter ranks candidate envelopes: complete evaluations (every
@@ -238,40 +206,34 @@ func scenarioBetter(aComplete bool, aEnergy float64, aCycles int64, freq float64
 // cache across scenarios (envelopes repeating a (shape, hardware, mask)
 // triple never recompute); the result is indexed by the input series, so it
 // is byte-identical across worker counts. With a checkpoint journal
-// configured, completed points are appended and replayed exactly like
-// EvalSweep points. Only context cancellation returns an error.
+// configured, completed points are journaled and replayed exactly like
+// EvalSweep points (see RunPoints). Only context cancellation returns an
+// error.
 func (e *Evaluator) DegradationSweep(ctx context.Context, models []workload.Model, base hardware.Config, masks []hardware.FaultMask, cfg mapper.Config) ([]ScenarioPoint, error) {
 	cfg = normalize(cfg)
-	pts := make([]ScenarioPoint, len(masks))
-	track := obs.NewTracker(e.sink, "degradation", len(masks))
-	track.SetNote(e.pruneNote)
 	sig := modelsSig(models)
-	jrn := e.cfg.Journal
-	err := ParallelFor(ctx, len(masks), e.cfg.Workers, func(i int) error {
-		key := scenarioPointKey(sig, cfg, base, masks[i].Canonical(base))
-		if raw, ok := jrn.Lookup(key); ok {
-			if pt, ok := replayScenarioPoint(raw); ok {
-				pts[i] = pt
-				e.replayed.Add(1)
-				track.Replayed(pt.Err)
-				return nil
-			}
-		}
-		stop := e.reg.Span("engine.scenario_point")
-		pt := e.EvalScenario(ctx, models, base, masks[i], cfg)
-		stop()
-		if pt.Err != nil && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		pts[i] = pt
-		if err := jrn.Append(key, scenarioRecordOf(pt)); err != nil {
-			return err
-		}
-		track.Done(pt.Err)
-		return nil
+	outs, err := RunPoints(ctx, e, Points[ScenarioPoint, scenarioRecord]{
+		Label: "degradation", Span: "engine.scenario_point", Site: "engine.scenario", N: len(masks),
+		Key: func(i int) string { return scenarioPointKey(sig, cfg, base, masks[i].Canonical(base)) },
+		Op:  func(i int) string { return scenarioOp(base, masks[i]) },
+		Eval: func(ctx context.Context, i int, pt *ScenarioPoint) error {
+			return e.evalScenario(ctx, models, base, masks[i], cfg, pt)
+		},
+		Record: func(o Outcome[ScenarioPoint]) scenarioRecord { return scenarioRecordOf(scenarioOf(o)) },
+		Replay: func(_ int, rec scenarioRecord) Outcome[ScenarioPoint] {
+			return Outcome[ScenarioPoint]{Val: ScenarioPoint{
+				Mask: rec.Mask, Alive: rec.Alive, TotalMACs: rec.TotalMACs,
+				FailedUnits: rec.FailedUnits, Envelope: rec.Envelope, EnvMask: rec.EnvMask,
+				Evals: rec.Evals, Energy: rec.Energy, Cycles: rec.Cycles, Seconds: rec.Seconds,
+			}, Err: errOf(rec.Err), Attempts: rec.Attempts}
+		},
 	})
 	if err != nil {
 		return nil, err
+	}
+	pts := make([]ScenarioPoint, len(outs))
+	for i, o := range outs {
+		pts[i] = scenarioOf(o)
 	}
 	return pts, nil
 }

@@ -202,6 +202,9 @@ func TestDegradationSweepKillResume(t *testing.T) {
 	if replayed != completed {
 		t.Errorf("replayed %d points, want %d", replayed, completed)
 	}
+	if got := e2.Stats().Replayed; got != int64(completed) {
+		t.Errorf("Stats().Replayed = %d, want %d", got, completed)
+	}
 }
 
 // TestCacheKeyFaultSeparation is the keying table test: (ShapeKey, HWKey,

@@ -114,7 +114,7 @@ func (w *Worker) register(ctx context.Context) error {
 			return nil
 		}
 		w.logf("register: %v (retrying in %v)", err, backoff)
-		if serr := sleepCtx(ctx, backoff); serr != nil {
+		if serr := engine.SleepCtx(ctx, backoff); serr != nil {
 			return serr
 		}
 		backoff = min(backoff*2, 5*time.Second)
@@ -148,7 +148,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			continue
 		case err != nil:
 			w.logf("task poll: %v", err)
-			if serr := sleepCtx(ctx, w.pollEvery()); serr != nil {
+			if serr := engine.SleepCtx(ctx, w.pollEvery()); serr != nil {
 				return serr
 			}
 			continue
@@ -156,7 +156,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			w.logf("coordinator draining; exiting")
 			return nil
 		case tr.Task == nil:
-			if serr := sleepCtx(ctx, w.pollEvery()); serr != nil {
+			if serr := engine.SleepCtx(ctx, w.pollEvery()); serr != nil {
 				return serr
 			}
 			continue
@@ -296,16 +296,4 @@ func (w *Worker) executeTask(ctx context.Context, task *Task) Report {
 		rep.Err = err.Error()
 	}
 	return rep
-}
-
-// sleepCtx sleeps for d unless ctx ends first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
