@@ -39,7 +39,6 @@ import (
 	"nnbaton/internal/mapper"
 	"nnbaton/internal/mapping"
 	"nnbaton/internal/pipeline"
-	"nnbaton/internal/report"
 	"nnbaton/internal/serve"
 	"nnbaton/internal/simba"
 	"nnbaton/internal/workload"
@@ -471,31 +470,4 @@ func (b *Baton) ServeTraceScenarios(ctx context.Context, t ServingTrace, models 
 		}
 	}
 	return results, nil
-}
-
-// DegradationRows converts scenario points to degradation-curve table rows
-// (report.DegradationCurve renders them).
-func DegradationRows(pts []ScenarioPoint) []report.DegradationRow {
-	rows := make([]report.DegradationRow, len(pts))
-	for i, pt := range pts {
-		r := report.DegradationRow{
-			Scenario:    pt.Mask.String(),
-			FailedUnits: pt.FailedUnits,
-			Alive:       pt.Alive,
-			MACs:        pt.TotalMACs,
-		}
-		if pt.Err != nil {
-			r.Err = pt.Err.Error()
-		} else {
-			r.Envelope = pt.Envelope.Tuple()
-			if !pt.EnvMask.IsZero() {
-				r.Envelope += " (rerouted)"
-			}
-			r.EnergyPJ = pt.Energy
-			r.Seconds = pt.Seconds
-			r.EDPPJs = pt.EDP()
-		}
-		rows[i] = r
-	}
-	return rows
 }

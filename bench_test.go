@@ -315,7 +315,7 @@ func benchSearchLayer(b *testing.B) workload.Layer {
 func BenchmarkSearchLayerExhaustive(b *testing.B) {
 	l := benchSearchLayer(b)
 	hw := hardware.CaseStudy()
-	cfg := mapper.Config{Objective: mapper.MinEnergy, KeepTop: 8}
+	cfg := mapper.Config{KeepTop: 8}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if len(mapper.SearchExhaustive(l, hw, benchCM, cfg)) == 0 {
@@ -340,7 +340,7 @@ func BenchmarkSearchLayerPruned(b *testing.B) {
 		FloorsComputed: &obs.Counter{},
 		HeapPopped:     &obs.Counter{},
 	}
-	cfg := mapper.Config{Objective: mapper.MinEnergy, KeepTop: 8, Counters: ctr}
+	cfg := mapper.Config{KeepTop: 8, Counters: ctr}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if len(mapper.SearchAll(l, hw, benchCM, cfg)) == 0 {
@@ -365,7 +365,7 @@ func BenchmarkSearchLayerMeshPruned(b *testing.B) {
 	l := benchSearchLayer(b)
 	hw := hardware.CaseStudy()
 	hw.Topology = hardware.TopoMesh
-	cfg := mapper.Config{Objective: mapper.MinEnergy, KeepTop: 8}
+	cfg := mapper.Config{KeepTop: 8}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if len(mapper.SearchAll(l, hw, benchCM, cfg)) == 0 {
@@ -379,7 +379,7 @@ func BenchmarkSearchLayerMeshPruned(b *testing.B) {
 func BenchmarkSearchLayerPrunedSerial(b *testing.B) {
 	l := benchSearchLayer(b)
 	hw := hardware.CaseStudy()
-	cfg := mapper.Config{Objective: mapper.MinEnergy, KeepTop: 8, Workers: 1}
+	cfg := mapper.Config{KeepTop: 8, Workers: 1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if len(mapper.SearchAll(l, hw, benchCM, cfg)) == 0 {

@@ -208,7 +208,7 @@ func degradation(ctx context.Context, tool *nnbaton.Baton, m nnbaton.Model, hw n
 	fmt.Println()
 	return report.DegradationCurve(
 		fmt.Sprintf("Graceful degradation of %s on %s (seed %d)", m.Name, hw.Tuple(), o.faultSeed),
-		nnbaton.DegradationRows(pts)).Render(os.Stdout)
+		pts).Render(os.Stdout)
 }
 
 // merge is the -merge mode: fold worker journals into one canonical journal

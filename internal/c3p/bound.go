@@ -108,11 +108,3 @@ func GroupTrafficFloor(t *Traffic, l *workload.Layer, hw *hardware.Config, pkg m
 		t.AL2Reads += perChipletAct * (chiplets - 1)
 	}
 }
-
-// GroupCyclesFloor lower-bounds sim.ComputeBoundCyclesOf over every member
-// probe of the group: pkgPos·chipPos·HOc·WOc·R·S·ciSteps factored through the
-// same minimized terms as GroupTrafficFloor.
-func GroupCyclesFloor(l *workload.Layer, hw *hardware.Config, gt *GroupFloorTerms) int64 {
-	ciSteps := ceilDiv64(int64(l.CIPerGroup()), int64(hw.Vector))
-	return gt.C12Min * gt.H1W1 * gt.PlanarCovMin * int64(l.R) * int64(l.S) * ciSteps
-}

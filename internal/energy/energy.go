@@ -184,6 +184,3 @@ func (c *Card) terms(t *c3p.Traffic) (dram, d2d, al2, al1, wl1, ol1, ol2, mac fl
 	mac = float64(float64(t.MACs) * hardware.MACPJPerOp)
 	return
 }
-
-// EDP returns the energy-delay product in pJ·s.
-func EDP(b Breakdown, seconds float64) float64 { return b.Total() * seconds }

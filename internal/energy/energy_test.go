@@ -80,9 +80,6 @@ func TestAddScaleEDP(t *testing.T) {
 	if c.Total() != 3*a.Total() || c.WL1 != 15 {
 		t.Errorf("Scale = %+v", c)
 	}
-	if got := EDP(a, 2.0); got != 2*a.Total() {
-		t.Errorf("EDP = %f", got)
-	}
 	if a.String() == "" {
 		t.Error("empty String")
 	}

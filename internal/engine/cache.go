@@ -37,11 +37,13 @@ const persistSchema = 1
 // (marshaled field-by-field — Config.String omits OL2, which does affect
 // results), and every search-config field that can change the outcome,
 // including the fault mask. Two runs agree on the key iff the search is
-// result-identical.
+// result-identical. The literal "obj0" is the energy objective's code from
+// when the search also offered an EDP objective: keeping it lets stores
+// written then still hit.
 func persistKey(k searchKey) string {
 	hwJSON, _ := json.Marshal(hardware.Config(k.hw))
-	return fmt.Sprintf("search|v%d|shape:%+v|hw:%s|obj%d|keep%d|rot%v|fault:%s",
-		persistSchema, k.shape, hwJSON, k.cfg.Objective, k.cfg.KeepTop,
+	return fmt.Sprintf("search|v%d|shape:%+v|hw:%s|obj0|keep%d|rot%v|fault:%s",
+		persistSchema, k.shape, hwJSON, k.cfg.KeepTop,
 		!k.cfg.DisableRotation, k.cfg.Fault.Key())
 }
 

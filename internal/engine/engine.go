@@ -627,9 +627,6 @@ type SweepPoint struct {
 	// populated for successful points, including ones replayed from a
 	// checkpoint journal.
 	Evals []ModelEval
-	// Results holds the full per-layer results per input model, in order.
-	// Nil when the point failed or was replayed from a checkpoint.
-	Results []mapper.ModelResult
 	// Err records why the point could not be evaluated (an unmappable model,
 	// an invalid configuration, or a structured PanicError from an isolated
 	// search/point panic).
@@ -661,9 +658,11 @@ func modelsSig(models []workload.Model) string {
 // search configuration and the full hardware configuration, so a journal is
 // only ever replayed into the sweep that produced it. A degraded-fabric
 // search config extends the key with the fault mask; a healthy sweep's key
-// carries no fault suffix.
+// carries no fault suffix. The literal "obj0" is the energy objective's code
+// from when the search also offered an EDP objective: keeping it lets
+// journals written then still replay.
 func sweepPointKey(sig string, cfg mapper.Config, hw hardware.Config) string {
-	key := fmt.Sprintf("sweep|%s|obj%d-keep%d-rot%v|%s", sig, cfg.Objective, cfg.KeepTop, !cfg.DisableRotation, hw.String())
+	key := fmt.Sprintf("sweep|%s|obj0-keep%d-rot%v|%s", sig, cfg.KeepTop, !cfg.DisableRotation, hw.String())
 	if !cfg.Fault.IsZero() {
 		key += "|fault:" + cfg.Fault.Key()
 	}
@@ -722,15 +721,13 @@ func (e *Evaluator) evalSweepPoint(ctx context.Context, models []workload.Model,
 		return err
 	}
 	var evals []ModelEval
-	var results []mapper.ModelResult
 	for _, m := range models {
 		res, err := e.EvalModel(ctx, m, hw, cfg)
 		if err != nil {
 			return err
 		}
-		results = append(results, res)
 		evals = append(evals, evalOf(res))
 	}
-	pt.Evals, pt.Results = evals, results
+	pt.Evals = evals
 	return nil
 }

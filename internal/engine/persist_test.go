@@ -18,14 +18,13 @@ import (
 func modelFingerprint(t *testing.T, res mapper.ModelResult) []byte {
 	t.Helper()
 	type lf struct {
-		Map    any     `json:"map"`
-		Energy any     `json:"energy"`
-		Cycles int64   `json:"cycles"`
-		EDP    float64 `json:"edp"`
+		Map    any   `json:"map"`
+		Energy any   `json:"energy"`
+		Cycles int64 `json:"cycles"`
 	}
 	var fps []lf
 	for _, o := range res.Layers {
-		fps = append(fps, lf{Map: o.Analysis.Map, Energy: o.Energy, Cycles: o.Cycles, EDP: o.EDP()})
+		fps = append(fps, lf{Map: o.Analysis.Map, Energy: o.Energy, Cycles: o.Cycles})
 	}
 	raw, err := json.Marshal(fps)
 	if err != nil {
@@ -256,9 +255,8 @@ func TestPersistKeySeparation(t *testing.T) {
 			k.hw = HWOf(hw)
 			return k
 		},
-		"objective": func(k searchKey) searchKey { k.cfg.Objective = mapper.MinEDP; return k },
-		"keeptop":   func(k searchKey) searchKey { k.cfg.KeepTop = 3; return k },
-		"rotation":  func(k searchKey) searchKey { k.cfg.DisableRotation = true; return k },
+		"keeptop":  func(k searchKey) searchKey { k.cfg.KeepTop = 3; return k },
+		"rotation": func(k searchKey) searchKey { k.cfg.DisableRotation = true; return k },
 		"fault": func(k searchKey) searchKey {
 			k.cfg.Fault = hardware.FaultMask{Chiplets: 4, Dead: 0b0010}
 			return k

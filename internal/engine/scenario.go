@@ -4,7 +4,7 @@
 // (hardware.Fabric.Envelopes), each envelope is searched with the existing
 // memoized machinery — the mapper.Config.Fault field keys the cache on
 // (ShapeKey, HWKey, FaultMask), so healthy and degraded searches never alias
-// — and the best envelope by the search objective wins the scenario. The
+// — and the complete envelope of least energy wins the scenario. The
 // zero mask degrades to a single identity envelope, which makes the healthy
 // scenario result-identical to EvalModel on the base configuration.
 package engine
@@ -71,10 +71,11 @@ type scenarioRecord struct {
 }
 
 // scenarioPointKey is the checkpoint key of one scenario point: model set,
-// search config, base configuration and the canonical mask text.
+// search config, base configuration and the canonical mask text. The literal
+// "obj0" is kept for the same reason as in sweepPointKey.
 func scenarioPointKey(sig string, cfg mapper.Config, base hardware.Config, mask hardware.FaultMask) string {
-	return fmt.Sprintf("scenario|%s|obj%d-keep%d-rot%v|%s|%s",
-		sig, cfg.Objective, cfg.KeepTop, !cfg.DisableRotation, base.String(), mask.Key())
+	return fmt.Sprintf("scenario|%s|obj0-keep%d-rot%v|%s|%s",
+		sig, cfg.KeepTop, !cfg.DisableRotation, base.String(), mask.Key())
 }
 
 // scenarioRecordOf converts a scenario point to its journal form.
@@ -103,7 +104,7 @@ func scenarioOf(o Outcome[ScenarioPoint]) ScenarioPoint {
 // point retry-and-isolate policy: the mask is canonicalized and validated
 // against the base configuration, the surviving fabric's uniform envelopes
 // are each evaluated through the memoized model path, and the envelope
-// minimizing the search objective (ties broken by envelope order, which is
+// ranked best by scenarioBetter (ties broken by envelope order, which is
 // deterministic) becomes the scenario result. Failures land on the point's
 // Err.
 func (e *Evaluator) EvalScenario(ctx context.Context, models []workload.Model, base hardware.Config, mask hardware.FaultMask, cfg mapper.Config) ScenarioPoint {
@@ -158,8 +159,7 @@ func (e *Evaluator) evalScenario(ctx context.Context, models []workload.Model, b
 		if len(cand.evals) != len(models) {
 			continue
 		}
-		if best == nil || scenarioBetter(cand.complete, cand.energy, cand.cycles, freq,
-			best.complete, best.energy, best.cycles, cfg.Objective) {
+		if best == nil || scenarioBetter(cand.complete, cand.energy, best.complete, best.energy) {
 			c := cand
 			best = &c
 		}
@@ -185,17 +185,10 @@ func (e *Evaluator) evalScenario(ctx context.Context, models []workload.Model, b
 }
 
 // scenarioBetter ranks candidate envelopes: complete evaluations (every
-// layer of every model mapped) beat incomplete ones, then the search
-// objective decides. The package-wide frequency derate scales every
-// envelope's runtime identically, so it cannot change the EDP argmin — it is
-// applied here only so the comparison matches the reported numbers.
-func scenarioBetter(aComplete bool, aEnergy float64, aCycles int64, freq float64,
-	bComplete bool, bEnergy float64, bCycles int64, obj mapper.Objective) bool {
+// layer of every model mapped) beat incomplete ones, then lower energy wins.
+func scenarioBetter(aComplete bool, aEnergy float64, bComplete bool, bEnergy float64) bool {
 	if aComplete != bComplete {
 		return aComplete
-	}
-	if obj == mapper.MinEDP {
-		return aEnergy*hardware.Seconds(aCycles)/freq < bEnergy*hardware.Seconds(bCycles)/freq
 	}
 	return aEnergy < bEnergy
 }

@@ -281,7 +281,7 @@ func fig12(w io.Writer, quick bool) error {
 				return err
 			}
 			se := energy.FromTraffic(sr.Traffic, hw, cm)
-			opt, err := mapper.Search(r.Layer, hw, cm, mapper.Config{})
+			opt, err := eng.EvalLayer(context.Background(), r.Layer, hw, mapper.Config{})
 			if err != nil {
 				return err
 			}
@@ -313,7 +313,7 @@ func fig13(w io.Writer, quick bool) error {
 				return err
 			}
 			se := energy.FromTraffic(st, hw, cm)
-			br, err := mapper.SearchModel(m, hw, cm, mapper.Config{})
+			br, err := eng.EvalModel(context.Background(), m, hw, mapper.Config{})
 			if err != nil {
 				return err
 			}
@@ -561,30 +561,9 @@ func extDegradation(w io.Writer, quick bool) error {
 	if err != nil {
 		return err
 	}
-	rows := make([]report.DegradationRow, len(pts))
-	for i, pt := range pts {
-		r := report.DegradationRow{
-			Scenario:    pt.Mask.String(),
-			FailedUnits: pt.FailedUnits,
-			Alive:       pt.Alive,
-			MACs:        pt.TotalMACs,
-		}
-		if pt.Err != nil {
-			r.Err = pt.Err.Error()
-		} else {
-			r.Envelope = pt.Envelope.Tuple()
-			if !pt.EnvMask.IsZero() {
-				r.Envelope += " (rerouted)"
-			}
-			r.EnergyPJ = pt.Energy
-			r.Seconds = pt.Seconds
-			r.EDPPJs = pt.EDP()
-		}
-		rows[i] = r
-	}
 	return report.DegradationCurve(
 		fmt.Sprintf("Extension: ResNet-50@%d degradation curve on %s (seed 20260806)", res, hw.Tuple()),
-		rows).Render(w)
+		pts).Render(w)
 }
 
 // extTopology compares the interconnect fabrics the Topology interface

@@ -8,41 +8,30 @@ import (
 	"nnbaton/internal/c3p"
 	"nnbaton/internal/hardware"
 	"nnbaton/internal/mapping"
-	"nnbaton/internal/sim"
 	"nnbaton/internal/workload"
 )
 
-// lowerBound prices a probe's best case for the active objective: the C³P
-// traffic floor (intrinsic fills, exact fixed terms) through the fabric's
-// energy step — D2D scaled to physical bytes — and, for EDP, the
-// compute-bound runtime. Both models are monotone in their traffic/cycle
-// inputs, ceil scaling preserves component-wise ≤, and the floor
-// under-counts nothing negative, so the true score of every temporal variant
-// of the probe is ≥ this value. The scan no longer prices it; the test keeps
-// it as the per-probe rung between the group bounds and the stage scores.
+// lowerBound prices a probe's best case: the C³P traffic floor (intrinsic
+// fills, exact fixed terms) through the fabric's energy step — D2D scaled to
+// physical bytes. The energy model is monotone in its traffic inputs, ceil
+// scaling preserves component-wise ≤, and the floor under-counts nothing
+// negative, so the true energy of every temporal variant of the probe is ≥
+// this value. The scan no longer prices it; the test keeps it as the
+// per-probe rung between the group bounds and the stage scores.
 func (s *search) lowerBound(m *mapping.Mapping, sh *mapping.Shape) float64 {
-	l, hw := &s.l, &s.hw
 	var tr c3p.Traffic
-	c3p.TrafficFloor(&tr, l, hw, m, sh)
-	e := s.fab.Energy(&tr, hw).Total()
-	if s.obj == MinEDP {
-		e *= hardware.Seconds(sim.ComputeBoundCyclesOf(l, hw, m, sh))
-	}
-	return e
+	c3p.TrafficFloor(&tr, &s.l, &s.hw, m, sh)
+	return s.fab.Energy(&tr, &s.hw).Total()
 }
 
 // stageScore is the score evalCell stage-prunes a temporal variant on: its
-// exact energy at hw's buffer sizes, for EDP times the compute-bound runtime.
+// exact energy at hw's buffer sizes.
 func (s *search) stageScore(m *mapping.Mapping, sh *mapping.Shape) float64 {
 	l, hw := &s.l, &s.hw
 	var fixed, tr c3p.Traffic
 	c3p.FixedTraffic(&fixed, l, hw, m, sh)
 	c3p.StageTraffic(&tr, &c3p.Scratch{}, l, hw, m, sh, &fixed)
-	e := s.fab.Energy(&tr, hw).Total()
-	if s.obj == MinEDP {
-		e *= hardware.Seconds(sim.ComputeBoundCyclesOf(l, hw, m, sh))
-	}
-	return e
+	return s.fab.Energy(&tr, hw).Total()
 }
 
 // TestGroupBoundAdmissible pins the property the group scan is built on:
@@ -51,7 +40,7 @@ func (s *search) stageScore(m *mapping.Mapping, sh *mapping.Shape) float64 {
 // ≤ the stage score of every temporal variant of its probe — the score the
 // scan compares a materialized cell against, so a cell skipped on its bound
 // could never have passed the stage prune. Randomized over layers, hardware
-// points, objectives and fault masks.
+// points and fault masks.
 func TestGroupBoundAdmissible(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260809))
 	cm := hardware.MustCostModel()
@@ -66,10 +55,10 @@ func TestGroupBoundAdmissible(t *testing.T) {
 		if hw.Validate() != nil {
 			continue
 		}
-		cfg := Config{
-			Objective: []Objective{MinEnergy, MinEDP}[rng.Intn(2)],
-			KeepTop:   8,
-		}
+		// Drawn and discarded: the trials keep the layers and hardware they
+		// sampled when this draw still chose between search objectives.
+		rng.Intn(2)
+		cfg := Config{KeepTop: 8}
 		if rng.Intn(3) == 0 {
 			cfg.Fault = randomFault(rng, hw.Chiplets)
 		}
@@ -77,8 +66,8 @@ func TestGroupBoundAdmissible(t *testing.T) {
 		if srch == nil {
 			continue
 		}
-		ctx := fmt.Sprintf("trial %d: %s/%s on %s obj=%v fault=%s",
-			trial, l.Model, l.Name, hw.Tuple(), cfg.Objective, cfg.Fault)
+		ctx := fmt.Sprintf("trial %d: %s/%s on %s fault=%s",
+			trial, l.Model, l.Name, hw.Tuple(), cfg.Fault)
 		// groupBound of g restricted to the given tile lists, with the terms
 		// composed from the same helpers the scan uses.
 		groupBound := func(st *subtree, g *candGroup, cots []int, cps [][2]int) float64 {
@@ -191,15 +180,15 @@ func TestSearchDeterministicOnTies(t *testing.T) {
 		if l.Validate() != nil {
 			t.Fatalf("trial %d: invalid tie layer: %v", trial, l)
 		}
-		cfg := Config{Objective: MinEnergy, KeepTop: 8}
+		cfg := Config{KeepTop: 8}
 		want := SearchExhaustive(l, hw, cm, cfg)
 		if len(want) == 0 {
 			continue
 		}
-		bestScore := want[0].Score(cfg.Objective)
+		bestEnergy := want[0].Energy.Total()
 		ties := 0
 		for _, o := range want {
-			if o.Score(cfg.Objective) == bestScore {
+			if o.Energy.Total() == bestEnergy {
 				ties++
 			}
 		}
@@ -210,7 +199,7 @@ func TestSearchDeterministicOnTies(t *testing.T) {
 			cfg.Workers = w
 			got := SearchAll(l, hw, cm, cfg)
 			ctx := fmt.Sprintf("trial %d size=%d workers=%d (ties=%d)", trial, size, w, ties)
-			requireSameOptions(t, ctx, want, got, cfg.Objective)
+			requireSameOptions(t, ctx, want, got)
 		}
 	}
 	if !sawTie {

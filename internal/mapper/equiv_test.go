@@ -38,17 +38,18 @@ func uniqueZooLayers(resolution int) []workload.Layer {
 	return out
 }
 
-// requireSameOptions asserts two option lists agree on scores and mappings.
-func requireSameOptions(t *testing.T, ctx string, want, got []Option, obj Objective) {
+// requireSameOptions asserts two option lists agree on mappings, energies
+// and cycles.
+func requireSameOptions(t *testing.T, ctx string, want, got []Option) {
 	t.Helper()
-	if err := sameOptions(want, got, obj); err != nil {
+	if err := sameOptions(want, got); err != nil {
 		t.Fatalf("%s: %v", ctx, err)
 	}
 }
 
-// sameOptions reports how two option lists disagree on scores and mappings,
-// or nil when they agree.
-func sameOptions(want, got []Option, obj Objective) error {
+// sameOptions reports how two option lists disagree on mappings, energies
+// and cycles, or nil when they agree.
+func sameOptions(want, got []Option) error {
 	if len(want) != len(got) {
 		return fmt.Errorf("got %d options, want %d", len(got), len(want))
 	}
@@ -62,9 +63,6 @@ func sameOptions(want, got []Option, obj Objective) error {
 		}
 		if want[i].Cycles != got[i].Cycles {
 			return fmt.Errorf("option %d cycles mismatch: got %d want %d", i, got[i].Cycles, want[i].Cycles)
-		}
-		if want[i].Score(obj) != got[i].Score(obj) {
-			return fmt.Errorf("option %d score mismatch", i)
 		}
 	}
 	return nil
@@ -80,11 +78,11 @@ func TestSearchAllMatchesExhaustiveZoo(t *testing.T) {
 	if testing.Short() {
 		layers = layers[:min(12, len(layers))]
 	}
-	cfg := Config{Objective: MinEnergy, KeepTop: 8}
+	cfg := Config{KeepTop: 8}
 	for _, l := range layers {
 		want := SearchExhaustive(l, hw, cm, cfg)
 		got := SearchAll(l, hw, cm, cfg)
-		requireSameOptions(t, l.Model+"/"+l.Name, want, got, cfg.Objective)
+		requireSameOptions(t, l.Model+"/"+l.Name, want, got)
 	}
 }
 
@@ -105,7 +103,7 @@ func randomHW(rng *rand.Rand) hardware.Config {
 }
 
 // TestSearchAllMatchesExhaustiveRandomized fuzzes the equivalence across
-// hardware points, objectives, KeepTop values, rotation settings and worker
+// hardware points, KeepTop values, rotation settings and worker
 // counts with a fixed seed.
 func TestSearchAllMatchesExhaustiveRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260806))
@@ -121,8 +119,10 @@ func TestSearchAllMatchesExhaustiveRandomized(t *testing.T) {
 		if hw.Validate() != nil {
 			continue
 		}
+		// Drawn and discarded: the trials keep the layers and hardware they
+		// sampled when this draw still chose between search objectives.
+		rng.Intn(2)
 		cfg := Config{
-			Objective:       []Objective{MinEnergy, MinEDP}[rng.Intn(2)],
 			KeepTop:         []int{1, 3, 8}[rng.Intn(3)],
 			DisableRotation: rng.Intn(4) == 0,
 			Workers:         []int{0, 1, 2, 5}[rng.Intn(4)],
@@ -130,7 +130,7 @@ func TestSearchAllMatchesExhaustiveRandomized(t *testing.T) {
 		ctx := fmt.Sprintf("trial %d: %s/%s on %s cfg=%+v", trial, l.Model, l.Name, hw.Tuple(), cfg)
 		want := SearchExhaustive(l, hw, cm, cfg)
 		got := SearchAll(l, hw, cm, cfg)
-		requireSameOptions(t, ctx, want, got, cfg.Objective)
+		requireSameOptions(t, ctx, want, got)
 	}
 }
 
@@ -141,11 +141,11 @@ func TestSearchAllWorkersInvariant(t *testing.T) {
 	hw := hardware.CaseStudy()
 	cm := hardware.MustCostModel()
 	l := workload.ResNet50(224).Layers[10]
-	cfg := Config{Objective: MinEDP, KeepTop: 8, Workers: 1}
+	cfg := Config{KeepTop: 8, Workers: 1}
 	serial := SearchAll(l, hw, cm, cfg)
 	for _, w := range []int{2, 3, 8} {
 		cfg.Workers = w
-		requireSameOptions(t, fmt.Sprintf("workers=%d", w), serial, SearchAll(l, hw, cm, cfg), cfg.Objective)
+		requireSameOptions(t, fmt.Sprintf("workers=%d", w), serial, SearchAll(l, hw, cm, cfg))
 	}
 }
 
@@ -171,7 +171,7 @@ func TestSearchCountersConsistent(t *testing.T) {
 			FloorsComputed: &obs.Counter{},
 			HeapPopped:     &obs.Counter{},
 		}
-		cfg := Config{Objective: MinEnergy, KeepTop: 8, Counters: ctr}
+		cfg := Config{KeepTop: 8, Counters: ctr}
 		SearchAll(l, hw, cm, cfg)
 
 		gen := ctr.Generated.Value()
@@ -206,9 +206,9 @@ func TestSearchCountersConsistent(t *testing.T) {
 	// downscaled layer keeps the deliberately unpruned run cheap.
 	l := workload.MobileNetV2(64).Layers[4]
 	var exhaustive int64
-	enumerate(l, hw, cm, Config{Objective: MinEnergy, KeepTop: 8}, func(Option) { exhaustive++ })
+	enumerate(l, hw, cm, Config{KeepTop: 8}, func(Option) { exhaustive++ })
 	all := &Counters{Generated: &obs.Counter{}, Evaluated: &obs.Counter{}}
-	SearchAll(l, hw, cm, Config{Objective: MinEnergy, KeepTop: int(exhaustive) + 1, Counters: all})
+	SearchAll(l, hw, cm, Config{KeepTop: int(exhaustive) + 1, Counters: all})
 	if all.Generated.Value() != exhaustive {
 		t.Fatalf("unpruned generated=%d, exhaustive evaluates %d", all.Generated.Value(), exhaustive)
 	}
@@ -227,12 +227,12 @@ func TestBestPerSpatialComboMatchesExhaustive(t *testing.T) {
 
 	want := make(map[string]Option)
 	ref := make(map[string]*topK)
-	enumerate(l, hw, cm, Config{Objective: MinEnergy, KeepTop: 1}, func(o Option) {
+	enumerate(l, hw, cm, Config{KeepTop: 1}, func(o Option) {
 		k := o.SpatialCombo()
 		if ref[k] == nil {
-			ref[k] = newTopK(1, MinEnergy)
+			ref[k] = newTopK(1)
 		}
-		ref[k].add(o, o.Score(MinEnergy))
+		ref[k].add(o)
 	})
 	for k, tk := range ref {
 		want[k] = tk.opts[0]
@@ -289,17 +289,19 @@ func TestSearchAllMatchesExhaustiveDegraded(t *testing.T) {
 		if hw.Validate() != nil {
 			continue
 		}
+		// Drawn and discarded: the trials keep the layers and hardware they
+		// sampled when this draw still chose between search objectives.
+		rng.Intn(2)
 		cfg := Config{
-			Objective: []Objective{MinEnergy, MinEDP}[rng.Intn(2)],
-			KeepTop:   []int{1, 8}[rng.Intn(2)],
-			Workers:   []int{0, 1, 3}[rng.Intn(3)],
-			Fault:     randomFault(rng, hw.Chiplets),
+			KeepTop: []int{1, 8}[rng.Intn(2)],
+			Workers: []int{0, 1, 3}[rng.Intn(3)],
+			Fault:   randomFault(rng, hw.Chiplets),
 		}
 		ctx := fmt.Sprintf("trial %d: %s/%s on %s fault=%s cfg=%+v",
 			trial, l.Model, l.Name, hw.Tuple(), cfg.Fault, cfg)
 		want := SearchExhaustive(l, hw, cm, cfg)
 		got := SearchAll(l, hw, cm, cfg)
-		requireSameOptions(t, ctx, want, got, cfg.Objective)
+		requireSameOptions(t, ctx, want, got)
 	}
 }
 

@@ -16,35 +16,11 @@ import (
 	"nnbaton/internal/workload"
 )
 
-// Objective selects the metric the search minimizes.
-type Objective int
-
-const (
-	// MinEnergy minimizes the total layer energy (the paper's per-layer
-	// mapping objective).
-	MinEnergy Objective = iota
-	// MinEDP minimizes energy × runtime.
-	MinEDP
-)
-
 // Option is one evaluated mapping candidate.
 type Option struct {
 	Analysis *c3p.Analysis
 	Energy   energy.Breakdown
 	Cycles   int64
-}
-
-// EDP returns the candidate's energy-delay product in pJ·s.
-func (o Option) EDP() float64 {
-	return energy.EDP(o.Energy, hardware.Seconds(o.Cycles))
-}
-
-// Score returns the candidate's value under an objective (lower is better).
-func (o Option) Score(obj Objective) float64 {
-	if obj == MinEDP {
-		return o.EDP()
-	}
-	return o.Energy.Total()
 }
 
 // SpatialCombo renders the (package, chiplet) partition pair, e.g. "(C,H)" —
@@ -174,8 +150,7 @@ func packageSplits(hw hardware.Config) []packageSplit {
 
 // Config tunes the search.
 type Config struct {
-	Objective Objective
-	// KeepTop retains the best K options (by objective) in SearchAll.
+	// KeepTop retains the best K options (by energy) in SearchAll.
 	KeepTop int
 	// Rotate controls the rotating-transfer primitive (default on for
 	// multichip packages; disable for the ablation study).
@@ -344,17 +319,15 @@ func enumerate(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg
 
 // SearchExhaustive evaluates every candidate of the mapping space — no
 // pruning, no parallelism, no scratch reuse — and returns the best KeepTop
-// options in the same deterministic (score, mapping.Compare) order as
+// options in the same deterministic (energy, mapping.Compare) order as
 // SearchAll. It is the reference implementation the randomized equivalence
 // tests hold SearchAll to, and the baseline of the search benchmarks.
 func SearchExhaustive(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg Config) []Option {
 	if cfg.KeepTop <= 0 {
 		cfg.KeepTop = 8
 	}
-	top := newTopK(cfg.KeepTop, cfg.Objective)
-	enumerate(l, hw, cm, cfg, func(o Option) {
-		top.add(o, o.Score(cfg.Objective))
-	})
+	top := newTopK(cfg.KeepTop)
+	enumerate(l, hw, cm, cfg, top.add)
 	return top.opts
 }
 

@@ -45,9 +45,8 @@ func depthwiseLayer(t *testing.T, res int) workload.Layer {
 }
 
 // isolationCases spans dense, grouped/depthwise and late layers, ring and
-// mesh fabrics, a second compute allocation, a fault mask and both
-// objectives, so that no two consecutive searches of a worker share their
-// tile lists.
+// mesh fabrics, a second compute allocation and a fault mask, so that no
+// two consecutive searches of a worker share their tile lists.
 func isolationCases(t *testing.T) []isolationCase {
 	t.Helper()
 	dense := mustLayer(t, workload.ResNet50(64), "res2a_branch2b")
@@ -58,14 +57,14 @@ func isolationCases(t *testing.T) []isolationCase {
 	mesh.Topology = hardware.TopoMesh
 	small := ring
 	small.Chiplets, small.Cores, small.Lanes = 2, 4, 16
-	degraded := Config{Objective: MinEnergy, Fault: hardware.FaultMask{Chiplets: 5, Dead: 1 << 2}}
+	degraded := Config{Fault: hardware.FaultMask{Chiplets: 5, Dead: 1 << 2}}
 	return []isolationCase{
-		{name: "dense/ring/energy", l: dense, hw: ring, cfg: Config{Objective: MinEnergy}},
-		{name: "dense/mesh/edp", l: dense, hw: mesh, cfg: Config{Objective: MinEDP}},
-		{name: "depthwise/ring/edp", l: dw, hw: ring, cfg: Config{Objective: MinEDP}},
-		{name: "depthwise/small/energy", l: dw, hw: small, cfg: Config{Objective: MinEnergy}},
+		{name: "dense/ring/energy", l: dense, hw: ring},
+		{name: "dense/mesh/energy", l: dense, hw: mesh},
+		{name: "depthwise/ring/energy", l: dw, hw: ring},
+		{name: "depthwise/small/energy", l: dw, hw: small},
 		{name: "late/degraded/energy", l: late, hw: ring, cfg: degraded},
-		{name: "late/mesh/energy", l: late, hw: mesh, cfg: Config{Objective: MinEnergy}},
+		{name: "late/mesh/energy", l: late, hw: mesh},
 		{name: "dense/combos", l: dense, hw: ring, combo: true},
 		{name: "depthwise/combos", l: dw, hw: ring, combo: true},
 	}
@@ -81,7 +80,7 @@ func sameCombos(want, got map[string]Option) error {
 		if !ok {
 			return fmt.Errorf("combo %s missing", k)
 		}
-		if err := sameOptions([]Option{w}, []Option{g}, MinEnergy); err != nil {
+		if err := sameOptions([]Option{w}, []Option{g}); err != nil {
 			return fmt.Errorf("combo %s: %w", k, err)
 		}
 	}
@@ -89,7 +88,7 @@ func sameCombos(want, got map[string]Option) error {
 }
 
 // TestSearchScratchIsolation interleaves SearchAll and BestPerSpatialCombo
-// over different layers, hardware points, fault masks and objectives from
+// over different layers, hardware points and fault masks from
 // several goroutines, so pooled worker scratch constantly passes between
 // unrelated searches. Every result must equal its reference: the exhaustive
 // search for SearchAll, a serial run made before any concurrency for
@@ -128,7 +127,7 @@ func TestSearchScratchIsolation(t *testing.T) {
 					} else {
 						cfg := c.cfg
 						cfg.Workers = 1 + (g+r)%2
-						err = sameOptions(c.want, SearchAll(c.l, c.hw, cm, cfg), cfg.Objective)
+						err = sameOptions(c.want, SearchAll(c.l, c.hw, cm, cfg))
 					}
 					if err != nil {
 						errs[g] = errors.Join(errs[g], fmt.Errorf("goroutine %d round %d %s: %w", g, r, c.name, err))
@@ -179,7 +178,7 @@ func TestSearchScratchReset(t *testing.T) {
 	if gotCtr != wantCtr {
 		t.Fatalf("repeat counters %v, first run %v", gotCtr, wantCtr)
 	}
-	requireSameOptions(t, "repeat", want, got, first.cfg.Objective)
+	requireSameOptions(t, "repeat", want, got)
 }
 
 // warmSearchAllocsBound pins the allocations of one warm serial KeepTop-1

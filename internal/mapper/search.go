@@ -17,7 +17,6 @@ import (
 	"nnbaton/internal/mapping"
 	"nnbaton/internal/obs"
 	"nnbaton/internal/par"
-	"nnbaton/internal/sim"
 	"nnbaton/internal/workload"
 )
 
@@ -38,9 +37,8 @@ type Counters struct {
 	// scan bounds groups, subgroups and cells before materializing them, so
 	// it is structurally 0; the field stays for the funnel's consumers.
 	BoundPruned *obs.Counter
-	// StagePruned counts candidates dropped on their exact energy (for EDP
-	// times the compute-bound runtime) before any C³P analysis or the
-	// runtime simulator ran.
+	// StagePruned counts candidates dropped on their exact energy before
+	// any C³P analysis or the runtime simulator ran.
 	StagePruned *obs.Counter
 	// Evaluated counts candidates that went through the full pipeline
 	// including simulation.
@@ -81,19 +79,18 @@ func (c *Counters) flush(t tally) {
 	c.HeapPopped.Add(t.popped)
 }
 
-// topK maintains the best k options in ascending (score, mapping.Compare)
+// topK maintains the best k options in ascending (energy, mapping.Compare)
 // order. The secondary key makes the retained set — and its order — a pure
 // function of the candidate set: evaluation order, worker count and pruning
-// cannot change which of two equal-scoring mappings survives.
+// cannot change which of two equal-energy mappings survives.
 type topK struct {
 	k      int
-	obj    Objective
 	opts   []Option
-	scores []float64
+	scores []float64 // opts[i].Energy.Total()
 }
 
-func newTopK(k int, obj Objective) *topK {
-	return &topK{k: k, obj: obj, opts: make([]Option, 0, k), scores: make([]float64, 0, k)}
+func newTopK(k int) *topK {
+	return &topK{k: k, opts: make([]Option, 0, k), scores: make([]float64, 0, k)}
 }
 
 // pos returns the insertion index of (s, m) in the retained order.
@@ -106,9 +103,9 @@ func (t *topK) pos(s float64, m mapping.Mapping) int {
 	})
 }
 
-// worst returns the k-th best score, or +Inf while the set is not yet full.
-// Any candidate whose score lower bound strictly exceeds it cannot enter the
-// set; equal scores still can, through the Compare tie-break.
+// worst returns the k-th best energy, or +Inf while the set is not yet full.
+// Any candidate whose energy lower bound strictly exceeds it cannot enter the
+// set; equal energies still can, through the Compare tie-break.
 func (t *topK) worst() float64 {
 	if len(t.opts) < t.k {
 		return math.Inf(1)
@@ -122,7 +119,8 @@ func (t *topK) wouldAccept(s float64, m mapping.Mapping) bool {
 }
 
 // add inserts the candidate, evicting the current worst when full.
-func (t *topK) add(o Option, s float64) {
+func (t *topK) add(o Option) {
+	s := o.Energy.Total()
 	i := t.pos(s, o.Analysis.Map)
 	if i >= t.k {
 		return
@@ -232,15 +230,14 @@ func (ws *searchState) memoPairs(memo map[[2]int][2]int32, key [2]int, gen func(
 }
 
 // search carries the per-search immutable inputs shared by all workers:
-// the objective (the one Config field they read), the subtree shards, the
-// one pricing kernel they all evaluate through and its rate card at the
-// search's buffer sizes, which prices every bound and stage.
+// the subtree shards, the one pricing kernel they all evaluate through and
+// its rate card at the search's buffer sizes, which prices every bound and
+// stage.
 type search struct {
 	l    workload.Layer
 	hw   hardware.Config
 	fab  *Fabric
 	card energy.Card
-	obj  Objective
 	sts  []subtree
 }
 
@@ -261,33 +258,27 @@ func newSearch(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg
 	if len(sts) == 0 {
 		return nil
 	}
-	return &search{l: l, hw: hw, fab: fab, card: fab.Card(&hw), obj: cfg.Objective, sts: sts}
+	return &search{l: l, hw: hw, fab: fab, card: fab.Card(&hw), sts: sts}
 }
 
 // groupBound prices the best case of every probe whose shape-product terms
 // are bounded below by t: the terms are assembled through
-// c3p.GroupTrafficFloor and totalled by the search's card, and for EDP
-// scaled by the compute-bound runtime floor. The scan prices one group at
-// three levels, each with the terms minimized over a narrower candidate set:
-// the full chiplet- and core-tile lists (the coarse bound the groups are
-// sorted by), a single chiplet tile (channel terms exact) and a single
-// (chiplet tile, core tile) cell (every term exact). channelTerms and
+// c3p.GroupTrafficFloor and totalled by the search's card. The scan prices
+// one group at three levels, each with the terms minimized over a narrower
+// candidate set: the full chiplet- and core-tile lists (the coarse bound the
+// groups are sorted by), a single chiplet tile (channel terms exact) and a
+// single (chiplet tile, core tile) cell (every term exact). channelTerms and
 // coreTerms fill in the minima; a term that depends on only one of the two
 // lists is computed once per list, not once per bound. Admissible because
 // every term is a true lower bound on its per-member value, the assembly
 // mirrors the exact one branch for branch, and the energy model is linear
-// with non-negative coefficients, so groupBound ≤ stage score ≤ score for
+// with non-negative coefficients, so groupBound ≤ stage energy = energy for
 // every temporal variant of every member probe (pinned by
 // TestGroupBoundAdmissible).
 func (s *search) groupBound(st *subtree, t *c3p.GroupFloorTerms) float64 {
-	l, hw := &s.l, &s.hw
 	var tr c3p.Traffic
-	c3p.GroupTrafficFloor(&tr, l, hw, st.ps.kind, st.rotate, max(1, st.cs.csplit), t)
-	e := s.card.Total(&tr)
-	if s.obj == MinEDP {
-		e *= hardware.Seconds(c3p.GroupCyclesFloor(l, hw, t))
-	}
-	return e
+	c3p.GroupTrafficFloor(&tr, &s.l, &s.hw, st.ps.kind, st.rotate, max(1, st.cs.csplit), t)
+	return s.card.Total(&tr)
 }
 
 // channelTerms sets t's channel-product minima over the chiplet-tile
@@ -426,27 +417,22 @@ func (s *search) scan(sts []subtree, ws *searchState, dest *topK, shared *minBou
 
 // evalCell runs the staged pipeline over the temporal variants of one
 // feasible probe of shape sh, setting the probe's temporal orders in place.
-// The shape, the fixed traffic and (for EDP) the compute-bound runtime are
-// temporal-invariant, so they are computed once per cell. Each variant is
-// first priced by c3p.StageTraffic, which builds no analysis, and totalled
-// by the card: its exact energy — for EDP times the compute-bound runtime,
-// still a lower bound on the final score — decides the stage prune. Only
-// the survivors get a breakdown, an analysis and a simulation.
+// The shape and the fixed traffic are temporal-invariant, so they are
+// computed once per cell. Each variant is first priced by c3p.StageTraffic,
+// which builds no analysis, and totalled by the card: its exact energy
+// decides the stage prune. Only the survivors get a breakdown, an analysis
+// and a simulation.
 func (s *search) evalCell(probe *mapping.Mapping, sh *mapping.Shape, ws *searchState, dest *topK, shared *minBound) {
-	l, hw, obj := &s.l, &s.hw, s.obj
+	l, hw := &s.l, &s.hw
 	ws.tally.floors++
 	ws.tally.generated += temporalVariants(sh)
 	var fixed, tr c3p.Traffic
 	c3p.FixedTraffic(&fixed, l, hw, probe, sh)
-	secs := 1.0 // scales the stage energy to the stage score exactly
-	if obj == MinEDP {
-		secs = hardware.Seconds(sim.ComputeBoundCyclesOf(l, hw, probe, sh))
-	}
 	for _, pt := range temporalChoices(sh.C1, sh.H1*sh.W1) {
 		for _, ct := range temporalChoices(sh.C2, sh.H2*sh.W2) {
 			probe.PackageTemporal, probe.ChipletTemporal = pt, ct
 			c3p.StageTraffic(&tr, &ws.sc, l, hw, probe, sh, &fixed)
-			if stage := s.card.Total(&tr) * secs; stage > min(dest.worst(), shared.Load()) {
+			if stage := s.card.Total(&tr); stage > min(dest.worst(), shared.Load()) {
 				ws.tally.stagePruned++
 				continue
 			}
@@ -458,12 +444,11 @@ func (s *search) evalCell(probe *mapping.Mapping, sh *mapping.Shape, ws *searchS
 			}
 			ws.tally.evaluated++
 			o := Option{Analysis: &ws.a, Energy: s.card.Price(&tr), Cycles: cycles}
-			sc := o.Score(obj)
-			if dest.wouldAccept(sc, *probe) {
+			if dest.wouldAccept(o.Energy.Total(), *probe) {
 				// Detach the analysis from the worker scratch only for
 				// the few candidates that actually enter the top-K.
 				o.Analysis = ws.a.Clone()
-				dest.add(o, sc)
+				dest.add(o)
 				if w := dest.worst(); !math.IsInf(w, 1) {
 					shared.Update(w)
 				}
@@ -535,7 +520,7 @@ func (b *minBound) Update(v float64) {
 }
 
 // SearchAll evaluates the mapping space and returns the best KeepTop options
-// sorted by the objective (ties broken by mapping.Compare). It is
+// sorted by energy (ties broken by mapping.Compare). It is
 // result-identical to SearchExhaustive — enforced by randomized equivalence
 // tests — but scans the space in ascending order of admissible lower bounds,
 // stages the evaluation pipeline so the simulator only runs for survivors,
@@ -555,7 +540,7 @@ func SearchAll(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg
 	defer releaseStates(states)
 	tops := make([]*topK, workers)
 	for i := range tops {
-		tops[i] = newTopK(cfg.KeepTop, cfg.Objective)
+		tops[i] = newTopK(cfg.KeepTop)
 	}
 	shared := newMinBound()
 	// One scan per worker, spanning the worker's strided share of the
@@ -580,17 +565,17 @@ func SearchAll(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg
 
 	// Deterministic merge: every global top-K candidate survives in its
 	// worker's local top-K (fewer than K candidates beat it anywhere, so in
-	// particular within its own shard), and the (score, Compare) order is a
+	// particular within its own shard), and the (energy, Compare) order is a
 	// strict total order over the distinct candidate mappings — so re-ranking
 	// the union reproduces the exhaustive result regardless of how the work
 	// was split.
 	if workers == 1 {
 		return tops[0].opts
 	}
-	merged := newTopK(cfg.KeepTop, cfg.Objective)
+	merged := newTopK(cfg.KeepTop)
 	for _, t := range tops {
-		for j, o := range t.opts {
-			merged.add(o, t.scores[j])
+		for _, o := range t.opts {
+			merged.add(o)
 		}
 	}
 	return merged.opts
@@ -622,7 +607,7 @@ const numCombos = 6
 // enjoys never starves a weak combo of its bar.
 func BestPerSpatialCombo(l workload.Layer, hw hardware.Config, cm *hardware.CostModel) map[string]Option {
 	best := make(map[string]Option)
-	cfg := Config{Objective: MinEnergy, KeepTop: 1}
+	cfg := Config{KeepTop: 1}
 	srch := newSearch(l, hw, cm, cfg)
 	if srch == nil {
 		return best
@@ -633,7 +618,7 @@ func BestPerSpatialCombo(l workload.Layer, hw hardware.Config, cm *hardware.Cost
 	tops := make([][numCombos]*topK, workers)
 	for i := range tops {
 		for c := range tops[i] {
-			tops[i][c] = newTopK(1, MinEnergy)
+			tops[i][c] = newTopK(1)
 		}
 	}
 	var bounds [numCombos]*minBound
@@ -665,11 +650,10 @@ func BestPerSpatialCombo(l workload.Layer, hw hardware.Config, cm *hardware.Cost
 		return best
 	}
 	for c := 0; c < numCombos; c++ {
-		merged := newTopK(1, MinEnergy)
+		merged := newTopK(1)
 		for w := range tops {
-			t := tops[w][c]
-			for j, o := range t.opts {
-				merged.add(o, t.scores[j])
+			for _, o := range tops[w][c].opts {
+				merged.add(o)
 			}
 		}
 		if len(merged.opts) > 0 {

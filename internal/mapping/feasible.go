@@ -145,7 +145,7 @@ func (n BufferNeeds) FitsAt(al1, wl1, al2 int) bool {
 // Compare orders two mappings by a fixed lexicographic key over every field:
 // spatial primitives, patterns, temporal orders, tile sizes, rotation. It is
 // a strict total order on distinct mappings, which the mapper uses to break
-// exact objective-score ties deterministically — serial, parallel and pruned
+// exact energy ties deterministically — serial, parallel and pruned
 // searches then agree on the top-K set regardless of evaluation order.
 func Compare(a, b Mapping) int {
 	if c := cmp.Compare(a.PackageSpatial, b.PackageSpatial); c != 0 {

@@ -7,6 +7,8 @@ import (
 	"io"
 	"strings"
 	"unicode/utf8"
+
+	"nnbaton/internal/engine"
 )
 
 // Table is a titled, column-aligned text table.
@@ -111,46 +113,37 @@ func (t *Table) String() string {
 	return sb.String()
 }
 
-// DegradationRow is one scenario of a graceful-degradation curve: the
-// surviving fabric and the evaluation outcome at that fault level.
-type DegradationRow struct {
-	Scenario    string  // canonical fault-mask text
-	FailedUnits int     // dead dies + dead cores + binned groups (+ derate)
-	Alive       int     // surviving chiplets
-	MACs        int     // surviving package MACs
-	Envelope    string  // winning uniform sub-fabric (tuple text)
-	EnergyPJ    float64 // total energy (pJ)
-	Seconds     float64 // wall time at the binned clock
-	EDPPJs      float64 // energy-delay product (pJ·s)
-	Err         string  // failure reason ("" when evaluated)
-}
-
 // DegradationCurve renders a degradation-curve table: energy/runtime/EDP
 // versus failed units, one row per fault scenario in series order, with the
-// relative cost against the first (healthy) evaluated row.
-func DegradationCurve(title string, rows []DegradationRow) *Table {
+// relative cost against the first (healthy) evaluated row. A failed scenario
+// keeps its fault columns and reports its error.
+func DegradationCurve(title string, pts []engine.ScenarioPoint) *Table {
 	t := New(title, "scenario", "failed", "alive", "MACs", "envelope",
 		"energy (uJ)", "runtime (ms)", "EDP (pJ*s)", "vs healthy")
 	var baseEDP float64
-	for _, r := range rows {
-		if r.Err == "" {
-			baseEDP = r.EDPPJs
+	for _, pt := range pts {
+		if pt.Err == nil {
+			baseEDP = pt.EDP()
 			break
 		}
 	}
-	for _, r := range rows {
-		if r.Err != "" {
-			t.Add(r.Scenario, fmt.Sprint(r.FailedUnits), fmt.Sprint(r.Alive),
-				fmt.Sprint(r.MACs), "-", "-", "-", "-", "error: "+r.Err)
+	for _, pt := range pts {
+		if pt.Err != nil {
+			t.Add(pt.Mask.String(), fmt.Sprint(pt.FailedUnits), fmt.Sprint(pt.Alive),
+				fmt.Sprint(pt.TotalMACs), "-", "-", "-", "-", "error: "+pt.Err.Error())
 			continue
+		}
+		env := pt.Envelope.Tuple()
+		if !pt.EnvMask.IsZero() {
+			env += " (rerouted)"
 		}
 		rel := "-"
 		if baseEDP > 0 {
-			rel = fmt.Sprintf("%.2fx", r.EDPPJs/baseEDP)
+			rel = fmt.Sprintf("%.2fx", pt.EDP()/baseEDP)
 		}
-		t.Add(r.Scenario, fmt.Sprint(r.FailedUnits), fmt.Sprint(r.Alive),
-			fmt.Sprint(r.MACs), r.Envelope, UJ(r.EnergyPJ), MS(r.Seconds),
-			fmt.Sprintf("%.4g", r.EDPPJs), rel)
+		t.Add(pt.Mask.String(), fmt.Sprint(pt.FailedUnits), fmt.Sprint(pt.Alive),
+			fmt.Sprint(pt.TotalMACs), env, UJ(pt.Energy), MS(pt.Seconds),
+			fmt.Sprintf("%.4g", pt.EDP()), rel)
 	}
 	return t
 }

@@ -11,10 +11,8 @@ import (
 
 	"nnbaton/internal/c3p"
 	"nnbaton/internal/hardware"
-	"nnbaton/internal/mapping"
 	"nnbaton/internal/noc"
 	"nnbaton/internal/obs"
-	"nnbaton/internal/workload"
 )
 
 // Result reports the simulated execution of one layer.
@@ -115,19 +113,12 @@ func SimulateTrafficOn(topo noc.Topology, xbar *noc.Crossbar, a *c3p.Analysis, t
 }
 
 // ComputeBoundCycles returns the pure compute lower bound for the analysis'
-// mapping — the runtime with infinite bandwidth. Used as a sanity reference
-// and by the mapper's fast runtime estimate.
+// mapping — the runtime with infinite bandwidth, a sanity reference for the
+// simulator. It is a true lower bound on SimulateTraffic's total for the same
+// mapping: the simulated total is loadPerPos + positions×max(compute, load)
+// ≥ positions×computePerPos, which is exactly this product.
 func ComputeBoundCycles(a *c3p.Analysis) int64 {
-	return ComputeBoundCyclesOf(&a.Layer, &a.HW, &a.Map, &a.Shape)
-}
-
-// ComputeBoundCyclesOf is ComputeBoundCycles without an Analysis: the compute
-// bound depends only on the mapping geometry, so the mapper's branch-and-bound
-// search can price a candidate's best-case runtime before running C³P. It is a
-// true lower bound on SimulateTraffic's total for the same mapping: the
-// simulated total is loadPerPos + positions×max(compute, load) ≥
-// positions×computePerPos, which is exactly this product.
-func ComputeBoundCyclesOf(l *workload.Layer, hw *hardware.Config, m *mapping.Mapping, s *mapping.Shape) int64 {
+	l, hw, m, s := &a.Layer, &a.HW, &a.Map, &a.Shape
 	ciSteps := (int64(l.CIPerGroup()) + int64(hw.Vector) - 1) / int64(hw.Vector)
 	return s.PackagePositions() * s.ChipletPositions() *
 		int64(m.HOc) * int64(m.WOc) * int64(l.R) * int64(l.S) * ciSteps
