@@ -2,19 +2,22 @@ package c3p
 
 // Group-level admissible traffic floors for the mapper's bound-ordered search.
 //
-// The per-probe TrafficFloor already under-counts every component of a single
-// mapping's traffic. The mapper's group scan needs one level more: a bound on
-// the *best* probe a whole candidate group — a spatial subtree × planar pair,
-// with the chiplet-tile and core-tile choices still open — can possibly
-// produce, cheap enough to price hundreds of groups before expanding any. The
-// mapper minimizes each shape-product term independently over the group's
-// small candidate lists (min of a product is ≥ the product of per-factor
-// minima, all factors being positive counts) and hands the minima to
+// The mapper's group scan needs a bound on the *best* temporal variant a
+// whole candidate group — a spatial subtree × planar pair, with the
+// chiplet-tile and core-tile choices still open — can possibly produce,
+// cheap enough to price hundreds of groups before expanding any. The mapper
+// minimizes each shape-product term independently over the group's small
+// candidate lists (min of a product is ≥ the product of per-factor minima,
+// all factors being positive counts) and hands the minima to
 // GroupTrafficFloor, which assembles them through exactly the distribution
-// branches of FixedTraffic + assembleTraffic. Every assembled component is
-// therefore ≤ the corresponding TrafficFloor component of every member probe,
-// and since the energy model is linear with non-negative coefficients the
-// priced group bound is admissible for the whole group.
+// branches of FixedTraffic + assembleTraffic. The activation fill terms are
+// the fewest fills any temporal order can incur at hw's A-L1 and A-L2
+// capacities (MinAL1Fills, MinAL2Fills), so a cell that no order can keep
+// under a critical capacity is priced with the refetch it cannot avoid.
+// Every assembled component is therefore ≤ the corresponding component of
+// every member variant's traffic at hw's capacities, and since the energy
+// model is linear with non-negative coefficients the priced group bound is
+// admissible for the whole group.
 
 import (
 	"nnbaton/internal/hardware"
@@ -23,12 +26,14 @@ import (
 )
 
 // GroupFloorTerms are independently minimized shape-product terms over one
-// candidate group. Each field is a true lower bound on (or the exact value of)
-// the named quantity for every member probe; the mapper computes the minima by
+// candidate group. Each field is ≤ (or exactly) the named quantity of every
+// member variant at hw's capacities; the mapper computes the minima by
 // iterating the group's candidate lists (tile series × core pairs).
 type GroupFloorTerms struct {
 	// C1Min lower-bounds the package channel trip count C1.
 	C1Min int64
+	// C2Min lower-bounds the chiplet channel trip count C2.
+	C2Min int64
 	// C12Min lower-bounds the channel trip product C1·C2.
 	C12Min int64
 	// OLChanMin lower-bounds C1·C2·activeLanes (the O-L1 channel product;
@@ -41,21 +46,22 @@ type GroupFloorTerms struct {
 	// PlanarCovMin lower-bounds the planar coverage (H2·HOc)·(W2·WOc) — the
 	// rounded-up core-tile sweep of the per-core region, ≥ HOs·WOs.
 	PlanarCovMin int64
-	// AL2Intr is the exact intrinsic per-chiplet activation fill volume of the
-	// planar pair: TileInputBytes(HOt, WOt, CI)·H1·W1.
-	AL2Intr int64
-	// AL1IntrMin lower-bounds the intrinsic per-core activation volume times
-	// the chiplet planar trips: TileInputBytes(HOc, WOc, CI)·H2·W2.
-	AL1IntrMin int64
+	// AL2Min lower-bounds the per-chiplet A-L2 fill volume: MinAL2Fills of
+	// the planar pair at C1Min.
+	AL2Min int64
+	// AL1Min lower-bounds the per-core-workload A-L1 fill volume:
+	// MinAL1Fills of each core tile at C2Min, minimized over the core tiles.
+	AL1Min int64
 }
 
 // GroupTrafficFloor writes into t a traffic record that is component-wise ≤
-// the TrafficFloor of every probe in the group. pkg/rotate/csplit are the group's
-// subtree constants (every member shares them); the open tile choices enter
-// only through the minimized terms. The body mirrors FixedTraffic and
-// assembleTraffic term by term — same branches, same integer divisions — so
-// the group bound and the exact evaluation can never diverge structurally.
-// Admissibility is pinned by the mapper's TestGroupBoundAdmissible.
+// the traffic at hw's capacities of every temporal variant of every probe in
+// the group. pkg/rotate/csplit are the group's subtree constants (every
+// member shares them); the open tile choices enter only through the
+// minimized terms. The body mirrors FixedTraffic and assembleTraffic term by
+// term — same branches, same integer divisions — so the group bound and the
+// exact evaluation can never diverge structurally. Admissibility is pinned
+// by the mapper's TestGroupBoundAdmissible.
 func GroupTrafficFloor(t *Traffic, l *workload.Layer, hw *hardware.Config, pkg mapping.Spatial,
 	rotate bool, csplit int, gt *GroupFloorTerms) {
 	*t = Traffic{}
@@ -81,8 +87,9 @@ func GroupTrafficFloor(t *Traffic, l *workload.Layer, hw *hardware.Config, pkg m
 	t.OL2Writes = out
 	t.OL2Reads = out
 
-	// assembleTraffic counterparts: intrinsic fill volumes through the same
+	// assembleTraffic counterparts: minimal fill volumes through the same
 	// distribution branches (pkg spatial × rotate are subtree constants).
+	// Weights enter at their intrinsic volume.
 	wFillsMin := int64(hw.Lanes) * int64(l.CIPerGroup()) * rs * gt.C12Min
 	perChipletWt := wFillsMin * int64(csplit)
 	t.WL1Writes = perChipletWt * chiplets
@@ -93,7 +100,7 @@ func GroupTrafficFloor(t *Traffic, l *workload.Layer, hw *hardware.Config, pkg m
 		t.DRAMWtReads = perChipletWt * chiplets
 	}
 
-	perChipletAct := gt.AL2Intr
+	perChipletAct := gt.AL2Min
 	t.AL2Writes = perChipletAct * chiplets
 	if pkg == mapping.SpatialC && rotate {
 		t.DRAMActReads = perChipletAct
@@ -102,7 +109,7 @@ func GroupTrafficFloor(t *Traffic, l *workload.Layer, hw *hardware.Config, pkg m
 		t.DRAMActReads = perChipletAct * chiplets
 	}
 
-	t.AL1Writes = gt.AL1IntrMin * cores * gt.C1Min * gt.H1W1 * chiplets
+	t.AL1Writes = gt.AL1Min * cores * gt.C1Min * gt.H1W1 * chiplets
 	t.AL2Reads = t.AL1Writes / int64(csplit)
 	if pkg == mapping.SpatialC && rotate {
 		t.AL2Reads += perChipletAct * (chiplets - 1)

@@ -212,6 +212,41 @@ func activationWalk(w *walker, l *workload.Layer, nest []mapping.Loop, baseHO, b
 	w.flush()
 }
 
+// MinAL2Fills returns the fewest A-L2 fills — Analysis.AL2.Fills(al2) —
+// that any package-level temporal order of a hot×wot chiplet tile can
+// incur, h1w1 and c1 being the package's planar and channel trip counts.
+func MinAL2Fills(l *workload.Layer, hot, wot int, h1w1, c1, al2 int64) int64 {
+	return minActivationFills(l.TileInputBytes(hot, wot, l.CI), h1w1, c1, al2)
+}
+
+// MinAL1Fills returns the fewest A-L1 fills — Analysis.AL1.Fills(al1) —
+// that any chiplet-level temporal order of an hoc×woc core tile can incur,
+// h2w2 and c2 being the chiplet's planar and channel trip counts. It adds
+// al1Walk's Cc₀ point, which sits below every order's nest.
+func MinAL1Fills(l *workload.Layer, vector, hoc, woc int, h2w2, c2, al1 int64) int64 {
+	fills := minActivationFills(l.TileInputBytes(hoc, woc, l.CI), h2w2, c2, al1)
+	if al1 < al1Slices(l, vector, hoc, woc) {
+		fills *= int64(l.R) * int64(l.S)
+	}
+	return fills
+}
+
+// minActivationFills is the activation walk of one level minimized over its
+// two temporal orders at a buffer of the given capacity. tile is the level's
+// base input footprint, planar its H·W trips and chans its C trips. Both
+// orders fill tile·planar intrinsically and differ only in where the C
+// reuse region closes: channel priority closes it at tile, plane priority at
+// the whole planar region's footprint, which is never smaller. Channel
+// priority is always one of the search's orders, so the C penalty is
+// unavoidable exactly when the capacity is below tile.
+func minActivationFills(tile, planar, chans, capacity int64) int64 {
+	fills := tile * planar
+	if chans > 1 && capacity < tile {
+		fills *= chans
+	}
+	return fills
+}
+
 // WithInnerThreshold prepends the supplemental Cc₀ critical point of Fig 6(e):
 // below the innermost streaming slice capacity, intra-tile reuse is lost and
 // fills multiply by the window-overlap penalty.

@@ -178,8 +178,13 @@ func AnalyzeInto(a *Analysis, sc *Scratch, l *workload.Layer, hw *hardware.Confi
 // core tile, the R×S window passes each refetch the slice from A-L2.
 func al1Walk(w *walker, l *workload.Layer, hw *hardware.Config, m *mapping.Mapping, chipletNest []mapping.Loop) {
 	activationWalk(w, l, chipletNest, m.HOc, m.WOc, l.CI)
-	slice := l.TileInputBytes(m.HOc, m.WOc, min(hw.Vector, l.CIPerGroup()))
-	w.inner(2*slice, int64(l.R)*int64(l.S))
+	w.inner(al1Slices(l, hw.Vector, m.HOc, m.WOc), int64(l.R)*int64(l.S))
+}
+
+// al1Slices is the Cc₀ capacity of al1Walk (and MinAL1Fills): two
+// P-channel input slices of an hoc×woc core tile.
+func al1Slices(l *workload.Layer, vector, hoc, woc int) int64 {
+	return 2 * l.TileInputBytes(hoc, woc, min(vector, l.CIPerGroup()))
 }
 
 // StageTraffic writes into t the traffic of a feasible mapping at hw's own
@@ -275,32 +280,12 @@ func (a *Analysis) TrafficAt(al1, wl1, al2 int) (t Traffic) {
 	return t
 }
 
-// TrafficFloor writes into t a component-wise lower bound on the traffic of a
-// feasible mapping, valid for any buffer capacities: each fill volume is
-// replaced by its intrinsic (infinite-capacity) value, while the
-// buffer-size-independent terms are exact. Because FillAnalysis.Fills only
-// ever multiplies the intrinsic volume by penalties ≥ 1, and assembleTraffic
-// is monotone in each fill volume, TrafficFloor ≤ Traffic() holds
-// component-wise — the property that makes it an admissible bound for the
-// mapper's branch-and-bound search. The intrinsic volumes are in closed form
-// (walk base × product of relevant loop counts), so no nest walk is needed.
-func TrafficFloor(t *Traffic, l *workload.Layer, hw *hardware.Config, m *mapping.Mapping, s *mapping.Shape) {
-	// Weight walk: base Lanes·CIg·R·S, relevant DimC counts C1·C2.
-	wIntr := int64(hw.Lanes) * int64(l.CIPerGroup()) * int64(l.R) * int64(l.S) *
-		int64(s.C1) * int64(s.C2)
-	// Activation walks: base input-tile bytes, relevant DimH/DimW counts.
-	aL2Intr := l.TileInputBytes(m.HOt, m.WOt, l.CI) * int64(s.H1) * int64(s.W1)
-	aL1Intr := l.TileInputBytes(m.HOc, m.WOc, l.CI) * int64(s.H2) * int64(s.W2)
-	FixedTraffic(t, l, hw, m, s)
-	assembleTraffic(t, hw, m, s, wIntr, aL2Intr, aL1Intr)
-}
-
 // assembleTraffic combines the fixed traffic in t with the three fill volumes —
 // per-weight-group W-L1 fills, per-chiplet A-L2 fills, per-core-workload A-L1
 // fills — through the dataflow's distribution branches. It is the single
-// assembly path behind TrafficAt and TrafficFloor, so the bound and the exact
-// evaluation can never diverge structurally; it is monotone non-decreasing in
-// each fill argument.
+// assembly path behind TrafficAt and StageTraffic, and GroupTrafficFloor
+// mirrors it branch for branch; it is monotone non-decreasing in each fill
+// argument.
 func assembleTraffic(t *Traffic, hw *hardware.Config, m *mapping.Mapping, s *mapping.Shape,
 	groupFills, chipletActFills, coreActFills int64) {
 	chiplets := int64(hw.Chiplets)

@@ -2,6 +2,7 @@ package mapper
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -10,19 +11,6 @@ import (
 	"nnbaton/internal/mapping"
 	"nnbaton/internal/workload"
 )
-
-// lowerBound prices a probe's best case: the C³P traffic floor (intrinsic
-// fills, exact fixed terms) through the fabric's energy step — D2D scaled to
-// physical bytes. The energy model is monotone in its traffic inputs, ceil
-// scaling preserves component-wise ≤, and the floor under-counts nothing
-// negative, so the true energy of every temporal variant of the probe is ≥
-// this value. The scan no longer prices it; the test keeps it as the
-// per-probe rung between the group bounds and the stage scores.
-func (s *search) lowerBound(m *mapping.Mapping, sh *mapping.Shape) float64 {
-	var tr c3p.Traffic
-	c3p.TrafficFloor(&tr, &s.l, &s.hw, m, sh)
-	return s.fab.Energy(&tr, &s.hw).Total()
-}
 
 // stageScore is the score evalCell stage-prunes a temporal variant on: its
 // exact energy at hw's buffer sizes.
@@ -34,13 +22,85 @@ func (s *search) stageScore(m *mapping.Mapping, sh *mapping.Shape) float64 {
 	return s.fab.Energy(&tr, hw).Total()
 }
 
+// boundCell is one feasible (chiplet tile, core tile) cell of a candidate
+// group, with the group's tile lists: cots[ci] and cps[pi] are its tiles.
+type boundCell struct {
+	st    *subtree
+	g     *candGroup
+	cots  []int
+	ci    int
+	cps   [][2]int
+	pi    int
+	probe mapping.Mapping
+	sh    mapping.Shape
+}
+
+// ladder derives the group, subgroup and cell terms of c the way the scan
+// does: the group's terms over both full tile lists, narrowed to c's
+// chiplet tile (channel and planar terms recomputed, core terms kept) and
+// then to c's core tile.
+func (s *search) ladder(c *boundCell) [3]c3p.GroupFloorTerms {
+	var group c3p.GroupFloorTerms
+	s.channelTerms(&group, c.st, c.cots)
+	s.planarTerms(&group, c.st, c.g)
+	s.coreTerms(&group, c.g, c.cps)
+	sub := group
+	s.channelTerms(&sub, c.st, c.cots[c.ci:c.ci+1])
+	s.planarTerms(&sub, c.st, c.g)
+	cell := sub
+	s.coreTerms(&cell, c.g, c.cps[c.pi:c.pi+1])
+	return [3]c3p.GroupFloorTerms{group, sub, cell}
+}
+
+// forEachCell visits every feasible cell of every candidate group of the
+// search's space — the groups the scan builds, without its pruning.
+func (s *search) forEachCell(cfg Config, visit func(c *boundCell)) {
+	l, hw := s.l, s.hw
+	for _, st := range subtrees(l, hw, cfg) {
+		var cots []int
+		for _, cot := range tileCandidates(nil, st.cop, st.cop) {
+			if cot >= st.cs.csplit {
+				cots = append(cots, cot)
+			}
+		}
+		if len(cots) == 0 {
+			continue
+		}
+		for _, pp := range planarPairs(nil, st.hop, st.wop) {
+			hot, wot := pp[0], pp[1]
+			if st.cs.pattern.Rows > hot || st.cs.pattern.Cols > wot {
+				continue
+			}
+			g := candGroup{hot: hot, wot: wot,
+				hs: ceilDiv(hot, st.cs.pattern.Rows), ws: ceilDiv(wot, st.cs.pattern.Cols)}
+			cps := coreTilePairs(nil, &l, &hw, g.hs, g.ws)
+			for ci, cot := range cots {
+				for pi, cp := range cps {
+					probe := mapping.Mapping{
+						PackageSpatial: st.ps.kind, PackagePattern: st.ps.pattern, Rotate: st.rotate,
+						ChipletSpatial: st.cs.kind, ChipletCSplit: st.cs.csplit, ChipletPattern: st.cs.pattern,
+						COt: cot, HOt: hot, WOt: wot, HOc: cp[0], WOc: cp[1],
+					}
+					if !probe.Feasible(l, hw) {
+						continue
+					}
+					visit(&boundCell{st: &st, g: &g, cots: cots, ci: ci, cps: cps, pi: pi,
+						probe: probe, sh: probe.Shape(&l, &hw)})
+				}
+			}
+		}
+	}
+}
+
 // TestGroupBoundAdmissible pins the property the group scan is built on:
 // for every candidate group, the group, subgroup and cell bounds are ≤ the
-// exact per-probe lower bound of every member probe, and each cell bound is
-// ≤ the stage score of every temporal variant of its probe — the score the
-// scan compares a materialized cell against, so a cell skipped on its bound
-// could never have passed the stage prune. Randomized over layers, hardware
-// points and fault masks.
+// stage score of every temporal variant of every member probe — the score
+// the scan compares a materialized cell against, so a group, subgroup or
+// cell skipped on its bound could never have passed the stage prune. The
+// bounds price the activation refetch that no temporal order avoids at the
+// hardware's buffer sizes, so they may exceed a member's infinite-buffer
+// traffic floor; the rung they are held to is the member's best variant.
+// Randomized over layers, hardware points and fault masks.
 func TestGroupBoundAdmissible(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260809))
 	cm := hardware.MustCostModel()
@@ -68,75 +128,71 @@ func TestGroupBoundAdmissible(t *testing.T) {
 		}
 		ctx := fmt.Sprintf("trial %d: %s/%s on %s fault=%s",
 			trial, l.Model, l.Name, hw.Tuple(), cfg.Fault)
-		// groupBound of g restricted to the given tile lists, with the terms
-		// composed from the same helpers the scan uses.
-		groupBound := func(st *subtree, g *candGroup, cots []int, cps [][2]int) float64 {
-			var terms c3p.GroupFloorTerms
-			srch.channelTerms(&terms, st, cots)
-			srch.planarTerms(&terms, st, g)
-			srch.coreTerms(&terms, g, cps)
-			return srch.groupBound(st, &terms)
+		srch.forEachCell(cfg, func(c *boundCell) {
+			best := math.Inf(1)
+			forEachTemporal(c.probe, c.sh, func(m mapping.Mapping) {
+				best = min(best, srch.stageScore(&m, &c.sh))
+			})
+			for i, terms := range srch.ladder(c) {
+				if b := srch.groupBound(c.st, &terms); b > best {
+					t.Fatalf("%s: %s bound %.6g > best stage score %.6g of %+v",
+						ctx, [...]string{"group", "subgroup", "cell"}[i], b, best, c.probe)
+				}
+			}
+		})
+	}
+}
+
+// TestActivationTermsExact pins the cell-level activation terms to the C³P
+// walk they fold: at every feasible cell, the A-L1 and A-L2 terms equal the
+// fewest fills that any temporal variant's analysis incurs at the
+// hardware's A-L1 and A-L2 sizes. The test fails when no cell pays an
+// A-L1 or no cell pays an A-L2 penalty, so it cannot pass on intrinsic
+// fills alone.
+func TestActivationTermsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261019))
+	cm := hardware.MustCostModel()
+	layers := uniqueZooLayers(64)
+	trials := 20
+	if testing.Short() {
+		trials = 5
+	}
+	var a c3p.Analysis
+	var sc c3p.Scratch
+	var cells, al1Penalized, al2Penalized int
+	for trial := 0; trial < trials; trial++ {
+		l := layers[rng.Intn(len(layers))]
+		hw := randomHW(rng)
+		cfg := Config{KeepTop: 1}
+		srch := newSearch(l, hw, cm, cfg)
+		if srch == nil {
+			continue
 		}
-		for _, st := range subtrees(l, hw, cfg) {
-			var cots []int
-			for _, cot := range tileCandidates(nil, st.cop, st.cop) {
-				if cot >= st.cs.csplit {
-					cots = append(cots, cot)
-				}
+		srch.forEachCell(cfg, func(c *boundCell) {
+			terms := srch.ladder(c)[2]
+			al1, al2 := int64(math.MaxInt64), int64(math.MaxInt64)
+			forEachTemporal(c.probe, c.sh, func(m mapping.Mapping) {
+				c3p.AnalyzeInto(&a, &sc, &l, &hw, &m)
+				al1 = min(al1, a.AL1.Fills(int64(hw.AL1Bytes)))
+				al2 = min(al2, a.AL2.Fills(int64(hw.AL2Bytes)))
+			})
+			if terms.AL1Min != al1 || terms.AL2Min != al2 {
+				t.Fatalf("trial %d: %s/%s on %s: cell terms A-L1 %d, A-L2 %d; fewest variant fills A-L1 %d, A-L2 %d for %+v",
+					trial, l.Model, l.Name, hw.Tuple(), terms.AL1Min, terms.AL2Min, al1, al2, c.probe)
 			}
-			if len(cots) == 0 {
-				continue
+			cells++
+			if al1 > a.AL1.Intrinsic {
+				al1Penalized++
 			}
-			for _, pp := range planarPairs(nil, st.hop, st.wop) {
-				hot, wot := pp[0], pp[1]
-				if st.cs.pattern.Rows > hot || st.cs.pattern.Cols > wot {
-					continue
-				}
-				g := candGroup{hot: hot, wot: wot,
-					hs: ceilDiv(hot, st.cs.pattern.Rows), ws: ceilDiv(wot, st.cs.pattern.Cols)}
-				cps := coreTilePairs(nil, &l, &hw, g.hs, g.ws)
-				if len(cps) == 0 {
-					continue
-				}
-				gb := groupBound(&st, &g, cots, cps)
-				for ci, cot := range cots {
-					sub := groupBound(&st, &g, cots[ci:ci+1], cps)
-					for pi, cp := range cps {
-						probe := mapping.Mapping{
-							PackageSpatial: st.ps.kind, PackagePattern: st.ps.pattern, Rotate: st.rotate,
-							ChipletSpatial: st.cs.kind, ChipletCSplit: st.cs.csplit, ChipletPattern: st.cs.pattern,
-							COt: cot, HOt: hot, WOt: wot, HOc: cp[0], WOc: cp[1],
-						}
-						if !probe.Feasible(l, hw) {
-							continue
-						}
-						sh := probe.Shape(&l, &hw)
-						fl := srch.lowerBound(&probe, &sh)
-						if gb > fl {
-							t.Fatalf("%s: group bound %.6g > member floor %.6g for %+v",
-								ctx, gb, fl, probe)
-						}
-						if sub > fl {
-							t.Fatalf("%s: subgroup bound %.6g > member floor %.6g for %+v",
-								ctx, sub, fl, probe)
-						}
-						// Cell level: both tile axes fixed — the singleton
-						// bound the scan prices one probe with.
-						cell := groupBound(&st, &g, cots[ci:ci+1], cps[pi:pi+1])
-						if cell > fl {
-							t.Fatalf("%s: cell bound %.6g > member floor %.6g for %+v",
-								ctx, cell, fl, probe)
-						}
-						forEachTemporal(probe, sh, func(m mapping.Mapping) {
-							if stage := srch.stageScore(&m, &sh); cell > stage {
-								t.Fatalf("%s: cell bound %.6g > stage score %.6g for %+v",
-									ctx, cell, stage, m)
-							}
-						})
-					}
-				}
+			if al2 > a.AL2.Intrinsic {
+				al2Penalized++
 			}
-		}
+		})
+	}
+	t.Logf("%d cells: %d A-L1-penalized, %d A-L2-penalized", cells, al1Penalized, al2Penalized)
+	if al1Penalized == 0 || al2Penalized == 0 {
+		t.Fatalf("no penalized cell on A-L1 (%d) or A-L2 (%d) among %d: the test compared intrinsic fills only",
+			al1Penalized, al2Penalized, cells)
 	}
 }
 

@@ -266,53 +266,58 @@ func newSearch(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg
 // c3p.GroupTrafficFloor and totalled by the search's card. The scan prices
 // one group at three levels, each with the terms minimized over a narrower
 // candidate set: the full chiplet- and core-tile lists (the coarse bound the
-// groups are sorted by), a single chiplet tile (channel terms exact) and a
-// single (chiplet tile, core tile) cell (every term exact). channelTerms and
-// coreTerms fill in the minima; a term that depends on only one of the two
-// lists is computed once per list, not once per bound. Admissible because
-// every term is a true lower bound on its per-member value, the assembly
-// mirrors the exact one branch for branch, and the energy model is linear
-// with non-negative coefficients, so groupBound ≤ stage energy = energy for
-// every temporal variant of every member probe (pinned by
-// TestGroupBoundAdmissible).
+// groups are sorted by), a single chiplet tile (channel terms and A-L2 fills
+// exact) and a single (chiplet tile, core tile) cell (every term exact, the
+// A-L1 and A-L2 fills being the fewest any temporal order incurs at hw's
+// capacities). channelTerms, planarTerms and coreTerms fill in the minima,
+// in that order, since the activation fills use the channel minima; a term
+// that depends on only one of the two lists is computed once per list, not
+// once per bound. Admissible because every term is ≤ its value for every
+// member variant, the assembly mirrors the exact one branch for branch, and
+// the energy model is linear with non-negative coefficients, so groupBound ≤
+// stage energy = energy for every temporal variant of every member probe
+// (pinned by TestGroupBoundAdmissible).
 func (s *search) groupBound(st *subtree, t *c3p.GroupFloorTerms) float64 {
 	var tr c3p.Traffic
 	c3p.GroupTrafficFloor(&tr, &s.l, &s.hw, st.ps.kind, st.rotate, max(1, st.cs.csplit), t)
 	return s.card.Total(&tr)
 }
 
-// channelTerms sets t's channel-product minima over the chiplet-tile
+// channelTerms sets t's channel-trip minima over the chiplet-tile
 // candidates cots of subtree st.
 func (s *search) channelTerms(t *c3p.GroupFloorTerms, st *subtree, cots []int) {
 	lanes, csplit := s.hw.Lanes, max(1, st.cs.csplit)
-	t.C1Min, t.C12Min, t.OLChanMin = math.MaxInt64, math.MaxInt64, math.MaxInt64
+	t.C1Min, t.C2Min, t.C12Min, t.OLChanMin = math.MaxInt64, math.MaxInt64, math.MaxInt64, math.MaxInt64
 	for _, cot := range cots {
 		c1 := int64(ceilDiv(st.cop, cot))
 		cos := ceilDiv(cot, csplit)
-		c12 := c1 * int64(ceilDiv(cos, lanes))
+		c2 := int64(ceilDiv(cos, lanes))
 		t.C1Min = min(t.C1Min, c1)
-		t.C12Min = min(t.C12Min, c12)
-		t.OLChanMin = min(t.OLChanMin, c12*int64(min(lanes, cos)))
+		t.C2Min = min(t.C2Min, c2)
+		t.C12Min = min(t.C12Min, c1*c2)
+		t.OLChanMin = min(t.OLChanMin, c1*c2*int64(min(lanes, cos)))
 	}
 }
 
-// planarTerms sets the terms that the planar pair of g fixes exactly.
+// planarTerms sets the terms that the planar pair of g fixes, the A-L2
+// fills at t's C1Min.
 func (s *search) planarTerms(t *c3p.GroupFloorTerms, st *subtree, g *candGroup) {
-	l := &s.l
 	t.H1W1 = int64(ceilDiv(st.hop, g.hot)) * int64(ceilDiv(st.wop, g.wot))
-	t.AL2Intr = l.TileInputBytes(g.hot, g.wot, l.CI) * t.H1W1
+	t.AL2Min = c3p.MinAL2Fills(&s.l, g.hot, g.wot, t.H1W1, t.C1Min, int64(s.hw.AL2Bytes))
 }
 
-// coreTerms sets t's core-tile minima over the candidates cps of group g.
+// coreTerms sets t's core-tile minima over the candidates cps of group g,
+// the A-L1 fills at t's C2Min.
 func (s *search) coreTerms(t *c3p.GroupFloorTerms, g *candGroup, cps [][2]int) {
-	l := &s.l
-	t.H2W2Min, t.PlanarCovMin, t.AL1IntrMin = math.MaxInt64, math.MaxInt64, math.MaxInt64
+	l, hw := &s.l, &s.hw
+	t.H2W2Min, t.PlanarCovMin, t.AL1Min = math.MaxInt64, math.MaxInt64, math.MaxInt64
 	for _, cp := range cps {
 		h2 := int64(ceilDiv(g.hs, cp[0]))
 		w2 := int64(ceilDiv(g.ws, cp[1]))
 		t.H2W2Min = min(t.H2W2Min, h2*w2)
 		t.PlanarCovMin = min(t.PlanarCovMin, h2*int64(cp[0])*w2*int64(cp[1]))
-		t.AL1IntrMin = min(t.AL1IntrMin, l.TileInputBytes(cp[0], cp[1], l.CI)*h2*w2)
+		t.AL1Min = min(t.AL1Min,
+			c3p.MinAL1Fills(l, hw.Vector, cp[0], cp[1], h2*w2, t.C2Min, int64(hw.AL1Bytes)))
 	}
 }
 
@@ -388,17 +393,19 @@ func (s *search) scan(sts []subtree, ws *searchState, dest *topK, shared *minBou
 		sp := ws.cotSpan[g.st]
 		cots, cps := ws.cots[sp[0]:sp[1]], ws.pairs[g.cp0:g.cp1]
 		for i := range cots {
-			// A single chiplet tile makes the channel-product terms exact.
+			// A single chiplet tile makes the channel-product terms and the
+			// A-L2 fills exact.
 			sub := g.terms
 			s.channelTerms(&sub, st, cots[i:i+1])
+			s.planarTerms(&sub, st, g)
 			if s.groupBound(st, &sub) > min(dest.worst(), shared.Load()) {
 				continue
 			}
 			cell := sub
 			for j := range cps {
-				// With both tile axes fixed every term is exact, so the cell
-				// bound matches its probe's floor, priced through the cheap
-				// group assembly before the feasibility check runs.
+				// With both tile axes fixed every term is exact, A-L1 and
+				// A-L2 fills included, so the cell bound is priced through
+				// the cheap group assembly before the feasibility check runs.
 				s.coreTerms(&cell, g, cps[j:j+1])
 				if s.groupBound(st, &cell) > min(dest.worst(), shared.Load()) {
 					continue
