@@ -156,9 +156,11 @@ crash:
 # suite plus the fleetd SIGKILL chaos test (kill the coordinator mid-study,
 # restart it, the study completes with merged bytes identical to a
 # single-process run, and SIGTERM drains to a clean exit), under the race
-# detector.
+# detector. The idle-worker wake tests run 50 times over, to catch a lost
+# wake-up that only a rare interleaving shows (~65 s, mostly held waits).
 fleet:
 	$(GO) test -race -count=1 ./internal/fleet
+	$(GO) test -race -count=50 -run 'TestFleetWait|TestFleetIdleWorkerWakesOnSubmit' ./internal/fleet
 	$(GO) test -race -count=1 -run 'TestChaosFleetd' ./cmd/nnbaton-fleetd
 
 # repro is the golden reproduction gate: it rebuilds cmd/experiments, reruns

@@ -106,11 +106,14 @@ type study struct {
 	state    State
 	reason   string
 	failures int
-	// nextAttempt gates re-queue backoff: the study is not schedulable
-	// before it.
+	// nextAttempt is when the study last became schedulable: admission,
+	// the coordinator's restart, or the end of a retry backoff. The study is
+	// not schedulable before it.
 	nextAttempt time.Time
-	// started is when the study last entered Running (observability only).
-	started time.Time
+	// started is when the current run was first assigned a worker (zero
+	// before that); finished is when the study reached a terminal state.
+	// Both are observability only and are not journaled.
+	started, finished time.Time
 	// workers is the set of worker names currently assigned to the study.
 	workers map[string]bool
 }
@@ -148,6 +151,13 @@ type Coordinator struct {
 	// coordinator that cannot persist state transitions reports itself
 	// unhealthy instead of limping on with split memory/disk state.
 	journalErr error
+	// gen counts schedule changes and wake is closed (then replaced) at
+	// each one; see notifyLocked.
+	gen  uint64
+	wake chan struct{}
+	// lastSweep is the clock reading of the previous janitor pass, so a
+	// pass wakes the fleet once for each backoff that ended since.
+	lastSweep time.Time
 
 	janitorStop chan struct{}
 	janitorDone chan struct{}
@@ -204,11 +214,14 @@ func Open(opts Options) (*Coordinator, error) {
 		studies:     studies,
 		workers:     make(map[string]*workerState),
 		nextSeq:     nextSeq,
+		wake:        make(chan struct{}),
+		lastSweep:   opts.Now(),
 		janitorStop: make(chan struct{}),
 		janitorDone: make(chan struct{}),
 	}
 	for _, st := range studies {
 		st.workers = make(map[string]bool)
+		st.nextAttempt = c.lastSweep
 	}
 	c.updateGauges()
 	go c.janitor()
@@ -217,9 +230,27 @@ func Open(opts Options) (*Coordinator, error) {
 
 func (c *Coordinator) now() time.Time { return c.opts.Now() }
 
+// pollEvery is the lease's Poll: the longest an idle worker's wait is held,
+// and the worker's sleep after a failed call.
+func (c *Coordinator) pollEvery() time.Duration {
+	return min(c.opts.WorkerTTL/3, 500*time.Millisecond)
+}
+
+// notifyLocked records a schedule change: it bumps gen and wakes every
+// held Wait and a waiting Drain. It runs under c.mu on every event that can
+// change what NextTask answers or what a waiter must learn: each journaled
+// state change, each task report, drain, close, the expiry of a busy
+// worker and the end of a retry backoff.
+func (c *Coordinator) notifyLocked() {
+	c.gen++
+	close(c.wake)
+	c.wake = make(chan struct{})
+}
+
 // journalState persists one state transition; a failed append latches the
 // coordinator unhealthy and surfaces the error to the caller.
 func (c *Coordinator) journalState(st *study) error {
+	c.notifyLocked()
 	err := c.jrn.Append(stateKey(st.id), stateRecord{State: st.state, Reason: st.reason, Failures: st.failures})
 	if err != nil && c.journalErr == nil {
 		c.journalErr = err
@@ -281,12 +312,14 @@ func (c *Coordinator) Submit(spec StudySpec) (string, error) {
 		return "", &RetryableError{Err: ErrQueueFull, After: c.retryAfter(queued)}
 	}
 	id := studyID(c.nextSeq)
+	now := c.now()
 	st := &study{
-		id:       id,
-		spec:     spec,
-		admitted: c.now(),
-		state:    StateQueued,
-		workers:  make(map[string]bool),
+		id:          id,
+		spec:        spec,
+		admitted:    now,
+		state:       StateQueued,
+		nextAttempt: now,
+		workers:     make(map[string]bool),
 	}
 	if err := c.jrn.Append(specKey(id), admissionRecord{Spec: spec, Admitted: st.admitted}); err != nil {
 		if c.journalErr == nil {
@@ -329,6 +362,9 @@ func (c *Coordinator) CacheDir() string { return filepath.Join(c.opts.DataDir, "
 // bumps the matching counter.
 func (c *Coordinator) transition(st *study, to State, reason string) error {
 	st.state, st.reason = to, reason
+	if to.Terminal() {
+		st.finished = c.now()
+	}
 	err := c.journalState(st)
 	switch to {
 	case StateDone:
@@ -384,16 +420,18 @@ func (c *Coordinator) RegisterWorker(name string) (WorkerLease, error) {
 	return WorkerLease{
 		TTL:       c.opts.WorkerTTL,
 		Heartbeat: c.opts.WorkerTTL / 3,
-		Poll:      min(c.opts.WorkerTTL/3, 500*time.Millisecond),
+		Poll:      c.pollEvery(),
 	}, nil
 }
 
-// WorkerLease is what a registration hands back: the liveness TTL and the
-// cadences the worker should heartbeat and poll at.
+// WorkerLease is what a registration hands back: the liveness TTL, the
+// heartbeat cadence and the idle-wait bound.
 type WorkerLease struct {
 	TTL       time.Duration `json:"ttl"`
 	Heartbeat time.Duration `json:"heartbeat"`
-	Poll      time.Duration `json:"poll"`
+	// Poll is the maximum hold of an idle wait, and the retry sleep after a
+	// failed call.
+	Poll time.Duration `json:"poll"`
 }
 
 // Heartbeat renews a worker's liveness and answers the two control signals
@@ -414,6 +452,41 @@ func (c *Coordinator) Heartbeat(worker, studyID string) (abandon, drain bool, er
 	return abandon, c.draining, nil
 }
 
+// Wait holds an idle worker until the schedule moves past gen — the Gen of
+// its last empty TaskAnswer — and then returns nil, so the worker polls
+// again. It returns at once when gen is stale or the coordinator is
+// draining, and otherwise after the wake, ctx's end or one Poll period,
+// whichever comes first; a closed coordinator answers ErrClosed. A wait
+// changes no state, so a lost answer loses nothing. It renews the worker's
+// liveness like a heartbeat.
+func (c *Coordinator) Wait(ctx context.Context, worker string, gen uint64) error {
+	c.mu.Lock()
+	w, ok := c.workers[worker]
+	switch {
+	case c.closed:
+		c.mu.Unlock()
+		return ErrClosed
+	case !ok:
+		c.mu.Unlock()
+		return ErrUnknownWorker
+	}
+	w.lastBeat = c.now()
+	wake := c.wake
+	moved := gen != c.gen || c.draining
+	c.mu.Unlock()
+	if moved {
+		return nil
+	}
+	t := time.NewTimer(c.pollEvery())
+	defer t.Stop()
+	select {
+	case <-wake:
+	case <-ctx.Done():
+	case <-t.C:
+	}
+	return nil
+}
+
 // Task is one unit of assigned work: run the study's sharded exploration
 // against the shared data directory until every shard is done. Several
 // workers may hold the same task; the study's lease files arbitrate shards
@@ -428,13 +501,28 @@ type Task struct {
 	LeaseTTL  time.Duration `json:"lease_ttl"`
 }
 
+// TaskAnswer is the answer to a worker's task poll.
+type TaskAnswer struct {
+	// Task is the assignment; nil means nothing is schedulable right now.
+	Task *Task `json:"task,omitempty"`
+	// Drain reports shutdown: the worker should exit.
+	Drain bool `json:"drain,omitempty"`
+	// Gen is the schedule generation the answer was decided at; an idle
+	// worker passes it to Wait.
+	Gen uint64 `json:"gen"`
+}
+
 // NextTask assigns work to an idle worker: promote queued studies into the
 // running set (up to MaxConcurrent, honoring retry backoff), then hand out
-// the running study with the fewest assigned workers. A nil task with nil
-// error means nothing is schedulable right now; drain reports shutdown.
-func (c *Coordinator) NextTask(worker string) (task *Task, drain bool, err error) {
+// the running study with the fewest assigned workers.
+func (c *Coordinator) NextTask(worker string) (TaskAnswer, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	task, drain, err := c.nextTaskLocked(worker)
+	return TaskAnswer{Task: task, Drain: drain, Gen: c.gen}, err
+}
+
+func (c *Coordinator) nextTaskLocked(worker string) (task *Task, drain bool, err error) {
 	w, ok := c.workers[worker]
 	if !ok {
 		return nil, false, ErrUnknownWorker
@@ -455,7 +543,6 @@ func (c *Coordinator) NextTask(worker string) (task *Task, drain bool, err error
 			continue
 		}
 		st.state = StateRunning
-		st.started = now
 		if err := c.journalState(st); err != nil {
 			return nil, false, err
 		}
@@ -485,6 +572,10 @@ func (c *Coordinator) NextTask(worker string) (task *Task, drain bool, err error
 	}
 	if err := os.MkdirAll(c.studyDir(pick.id), 0o755); err != nil {
 		return nil, false, fmt.Errorf("fleet: %w", err)
+	}
+	if pick.started.IsZero() {
+		pick.started = now
+		c.reg.Phase("fleet.dispatch_wait").Observe(now.Sub(pick.nextAttempt))
 	}
 	pick.workers[worker] = true
 	w.study = pick.id
@@ -540,6 +631,7 @@ func (c *Coordinator) retryBackoff(n int) time.Duration {
 func (c *Coordinator) ReportDone(worker string, rep Report) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.notifyLocked()
 	if w, ok := c.workers[worker]; ok && w.study == rep.Study {
 		w.study = ""
 	}
@@ -570,6 +662,7 @@ func (c *Coordinator) ReportDone(worker string, rep Report) error {
 		st.state = StateQueued
 		st.reason = fmt.Sprintf("retry %d/%d after: %s", st.failures, c.opts.RetryLimit, rep.Err)
 		st.nextAttempt = c.now().Add(c.retryBackoff(st.failures))
+		st.started = time.Time{}
 		err := c.journalState(st)
 		c.updateGauges()
 		return err
@@ -607,7 +700,7 @@ func (c *Coordinator) finishLocked(st *study) error {
 		// hit the same bytes. Quarantine with the reason on record.
 		return c.transition(st, StateQuarantined, "merge: "+merr.Error())
 	}
-	if c.reg != nil && !st.started.IsZero() {
+	if !st.started.IsZero() {
 		c.reg.Phase("fleet.study_run").Observe(c.now().Sub(st.started))
 	}
 	return c.transition(st, StateDone, "")
@@ -638,6 +731,12 @@ type StudyStatus struct {
 	Workers    []string  `json:"workers,omitempty"`
 	Admitted   time.Time `json:"admitted"`
 	Deadline   time.Time `json:"deadline,omitempty"`
+	// Started is when the current run was first assigned a worker, zero
+	// while it waits. A retry starts a new run. Finished is when the study
+	// reached a terminal state. Neither is journaled: both are zero for a
+	// study replayed after a coordinator restart until it runs again.
+	Started  time.Time `json:"started,omitempty"`
+	Finished time.Time `json:"finished,omitempty"`
 }
 
 func (c *Coordinator) statusLocked(st *study) StudyStatus {
@@ -649,6 +748,8 @@ func (c *Coordinator) statusLocked(st *study) StudyStatus {
 		Shards:   st.spec.shards(),
 		Admitted: st.admitted,
 		Deadline: st.deadlineAt(c.opts.DefaultDeadline),
+		Started:  st.started,
+		Finished: st.finished,
 	}
 	s.ShardsDone = lease.DoneCount(filepath.Join(c.studyDir(st.id), "leases"), s.Shards)
 	for w := range st.workers {
@@ -743,11 +844,13 @@ func (c *Coordinator) sweep() {
 			if st, ok := c.studies[w.study]; ok {
 				delete(st.workers, name)
 			}
+			c.notifyLocked() // a draining coordinator waits for busy workers
 		}
 		c.reg.Counter("fleet.worker_expired").Inc()
 		c.reg.Event("fleet.worker_expired", fmt.Sprintf("%s (last heartbeat %s ago, on %q)",
 			name, now.Sub(w.lastBeat).Round(time.Millisecond), w.study))
 	}
+	backoffEnded := false
 	for _, st := range c.studies {
 		if st.state.Terminal() {
 			continue
@@ -755,8 +858,18 @@ func (c *Coordinator) sweep() {
 		if dl := st.deadlineAt(c.opts.DefaultDeadline); !dl.IsZero() && now.After(dl) {
 			c.transition(st, StateFailed, //nolint:errcheck — latched via journalErr
 				fmt.Sprintf("deadline exceeded (%s since admission)", now.Sub(st.admitted).Round(time.Millisecond)))
+			continue
+		}
+		// Admissions and restarts woke the fleet when they happened; only a
+		// retry becomes schedulable later, with no event of its own.
+		if st.state == StateQueued && st.failures > 0 && c.lastSweep.Before(st.nextAttempt) && !now.Before(st.nextAttempt) {
+			backoffEnded = true
 		}
 	}
+	if backoffEnded {
+		c.notifyLocked()
+	}
+	c.lastSweep = now
 	c.updateGauges()
 }
 
@@ -773,10 +886,11 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 		return ErrClosed
 	}
 	c.draining = true
+	c.notifyLocked()
 	c.mu.Unlock()
 
-	// Wait for every assigned worker to report its task ended (the drain
-	// flag rides on heartbeats and task polls).
+	// Wait for every assigned worker to report its task ended or expire (the
+	// drain flag rides on heartbeats and task polls); both wake this loop.
 	for {
 		c.mu.Lock()
 		busy := 0
@@ -785,6 +899,7 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 				busy++
 			}
 		}
+		wake := c.wake
 		c.mu.Unlock()
 		if busy == 0 {
 			break
@@ -794,13 +909,14 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 			// Grace expired: close anyway. Worker journals are crash-safe
 			// (single-write records), so nothing completed is lost.
 			return c.Close()
-		case <-time.After(20 * time.Millisecond):
+		case <-wake:
 		}
 	}
 	return c.Close()
 }
 
-// Close stops the janitor and closes the study journal. Idempotent.
+// Close releases every held Wait, stops the janitor and closes the study
+// journal. Idempotent.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -808,6 +924,7 @@ func (c *Coordinator) Close() error {
 		return nil
 	}
 	c.closed = true
+	c.notifyLocked()
 	c.mu.Unlock()
 	close(c.janitorStop)
 	<-c.janitorDone

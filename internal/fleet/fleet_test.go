@@ -24,6 +24,7 @@ import (
 	"nnbaton/internal/dse"
 	"nnbaton/internal/engine"
 	"nnbaton/internal/hardware"
+	"nnbaton/internal/obs"
 	"nnbaton/internal/workload"
 )
 
@@ -85,6 +86,12 @@ func referenceBytes(t *testing.T, dir string) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// nextTask is NextTask's assignment alone.
+func nextTask(c *Coordinator, worker string) (*Task, error) {
+	p, err := c.NextTask(worker)
+	return p.Task, err
 }
 
 func openCoord(t *testing.T, dir string, opts Options) *Coordinator {
@@ -262,7 +269,7 @@ func TestFleetDrainRejectsAndFinishes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	task, _, err := c.NextTask("busy")
+	task, err := nextTask(c, "busy")
 	if err != nil || task == nil {
 		t.Fatalf("NextTask = %v, %v; want a task", task, err)
 	}
@@ -343,7 +350,7 @@ func TestFleetCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if task, _, err := c1.NextTask("w"); err != nil || task == nil || task.Study != id1 {
+	if task, err := nextTask(c1, "w"); err != nil || task == nil || task.Study != id1 {
 		t.Fatalf("NextTask = %+v, %v; want study %s", task, err, id1)
 	}
 	if err := c1.Cancel(id2); err != nil {
@@ -410,7 +417,7 @@ func TestFleetQuarantine(t *testing.T) {
 	}
 
 	for attempt := 1; ; attempt++ {
-		task, _, err := c.NextTask("w")
+		task, err := nextTask(c, "w")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -452,7 +459,7 @@ func TestFleetQuarantine(t *testing.T) {
 		}
 	}
 	// Quarantined studies are never scheduled again.
-	if task, _, err := c.NextTask("w"); err != nil || task != nil {
+	if task, err := nextTask(c, "w"); err != nil || task != nil {
 		t.Errorf("NextTask after quarantine = %+v, %v; want nil", task, err)
 	}
 }
@@ -510,7 +517,7 @@ func TestFleetWorkerExpiry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if task, _, err := c.NextTask("w"); err != nil || task == nil {
+	if task, err := nextTask(c, "w"); err != nil || task == nil {
 		t.Fatalf("NextTask = %v, %v", task, err)
 	}
 	if st, _ := c.Status(id); len(st.Workers) != 1 {
@@ -545,7 +552,7 @@ func TestFleetHeartbeatAbandon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if task, _, err := c.NextTask("w"); err != nil || task == nil {
+	if task, err := nextTask(c, "w"); err != nil || task == nil {
 		t.Fatalf("NextTask = %v, %v", task, err)
 	}
 	if abandon, _, _ := c.Heartbeat("w", id); abandon {
@@ -664,17 +671,311 @@ func TestFleetMaxConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, _, err := c.NextTask("a")
+	t1, err := nextTask(c, "a")
 	if err != nil || t1 == nil || t1.Study != id1 {
 		t.Fatalf("first task = %+v, %v; want %s", t1, err, id1)
 	}
 	// With one running study allowed, the second worker joins the same study
 	// instead of promoting the next.
-	t2, _, err := c.NextTask("b")
+	t2, err := nextTask(c, "b")
 	if err != nil || t2 == nil || t2.Study != id1 {
 		t.Fatalf("second task = %+v, %v; want %s again", t2, err, id1)
 	}
 	if st, _ := c.Status(id2); st.State != StateQueued {
 		t.Errorf("second study = %s, want still queued", st.State)
 	}
+}
+
+// fakeClock is a settable Options.Now that is safe to read from the
+// goroutines a test starts.
+type fakeClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func newFakeClock() *fakeClock { return &fakeClock{now: time.Unix(1700000000, 0)} }
+
+func (f *fakeClock) Now() time.Time {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.now
+}
+
+func (f *fakeClock) Advance(d time.Duration) {
+	f.mu.Lock()
+	f.now = f.now.Add(d)
+	f.mu.Unlock()
+}
+
+// heldWait starts c.Wait(ctx, worker, gen), requires it to still be held
+// after 30 ms, runs trigger, and requires the wait to end within 250 ms —
+// half the 500 ms hold, so a lost wake fails it. It returns Wait's error.
+func heldWait(t *testing.T, c *Coordinator, ctx context.Context, worker string, gen uint64, name string, trigger func()) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- c.Wait(ctx, worker, gen) }()
+	select {
+	case err := <-done:
+		t.Fatalf("%s: wait at the current generation returned before the trigger: %v", name, err)
+	case <-time.After(30 * time.Millisecond):
+	}
+	trigger()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(250 * time.Millisecond):
+		t.Fatalf("%s: held wait not woken within 250ms", name)
+		return nil
+	}
+}
+
+// TestFleetWait pins the idle worker's wait: a stale generation answers at
+// once, the current one is held until a schedule change — a submission, an
+// aborted report, the end of a retry backoff, a drain — or the close of the
+// coordinator or the caller's context; an unknown worker is refused.
+func TestFleetWait(t *testing.T) {
+	clock := newFakeClock()
+	c := openCoord(t, t.TempDir(), Options{RetryBackoff: time.Second, JanitorEvery: time.Hour, Now: clock.Now})
+	for _, w := range []string{"a", "b"} {
+		if _, err := c.RegisterWorker(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	if err := c.Wait(ctx, "ghost", 0); !errors.Is(err, ErrUnknownWorker) {
+		t.Fatalf("wait of an unknown worker = %v, want ErrUnknownWorker", err)
+	}
+	poll := func(w string, wantTask bool) TaskAnswer {
+		t.Helper()
+		p, err := c.NextTask(w)
+		if err != nil || (p.Task != nil) != wantTask {
+			t.Fatalf("NextTask(%s) = %+v, %v; want task: %v", w, p, err, wantTask)
+		}
+		return p
+	}
+
+	idle := poll("b", false)
+	t0 := time.Now()
+	if err := c.Wait(ctx, "b", idle.Gen+1); err != nil || time.Since(t0) > 100*time.Millisecond {
+		t.Fatalf("wait at a stale generation = %v after %v, want nil at once", err, time.Since(t0))
+	}
+
+	var id string
+	if err := heldWait(t, c, ctx, "b", idle.Gen, "submit", func() {
+		var err error
+		if id, err = c.Submit(tinySpec(1)); err != nil {
+			t.Fatal(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	// The poll that promotes a study answers the generation after its own
+	// promotion, so its waiter is not woken by it.
+	assigned := poll("a", true)
+	if err := heldWait(t, c, ctx, "b", assigned.Gen, "aborted report", func() {
+		if err := c.ReportDone("a", Report{Study: id, Aborted: true}); err != nil {
+			t.Fatal(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	poll("a", true)
+	if err := c.ReportDone("a", Report{Study: id, Err: "synthetic shard failure"}); err != nil {
+		t.Fatal(err)
+	}
+	backoff := poll("b", false) // in retry backoff: nothing schedulable
+	if err := heldWait(t, c, ctx, "b", backoff.Gen, "backoff expiry", func() {
+		clock.Advance(2 * time.Second)
+		c.sweep()
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	busy := poll("a", true)
+	drained := make(chan error, 1)
+	if err := heldWait(t, c, ctx, "b", busy.Gen, "drain", func() {
+		go func() { drained <- c.Drain(ctx) }()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Drain waits for the busy worker's report, and that report wakes it.
+	time.Sleep(30 * time.Millisecond)
+	select {
+	case err := <-drained:
+		t.Fatalf("drain returned with a worker still busy: %v", err)
+	default:
+	}
+	if err := c.ReportDone("a", Report{Study: id, Aborted: true}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-drained:
+		if err != nil {
+			t.Fatalf("drain = %v", err)
+		}
+	case <-time.After(250 * time.Millisecond):
+		t.Fatal("drain not woken by the last report")
+	}
+
+	c2 := openCoord(t, t.TempDir(), Options{})
+	if _, err := c2.RegisterWorker("b"); err != nil {
+		t.Fatal(err)
+	}
+	p, err := c2.NextTask("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wctx, cancel := context.WithCancel(ctx)
+	if err := heldWait(t, c2, wctx, "b", p.Gen, "context cancel", cancel); err != nil {
+		t.Fatal(err)
+	}
+	if err := heldWait(t, c2, ctx, "b", p.Gen, "close", func() { c2.Close() }); err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.Wait(ctx, "b", p.Gen); !errors.Is(err, ErrClosed) {
+		t.Fatalf("wait on a closed coordinator = %v, want ErrClosed", err)
+	}
+}
+
+// TestFleetIdleWorkerWakesOnSubmit runs a real worker with the default
+// 500 ms poll: idle, it makes at most one task poll and one wait per hold,
+// and a study submitted right after one of its empty polls is assigned
+// within 100 ms.
+func TestFleetIdleWorkerWakesOnSubmit(t *testing.T) {
+	c := openCoord(t, t.TempDir(), Options{})
+	var mu sync.Mutex
+	calls := map[string]int{}
+	polled := make(chan struct{}, 1)
+	h := c.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(rw, r)
+		mu.Lock()
+		calls[filepath.Base(r.URL.Path)]++
+		mu.Unlock()
+		if strings.HasSuffix(r.URL.Path, "/task") {
+			select {
+			case polled <- struct{}{}:
+			default:
+			}
+		}
+	}))
+	defer srv.Close()
+	count := func(route string) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return calls[route]
+	}
+	nextPoll := func() {
+		t.Helper()
+		select {
+		case <-polled:
+		default:
+		}
+		select {
+		case <-polled:
+		case <-time.After(5 * time.Second):
+			t.Fatal("worker made no task poll within 5s")
+		}
+	}
+
+	w, err := NewWorker(WorkerOptions{Coordinator: srv.URL, Name: "w", EngineWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- w.Run(ctx) }()
+	defer func() { cancel(); <-done }()
+
+	nextPoll()
+	tasks, waits := count("task"), count("wait")
+	time.Sleep(time.Second)
+	if n, m := count("task")-tasks, count("wait")-waits; n > 4 || m > 4 {
+		t.Errorf("idle worker made %d task polls and %d waits in 1s, want at most 4 each", n, m)
+	}
+
+	nextPoll()
+	t0 := time.Now()
+	id, err := c.Submit(tinySpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		st, err := c.Status(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.Workers) > 0 || st.State.Terminal() {
+			break
+		}
+		if time.Since(t0) > 100*time.Millisecond {
+			t.Fatalf("study not assigned %v after its submission", time.Since(t0))
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFleetStudyTimeline pins the timeline fields with a fake clock: Started
+// is the current run's first assignment (a retry starts a new run, a second
+// worker does not), Finished the terminal transition, and
+// fleet.dispatch_wait runs from admission or the end of a backoff to the
+// run's first assignment.
+func TestFleetStudyTimeline(t *testing.T) {
+	clock := newFakeClock()
+	t0 := clock.Now()
+	reg := obs.NewRegistry()
+	c := openCoord(t, t.TempDir(), Options{RetryBackoff: time.Second, JanitorEvery: time.Hour, Now: clock.Now, Registry: reg})
+	for _, w := range []string{"a", "b"} {
+		if _, err := c.RegisterWorker(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	id, err := c.Submit(tinySpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string, started, finished time.Time, waits int64, waitMS float64) {
+		t.Helper()
+		st, err := c.Status(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Started.Equal(started) || !st.Finished.Equal(finished) {
+			t.Errorf("%s: started %v finished %v, want %v and %v", when, st.Started, st.Finished, started, finished)
+		}
+		if ps := reg.Phase("fleet.dispatch_wait").Stats(); ps.Count != waits || ps.TotalMS != waitMS {
+			t.Errorf("%s: dispatch_wait count %d total %vms, want %d and %vms", when, ps.Count, ps.TotalMS, waits, waitMS)
+		}
+	}
+	var zero time.Time
+	check("queued", zero, zero, 0, 0)
+
+	clock.Advance(3 * time.Second)
+	if task, err := nextTask(c, "a"); err != nil || task == nil {
+		t.Fatalf("NextTask = %v, %v", task, err)
+	}
+	check("assigned", t0.Add(3*time.Second), zero, 1, 3000)
+
+	clock.Advance(time.Second) // fails at t0+4s; backoff ends at t0+5s
+	if err := c.ReportDone("a", Report{Study: id, Err: "synthetic shard failure"}); err != nil {
+		t.Fatal(err)
+	}
+	check("re-queued", zero, zero, 1, 3000)
+
+	clock.Advance(4 * time.Second)
+	if task, err := nextTask(c, "a"); err != nil || task == nil {
+		t.Fatalf("NextTask after backoff = %v, %v", task, err)
+	}
+	if task, err := nextTask(c, "b"); err != nil || task == nil || task.Study != id {
+		t.Fatalf("second worker's NextTask = %v, %v", task, err)
+	}
+	check("retried", t0.Add(8*time.Second), zero, 2, 6000)
+
+	clock.Advance(2 * time.Second)
+	if err := c.Cancel(id); err != nil {
+		t.Fatal(err)
+	}
+	check("cancelled", t0.Add(8*time.Second), t0.Add(10*time.Second), 2, 6000)
 }

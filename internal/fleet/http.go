@@ -12,7 +12,8 @@ package fleet
 //	DELETE /v1/studies/{id}            cancel                200 | 404 | 409
 //	POST   /v1/workers                 register              200 lease
 //	POST   /v1/workers/{name}/heartbeat                      200 {"abandon","drain"} | 404
-//	POST   /v1/workers/{name}/task     acquire work          200 {"task","drain"} | 404
+//	POST   /v1/workers/{name}/task     acquire work          200 {"task","drain","gen"} | 404
+//	POST   /v1/workers/{name}/wait     idle until gen moves  200 | 404 | 503
 //	POST   /v1/workers/{name}/done     report a task         200
 //	GET    /healthz                    liveness              200 | 503
 //	GET    /readyz                     readiness             200 | 503
@@ -45,6 +46,7 @@ func (c *Coordinator) Handler() http.Handler {
 	route("POST /v1/workers", c.handleRegister)
 	route("POST /v1/workers/{name}/heartbeat", c.handleHeartbeat)
 	route("POST /v1/workers/{name}/task", c.handleTask)
+	route("POST /v1/workers/{name}/wait", c.handleWait)
 	route("POST /v1/workers/{name}/done", c.handleDone)
 	route("GET /healthz", c.handleHealthz)
 	route("GET /readyz", c.handleReadyz)
@@ -205,15 +207,27 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleTask(w http.ResponseWriter, r *http.Request) {
-	task, drain, err := c.NextTask(r.PathValue("name"))
+	poll, err := c.NextTask(r.PathValue("name"))
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
-		Task  *Task `json:"task,omitempty"`
-		Drain bool  `json:"drain,omitempty"`
-	}{task, drain})
+	writeJSON(w, http.StatusOK, poll)
+}
+
+func (c *Coordinator) handleWait(w http.ResponseWriter, r *http.Request) {
+	var req struct {
+		Gen uint64 `json:"gen"`
+	}
+	if err := decodeBody(r, &req); err != nil {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		return
+	}
+	if err := c.Wait(r.Context(), r.PathValue("name"), req.Gen); err != nil {
+		writeError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, struct{}{})
 }
 
 func (c *Coordinator) handleDone(w http.ResponseWriter, r *http.Request) {

@@ -1,12 +1,16 @@
 package fleet
 
 // Worker is the fleet's execution side: a client loop that registers with a
-// coordinator, heartbeats its liveness, polls for tasks and runs each task's
-// sharded exploration (dse.RunShardedExplore) against the shared data
-// directory. The HTTP control plane only carries assignments and liveness;
-// shard arbitration stays on the study's lease files and results stay in the
-// worker's crash-safe checkpoint journal, so a worker that dies loses
-// nothing it completed and its shards are reclaimed by peers.
+// coordinator, polls for a task, and runs each task's sharded exploration
+// (dse.RunShardedExplore) against the shared data directory, heartbeating its
+// liveness meanwhile. A poll that finds nothing is followed by a held wait
+// that the coordinator answers as soon as the schedule changes, so an idle
+// worker neither spins nor sleeps through a submission. Every call is bound
+// to the worker's context. The HTTP control plane only carries assignments
+// and liveness; shard arbitration stays on the study's lease files and
+// results stay in the worker's crash-safe checkpoint journal, so a worker
+// that dies loses nothing it completed and its shards are reclaimed by
+// peers.
 
 import (
 	"bytes"
@@ -73,14 +77,19 @@ func (w *Worker) logf(format string, args ...any) {
 	}
 }
 
-// post sends a JSON request and decodes the JSON response into out (when
-// non-nil), returning the HTTP status.
-func (w *Worker) post(path string, body, out any) (int, error) {
+// post sends a JSON request under ctx and decodes the JSON response into out
+// (when non-nil), returning the HTTP status.
+func (w *Worker) post(ctx context.Context, path string, body, out any) (int, error) {
 	data, err := json.Marshal(body)
 	if err != nil {
 		return 0, fmt.Errorf("fleet: %w", err)
 	}
-	resp, err := w.client.Post(w.opts.Coordinator+path, "application/json", bytes.NewReader(data))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.opts.Coordinator+path, bytes.NewReader(data))
+	if err != nil {
+		return 0, fmt.Errorf("fleet: %w", err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := w.client.Do(req)
 	if err != nil {
 		return 0, err
 	}
@@ -106,7 +115,7 @@ func (w *Worker) register(ctx context.Context) error {
 	backoff := 100 * time.Millisecond
 	for {
 		var ws WorkerLease
-		_, err := w.post("/v1/workers", struct {
+		_, err := w.post(ctx, "/v1/workers", struct {
 			Name string `json:"name"`
 		}{w.opts.Name}, &ws)
 		if err == nil {
@@ -133,11 +142,8 @@ func (w *Worker) Run(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		var tr struct {
-			Task  *Task `json:"task"`
-			Drain bool  `json:"drain"`
-		}
-		status, err := w.post("/v1/workers/"+w.opts.Name+"/task", struct{}{}, &tr)
+		var tr TaskAnswer
+		status, err := w.post(ctx, "/v1/workers/"+w.opts.Name+"/task", struct{}{}, &tr)
 		switch {
 		case status == http.StatusNotFound:
 			// Registration expired (a long GC pause, a network partition):
@@ -156,8 +162,15 @@ func (w *Worker) Run(ctx context.Context) error {
 			w.logf("coordinator draining; exiting")
 			return nil
 		case tr.Task == nil:
-			if serr := engine.SleepCtx(ctx, w.pollEvery()); serr != nil {
-				return serr
+			// Idle: hold until the schedule moves past the poll's generation.
+			_, err := w.post(ctx, "/v1/workers/"+w.opts.Name+"/wait", struct {
+				Gen uint64 `json:"gen"`
+			}{tr.Gen}, nil)
+			if err != nil && ctx.Err() == nil {
+				w.logf("wait: %v", err)
+				if serr := engine.SleepCtx(ctx, w.pollEvery()); serr != nil {
+					return serr
+				}
 			}
 			continue
 		}
@@ -184,7 +197,9 @@ func (w *Worker) heartbeatEvery() time.Duration {
 func (w *Worker) runTask(ctx context.Context, task *Task) {
 	w.logf("task %s: %d shards of %s", task.Study, task.Shards, task.Signature)
 	rep := w.executeTask(ctx, task)
-	if _, err := w.post("/v1/workers/"+w.opts.Name+"/done", rep, nil); err != nil {
+	// The report outlives cancellation: an aborted task still releases the
+	// worker's assignment, which a draining coordinator waits for.
+	if _, err := w.post(context.WithoutCancel(ctx), "/v1/workers/"+w.opts.Name+"/done", rep, nil); err != nil {
 		// The report is advisory: the durable truth (done markers, journal
 		// records) is already on disk, and a lost report only delays the
 		// coordinator until another worker's report or a retry.
@@ -237,7 +252,7 @@ func (w *Worker) executeTask(ctx context.Context, task *Task) Report {
 				Abandon bool `json:"abandon"`
 				Drain   bool `json:"drain"`
 			}
-			status, err := w.post("/v1/workers/"+w.opts.Name+"/heartbeat", struct {
+			status, err := w.post(taskCtx, "/v1/workers/"+w.opts.Name+"/heartbeat", struct {
 				Study string `json:"study"`
 			}{task.Study}, &hb)
 			switch {
