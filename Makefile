@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench benchall bench-smoke bench-check bench-ab vet race fuzz chaos crash check equiv lint degradation topo-equiv serve fleet repro
+.PHONY: build test bench benchall bench-smoke bench-check bench-ab vet race fuzz chaos crash check equiv lint degradation topo-equiv serve fleet repro flowbench
 
 # The benchmark set committed to BENCH_mapper.json (and gated by bench-check).
 BENCH_PATTERN = BenchmarkSearchLayer|BenchmarkEngineEvalModelResNet50|BenchmarkEngineGranularityCold|BenchmarkServeReferenceTrace|BenchmarkSweep
@@ -117,7 +117,7 @@ topo-equiv:
 # byte-identical-report invariant across engine worker counts and repeated
 # runs (healthy and degraded), all under the race detector.
 serve:
-	$(GO) test -race -count=1 -run 'TestParseTrace|TestWriteTrace|TestReferenceTrace|TestSimulate|TestConfigValidate|TestSingleRequestLatencyEqualsEvalModel|TestBuildOracle|TestServeReport' ./internal/serve
+	$(GO) test -race -count=1 -run 'TestParseTrace|TestReferenceTrace|TestSimulate|TestConfigValidate|TestSingleRequestLatencyEqualsEvalModel|TestBuildOracle|TestServeReport' ./internal/serve
 
 # -shuffle=on randomizes test and subtest order each run, so inter-test
 # state dependencies surface in CI instead of in production. The lease
@@ -174,7 +174,14 @@ repro:
 	"$$tmp/experiments" -exp all >"$$tmp/out.txt" && \
 	diff -u experiments_full.txt "$$tmp/out.txt"
 
+# flowbench vets and tests the flow benchmark. It is a Go module of its own,
+# so `go build ./...` and `go test ./...` never compile it, and a change to
+# a package it calls could otherwise break the benchmark unnoticed.
+flowbench:
+	cd flowbench && $(GO) vet . && $(GO) test -count=1 .
+
 # check is the pre-merge gate: static analysis, the full suite under the
 # race detector (the engine is concurrent; plain `go test` won't catch
-# races), and the benchmark regression gate against BENCH_mapper.json.
-check: vet race bench-check
+# races), the flow benchmark's own checks, and the benchmark regression gate
+# against BENCH_mapper.json.
+check: vet race flowbench bench-check

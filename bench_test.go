@@ -254,26 +254,6 @@ func BenchmarkC3PAnalyze(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationGreedySearch compares the heuristic single-shot mapper
-// against the exhaustive search — the search-quality-vs-cost ablation.
-func BenchmarkAblationGreedySearch(b *testing.B) {
-	l, err := workload.VGG16(224).Layer("conv8")
-	if err != nil {
-		b.Fatal(err)
-	}
-	hw := hardware.CaseStudy()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g, err := mapper.SearchGreedy(l, hw, benchCM)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if g.Energy.Total() <= 0 {
-			b.Fatal("degenerate greedy mapping")
-		}
-	}
-}
-
 // BenchmarkFunctionalExecution measures the bit-exact mapped execution used
 // to validate mapping semantics.
 func BenchmarkFunctionalExecution(b *testing.B) {

@@ -284,11 +284,11 @@ func TestExploreSkipsInvalidAnchors(t *testing.T) {
 }
 
 func TestExploreDeterministicOrder(t *testing.T) {
-	a, err := Explore(ctx, tinyModel(), tinySpace(), 512, 3.0, engine.NewWithWorkers(cm, 4))
+	a, err := Explore(ctx, tinyModel(), tinySpace(), 512, 3.0, engine.NewFromConfig(cm, engine.Config{Workers: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Explore(ctx, tinyModel(), tinySpace(), 512, 3.0, engine.NewWithWorkers(cm, 1))
+	b, err := Explore(ctx, tinyModel(), tinySpace(), 512, 3.0, engine.NewFromConfig(cm, engine.Config{Workers: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 
 	"nnbaton/internal/energy"
 	"nnbaton/internal/engine"
@@ -197,28 +196,6 @@ func (g GranularityResult) BestEDP() (Point, bool) {
 // each evaluated with the optimal per-layer mapping over the given model.
 func Granularity(ctx context.Context, model workload.Model, space Space, totalMACs int,
 	areaLimitMM2 float64, prop hardware.Proportion, eng *engine.Evaluator) (GranularityResult, error) {
-	return granularity(ctx, []workload.Model{model}, model.Name, space, totalMACs, areaLimitMM2, prop, eng)
-}
-
-// GranularitySet runs the granularity study jointly over several target
-// models ("the pre-design flow helps architects ... with the given neural
-// network workloads", §IV-D): the energy, runtime and layer counts of each
-// point aggregate across all models, so the recommendation serves the whole
-// deployment set.
-func GranularitySet(ctx context.Context, models []workload.Model, space Space, totalMACs int,
-	areaLimitMM2 float64, prop hardware.Proportion, eng *engine.Evaluator) (GranularityResult, error) {
-	if len(models) == 0 {
-		return GranularityResult{}, fmt.Errorf("dse: no target models")
-	}
-	names := make([]string, len(models))
-	for i, m := range models {
-		names[i] = m.Name
-	}
-	return granularity(ctx, models, strings.Join(names, "+"), space, totalMACs, areaLimitMM2, prop, eng)
-}
-
-func granularity(ctx context.Context, models []workload.Model, name string, space Space, totalMACs int,
-	areaLimitMM2 float64, prop hardware.Proportion, eng *engine.Evaluator) (GranularityResult, error) {
 	defer eng.Obs().Span("dse.granularity")()
 	configs := space.ComputeConfigs(totalMACs)
 	if len(configs) == 0 {
@@ -228,11 +205,11 @@ func granularity(ctx context.Context, models []workload.Model, name string, spac
 	for i, c := range configs {
 		hws[i] = c.WithProportionalMemory(prop)
 	}
-	sweep, err := eng.EvalSweep(ctx, models, hws, mapper.Config{})
+	sweep, err := eng.EvalSweep(ctx, []workload.Model{model}, hws, mapper.Config{})
 	if err != nil {
 		return GranularityResult{}, err
 	}
-	res := GranularityResult{Model: name, Points: make([]Point, len(sweep))}
+	res := GranularityResult{Model: model.Name, Points: make([]Point, len(sweep))}
 	for i, sp := range sweep {
 		res.Points[i] = pointOf(sp, eng.CostModel(), areaLimitMM2)
 	}

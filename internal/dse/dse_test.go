@@ -229,40 +229,6 @@ func TestPointString(t *testing.T) {
 	}
 }
 
-func TestGranularitySet(t *testing.T) {
-	a := tinyModel()
-	b := tinyModel()
-	b.Name = "tiny2"
-	res, err := GranularitySet(ctx, []workload.Model{a, b}, tinySpace(), 512, 2.0, hardware.DefaultProportion(), newEng())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Model != "tiny+tiny2" {
-		t.Errorf("joint name = %q", res.Model)
-	}
-	single, err := Granularity(ctx, a, tinySpace(), 512, 2.0, hardware.DefaultProportion(), newEng())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two identical models double the aggregate energy per point.
-	if len(res.Points) != len(single.Points) {
-		t.Fatalf("point counts differ: %d vs %d", len(res.Points), len(single.Points))
-	}
-	for i := range res.Points {
-		joint, one := res.Points[i], single.Points[i]
-		if one.MappedLayers == 0 {
-			continue
-		}
-		ratio := joint.Energy.Total() / one.Energy.Total()
-		if ratio < 1.99 || ratio > 2.01 {
-			t.Errorf("point %s: joint/single energy ratio %.3f, want 2", joint.HW.Tuple(), ratio)
-		}
-	}
-	if _, err := GranularitySet(ctx, nil, tinySpace(), 512, 2.0, hardware.DefaultProportion(), newEng()); err == nil {
-		t.Error("expected empty-set error")
-	}
-}
-
 func TestWithCosts(t *testing.T) {
 	res, err := Granularity(ctx, tinyModel(), tinySpace(), 512, 0, hardware.DefaultProportion(), newEng())
 	if err != nil {

@@ -48,7 +48,7 @@ func referencePrice(t *testing.T, l workload.Layer, hw hardware.Config, mask har
 // (energy breakdown, cycles) for the same (layer, hardware, mapping): the
 // best-first winner, the exhaustive reference, the persistent-cache
 // re-derivation, the fabric's rate card, the explore memory-point
-// re-pricing at the anchor's own buffer sizes, the greedy baseline and
+// re-pricing at the anchor's own buffer sizes, the search's runner-up and
 // strategy-file repricing — on ring, mesh and torus, and on a degraded
 // ring. Mesh and torus scale D2D energy by their hop ratio, so a path that
 // skips the scale reports ring energy there.
@@ -182,18 +182,19 @@ func TestPricingKernelEquivalence(t *testing.T) {
 			}
 
 			if !healthy {
-				continue // greedy and strategy files describe healthy fabrics only
+				continue // strategy files describe healthy fabrics only
 			}
-			g, err := mapper.SearchGreedy(l, hw, cm)
-			if err != nil {
-				t.Fatalf("%s: greedy: %v", name, err)
+			top2 := mapper.SearchAll(l, hw, cm, mapper.Config{KeepTop: 2})
+			if len(top2) < 2 || top2[0].Analysis.Map == top2[1].Analysis.Map {
+				t.Fatalf("%s: KeepTop 2 search gave %d distinct options, want 2", name, len(top2))
 			}
-			check("SearchGreedy", g.Analysis.Map, g.Energy, g.Cycles)
+			second := top2[1]
+			check("SearchAll runner-up", second.Analysis.Map, second.Energy, second.Cycles)
 
 			var buf bytes.Buffer
 			f := strategy.File{Model: "one", Input: 224, Hardware: hw, Layers: []strategy.LayerStrategy{
 				{Layer: l, Mapping: win.Analysis.Map, EnergyPJ: win.Energy.Total(), Cycles: win.Cycles},
-				{Layer: l, Mapping: g.Analysis.Map, EnergyPJ: g.Energy.Total(), Cycles: g.Cycles},
+				{Layer: l, Mapping: second.Analysis.Map, EnergyPJ: second.Energy.Total(), Cycles: second.Cycles},
 			}}
 			if err := strategy.Write(&buf, f); err != nil {
 				t.Fatal(err)

@@ -60,7 +60,7 @@ func TestChaosPanicSharedWithWaitersNoHang(t *testing.T) {
 	// The leader panics while many identical requests are in flight: every
 	// caller must return (the entry is closed and evicted), none may hang.
 	withInjector(t, faults.Rule{Site: "engine.search", Kind: faults.KindPanic, Times: 1})
-	e := NewWithWorkers(cm, 4)
+	e := NewFromConfig(cm, Config{Workers: 4})
 	hw := hardware.CaseStudy()
 	const callers = 16
 	errs := make([]error, callers)
@@ -280,7 +280,7 @@ func TestChaosMidSweepCancel(t *testing.T) {
 	defer cancel()
 	withInjector(t, faults.Rule{Site: "engine.sweep_point", Kind: faults.KindCancel,
 		After: 1, Times: 1, Cancel: cancel})
-	e := NewWithWorkers(cm, 2)
+	e := NewFromConfig(cm, Config{Workers: 2})
 	_, err := e.EvalSweep(ctx, []workload.Model{tinyModel()}, sweepHWs(6), mapper.Config{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -307,13 +307,28 @@ func pointSig(t *testing.T, pt SweepPoint) string {
 }
 
 func TestChaosCheckpointKillResumeRoundTrip(t *testing.T) {
-	models := []workload.Model{tinyModel()}
+	// Two models, so each point carries (and each journal record replays)
+	// one ModelEval per model.
+	head := tinyModel()
+	head.Name, head.Layers = "tiny-head", head.Layers[3:]
+	models := []workload.Model{tinyModel(), head}
 	hws := sweepHWs(6)
 
 	// Reference: uninterrupted, no journal.
 	ref, err := New(cm).EvalSweep(bg, models, hws, mapper.Config{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i, pt := range ref {
+		if pt.Err != nil || len(pt.Evals) != len(models) {
+			t.Fatalf("point %d: %d evals, err %v; want one per model", i, len(pt.Evals), pt.Err)
+		}
+		for k, ev := range pt.Evals {
+			if ev.Model != models[k].Name || ev.Mapped != len(models[k].Layers) {
+				t.Errorf("point %d eval %d: model %q, %d mapped; want %q, %d",
+					i, k, ev.Model, ev.Mapped, models[k].Name, len(models[k].Layers))
+			}
+		}
 	}
 
 	// First run: journal to disk, injected cancellation mid-sweep ("kill").

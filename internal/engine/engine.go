@@ -213,12 +213,6 @@ type Evaluator struct {
 // New builds an evaluator over a cost model with GOMAXPROCS workers.
 func New(cm *hardware.CostModel) *Evaluator { return NewFromConfig(cm, Config{}) }
 
-// NewWithWorkers builds an evaluator with an explicit compute-concurrency
-// bound (<=0 means GOMAXPROCS).
-func NewWithWorkers(cm *hardware.CostModel, workers int) *Evaluator {
-	return NewFromConfig(cm, Config{Workers: workers})
-}
-
 // NewFromConfig builds an evaluator under a full concurrency/resilience
 // policy (see Config; the zero value is the default behavior).
 func NewFromConfig(cm *hardware.CostModel, cfg Config) *Evaluator {

@@ -116,7 +116,7 @@ func TestSearchSingleflight(t *testing.T) {
 }
 
 func TestSearchCancellation(t *testing.T) {
-	e := NewWithWorkers(cm, 1)
+	e := NewFromConfig(cm, Config{Workers: 1})
 	cctx, cancel := context.WithCancel(bg)
 	cancel()
 	if _, err := e.SearchAll(cctx, tinyLayer("x"), hardware.CaseStudy(), mapper.Config{}); !errors.Is(err, context.Canceled) {

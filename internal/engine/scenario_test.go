@@ -132,12 +132,12 @@ func scenarioSig(t *testing.T, pt ScenarioPoint) string {
 func TestDegradationSweepWorkerInvariant(t *testing.T) {
 	models := []workload.Model{tinyModel()}
 	series := degSeries(t)
-	ref, err := NewWithWorkers(cm, 1).DegradationSweep(bg, models, caseBase(), series, mapper.Config{})
+	ref, err := NewFromConfig(cm, Config{Workers: 1}).DegradationSweep(bg, models, caseBase(), series, mapper.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 4, 8} {
-		pts, err := NewWithWorkers(cm, w).DegradationSweep(bg, models, caseBase(), series, mapper.Config{})
+		pts, err := NewFromConfig(cm, Config{Workers: w}).DegradationSweep(bg, models, caseBase(), series, mapper.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

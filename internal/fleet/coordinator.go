@@ -730,13 +730,24 @@ type StudyStatus struct {
 	ShardsDone int       `json:"shards_done"`
 	Workers    []string  `json:"workers,omitempty"`
 	Admitted   time.Time `json:"admitted"`
-	Deadline   time.Time `json:"deadline,omitempty"`
-	// Started is when the current run was first assigned a worker, zero
-	// while it waits. A retry starts a new run. Finished is when the study
-	// reached a terminal state. Neither is journaled: both are zero for a
-	// study replayed after a coordinator restart until it runs again.
-	Started  time.Time `json:"started,omitempty"`
-	Finished time.Time `json:"finished,omitempty"`
+	// Deadline, Started and Finished are nil while unset, so their JSON
+	// keys are omitted rather than rendered as the zero time. Deadline is
+	// nil when neither the study nor the coordinator sets one. Started is
+	// when the current run was first assigned a worker, nil while it waits.
+	// A retry starts a new run. Finished is when the study reached a
+	// terminal state. Neither is journaled: both are nil for a study
+	// replayed after a coordinator restart until it runs again.
+	Deadline *time.Time `json:"deadline,omitempty"`
+	Started  *time.Time `json:"started,omitempty"`
+	Finished *time.Time `json:"finished,omitempty"`
+}
+
+// setTime returns a pointer to t, or nil when t is the zero time.
+func setTime(t time.Time) *time.Time {
+	if t.IsZero() {
+		return nil
+	}
+	return &t
 }
 
 func (c *Coordinator) statusLocked(st *study) StudyStatus {
@@ -747,9 +758,9 @@ func (c *Coordinator) statusLocked(st *study) StudyStatus {
 		Failures: st.failures,
 		Shards:   st.spec.shards(),
 		Admitted: st.admitted,
-		Deadline: st.deadlineAt(c.opts.DefaultDeadline),
-		Started:  st.started,
-		Finished: st.finished,
+		Deadline: setTime(st.deadlineAt(c.opts.DefaultDeadline)),
+		Started:  setTime(st.started),
+		Finished: setTime(st.finished),
 	}
 	s.ShardsDone = lease.DoneCount(filepath.Join(c.studyDir(st.id), "leases"), s.Shards)
 	for w := range st.workers {

@@ -942,7 +942,7 @@ func TestFleetStudyTimeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !st.Started.Equal(started) || !st.Finished.Equal(finished) {
+		if !sameTime(st.Started, started) || !sameTime(st.Finished, finished) {
 			t.Errorf("%s: started %v finished %v, want %v and %v", when, st.Started, st.Finished, started, finished)
 		}
 		if ps := reg.Phase("fleet.dispatch_wait").Stats(); ps.Count != waits || ps.TotalMS != waitMS {
@@ -978,4 +978,76 @@ func TestFleetStudyTimeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("cancelled", t0.Add(8*time.Second), t0.Add(10*time.Second), 2, 6000)
+}
+
+// sameTime reports whether a status timestamp is want: nil for the zero
+// time, set and equal otherwise.
+func sameTime(got *time.Time, want time.Time) bool {
+	if got == nil {
+		return want.IsZero()
+	}
+	return !want.IsZero() && got.Equal(want)
+}
+
+// TestFleetStatusOmitsUnsetTimes: the status JSON carries no deadline,
+// started or finished key until the study has one, and a finished study
+// reports when it started and finished.
+func TestFleetStatusOmitsUnsetTimes(t *testing.T) {
+	c := openCoord(t, t.TempDir(), Options{WorkerTTL: 2 * time.Second})
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	id, err := c.Submit(tinySpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	status := func() map[string]json.RawMessage {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/v1/studies/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var keys map[string]json.RawMessage
+		if err := json.NewDecoder(resp.Body).Decode(&keys); err != nil {
+			t.Fatal(err)
+		}
+		return keys
+	}
+	queued := status()
+	for _, k := range []string{"deadline", "started", "finished"} {
+		if v, ok := queued[k]; ok {
+			t.Errorf("queued study without a deadline has %q: %s", k, v)
+		}
+	}
+	if _, ok := queued["admitted"]; !ok {
+		t.Error("queued study has no admitted time")
+	}
+
+	w, err := NewWorker(WorkerOptions{Coordinator: srv.URL, Name: "w1", EngineWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	workerDone := make(chan error, 1)
+	go func() { workerDone <- w.Run(ctx) }()
+	defer func() { cancel(); <-workerDone }()
+	waitState(t, c, id, StateDone, 30*time.Second)
+
+	done := status()
+	var started, finished time.Time
+	for k, dst := range map[string]*time.Time{"started": &started, "finished": &finished} {
+		raw, ok := done[k]
+		if !ok {
+			t.Fatalf("done study has no %q", k)
+		}
+		if err := json.Unmarshal(raw, dst); err != nil || dst.IsZero() {
+			t.Fatalf("done study %q = %s (%v)", k, raw, err)
+		}
+	}
+	if finished.Before(started) {
+		t.Errorf("finished %v before started %v", finished, started)
+	}
+	if v, ok := done["deadline"]; ok {
+		t.Errorf("done study without a deadline has deadline %s", v)
+	}
 }

@@ -140,10 +140,5 @@ func (m *CostModel) ChipletAreaMM2(c Config) float64 {
 	return chiplet + GRSPHYAreaMM2 + DDRPHYAreaMM2
 }
 
-// PackageAreaMM2 returns the total silicon area across all chiplets.
-func (m *CostModel) PackageAreaMM2(c Config) float64 {
-	return float64(c.Chiplets) * m.ChipletAreaMM2(c)
-}
-
 // Seconds converts a cycle count at the nominal frequency.
 func Seconds(cycles int64) float64 { return float64(cycles) / FreqHz }

@@ -248,41 +248,3 @@ func TestSearchModelMobileNetV2(t *testing.T) {
 		t.Error("degenerate energy")
 	}
 }
-
-func TestSearchGreedy(t *testing.T) {
-	hw := hardware.CaseStudy()
-	reps, err := workload.RepresentativeLayers(224)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range reps {
-		greedy, err := SearchGreedy(r.Layer, hw, cm)
-		if err != nil {
-			t.Fatalf("%s: %v", r.Role, err)
-		}
-		exhaustive, err := Search(r.Layer, hw, cm, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The exhaustive optimum is never worse than the heuristic, and the
-		// heuristic should stay within a small factor (it encodes the
-		// paper's own §VI-A1 rules).
-		if exhaustive.Energy.Total() > greedy.Energy.Total() {
-			t.Errorf("%s: exhaustive %.0f worse than greedy %.0f",
-				r.Role, exhaustive.Energy.Total(), greedy.Energy.Total())
-		}
-		if greedy.Energy.Total() > 5*exhaustive.Energy.Total() {
-			t.Errorf("%s: greedy %.0f more than 5x the optimum %.0f",
-				r.Role, greedy.Energy.Total(), exhaustive.Energy.Total())
-		}
-	}
-}
-
-func TestNearSquare(t *testing.T) {
-	if p := nearSquare(4, 56, 56); p != (mapping.Pattern{Rows: 2, Cols: 2}) {
-		t.Errorf("nearSquare(4, square plane) = %v", p)
-	}
-	if p := nearSquare(4, 1, 56); p.Rows != 1 || p.Cols != 4 {
-		t.Errorf("nearSquare(4, 1x56) = %v", p)
-	}
-}

@@ -181,9 +181,8 @@ type searchState struct {
 	pairs    [][2]int
 	planarAt map[[2]int][2]int32
 	coreAt   map[[2]int][2]int32
-	// sts and byCombo hold a worker's strided share of the subtrees.
-	sts     []subtree
-	byCombo [numCombos][]subtree
+	// sts holds the worker's strided share of the subtrees.
+	sts []subtree
 }
 
 // statePool recycles worker scratch across searches. The Clone-on-accept
@@ -198,7 +197,6 @@ func takeStates(workers int) []*searchState {
 	states := make([]*searchState, workers)
 	for i := range states {
 		ws := statePool.Get().(*searchState)
-		ws.tally = tally{}
 		ws.pairs = ws.pairs[:0]
 		clear(ws.planarAt)
 		clear(ws.coreAt)
@@ -542,22 +540,31 @@ func SearchAll(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg
 	if srch == nil {
 		return nil
 	}
-	workers := resolveWorkers(cfg.Workers, len(srch.sts))
-	states := takeStates(workers)
+	states := takeStates(resolveWorkers(cfg.Workers, len(srch.sts)))
 	defer releaseStates(states)
+	return srch.run(states, srch.sts, cfg.KeepTop, cfg.Counters)
+}
+
+// run searches sts for its best k options: it splits sts across the
+// per-worker states, one strided share each, scans every share with one
+// shared incumbent, merges the workers' top-k lists and flushes the funnel
+// tally into ctrs. A worker's one scan spans its whole share, so the bound
+// order holds across subtree boundaries and a worker's weak subtrees die as
+// unexpanded groups instead of each warming up its own incumbent.
+func (s *search) run(states []*searchState, sts []subtree, k int, ctrs *Counters) []Option {
+	workers := min(len(states), len(sts))
 	tops := make([]*topK, workers)
 	for i := range tops {
-		tops[i] = newTopK(cfg.KeepTop)
+		tops[i] = newTopK(k)
+		states[i].tally = tally{}
 	}
 	shared := newMinBound()
-	// One scan per worker, spanning the worker's strided share of the
-	// subtrees: the bound order then holds across subtree boundaries, so a
-	// worker's weak subtrees die as unexpanded groups instead of each
-	// warming up its own incumbent.
+	// A worker goroutine may run more than one share, so its tally and top-k
+	// accumulate across the shares it runs.
 	err := par.ParallelForWorker(context.Background(), workers, workers, func(w, i int) error {
 		ws := states[w]
-		ws.sts = strided(ws.sts[:0], srch.sts, i, workers)
-		srch.scan(ws.sts, ws, tops[w], shared)
+		ws.sts = strided(ws.sts[:0], sts, i, workers)
+		s.scan(ws.sts, ws, tops[w], shared)
 		return nil
 	})
 	if err != nil {
@@ -565,10 +572,10 @@ func SearchAll(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg
 		return nil
 	}
 	var t tally
-	for _, ws := range states {
+	for _, ws := range states[:workers] {
 		t.add(ws.tally)
 	}
-	cfg.Counters.flush(t)
+	ctrs.flush(t)
 
 	// Deterministic merge: every global top-K candidate survives in its
 	// worker's local top-K (fewer than K candidates beat it anywhere, so in
@@ -579,7 +586,7 @@ func SearchAll(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg
 	if workers == 1 {
 		return tops[0].opts
 	}
-	merged := newTopK(cfg.KeepTop)
+	merged := newTopK(k)
 	for _, t := range tops {
 		for _, o := range t.opts {
 			merged.add(o)
@@ -588,84 +595,47 @@ func SearchAll(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg
 	return merged.opts
 }
 
-// comboIndex maps a (package, chiplet) spatial pair to a dense index for
-// BestPerSpatialCombo's per-combo incumbents.
-func comboIndex(pkg, chip mapping.Spatial) int {
-	p := 0
-	if pkg == mapping.SpatialP {
-		p = 1
-	}
-	c := 2 // SpatialH
-	switch chip {
-	case mapping.SpatialC:
-		c = 0
-	case mapping.SpatialP:
-		c = 1
-	}
-	return p*3 + c
-}
-
-const numCombos = 6
-
 // BestPerSpatialCombo returns the best (minimum-energy) option for each
 // (package, chiplet) spatial pair — the bars of Fig 11. Combos with no valid
 // mapping are omitted (e.g. (C,C) on layers with too few output channels).
-// Each combo keeps its own incumbent bound, so the pruning a strong combo
-// enjoys never starves a weak combo of its bar.
+// Each combo is searched on its own, with its own incumbent, so the pruning
+// a strong combo enjoys never starves a weak combo of its bar. The combos
+// are dealt to the workers, one serial search each and the combos with the
+// most subtrees first, so the long searches start early: most combos span
+// too few subtrees to split across workers without leaving one idle.
 func BestPerSpatialCombo(l workload.Layer, hw hardware.Config, cm *hardware.CostModel) map[string]Option {
 	best := make(map[string]Option)
-	cfg := Config{KeepTop: 1}
-	srch := newSearch(l, hw, cm, cfg)
+	srch := newSearch(l, hw, cm, Config{KeepTop: 1})
 	if srch == nil {
 		return best
 	}
-	workers := resolveWorkers(0, len(srch.sts))
-	states := takeStates(workers)
+	combo := func(a, b subtree) int {
+		return cmp.Or(cmp.Compare(a.ps.kind, b.ps.kind), cmp.Compare(a.cs.kind, b.cs.kind))
+	}
+	slices.SortStableFunc(srch.sts, combo)
+	var groups [][]subtree
+	for sts := srch.sts; len(sts) > 0; {
+		n := 1
+		for n < len(sts) && combo(sts[0], sts[n]) == 0 {
+			n++
+		}
+		groups, sts = append(groups, sts[:n]), sts[n:]
+	}
+	slices.SortStableFunc(groups, func(a, b []subtree) int { return cmp.Compare(len(b), len(a)) })
+	states := takeStates(resolveWorkers(0, len(groups)))
 	defer releaseStates(states)
-	tops := make([][numCombos]*topK, workers)
-	for i := range tops {
-		for c := range tops[i] {
-			tops[i][c] = newTopK(1)
-		}
-	}
-	var bounds [numCombos]*minBound
-	for c := range bounds {
-		bounds[c] = newMinBound()
-	}
-	// Each combo keeps its own incumbent and destination, so a worker runs
-	// one scan per combo over its strided share: within a combo the scan
-	// spans subtree boundaries, across combos nothing is shared.
-	err := par.ParallelForWorker(context.Background(), workers, workers, func(w, i int) error {
-		ws := states[w]
-		for c := range ws.byCombo {
-			ws.byCombo[c] = ws.byCombo[c][:0]
-		}
-		ws.sts = strided(ws.sts[:0], srch.sts, i, workers)
-		for _, st := range ws.sts {
-			c := comboIndex(st.ps.kind, st.cs.kind)
-			ws.byCombo[c] = append(ws.byCombo[c], st)
-		}
-		for c, group := range ws.byCombo {
-			if len(group) > 0 {
-				srch.scan(group, ws, tops[w][c], bounds[c])
-			}
-		}
+	found := make([][]Option, len(groups))
+	err := par.ParallelForWorker(context.Background(), len(groups), len(states), func(w, g int) error {
+		found[g] = srch.run(states[w:w+1], groups[g], 1, nil)
 		return nil
 	})
 	if err != nil {
 		rethrowPanics(err)
 		return best
 	}
-	for c := 0; c < numCombos; c++ {
-		merged := newTopK(1)
-		for w := range tops {
-			for _, o := range tops[w][c].opts {
-				merged.add(o)
-			}
-		}
-		if len(merged.opts) > 0 {
-			o := merged.opts[0]
-			best[o.SpatialCombo()] = o
+	for _, opts := range found {
+		if len(opts) > 0 {
+			best[opts[0].SpatialCombo()] = opts[0]
 		}
 	}
 	return best

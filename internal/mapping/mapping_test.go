@@ -172,7 +172,7 @@ func TestNestOrders(t *testing.T) {
 	l, hw := testLayer(), hardware.CaseStudy()
 	m := validMapping() // package chan-prio, chiplet plane-prio
 	s := m.Shape(&l, &hw)
-	nest := m.Nest(s)
+	nest := m.AppendNest(nil, &s)
 	if len(nest) != 6 {
 		t.Fatalf("nest has %d loops", len(nest))
 	}
@@ -193,11 +193,11 @@ func TestNestOrders(t *testing.T) {
 			t.Errorf("loop %d level = %v", i, lp.Level)
 		}
 	}
-	if got := len(m.ChipletNest(s)); got != 3 {
-		t.Errorf("ChipletNest has %d loops", got)
+	if got := len(m.AppendChipletNest(nil, &s)); got != 3 {
+		t.Errorf("AppendChipletNest gives %d loops", got)
 	}
-	if got := len(m.PackageNest(s)); got != 3 {
-		t.Errorf("PackageNest has %d loops", got)
+	if got := len(m.AppendPackageNest(nil, &s)); got != 3 {
+		t.Errorf("AppendPackageNest gives %d loops", got)
 	}
 }
 

@@ -77,7 +77,7 @@ func TestNestInvariants(t *testing.T) {
 			return true
 		}
 		s := m.Shape(&l, &hw)
-		nest := m.Nest(s)
+		nest := m.AppendNest(nil, &s)
 		if len(nest) != 6 {
 			return false
 		}

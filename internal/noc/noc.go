@@ -224,14 +224,6 @@ func NewCrossbar(chiplets int) (*Crossbar, error) {
 	return &Crossbar{Channels: chiplets, BytesPerCycle: hardware.DRAMBytesPerCycle}, nil
 }
 
-// LoadCycles returns the cycles to satisfy per-chiplet DRAM demands. Each
-// chiplet primarily streams from its own channel; conflictDegree is the
-// maximum number of chiplets contending for the same data (Fig 8) and
-// serializes that fraction of the traffic.
-func (x *Crossbar) LoadCycles(perChipletBytes int64, conflictDegree int) int64 {
-	return LoadCyclesAt(perChipletBytes, x.BytesPerCycle, conflictDegree)
-}
-
 // ChannelShare returns each chiplet's share of the fixed package DRAM
 // system: the package-level bandwidth divided across the channels. The
 // simulator streams each chiplet's loads at this rate without mutating the
@@ -240,9 +232,11 @@ func (x *Crossbar) ChannelShare() float64 {
 	return hardware.PackageDRAMBytesPerCycle / float64(x.Channels)
 }
 
-// LoadCyclesAt is LoadCycles at an explicit channel bandwidth, so callers
-// evaluating a derived rate (e.g. the per-chiplet ChannelShare) need not
-// write it into shared crossbar state.
+// LoadCyclesAt returns the cycles to satisfy per-chiplet DRAM demands at
+// the channel bandwidth bytesPerCycle (e.g. the per-chiplet ChannelShare).
+// Each chiplet primarily streams from its own channel; conflictDegree is the
+// maximum number of chiplets contending for the same data (Fig 8) and
+// serializes that fraction of the traffic.
 func LoadCyclesAt(perChipletBytes int64, bytesPerCycle float64, conflictDegree int) int64 {
 	if perChipletBytes <= 0 {
 		return 0

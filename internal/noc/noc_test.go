@@ -50,19 +50,19 @@ func TestCrossbar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := x.LoadCycles(16000, 1)
+	base := LoadCyclesAt(16000, x.BytesPerCycle, 1)
 	if base <= 0 {
 		t.Fatal("expected positive load time")
 	}
 	// Conflict degree 2 halves the effective bandwidth.
-	if got := x.LoadCycles(16000, 2); got < 2*base-1 || got > 2*base+1 {
+	if got := LoadCyclesAt(16000, x.BytesPerCycle, 2); got < 2*base-1 || got > 2*base+1 {
 		t.Errorf("conflicted load = %d, want ~%d", got, 2*base)
 	}
 	// Degenerate inputs.
-	if x.LoadCycles(0, 1) != 0 {
+	if LoadCyclesAt(0, x.BytesPerCycle, 1) != 0 {
 		t.Error("zero bytes should be free")
 	}
-	if x.LoadCycles(100, 0) != x.LoadCycles(100, 1) {
+	if LoadCyclesAt(100, x.BytesPerCycle, 0) != LoadCyclesAt(100, x.BytesPerCycle, 1) {
 		t.Error("conflict < 1 should clamp to 1")
 	}
 }

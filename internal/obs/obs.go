@@ -23,7 +23,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -418,48 +417,6 @@ func (r *Registry) WriteFile(path string) error {
 	return f.Close()
 }
 
-// WriteText renders a human-readable per-phase report sorted by total time,
-// followed by the counters and gauges.
-func (r *Registry) WriteText(w io.Writer) error {
-	s := r.Snapshot()
-	type row struct {
-		name string
-		st   PhaseStats
-	}
-	rows := make([]row, 0, len(s.Phases))
-	for name, st := range s.Phases {
-		rows = append(rows, row{name, st})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].st.TotalMS > rows[j].st.TotalMS })
-	for _, rw := range rows {
-		if _, err := fmt.Fprintf(w, "%-28s %8d calls %12.1f ms total %10.3f ms/call (min %.3f, max %.3f, p95<=%.3f)\n",
-			rw.name, rw.st.Count, rw.st.TotalMS, rw.st.MeanMS, rw.st.MinMS, rw.st.MaxMS, rw.st.P95MS); err != nil {
-			return err
-		}
-	}
-	names := make([]string, 0, len(s.Counters))
-	for name := range s.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if _, err := fmt.Fprintf(w, "%-28s %d\n", name, s.Counters[name]); err != nil {
-			return err
-		}
-	}
-	names = names[:0]
-	for name := range s.Gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if _, err := fmt.Fprintf(w, "%-28s %d\n", name, s.Gauges[name]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // defaultReg is the process-wide registry used by packages that cannot
 // thread one through their signatures (c3p, halo, sim). It stays nil — the
 // disabled fast path — until a CLI enables metrics.
@@ -467,9 +424,6 @@ var defaultReg atomic.Pointer[Registry]
 
 // SetDefault installs the process-wide default registry (nil disables).
 func SetDefault(r *Registry) { defaultReg.Store(r) }
-
-// Default returns the process-wide default registry (nil when disabled).
-func Default() *Registry { return defaultReg.Load() }
 
 // Time starts a span for the named phase on the default registry:
 //

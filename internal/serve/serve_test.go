@@ -225,7 +225,7 @@ func TestConfigValidate(t *testing.T) {
 // --- engine-backed integration tests ---
 
 func testEngine(workers int) *engine.Evaluator {
-	return engine.NewWithWorkers(hardware.MustCostModel(), workers)
+	return engine.NewFromConfig(hardware.MustCostModel(), engine.Config{Workers: workers})
 }
 
 func TestSingleRequestLatencyEqualsEvalModel(t *testing.T) {

@@ -161,21 +161,6 @@ func normalizeHeader(line string) string {
 	return strings.ReplaceAll(strings.ToLower(line), " ", "")
 }
 
-// WriteTrace renders a trace back to the canonical CSV form (header line
-// included), so generated traces round-trip through ParseTrace.
-func WriteTrace(w io.Writer, t Trace) error {
-	if _, err := fmt.Fprintln(w, header); err != nil {
-		return err
-	}
-	for _, r := range t.Requests {
-		if _, err := fmt.Fprintf(w, "%d,%s,%s,%d\n",
-			r.NetIdx, strconv.FormatFloat(r.InjectUS, 'g', -1, 64), r.Model, r.Inputs); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ReferenceTrace generates the deterministic reference workload of the
 // serving benchmarks and the ext-serving experiment: n requests mixing the
 // given models, arrivals spaced by meanGapUS with ±50% deterministic jitter

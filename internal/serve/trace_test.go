@@ -78,27 +78,6 @@ func TestParseTraceErrors(t *testing.T) {
 	}
 }
 
-func TestWriteTraceRoundTrip(t *testing.T) {
-	orig := ReferenceTrace(25, 500, "alexnet", "darknet19")
-	var sb strings.Builder
-	if err := WriteTrace(&sb, orig); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseTrace(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatalf("round trip failed: %v\n%s", err, sb.String())
-	}
-	if len(back.Requests) != len(orig.Requests) {
-		t.Fatalf("round trip lost requests: %d vs %d", len(back.Requests), len(orig.Requests))
-	}
-	for i, r := range back.Requests {
-		o := orig.Requests[i]
-		if r.NetIdx != o.NetIdx || r.InjectUS != o.InjectUS || r.Model != o.Model || r.Inputs != o.Inputs {
-			t.Errorf("request %d: %+v != %+v", i, r, o)
-		}
-	}
-}
-
 func TestReferenceTraceDeterministic(t *testing.T) {
 	a := ReferenceTrace(50, 1000)
 	b := ReferenceTrace(50, 1000)

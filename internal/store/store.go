@@ -466,14 +466,6 @@ func (s *Store) Len() int {
 	return len(s.index)
 }
 
-// Dir returns the store directory ("" on a nil store).
-func (s *Store) Dir() string {
-	if s == nil {
-		return ""
-	}
-	return s.dir
-}
-
 // Stats snapshots the store's counters. Nil-safe.
 func (s *Store) Stats() Stats {
 	if s == nil {

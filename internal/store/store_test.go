@@ -245,7 +245,7 @@ func TestStoreNilSafe(t *testing.T) {
 		t.Error(err)
 	}
 	s.Quarantine("k", nil)
-	if s.Len() != 0 || s.Dir() != "" {
+	if s.Len() != 0 {
 		t.Error("nil accessors")
 	}
 	if err := s.Close(); err != nil {

@@ -96,6 +96,27 @@ func TestLayerKind(t *testing.T) {
 			t.Errorf("%s: Kind = %v, want %v", tt.name, got, tt.want)
 		}
 	}
+	// Across the zoo: ResNet-50 has many point-wise (1x1) layers; VGG-16 has
+	// no large kernel, and its only point-wise layers are the reorganized FC
+	// layers.
+	count := func(m Model, k Kind) int {
+		n := 0
+		for _, l := range m.Layers {
+			if l.Kind() == k {
+				n++
+			}
+		}
+		return n
+	}
+	if n := count(ResNet50(224), PointWise); n < 30 {
+		t.Errorf("ResNet point-wise layers = %d", n)
+	}
+	if n := count(VGG16(224), LargeKernel); n != 0 {
+		t.Errorf("VGG large-kernel layers = %d", n)
+	}
+	if n := count(VGG16(224), PointWise); n != 3 {
+		t.Errorf("VGG point-wise (FC) layers = %d", n)
+	}
 }
 
 func TestKindString(t *testing.T) {

@@ -24,25 +24,6 @@ func (m Model) TotalMACs() int64 {
 	return sum
 }
 
-// PeakWeightBytes returns the largest single-layer weight volume.
-func (m Model) PeakWeightBytes() int64 {
-	var peak int64
-	for _, l := range m.Layers {
-		peak = max(peak, l.WeightBytes())
-	}
-	return peak
-}
-
-// PeakActivationBytes returns the largest single-layer activation
-// (input+output) requirement.
-func (m Model) PeakActivationBytes() int64 {
-	var peak int64
-	for _, l := range m.Layers {
-		peak = max(peak, l.InputBytes()+l.OutputBytes())
-	}
-	return peak
-}
-
 // LayerNames returns the layer names in definition order.
 func (m Model) LayerNames() []string {
 	names := make([]string, len(m.Layers))
