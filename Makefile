@@ -69,9 +69,12 @@ bench-smoke:
 # rate card to the per-call pricing formula and to every pricing entry
 # point, its shape-returning feasibility check to Validate plus Shape, its
 # group, subgroup and cell bounds below every member variant's stage energy,
-# and its cell-level activation terms to the C³P walks they fold.
+# its cell-level activation terms to the C³P walks they fold, and the
+# buffer-need rejects it applies above the cell level to exactly the
+# probes Feasible rejects; the search equivalence runs on the case-study
+# point, scaled-up memory and Table II memory down to each axis' minimum.
 equiv:
-	$(GO) test -race -count=1 -run 'TestGroupBoundAdmissible|TestActivationTermsExact|TestSearchAllMatchesExhaustive|TestSearchAllWorkersInvariant|TestBestPerSpatialCombo|TestSearchScratch|TestSearchDeterministicOnTies|TestStageTrafficMatchesAnalysis|TestCardMatchesPrice|TestPricingKernelEquivalence|TestFeasibleShapeMatchesShape' ./internal/mapper ./internal/c3p ./internal/energy ./internal/dse ./internal/mapping
+	$(GO) test -race -count=1 -run 'TestScanFilterExact|TestGroupBoundAdmissible|TestActivationTermsExact|TestSearchAllMatchesExhaustive|TestSearchAllWorkersInvariant|TestBestPerSpatialCombo|TestSearchScratch|TestSearchDeterministicOnTies|TestStageTrafficMatchesAnalysis|TestCardMatchesPrice|TestPricingKernelEquivalence|TestFeasibleShapeMatchesShape' ./internal/mapper ./internal/c3p ./internal/energy ./internal/dse ./internal/mapping
 
 vet:
 	$(GO) vet ./...

@@ -368,6 +368,29 @@ func BenchmarkSearchLayerPrunedSerial(b *testing.B) {
 	}
 }
 
+// BenchmarkSearchLayerStarved is the pruned search on the same layer at a
+// 4096-MAC allocation (8 chiplets × 8 cores × 8 lanes × 8-wide vectors)
+// with every Table II memory axis at its minimum — the explore flow's
+// starved anchor. Its W-L1 still holds the weight chunk, but a rotating P
+// split's per-hop chunk exceeds the merged W-L1 pool on most chiplet tiles
+// and a rotating C split's input share exceeds the A-L2 on most planar
+// pairs; the scan drops those tiles and pairs before it bounds any cell.
+func BenchmarkSearchLayerStarved(b *testing.B) {
+	l := benchSearchLayer(b)
+	hw := hardware.Config{
+		Chiplets: 8, Cores: 8, Lanes: 8, Vector: 8,
+		OL1Bytes: 48 * 8, AL1Bytes: 1 << 10, WL1Bytes: 2 << 10,
+		AL2Bytes: 32 << 10, OL2Bytes: 16 << 10,
+	}
+	cfg := mapper.Config{KeepTop: 8}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if len(mapper.SearchAll(l, hw, benchCM, cfg)) == 0 {
+			b.Fatal("no options")
+		}
+	}
+}
+
 // BenchmarkEngineEvalModelResNet50Cold measures a full ResNet-50 search on a
 // fresh engine: shape deduplication applies within the model (unique shapes
 // only), but nothing is pre-cached.

@@ -52,44 +52,40 @@ func (s *search) ladder(c *boundCell) [3]c3p.GroupFloorTerms {
 	return [3]c3p.GroupFloorTerms{group, sub, cell}
 }
 
-// forEachCell visits every feasible cell of every candidate group of the
-// search's space — the groups the scan builds, without its pruning.
-func (s *search) forEachCell(cfg Config, visit func(c *boundCell)) {
-	l, hw := s.l, s.hw
-	for _, st := range subtrees(l, hw, cfg) {
-		var cots []int
-		for _, cot := range tileCandidates(nil, st.cop, st.cop) {
-			if cot >= st.cs.csplit {
-				cots = append(cots, cot)
-			}
-		}
-		if len(cots) == 0 {
-			continue
-		}
-		for _, pp := range planarPairs(nil, st.hop, st.wop) {
-			hot, wot := pp[0], pp[1]
-			if st.cs.pattern.Rows > hot || st.cs.pattern.Cols > wot {
-				continue
-			}
-			g := candGroup{hot: hot, wot: wot,
-				hs: ceilDiv(hot, st.cs.pattern.Rows), ws: ceilDiv(wot, st.cs.pattern.Cols)}
-			cps := coreTilePairs(nil, &l, &hw, g.hs, g.ws)
-			for ci, cot := range cots {
-				for pi, cp := range cps {
-					probe := mapping.Mapping{
-						PackageSpatial: st.ps.kind, PackagePattern: st.ps.pattern, Rotate: st.rotate,
-						ChipletSpatial: st.cs.kind, ChipletCSplit: st.cs.csplit, ChipletPattern: st.cs.pattern,
-						COt: cot, HOt: hot, WOt: wot, HOc: cp[0], WOc: cp[1],
-					}
-					if !probe.Feasible(l, hw) {
-						continue
-					}
-					visit(&boundCell{st: &st, g: &g, cots: cots, ci: ci, cps: cps, pi: pi,
-						probe: probe, sh: probe.Shape(&l, &hw)})
-				}
+// forEachReachable visits every cell the scan can reach: each candidate
+// group the scan's own builder (buildGroups) makes over the search's
+// subtrees, crossed with its subtree's chiplet tiles and its core tiles,
+// without the scan's bound pruning. c.sh is left unset, and visit must not
+// keep c: it is reused for the next cell.
+func (s *search) forEachReachable(visit func(c *boundCell)) {
+	states := takeStates(1)
+	defer releaseStates(states)
+	ws := states[0]
+	s.buildGroups(s.sts, ws)
+	for gi := range ws.groups {
+		g := &ws.groups[gi]
+		st := &s.sts[g.st]
+		sp := ws.cotSpan[g.st]
+		cots, cps := ws.cots[sp[0]:sp[1]], ws.pairs[g.cp0:g.cp1]
+		c := boundCell{st: st, g: g, cots: cots, cps: cps, probe: st.base()}
+		c.probe.HOt, c.probe.WOt = g.hot, g.wot
+		for c.ci = range cots {
+			for c.pi = range cps {
+				c.probe.COt = cots[c.ci]
+				c.probe.HOc, c.probe.WOc = cps[c.pi][0], cps[c.pi][1]
+				visit(&c)
 			}
 		}
 	}
+}
+
+// forEachCell visits every feasible cell the scan can reach, with its shape.
+func (s *search) forEachCell(visit func(c *boundCell)) {
+	s.forEachReachable(func(c *boundCell) {
+		if c.probe.FeasibleShape(&s.l, &s.hw, &c.sh) {
+			visit(c)
+		}
+	})
 }
 
 // TestGroupBoundAdmissible pins the property the group scan is built on:
@@ -128,7 +124,7 @@ func TestGroupBoundAdmissible(t *testing.T) {
 		}
 		ctx := fmt.Sprintf("trial %d: %s/%s on %s fault=%s",
 			trial, l.Model, l.Name, hw.Tuple(), cfg.Fault)
-		srch.forEachCell(cfg, func(c *boundCell) {
+		srch.forEachCell(func(c *boundCell) {
 			best := math.Inf(1)
 			forEachTemporal(c.probe, c.sh, func(m mapping.Mapping) {
 				best = min(best, srch.stageScore(&m, &c.sh))
@@ -168,7 +164,7 @@ func TestActivationTermsExact(t *testing.T) {
 		if srch == nil {
 			continue
 		}
-		srch.forEachCell(cfg, func(c *boundCell) {
+		srch.forEachCell(func(c *boundCell) {
 			terms := srch.ladder(c)[2]
 			al1, al2 := int64(math.MaxInt64), int64(math.MaxInt64)
 			forEachTemporal(c.probe, c.sh, func(m mapping.Mapping) {

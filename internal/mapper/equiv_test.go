@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nnbaton/internal/hardware"
+	"nnbaton/internal/mapping"
 	"nnbaton/internal/obs"
 	"nnbaton/internal/workload"
 )
@@ -131,6 +132,174 @@ func TestSearchAllMatchesExhaustiveRandomized(t *testing.T) {
 		want := SearchExhaustive(l, hw, cm, cfg)
 		got := SearchAll(l, hw, cm, cfg)
 		requireSameOptions(t, ctx, want, got)
+	}
+}
+
+// tableIIMemory holds the memory axes of Table II as dse.TableII lists
+// them (dse imports mapper, so the tests here cannot read it): O-L1 bytes
+// per lane, A-L1 and W-L1 bytes per core, A-L2 bytes per chiplet. Each
+// axis starts at its minimum.
+var tableIIMemory = struct{ OL1PerLane, AL1, WL1, AL2 []int }{
+	OL1PerLane: []int{48, 96, 144},
+	AL1:        []int{1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10},
+	WL1:        []int{2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10, 96 << 10, 144 << 10, 256 << 10},
+	AL2:        []int{32 << 10, 64 << 10, 96 << 10, 128 << 10, 192 << 10, 256 << 10},
+}
+
+// withTableIIMemory returns comp with the memory point (o, a1, w1, a2) of
+// tableIIMemory's axes, O-L2 sized at half the A-L2 as the explore flow's
+// anchors size it.
+func withTableIIMemory(comp hardware.Config, o, a1, w1, a2 int) hardware.Config {
+	hw := comp
+	hw.OL1Bytes = tableIIMemory.OL1PerLane[o] * hw.Lanes
+	hw.AL1Bytes = tableIIMemory.AL1[a1]
+	hw.WL1Bytes = tableIIMemory.WL1[w1]
+	hw.AL2Bytes = tableIIMemory.AL2[a2]
+	hw.OL2Bytes = hw.AL2Bytes / 2
+	return hw
+}
+
+// tableIIHW draws a Table II compute allocation and memory point. Each
+// memory axis takes its minimum half of the time and a uniform size
+// otherwise, so the draws starve W-L1 and A-L2 often: at the minimum W-L1
+// many layers' weight chunk fits no core, and a rotating split's chunk
+// fits neither the W-L1 pool nor the A-L2.
+func tableIIHW(rng *rand.Rand) hardware.Config {
+	axis := func(n int) int {
+		if rng.Intn(2) == 0 {
+			return 0
+		}
+		return rng.Intn(n)
+	}
+	comp := hardware.Config{
+		Chiplets: []int{1, 2, 4, 8}[rng.Intn(4)],
+		Cores:    []int{1, 2, 4, 8, 16}[rng.Intn(5)],
+		Lanes:    []int{2, 4, 8, 16}[rng.Intn(4)],
+		Vector:   []int{2, 4, 8, 16}[rng.Intn(4)],
+	}
+	m := tableIIMemory
+	return withTableIIMemory(comp, axis(len(m.OL1PerLane)), axis(len(m.AL1)), axis(len(m.WL1)), axis(len(m.AL2)))
+}
+
+// TestSearchAllMatchesExhaustiveTableII holds SearchAll to the exhaustive
+// reference on Table II memory points, minima included, where the scan's
+// buffer-need rejects fire at every level (see search.fits): a search
+// whose W-L1 need fits no core returns nothing on both sides, and the
+// rotating splits lose chiplet tiles and planar pairs. The test fails
+// unless some trial places nothing and some trial places something.
+func TestSearchAllMatchesExhaustiveTableII(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261019))
+	cm := hardware.MustCostModel()
+	layers := uniqueZooLayers(64)
+	var empty, placed int
+	for trial := 0; trial < 40; trial++ {
+		l := layers[rng.Intn(len(layers))]
+		hw := tableIIHW(rng)
+		if hw.Validate() != nil {
+			continue
+		}
+		cfg := Config{
+			KeepTop: []int{1, 3, 8}[rng.Intn(3)],
+			Workers: []int{0, 1, 2}[rng.Intn(3)],
+		}
+		ctx := fmt.Sprintf("trial %d: %s/%s on %s cfg=%+v", trial, l.Model, l.Name, hw.Tuple(), cfg)
+		want := SearchExhaustive(l, hw, cm, cfg)
+		got := SearchAll(l, hw, cm, cfg)
+		requireSameOptions(t, ctx, want, got)
+		if len(want) == 0 {
+			empty++
+		} else {
+			placed++
+		}
+	}
+	t.Logf("%d trials placed nothing, %d placed something", empty, placed)
+	if empty == 0 || placed == 0 {
+		t.Fatal("want trials of both kinds")
+	}
+}
+
+// TestScanFilterExact pins the scan's buffer-need rejects as exact: over
+// the zoo layers at 4096-MAC Table II compute allocations and Table II
+// memory points, minima included, the cells the scan's groups reach
+// (buildGroups: newSearch's W-L1 check, the chiplet-tile and planar-pair
+// filters, the core-tile list) are exactly the walker's probes that pass
+// Feasible, and newSearch returns nil exactly when the W-L1 need fits no
+// core. A missing cell would be a candidate the search never sees; an
+// extra one a cell the scan bounds only for FeasibleShape to reject. The
+// test fails unless each reject — W-L1, the rotating-P weight chunk and
+// the rotating-C A-L2 chunk — rules out some probe.
+func TestScanFilterExact(t *testing.T) {
+	cm := hardware.MustCostModel()
+	layers := uniqueZooLayers(64)
+	computes := []hardware.Config{
+		{Chiplets: 2, Cores: 8, Lanes: 16, Vector: 16},
+		{Chiplets: 4, Cores: 4, Lanes: 16, Vector: 16},
+		{Chiplets: 8, Cores: 8, Lanes: 8, Vector: 8},
+	}
+	// Memory points as (O-L1, A-L1, W-L1, A-L2) axis indices: all minima,
+	// all maxima, and A-L2 alone at its minimum.
+	points := [][4]int{{0, 0, 0, 0}, {2, 7, 8, 5}, {2, 7, 4, 0}}
+	if testing.Short() {
+		layers = layers[:min(12, len(layers))]
+	}
+	// A cell is keyed by its subtree's index in the canonical order, which
+	// newSearch keeps, and its five tile fields.
+	key := func(st int, p *mapping.Mapping) [6]int32 {
+		return [6]int32{int32(st), int32(p.COt), int32(p.HOt), int32(p.WOt), int32(p.HOc), int32(p.WOc)}
+	}
+	var wl1, chunk, al2 int
+	for _, comp := range computes {
+		for _, pt := range points {
+			hw := withTableIIMemory(comp, pt[0], pt[1], pt[2], pt[3])
+			for _, l := range layers {
+				ctx := fmt.Sprintf("%s/%s on %s", l.Model, l.Name, hw.Tuple())
+				// A search whose W-L1 need fits no core builds nothing.
+				srch := newSearch(l, hw, cm, Config{})
+				var empty mapping.Mapping
+				if starved := empty.BufferNeeds(&l, &hw).WL1 > int64(hw.WL1Bytes); starved != (srch == nil) {
+					t.Fatalf("%s: W-L1 need exceeds the core's: %v; newSearch returned nil: %v", ctx, starved, srch == nil)
+				}
+				reach := make(map[[6]int32]bool)
+				if srch != nil {
+					srch.forEachReachable(func(c *boundCell) {
+						k := key(int(c.g.st), &c.probe)
+						if reach[k] {
+							t.Fatalf("%s: scan reaches %+v twice", ctx, c.probe)
+						}
+						reach[k] = true
+					})
+				}
+				feasible := 0
+				for si, st := range subtrees(l, hw, Config{}) {
+					st.walk(l, hw, func(p mapping.Mapping) {
+						ok := p.Feasible(l, hw)
+						if ok != reach[key(si, &p)] {
+							t.Fatalf("%s: probe %+v feasible=%v, reached by the scan=%v", ctx, p, ok, !ok)
+						}
+						if ok {
+							feasible++
+							return
+						}
+						n := p.BufferNeeds(&l, &hw)
+						switch {
+						case n.WL1 > int64(hw.WL1Bytes):
+							wl1++
+						case n.RotatingChunk > int64(hw.WL1Bytes)*n.WeightShare:
+							chunk++
+						case p.Rotate && p.PackageSpatial == mapping.SpatialC && n.AL2 > int64(hw.AL2Bytes):
+							al2++
+						}
+					})
+				}
+				if feasible != len(reach) {
+					t.Fatalf("%s: scan reaches %d cells, %d probes are feasible", ctx, len(reach), feasible)
+				}
+			}
+		}
+	}
+	t.Logf("probes ruled out: %d on W-L1, %d on the rotating-P chunk, %d on the rotating-C A-L2", wl1, chunk, al2)
+	if wl1 == 0 || chunk == 0 || al2 == 0 {
+		t.Fatalf("a reject never fired: W-L1 %d, rotating-P chunk %d, rotating-C A-L2 %d", wl1, chunk, al2)
 	}
 }
 

@@ -26,6 +26,10 @@ import (
 // at or below the incumbent threshold, so Generated counts the candidates
 // that actually entered the funnel, not the full space the exhaustive
 // reference enumerates; the gap between the two is what the bounds save.
+// The scan drops a search, chiplet tile or planar pair whose buffer needs
+// cannot fit before it bounds any cell below it (see search.fits), so a
+// search with no feasible mapping tallies nothing, and only a core-tile
+// need can still reject a cell the scan has bounded.
 // Each materialized candidate lands in exactly one of the outcome buckets,
 // so Generated = BoundPruned + StagePruned + Evaluated always holds. The
 // counters are nil-safe; a zero Counters discards tallies.
@@ -252,11 +256,60 @@ func newSearch(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg
 	if err != nil {
 		return nil
 	}
+	// The W-L1 need depends on the layer and the compute allocation alone,
+	// so the empty probe's needs decide it for every mapping of the search.
+	var empty mapping.Mapping
+	if !empty.BufferNeeds(&l, &hw).Fits(&hw) {
+		return nil
+	}
 	sts := subtrees(l, hw, cfg)
 	if len(sts) == 0 {
 		return nil
 	}
 	return &search{l: l, hw: hw, fab: fab, card: fab.Card(&hw), sts: sts}
+}
+
+// fits reports whether hw's buffers meet the needs the probe's set fields
+// fix. BufferNeeds reads a tile field that is still unset (zero) as a need
+// of zero, so a probe built down to one scan level fails exactly when every
+// cell below that level would fail FeasibleShape on a buffer need fixed at
+// or above it. The scan therefore rejects each need at the outermost level
+// that fixes it: W-L1 in newSearch, the rotating-P weight chunk per
+// chiplet tile (chipletTiles) and the rotating-C A-L2 chunk per planar pair
+// (planarFits).
+func (s *search) fits(probe *mapping.Mapping) bool {
+	return probe.BufferNeeds(&s.l, &s.hw).Fits(&s.hw)
+}
+
+// chipletTiles appends to dst the chiplet-tile candidates of st that some
+// cell can use: at least one output channel per core of the channel split
+// (the exhaustive walker's reject) and, on a rotating P split, a per-hop
+// weight chunk that fits the merged W-L1 pool. The chiplet tile alone fixes
+// both.
+func (s *search) chipletTiles(dst []int, st *subtree) []int {
+	off := len(dst)
+	dst = tileCandidates(dst, st.cop, st.cop)
+	kept, probe := dst[:off], st.base()
+	for _, cot := range dst[off:] {
+		probe.COt = cot
+		if cot >= st.cs.csplit && s.fits(&probe) {
+			kept = append(kept, cot)
+		}
+	}
+	return kept
+}
+
+// planarFits reports whether some cell of st can use the planar pair
+// (hot, wot): the chiplet pattern must fit the tile plane (the exhaustive
+// walker's reject) and, on a rotating C split, the chiplet's share of the
+// tile input must fit A-L2. The pair alone fixes both.
+func (s *search) planarFits(st *subtree, hot, wot int) bool {
+	if st.cs.pattern.Rows > hot || st.cs.pattern.Cols > wot {
+		return false
+	}
+	probe := st.base()
+	probe.HOt, probe.WOt = hot, wot
+	return s.fits(&probe)
 }
 
 // groupBound prices the best case of every probe whose shape-product terms
@@ -319,33 +372,20 @@ func (s *search) coreTerms(t *c3p.GroupFloorTerms, g *candGroup, cps [][2]int) {
 	}
 }
 
-// scan evaluates a set of subtree shards in ascending bound order. It
-// builds one group per (subtree, planar pair), prices each with the coarse
-// group bound and sorts them by it, then expands the groups in that order:
-// a group's chiplet tiles (subgroups) and then their core tiles (cells) are
-// each skipped when their tighter bound exceeds the incumbent threshold
-// min(dest.worst(), shared), and every feasible cell that remains is
-// evaluated on the spot (evalCell). The first group whose bound exceeds the
-// threshold ends the scan: the groups after it bound at least as high, and
-// the threshold only ever decreases, so none of them could place.
-// Spanning all of a worker's subtrees with one scan (rather than one per
-// subtree) lets the incumbent converge before weak subtrees spend anything.
-// Pruning compares bounds strictly (>): an exact tie with the threshold must
-// still be evaluated because the Compare tie-break could admit it. Result
-// identity does not depend on visit order, only on the candidate set, which
-// this generator shares with the exhaustive walker.
-func (s *search) scan(sts []subtree, ws *searchState, dest *topK, shared *minBound) {
+// buildGroups fills ws with the candidate groups of sts: one per (subtree,
+// planar pair) that some cell can use, with the subtree's filtered
+// chiplet tiles in ws.cots, the group's core tiles in the tile memo and its
+// coarse bound in ws.order, unsorted. With newSearch's W-L1 check, every
+// buffer need above the core tile has been checked (see fits), so each
+// cell the groups span is feasible unless its core tile misses a need.
+func (s *search) buildGroups(sts []subtree, ws *searchState) {
 	l, hw := &s.l, &s.hw
-	groups, order := ws.groups[:0], ws.order[:0]
+	ws.groups, ws.order = ws.groups[:0], ws.order[:0]
 	ws.cotSpan, ws.cots = ws.cotSpan[:0], ws.cots[:0]
 	for si := range sts {
 		st := &sts[si]
-		// Chiplet-tile candidates of the subtree, pre-filtered by the channel
-		// split (the same reject the exhaustive walker applies).
 		off := len(ws.cots)
-		ws.cots = tileCandidates(ws.cots, st.cop, st.cop)
-		kept := slices.DeleteFunc(ws.cots[off:], func(cot int) bool { return cot < st.cs.csplit })
-		ws.cots = ws.cots[:off+len(kept)]
+		ws.cots = s.chipletTiles(ws.cots, st)
 		ws.cotSpan = append(ws.cotSpan, [2]int32{int32(off), int32(len(ws.cots))})
 		if len(ws.cots) == off {
 			continue
@@ -359,7 +399,7 @@ func (s *search) scan(sts []subtree, ws *searchState, dest *topK, shared *minBou
 		})
 		for pi := pp[0]; pi < pp[1]; pi++ {
 			hot, wot := ws.pairs[pi][0], ws.pairs[pi][1]
-			if st.cs.pattern.Rows > hot || st.cs.pattern.Cols > wot {
+			if !s.planarFits(st, hot, wot) {
 				continue
 			}
 			g := candGroup{st: int32(si), hot: hot, wot: wot,
@@ -374,10 +414,32 @@ func (s *search) scan(sts []subtree, ws *searchState, dest *topK, shared *minBou
 			g.terms = chans
 			s.planarTerms(&g.terms, st, &g)
 			s.coreTerms(&g.terms, &g, ws.pairs[g.cp0:g.cp1])
-			order = append(order, groupRef{bound: s.groupBound(st, &g.terms), g: int32(len(groups))})
-			groups = append(groups, g)
+			ws.order = append(ws.order, groupRef{bound: s.groupBound(st, &g.terms), g: int32(len(ws.groups))})
+			ws.groups = append(ws.groups, g)
 		}
 	}
+}
+
+// scan evaluates a set of subtree shards in ascending bound order. It
+// builds the groups of sts (buildGroups), sorts them by their coarse bound
+// and expands them in that order: a group's chiplet tiles (subgroups) and
+// then their core tiles (cells) are each skipped when their tighter bound
+// exceeds the incumbent threshold
+// min(dest.worst(), shared), and every feasible cell that remains is
+// evaluated on the spot (evalCell). The first group whose bound exceeds the
+// threshold ends the scan: the groups after it bound at least as high, and
+// the threshold only ever decreases, so none of them could place.
+// Spanning all of a worker's subtrees with one scan (rather than one per
+// subtree) lets the incumbent converge before weak subtrees spend anything.
+// Pruning compares bounds strictly (>): an exact tie with the threshold must
+// still be evaluated because the Compare tie-break could admit it. Result
+// identity does not depend on visit order, only on the candidate set, which
+// this generator shares with the exhaustive walker: the cells buildGroups
+// leaves out are those no mapping can stage.
+func (s *search) scan(sts []subtree, ws *searchState, dest *topK, shared *minBound) {
+	l, hw := &s.l, &s.hw
+	s.buildGroups(sts, ws)
+	groups, order := ws.groups, ws.order
 	slices.SortFunc(order, func(a, b groupRef) int { return cmp.Compare(a.bound, b.bound) })
 
 	var sh mapping.Shape // the shape of the cell being evaluated
@@ -417,7 +479,6 @@ func (s *search) scan(sts []subtree, ws *searchState, dest *topK, shared *minBou
 			}
 		}
 	}
-	ws.groups, ws.order = groups[:0], order[:0]
 }
 
 // evalCell runs the staged pipeline over the temporal variants of one

@@ -109,7 +109,10 @@ type BufferNeeds struct {
 
 // BufferNeeds derives the mapping's buffer needs on hw's compute allocation.
 // Validate renders them into error messages and Feasible only compares them,
-// so the two can never disagree on the accept set.
+// so the two can never disagree on the accept set. A tile field still at
+// zero adds a need of zero, so a mapping filled in down to one tile level
+// carries exactly the needs that level and those above it fix: the
+// mapper's search checks each need that way, at the level that fixes it.
 func (m *Mapping) BufferNeeds(l *workload.Layer, hw *hardware.Config) BufferNeeds {
 	ci := min(hw.Vector, l.CIPerGroup())
 	slice := 2 * l.TileInputBytes(m.HOc, m.WOc, ci)

@@ -211,23 +211,20 @@ func (r *Ring) HopCycles(bytes int64) int64 {
 // Crossbar attaches chiplets to the package DRAM channels (§IV-C integrates
 // one DRAM per chiplet so that four chiplets see four DRAMs).
 type Crossbar struct {
-	Channels      int
-	BytesPerCycle float64 // per DRAM channel
+	Channels int
 }
 
-// NewCrossbar returns a crossbar with one channel per chiplet at the default
-// DRAM channel bandwidth.
+// NewCrossbar returns a crossbar with one channel per chiplet.
 func NewCrossbar(chiplets int) (*Crossbar, error) {
 	if chiplets < 1 {
 		return nil, fmt.Errorf("noc: need at least one channel, got %d", chiplets)
 	}
-	return &Crossbar{Channels: chiplets, BytesPerCycle: hardware.DRAMBytesPerCycle}, nil
+	return &Crossbar{Channels: chiplets}, nil
 }
 
 // ChannelShare returns each chiplet's share of the fixed package DRAM
 // system: the package-level bandwidth divided across the channels. The
-// simulator streams each chiplet's loads at this rate without mutating the
-// crossbar's per-channel BytesPerCycle.
+// simulator streams each chiplet's loads at this rate.
 func (x *Crossbar) ChannelShare() float64 {
 	return hardware.PackageDRAMBytesPerCycle / float64(x.Channels)
 }

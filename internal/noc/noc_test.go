@@ -50,19 +50,22 @@ func TestCrossbar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := LoadCyclesAt(16000, x.BytesPerCycle, 1)
+	if x.Channels != 4 || x.ChannelShare() != hardware.PackageDRAMBytesPerCycle/4 {
+		t.Errorf("crossbar of 4: %d channels, share %g B/cycle", x.Channels, x.ChannelShare())
+	}
+	base := LoadCyclesAt(16000, hardware.DRAMBytesPerCycle, 1)
 	if base <= 0 {
 		t.Fatal("expected positive load time")
 	}
 	// Conflict degree 2 halves the effective bandwidth.
-	if got := LoadCyclesAt(16000, x.BytesPerCycle, 2); got < 2*base-1 || got > 2*base+1 {
+	if got := LoadCyclesAt(16000, hardware.DRAMBytesPerCycle, 2); got < 2*base-1 || got > 2*base+1 {
 		t.Errorf("conflicted load = %d, want ~%d", got, 2*base)
 	}
 	// Degenerate inputs.
-	if LoadCyclesAt(0, x.BytesPerCycle, 1) != 0 {
+	if LoadCyclesAt(0, hardware.DRAMBytesPerCycle, 1) != 0 {
 		t.Error("zero bytes should be free")
 	}
-	if LoadCyclesAt(100, x.BytesPerCycle, 0) != LoadCyclesAt(100, x.BytesPerCycle, 1) {
+	if LoadCyclesAt(100, hardware.DRAMBytesPerCycle, 0) != LoadCyclesAt(100, hardware.DRAMBytesPerCycle, 1) {
 		t.Error("conflict < 1 should clamp to 1")
 	}
 }

@@ -8,41 +8,6 @@ package workload
 
 import "fmt"
 
-// Kind classifies a layer by the taxonomy of §V-B of the paper.
-type Kind int
-
-const (
-	// ActivationIntensive layers carry more activation than weight traffic
-	// (early large-feature-map convolutions).
-	ActivationIntensive Kind = iota
-	// WeightIntensive layers carry more weight than activation traffic
-	// (late, narrow-feature-map convolutions and FC layers).
-	WeightIntensive
-	// LargeKernel layers use kernels of 5×5 or larger.
-	LargeKernel
-	// PointWise layers use 1×1 kernels.
-	PointWise
-	// Common covers the remaining ordinary 3×3 layers.
-	Common
-)
-
-// String implements fmt.Stringer.
-func (k Kind) String() string {
-	switch k {
-	case ActivationIntensive:
-		return "activation-intensive"
-	case WeightIntensive:
-		return "weight-intensive"
-	case LargeKernel:
-		return "large-kernel"
-	case PointWise:
-		return "point-wise"
-	case Common:
-		return "common"
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
 // Layer describes one convolution (or reorganized FC) layer workload.
 // All data is 8-bit; partial sums are reserved 24 bits (§V-A).
 type Layer struct {
@@ -134,24 +99,6 @@ func (l Layer) WeightBytes() int64 {
 // OutputBytes returns the 8-bit (re-quantized) output volume.
 func (l *Layer) OutputBytes() int64 {
 	return int64(l.HO) * int64(l.WO) * int64(l.CO)
-}
-
-// Kind classifies the layer following §V-B: 1×1 kernels are point-wise,
-// kernels ≥5 are large-kernel, and 3×3 layers split into activation-intensive
-// (activations > weights), weight-intensive (weights > activations) and
-// common otherwise.
-func (l Layer) Kind() Kind {
-	switch {
-	case l.R == 1 && l.S == 1:
-		return PointWise
-	case l.R >= 5 || l.S >= 5:
-		return LargeKernel
-	case l.InputBytes() > 8*l.WeightBytes():
-		return ActivationIntensive
-	case l.WeightBytes() > 8*l.InputBytes():
-		return WeightIntensive
-	}
-	return Common
 }
 
 // String implements fmt.Stringer with a compact shape summary.

@@ -79,57 +79,6 @@ func TestLayerDerivedQuantities(t *testing.T) {
 	}
 }
 
-func TestLayerKind(t *testing.T) {
-	tests := []struct {
-		name string
-		l    Layer
-		want Kind
-	}{
-		{"pointwise", Layer{HO: 56, WO: 56, CO: 64, CI: 64, R: 1, S: 1, StrideH: 1, StrideW: 1}, PointWise},
-		{"large kernel", Layer{HO: 112, WO: 112, CO: 64, CI: 3, R: 7, S: 7, StrideH: 2, StrideW: 2}, LargeKernel},
-		{"activation intensive", Layer{HO: 224, WO: 224, CO: 64, CI: 3, R: 3, S: 3, StrideH: 1, StrideW: 1}, ActivationIntensive},
-		{"weight intensive", Layer{HO: 14, WO: 14, CO: 512, CI: 512, R: 3, S: 3, StrideH: 1, StrideW: 1}, WeightIntensive},
-		{"common", Layer{HO: 56, WO: 56, CO: 64, CI: 64, R: 3, S: 3, StrideH: 1, StrideW: 1}, Common},
-	}
-	for _, tt := range tests {
-		if got := tt.l.Kind(); got != tt.want {
-			t.Errorf("%s: Kind = %v, want %v", tt.name, got, tt.want)
-		}
-	}
-	// Across the zoo: ResNet-50 has many point-wise (1x1) layers; VGG-16 has
-	// no large kernel, and its only point-wise layers are the reorganized FC
-	// layers.
-	count := func(m Model, k Kind) int {
-		n := 0
-		for _, l := range m.Layers {
-			if l.Kind() == k {
-				n++
-			}
-		}
-		return n
-	}
-	if n := count(ResNet50(224), PointWise); n < 30 {
-		t.Errorf("ResNet point-wise layers = %d", n)
-	}
-	if n := count(VGG16(224), LargeKernel); n != 0 {
-		t.Errorf("VGG large-kernel layers = %d", n)
-	}
-	if n := count(VGG16(224), PointWise); n != 3 {
-		t.Errorf("VGG point-wise (FC) layers = %d", n)
-	}
-}
-
-func TestKindString(t *testing.T) {
-	for k := ActivationIntensive; k <= Common; k++ {
-		if k.String() == "" || k.String()[0] == 'K' {
-			t.Errorf("Kind(%d) has no name", int(k))
-		}
-	}
-	if got := Kind(99).String(); got != "Kind(99)" {
-		t.Errorf("unknown kind = %q", got)
-	}
-}
-
 func TestValidateRejectsBadLayers(t *testing.T) {
 	good := Layer{HO: 8, WO: 8, CO: 8, CI: 8, R: 3, S: 3, StrideH: 1, StrideW: 1}
 	bad := []func(*Layer){
