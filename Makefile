@@ -71,10 +71,12 @@ bench-smoke:
 # group, subgroup and cell bounds below every member variant's stage energy,
 # its cell-level activation terms to the C³P walks they fold, and the
 # buffer-need rejects it applies above the cell level to exactly the
-# probes Feasible rejects; the search equivalence runs on the case-study
-# point, scaled-up memory and Table II memory down to each axis' minimum.
+# probes Feasible rejects, and its core-tile list to every square tile whose
+# O-L1 and A-L1 needs fit; the search equivalence runs on the case-study
+# point, scaled-up memory and Table II memory down to each axis' minimum,
+# over the zoo's dense layers and MobileNetV2's grouped and depthwise ones.
 equiv:
-	$(GO) test -race -count=1 -run 'TestScanFilterExact|TestGroupBoundAdmissible|TestActivationTermsExact|TestSearchAllMatchesExhaustive|TestSearchAllWorkersInvariant|TestBestPerSpatialCombo|TestSearchScratch|TestSearchDeterministicOnTies|TestStageTrafficMatchesAnalysis|TestCardMatchesPrice|TestPricingKernelEquivalence|TestFeasibleShapeMatchesShape' ./internal/mapper ./internal/c3p ./internal/energy ./internal/dse ./internal/mapping
+	$(GO) test -race -count=1 -run 'TestCoreTilePairsRespectBuffers|TestScanFilterExact|TestGroupBoundAdmissible|TestActivationTermsExact|TestSearchAllMatchesExhaustive|TestSearchAllWorkersInvariant|TestBestPerSpatialCombo|TestSearchScratch|TestSearchDeterministicOnTies|TestStageTrafficMatchesAnalysis|TestCardMatchesPrice|TestPricingKernelEquivalence|TestFeasibleShapeMatchesShape' ./internal/mapper ./internal/c3p ./internal/energy ./internal/dse ./internal/mapping
 
 vet:
 	$(GO) vet ./...

@@ -67,20 +67,16 @@ func GroupTrafficFloor(t *Traffic, l *workload.Layer, hw *hardware.Config, pkg m
 	*t = Traffic{}
 	chiplets := int64(hw.Chiplets)
 	cores := int64(hw.Cores)
-	ciSteps := ceilDiv64(int64(l.CIPerGroup()), int64(hw.Vector))
-	rs := int64(l.R) * int64(l.S)
+	pixel := mapping.CoreCycles(l, hw, 1, 1)
 
 	// FixedTraffic counterparts. pkgPos·chipPos factors as
-	// (C1·C2)·(H1·W1)·(H2·W2); cyclesPerWL contributes HOc·WOc·R·S·ciSteps,
-	// and (H2·W2)·(HOc·WOc) is bounded jointly by PlanarCovMin.
+	// (C1·C2)·(H1·W1)·(H2·W2); cyclesPerWL contributes HOc·WOc·pixel, and
+	// (H2·W2)·(HOc·WOc) is bounded jointly by PlanarCovMin.
 	t.MACs = l.MACs()
-	t.OL1RMW = chiplets * cores * gt.H1W1 * gt.OLChanMin * gt.PlanarCovMin * rs * ciSteps
-	t.AL1Reads = chiplets * cores * gt.H1W1 * gt.C12Min * gt.PlanarCovMin * rs * ciSteps * int64(hw.Vector)
-	if l.G() > 1 {
-		span := (hw.Lanes + l.COPerGroup() - 1) / l.COPerGroup()
-		t.AL1Reads *= int64(max(1, min(hw.Lanes, span)))
-	}
-	wtPerWL := int64(hw.Lanes) * ciSteps * int64(hw.Vector) * rs
+	t.OL1RMW = chiplets * cores * gt.H1W1 * gt.OLChanMin * gt.PlanarCovMin * pixel
+	t.AL1Reads = chiplets * cores * gt.H1W1 * gt.C12Min * gt.PlanarCovMin * pixel *
+		int64(hw.Vector) * mapping.LaneGroupSpan(l, hw)
+	wtPerWL := int64(hw.Lanes) * int64(hw.Vector) * pixel
 	t.WL1Reads = chiplets * int64(csplit) * gt.C12Min * gt.H1W1 * gt.H2W2Min * wtPerWL
 	out := l.OutputBytes()
 	t.DRAMOutWrites = out
@@ -90,7 +86,7 @@ func GroupTrafficFloor(t *Traffic, l *workload.Layer, hw *hardware.Config, pkg m
 	// assembleTraffic counterparts: minimal fill volumes through the same
 	// distribution branches (pkg spatial × rotate are subtree constants).
 	// Weights enter at their intrinsic volume.
-	wFillsMin := int64(hw.Lanes) * int64(l.CIPerGroup()) * rs * gt.C12Min
+	wFillsMin := int64(hw.Lanes) * int64(l.CIPerGroup()) * int64(l.R) * int64(l.S) * gt.C12Min
 	perChipletWt := wFillsMin * int64(csplit)
 	t.WL1Writes = perChipletWt * chiplets
 	if pkg == mapping.SpatialP && rotate {

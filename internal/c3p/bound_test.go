@@ -59,13 +59,13 @@ func TestMinActivationFillsMatchWalks(t *testing.T) {
 			al2Capacity = capacities(al2Capacity[:0], hw.AL2Bytes, al2Thresh)
 			for _, c := range al1Capacity {
 				want := min(al1Fills[0].Fills(c), al1Fills[1].Fills(c))
-				got := MinAL1Fills(&l, hw.Vector, m.HOc, m.WOc, int64(s.H2)*int64(s.W2), int64(s.C2), c)
+				got := MinAL1Fills(&l, &hw, m.HOc, m.WOc, int64(s.H2)*int64(s.W2), int64(s.C2), c)
 				if got != want {
 					t.Fatalf("trial %d %s/%s on %s, A-L1 %d B: MinAL1Fills %d, fewest walk fills %d for %v",
 						trial, l.Model, l.Name, hw.Tuple(), c, got, want, m)
 				}
 				checked++
-				if c < al1Slices(&l, hw.Vector, m.HOc, m.WOc) && l.R*l.S > 1 {
+				if c < mapping.CoreAL1Need(&l, &hw, m.HOc, m.WOc) && l.R*l.S > 1 {
 					cc0++
 				}
 				if s.C2 > 1 && c < l.TileInputBytes(m.HOc, m.WOc, l.CI) {

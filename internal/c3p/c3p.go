@@ -23,6 +23,7 @@ package c3p
 import (
 	"fmt"
 
+	"nnbaton/internal/hardware"
 	"nnbaton/internal/mapping"
 	"nnbaton/internal/workload"
 )
@@ -223,9 +224,9 @@ func MinAL2Fills(l *workload.Layer, hot, wot int, h1w1, c1, al2 int64) int64 {
 // that any chiplet-level temporal order of an hoc×woc core tile can incur,
 // h2w2 and c2 being the chiplet's planar and channel trip counts. It adds
 // al1Walk's Cc₀ point, which sits below every order's nest.
-func MinAL1Fills(l *workload.Layer, vector, hoc, woc int, h2w2, c2, al1 int64) int64 {
+func MinAL1Fills(l *workload.Layer, hw *hardware.Config, hoc, woc int, h2w2, c2, al1 int64) int64 {
 	fills := minActivationFills(l.TileInputBytes(hoc, woc, l.CI), h2w2, c2, al1)
-	if al1 < al1Slices(l, vector, hoc, woc) {
+	if al1 < mapping.CoreAL1Need(l, hw, hoc, woc) {
 		fills *= int64(l.R) * int64(l.S)
 	}
 	return fills

@@ -118,13 +118,6 @@ type Analysis struct {
 	fixed Traffic // buffer-size-independent traffic
 }
 
-func ceilDiv64(a, b int64) int64 {
-	if b <= 0 {
-		return 0
-	}
-	return (a + b - 1) / b
-}
-
 // Analyze validates the mapping and builds its C³P analysis. The access
 // counting is timed under the c3p.analyze phase of the default obs registry
 // when metrics are enabled.
@@ -178,13 +171,7 @@ func AnalyzeInto(a *Analysis, sc *Scratch, l *workload.Layer, hw *hardware.Confi
 // core tile, the R×S window passes each refetch the slice from A-L2.
 func al1Walk(w *walker, l *workload.Layer, hw *hardware.Config, m *mapping.Mapping, chipletNest []mapping.Loop) {
 	activationWalk(w, l, chipletNest, m.HOc, m.WOc, l.CI)
-	w.inner(al1Slices(l, hw.Vector, m.HOc, m.WOc), int64(l.R)*int64(l.S))
-}
-
-// al1Slices is the Cc₀ capacity of al1Walk (and MinAL1Fills): two
-// P-channel input slices of an hoc×woc core tile.
-func al1Slices(l *workload.Layer, vector, hoc, woc int) int64 {
-	return 2 * l.TileInputBytes(hoc, woc, min(vector, l.CIPerGroup()))
+	w.inner(mapping.CoreAL1Need(l, hw, m.HOc, m.WOc), int64(l.R)*int64(l.S))
 }
 
 // StageTraffic writes into t the traffic of a feasible mapping at hw's own
@@ -236,24 +223,15 @@ func FixedTraffic(t *Traffic, l *workload.Layer, hw *hardware.Config, m *mapping
 	pkgPos := s.PackagePositions()
 	chipPos := s.ChipletPositions()
 	coreWorkloads := chiplets * cores * pkgPos * chipPos
-	ciSteps := ceilDiv64(int64(l.CIPerGroup()), int64(hw.Vector))
-	cyclesPerWL := int64(m.HOc) * int64(m.WOc) * int64(l.R) * int64(l.S) * ciSteps
+	cyclesPerWL := mapping.CoreCycles(l, hw, m.HOc, m.WOc)
 	activeLanes := int64(min(hw.Lanes, s.COs))
 
 	t.MACs = l.MACs()
 	t.OL1RMW = coreWorkloads * cyclesPerWL * activeLanes
-	t.AL1Reads = coreWorkloads * cyclesPerWL * int64(hw.Vector)
+	t.AL1Reads = coreWorkloads * cyclesPerWL * int64(hw.Vector) * mapping.LaneGroupSpan(l, hw)
 	// Weight register loads: one pass of the group's weight set per core
 	// workload position, broadcast across the sharing cores.
-	wtPerWL := int64(hw.Lanes) * ciSteps * int64(hw.Vector) * int64(l.R) * int64(l.S)
-	// Grouped convolutions: lanes covering distinct groups fetch distinct
-	// input slices, so the A-L1 read stream multiplies by the group span of
-	// the lane window (a depthwise layer loses the lane-broadcast of the
-	// input entirely).
-	if l.G() > 1 {
-		span := (hw.Lanes + l.COPerGroup() - 1) / l.COPerGroup()
-		t.AL1Reads *= int64(max(1, min(hw.Lanes, span)))
-	}
+	wtPerWL := int64(hw.Lanes) * int64(hw.Vector) * mapping.CoreCycles(l, hw, 1, 1)
 	groups := int64(s.PlanarShareCores) // distinct weight groups per chiplet
 	t.WL1Reads = chiplets * groups * pkgPos * chipPos * wtPerWL
 

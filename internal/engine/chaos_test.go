@@ -18,6 +18,7 @@ import (
 	"nnbaton/internal/faults"
 	"nnbaton/internal/hardware"
 	"nnbaton/internal/mapper"
+	"nnbaton/internal/par"
 	"nnbaton/internal/workload"
 )
 
@@ -35,9 +36,9 @@ func TestChaosLeaderPanicIsolated(t *testing.T) {
 	e := New(cm)
 	hw := hardware.CaseStudy()
 	_, err := e.SearchAll(bg, tinyLayer("boom"), hw, mapper.Config{})
-	var pe *PanicError
+	var pe *par.PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PanicError", err)
+		t.Fatalf("err = %v, want *par.PanicError", err)
 	}
 	if pe.Site != "engine.search" || len(pe.Stack) == 0 {
 		t.Errorf("panic not structured: site=%q stack=%d bytes", pe.Site, len(pe.Stack))
@@ -81,7 +82,7 @@ func TestChaosPanicSharedWithWaitersNoHang(t *testing.T) {
 	}
 	panicked, succeeded := 0, 0
 	for _, err := range errs {
-		var pe *PanicError
+		var pe *par.PanicError
 		switch {
 		case err == nil:
 			succeeded++
@@ -218,9 +219,9 @@ func TestChaosSweepPointPanicIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("a panicking point must not fail the sweep: %v", err)
 	}
-	var pe *PanicError
+	var pe *par.PanicError
 	if !errors.As(pts[1].Err, &pe) {
-		t.Fatalf("pts[1].Err = %v, want *PanicError", pts[1].Err)
+		t.Fatalf("pts[1].Err = %v, want *par.PanicError", pts[1].Err)
 	}
 	if pts[0].Err != nil || pts[2].Err != nil {
 		t.Errorf("sibling points degraded: %v, %v", pts[0].Err, pts[2].Err)
@@ -388,24 +389,24 @@ func TestChaosCheckpointKillResumeRoundTrip(t *testing.T) {
 }
 
 func TestChaosParallelForPanicIsolated(t *testing.T) {
-	err := ParallelFor(bg, 8, 4, func(i int) error {
+	err := par.ParallelFor(bg, 8, 4, func(i int) error {
 		if i == 5 {
 			panic("worker body exploded")
 		}
 		return nil
 	})
-	var pe *PanicError
+	var pe *par.PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PanicError", err)
+		t.Fatalf("err = %v, want *par.PanicError", err)
 	}
 	// Sequential path too.
-	err = ParallelFor(bg, 3, 1, func(i int) error {
+	err = par.ParallelFor(bg, 3, 1, func(i int) error {
 		if i == 1 {
 			panic("sequential body exploded")
 		}
 		return nil
 	})
 	if !errors.As(err, &pe) {
-		t.Fatalf("sequential err = %v, want *PanicError", err)
+		t.Fatalf("sequential err = %v, want *par.PanicError", err)
 	}
 }

@@ -13,7 +13,7 @@
 // never compute the same search twice — the analytical-DSE trick MAESTRO and
 // DNN-Chip Predictor key their evaluation on.
 //
-// All parallelism funnels through one bounded worker discipline: ParallelFor
+// All parallelism funnels through one bounded worker discipline: par.ParallelFor
 // fans work out across a bounded goroutine set with context.Context
 // cancellation, and a shared semaphore bounds the number of concurrently
 // *computing* searches, so nested fan-out (a hardware sweep over models over
@@ -43,6 +43,7 @@ import (
 	"nnbaton/internal/hardware"
 	"nnbaton/internal/mapper"
 	"nnbaton/internal/obs"
+	"nnbaton/internal/par"
 	"nnbaton/internal/workload"
 )
 
@@ -188,7 +189,7 @@ type Evaluator struct {
 
 	// reg is the attached metrics registry (nil when observation is
 	// disabled: spans then reduce to a branch and the cache counters to
-	// unregistered atomics). sink receives sweep progress events.
+	// detached atomics). sink receives sweep progress events.
 	reg  *obs.Registry
 	sink obs.ProgressSink
 
@@ -227,42 +228,28 @@ func NewFromConfig(cm *hardware.CostModel, cfg Config) *Evaluator {
 		sink:  cfg.Sink,
 		cache: make(map[searchKey]*entry),
 	}
-	if reg := cfg.Registry; reg != nil {
-		e.lookups = reg.Counter("engine.lookups")
-		e.searches = reg.Counter("engine.searches")
-		e.hits = reg.Counter("engine.hits")
-		e.coalesced = reg.Counter("engine.coalesced")
-		e.panics = reg.Counter("engine.panics")
-		e.retries = reg.Counter("engine.retries")
-		e.timeouts = reg.Counter("engine.timeouts")
-		e.replayed = reg.Counter("engine.replayed_points")
-		e.evictions = reg.Counter("engine.evictions")
-		e.diskHits = reg.Counter("engine.disk_hits")
-		e.diskMisses = reg.Counter("engine.disk_misses")
-		e.diskPuts = reg.Counter("engine.disk_puts")
-		e.diskCorrupt = reg.Counter("engine.disk_corrupt")
-		e.cacheEntries = reg.Gauge("engine.cache_entries")
-		e.searchCtrs = &mapper.Counters{
-			Generated:      reg.Counter("mapper.candidates_generated"),
-			BoundPruned:    reg.Counter("mapper.candidates_bound_pruned"),
-			StagePruned:    reg.Counter("mapper.candidates_stage_pruned"),
-			Evaluated:      reg.Counter("mapper.candidates_evaluated"),
-			FloorsComputed: reg.Counter("mapper.floors_computed"),
-			HeapPopped:     reg.Counter("mapper.heap_popped"),
-		}
-	} else {
-		e.lookups, e.searches = &obs.Counter{}, &obs.Counter{}
-		e.hits, e.coalesced = &obs.Counter{}, &obs.Counter{}
-		e.panics, e.retries = &obs.Counter{}, &obs.Counter{}
-		e.timeouts, e.replayed = &obs.Counter{}, &obs.Counter{}
-		e.evictions = &obs.Counter{}
-		e.diskHits, e.diskMisses = &obs.Counter{}, &obs.Counter{}
-		e.diskPuts, e.diskCorrupt = &obs.Counter{}, &obs.Counter{}
-		e.searchCtrs = &mapper.Counters{
-			Generated: &obs.Counter{}, BoundPruned: &obs.Counter{},
-			StagePruned: &obs.Counter{}, Evaluated: &obs.Counter{},
-			FloorsComputed: &obs.Counter{}, HeapPopped: &obs.Counter{},
-		}
+	reg := cfg.Registry
+	e.lookups = reg.LiveCounter("engine.lookups")
+	e.searches = reg.LiveCounter("engine.searches")
+	e.hits = reg.LiveCounter("engine.hits")
+	e.coalesced = reg.LiveCounter("engine.coalesced")
+	e.panics = reg.LiveCounter("engine.panics")
+	e.retries = reg.LiveCounter("engine.retries")
+	e.timeouts = reg.LiveCounter("engine.timeouts")
+	e.replayed = reg.LiveCounter("engine.replayed_points")
+	e.evictions = reg.LiveCounter("engine.evictions")
+	e.diskHits = reg.LiveCounter("engine.disk_hits")
+	e.diskMisses = reg.LiveCounter("engine.disk_misses")
+	e.diskPuts = reg.LiveCounter("engine.disk_puts")
+	e.diskCorrupt = reg.LiveCounter("engine.disk_corrupt")
+	e.cacheEntries = reg.Gauge("engine.cache_entries")
+	e.searchCtrs = &mapper.Counters{
+		Generated:      reg.LiveCounter("mapper.candidates_generated"),
+		BoundPruned:    reg.LiveCounter("mapper.candidates_bound_pruned"),
+		StagePruned:    reg.LiveCounter("mapper.candidates_stage_pruned"),
+		Evaluated:      reg.LiveCounter("mapper.candidates_evaluated"),
+		FloorsComputed: reg.LiveCounter("mapper.floors_computed"),
+		HeapPopped:     reg.LiveCounter("mapper.heap_popped"),
 	}
 	return e
 }
@@ -326,15 +313,6 @@ func (e *Evaluator) pruneNote() string {
 	return note
 }
 
-// normalize folds the SearchAll KeepTop default into the cache key so
-// equivalent configurations share one entry.
-func normalize(cfg mapper.Config) mapper.Config {
-	if cfg.KeepTop <= 0 {
-		cfg.KeepTop = 8
-	}
-	return cfg
-}
-
 // cacheCfg strips the Config fields that cannot affect search results — the
 // intra-layer worker count and the counter sink — so they never fragment the
 // memoization key: a 1-worker and an 8-worker search of the same space share
@@ -372,7 +350,7 @@ func (e *Evaluator) SearchAll(ctx context.Context, l workload.Layer, hw hardware
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cfg = normalize(cfg)
+	cfg = cfg.WithDefaults()
 	key := searchKey{shape: ShapeOf(l), hw: HWOf(hw), cfg: cacheCfg(cfg)}
 	e.lookups.Add(1)
 
@@ -561,7 +539,7 @@ func (e *Evaluator) EvalLayer(ctx context.Context, l workload.Layer, hw hardware
 func (e *Evaluator) EvalModel(ctx context.Context, m workload.Model, hw hardware.Config, cfg mapper.Config) (mapper.ModelResult, error) {
 	defer e.reg.Span("engine.eval_model")()
 	found := make([]*mapper.Option, len(m.Layers))
-	err := ParallelFor(ctx, len(m.Layers), e.cfg.Workers, func(i int) error {
+	err := par.ParallelFor(ctx, len(m.Layers), e.cfg.Workers, func(i int) error {
 		o, err := e.EvalLayer(ctx, m.Layers[i], hw, cfg)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -675,7 +653,7 @@ func sweepPointKey(sig string, cfg mapper.Config, hw hardware.Config) string {
 // replayed instead of re-evaluated (see RunPoints). Each point is timed
 // under the engine.sweep_point phase.
 func (e *Evaluator) EvalSweep(ctx context.Context, models []workload.Model, hws []hardware.Config, cfg mapper.Config) ([]SweepPoint, error) {
-	cfg = normalize(cfg)
+	cfg = cfg.WithDefaults()
 	sig := modelsSig(models)
 	outs, err := RunPoints(ctx, e, Points[SweepPoint, sweepRecord]{
 		Label: "sweep", Span: "engine.sweep_point", Site: "engine.sweep_point", N: len(hws),

@@ -8,6 +8,7 @@ import (
 
 	"nnbaton/internal/hardware"
 	"nnbaton/internal/mapper"
+	"nnbaton/internal/par"
 	"nnbaton/internal/workload"
 )
 
@@ -178,7 +179,7 @@ func TestEvalSweepRecordsPointError(t *testing.T) {
 
 func TestParallelFor(t *testing.T) {
 	got := make([]int, 100)
-	if err := ParallelFor(bg, len(got), 0, func(i int) error {
+	if err := par.ParallelFor(bg, len(got), 0, func(i int) error {
 		got[i] = i * i
 		return nil
 	}); err != nil {
@@ -190,11 +191,11 @@ func TestParallelFor(t *testing.T) {
 		}
 	}
 	// n=0 and n=1 paths.
-	if err := ParallelFor(bg, 0, 0, func(int) error { t.Fatal("must not run"); return nil }); err != nil {
+	if err := par.ParallelFor(bg, 0, 0, func(int) error { t.Fatal("must not run"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	ran := false
-	if err := ParallelFor(bg, 1, 4, func(int) error { ran = true; return nil }); err != nil {
+	if err := par.ParallelFor(bg, 1, 4, func(int) error { ran = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if !ran {
@@ -206,7 +207,7 @@ func TestParallelForError(t *testing.T) {
 	boom := errors.New("boom")
 	var mu sync.Mutex
 	ran := 0
-	err := ParallelFor(bg, 1000, 4, func(i int) error {
+	err := par.ParallelFor(bg, 1000, 4, func(i int) error {
 		mu.Lock()
 		ran++
 		mu.Unlock()
@@ -226,11 +227,11 @@ func TestParallelForError(t *testing.T) {
 func TestParallelForCancellation(t *testing.T) {
 	cctx, cancel := context.WithCancel(bg)
 	cancel()
-	if err := ParallelFor(cctx, 100, 4, func(int) error { return nil }); !errors.Is(err, context.Canceled) {
+	if err := par.ParallelFor(cctx, 100, 4, func(int) error { return nil }); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 	// Sequential path honors cancellation too.
-	if err := ParallelFor(cctx, 100, 1, func(int) error { return nil }); !errors.Is(err, context.Canceled) {
+	if err := par.ParallelFor(cctx, 100, 1, func(int) error { return nil }); !errors.Is(err, context.Canceled) {
 		t.Errorf("sequential err = %v, want context.Canceled", err)
 	}
 }

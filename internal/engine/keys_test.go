@@ -13,7 +13,7 @@ import (
 // builds are looked up by these strings, so any change to them silently
 // orphans every stored point and search result.
 func TestKeyFormatsGolden(t *testing.T) {
-	cfg := normalize(mapper.Config{})
+	cfg := mapper.Config{}.WithDefaults()
 	hw := hardware.CaseStudy()
 	mask := hardware.FaultMask{Chiplets: 4, Dead: 0b0010}
 	sig := modelsSig([]workload.Model{tinyModel()})

@@ -245,7 +245,7 @@ func TestPersistKeySeparation(t *testing.T) {
 	base := searchKey{
 		shape: ShapeOf(tinyLayer("l")),
 		hw:    HWOf(hardware.CaseStudy()),
-		cfg:   cacheCfg(normalize(mapper.Config{})),
+		cfg:   cacheCfg(mapper.Config{}.WithDefaults()),
 	}
 	variants := map[string]func(k searchKey) searchKey{
 		"shape": func(k searchKey) searchKey { k.shape.CO++; return k },
@@ -280,6 +280,6 @@ func TestPersistKeySeparation(t *testing.T) {
 
 // cachedKey re-normalizes a key the way SearchAll does.
 func cachedKey(k searchKey) searchKey {
-	k.cfg = cacheCfg(normalize(k.cfg))
+	k.cfg = cacheCfg(k.cfg.WithDefaults())
 	return k
 }

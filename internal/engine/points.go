@@ -8,6 +8,7 @@ import (
 	"runtime/debug"
 
 	"nnbaton/internal/obs"
+	"nnbaton/internal/par"
 )
 
 // Points describes one sweep of independent, journaled points for
@@ -55,7 +56,7 @@ func RunPoints[P, R any](ctx context.Context, e *Evaluator, s Points[P, R]) ([]O
 	track := obs.NewTracker(e.sink, s.Label, s.N)
 	track.SetNote(e.pruneNote)
 	jrn := e.cfg.Journal
-	err := ParallelFor(ctx, s.N, e.cfg.Workers, func(i int) error {
+	err := par.ParallelFor(ctx, s.N, e.cfg.Workers, func(i int) error {
 		key := s.Key(i)
 		if raw, ok := jrn.Lookup(key); ok {
 			var rec R
@@ -113,7 +114,7 @@ func runPoint[P any](ctx context.Context, e *Evaluator, site, op string, eval fu
 func (e *Evaluator) isolate(site, op string, f func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			pe := &PanicError{Site: site, Op: op, Value: r, Stack: debug.Stack()}
+			pe := &par.PanicError{Site: site, Op: op, Value: r, Stack: debug.Stack()}
 			e.panics.Add(1)
 			e.reg.Event("panic."+site, fmt.Sprintf("%s: %v\n%s", op, r, pe.Stack))
 			err = pe

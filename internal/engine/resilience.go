@@ -3,11 +3,11 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"nnbaton/internal/ckpt"
 	"nnbaton/internal/obs"
+	"nnbaton/internal/par"
 )
 
 // Config is an Evaluator's concurrency and resilience policy. The zero value
@@ -63,22 +63,6 @@ func (c Config) backoff(attempt int) time.Duration {
 	return min(b, maxBackoff)
 }
 
-// PanicError is a panic recovered at an isolation boundary, converted into a
-// structured, reportable failure: the site that caught it, the operation
-// that panicked, the panic value and the goroutine stack.
-type PanicError struct {
-	Site  string // isolation boundary, e.g. "engine.search"
-	Op    string // operation identity, e.g. "conv3 on 4-8-8-8 (...)"
-	Value any    // the recovered panic value
-	Stack []byte // stack captured at recovery
-}
-
-// Error renders the panic without the stack (the stack ships through the
-// obs event ring and is available on the struct).
-func (e *PanicError) Error() string {
-	return fmt.Sprintf("engine: panic at %s (%s): %v", e.Site, e.Op, e.Value)
-}
-
 // leaderCancelled marks a cache entry whose leader aborted because its own
 // context ended before the search completed. Waiters treat it as retryable —
 // their context may still be live — where every other entry error is
@@ -102,7 +86,7 @@ func IsRetryable(err error) bool {
 	if err == nil {
 		return false
 	}
-	var pe *PanicError
+	var pe *par.PanicError
 	if errors.As(err, &pe) {
 		return true
 	}

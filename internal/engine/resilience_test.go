@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"nnbaton/internal/faults"
+	"nnbaton/internal/par"
 )
 
 func TestIsRetryable(t *testing.T) {
@@ -18,8 +19,8 @@ func TestIsRetryable(t *testing.T) {
 		want bool
 	}{
 		{"nil", nil, false},
-		{"panic", &PanicError{Site: "engine.search", Op: "x", Value: "boom"}, true},
-		{"wrapped panic", fmt.Errorf("outer: %w", &PanicError{Value: "boom"}), true},
+		{"panic", &par.PanicError{Site: "engine.search", Op: "x", Value: "boom"}, true},
+		{"wrapped panic", fmt.Errorf("outer: %w", &par.PanicError{Value: "boom"}), true},
 		{"leader cancelled", &leaderCancelled{cause: context.Canceled}, false},
 		{"cancelled", context.Canceled, false},
 		{"deadline", context.DeadlineExceeded, true},
@@ -52,7 +53,7 @@ func TestBackoffDoublesAndCaps(t *testing.T) {
 }
 
 func TestPanicErrorRendering(t *testing.T) {
-	pe := &PanicError{Site: "engine.search", Op: "conv3 on 4-8-8-8", Value: "index out of range"}
+	pe := &par.PanicError{Site: "engine.search", Op: "conv3 on 4-8-8-8", Value: "index out of range"}
 	msg := pe.Error()
 	for _, want := range []string{"engine.search", "conv3", "index out of range"} {
 		if !strings.Contains(msg, want) {

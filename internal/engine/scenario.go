@@ -108,7 +108,7 @@ func scenarioOf(o Outcome[ScenarioPoint]) ScenarioPoint {
 // deterministic) becomes the scenario result. Failures land on the point's
 // Err.
 func (e *Evaluator) EvalScenario(ctx context.Context, models []workload.Model, base hardware.Config, mask hardware.FaultMask, cfg mapper.Config) ScenarioPoint {
-	cfg = normalize(cfg)
+	cfg = cfg.WithDefaults()
 	return scenarioOf(runPoint(ctx, e, "engine.scenario", scenarioOp(base, mask), func(ctx context.Context, pt *ScenarioPoint) error {
 		return e.evalScenario(ctx, models, base, mask, cfg, pt)
 	}))
@@ -203,7 +203,7 @@ func scenarioBetter(aComplete bool, aEnergy float64, bComplete bool, bEnergy flo
 // EvalSweep points (see RunPoints). Only context cancellation returns an
 // error.
 func (e *Evaluator) DegradationSweep(ctx context.Context, models []workload.Model, base hardware.Config, masks []hardware.FaultMask, cfg mapper.Config) ([]ScenarioPoint, error) {
-	cfg = normalize(cfg)
+	cfg = cfg.WithDefaults()
 	sig := modelsSig(models)
 	outs, err := RunPoints(ctx, e, Points[ScenarioPoint, scenarioRecord]{
 		Label: "degradation", Span: "engine.scenario_point", Site: "engine.scenario", N: len(masks),

@@ -11,6 +11,7 @@ import (
 	"nnbaton/internal/faults"
 	"nnbaton/internal/hardware"
 	"nnbaton/internal/mapper"
+	"nnbaton/internal/par"
 	"nnbaton/internal/workload"
 )
 
@@ -224,14 +225,14 @@ func TestCacheKeyFaultSeparation(t *testing.T) {
 	}
 	keys := make(map[searchKey]string)
 	for _, m := range masks {
-		cfg := normalize(mapper.Config{Fault: m})
+		cfg := mapper.Config{Fault: m}.WithDefaults()
 		key := searchKey{shape: ShapeOf(l), hw: HWOf(hw), cfg: cacheCfg(cfg)}
 		if prev, dup := keys[key]; dup {
 			t.Errorf("masks %q and %q collide on one cache key", prev, m.Key())
 		}
 		keys[key] = m.Key()
 		// Worker count and counter sink must not fragment the key.
-		alt := normalize(mapper.Config{Fault: m, Workers: 7, Counters: &mapper.Counters{}})
+		alt := mapper.Config{Fault: m, Workers: 7, Counters: &mapper.Counters{}}.WithDefaults()
 		if got := (searchKey{shape: ShapeOf(l), hw: HWOf(hw), cfg: cacheCfg(alt)}); got != key {
 			t.Errorf("mask %q: Workers/Counters fragment the cache key", m.Key())
 		}
@@ -282,9 +283,9 @@ func TestCacheFaultErrorEviction(t *testing.T) {
 	e := New(cm)
 	faults.Set(faults.NewInjector(faults.Rule{Site: "engine.search", Kind: faults.KindPanic, Times: 1}))
 	_, err := e.EvalLayer(bg, l, hw, mapper.Config{Fault: mask})
-	var pe *PanicError
+	var pe *par.PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want a PanicError", err)
+		t.Fatalf("err = %v, want a par.PanicError", err)
 	}
 	e.mu.Lock()
 	entries := len(e.cache)
@@ -307,7 +308,7 @@ func TestCacheFaultErrorEviction(t *testing.T) {
 func TestScenarioPointKeySeparation(t *testing.T) {
 	base := caseBase()
 	sig := modelsSig([]workload.Model{tinyModel()})
-	cfg := normalize(mapper.Config{})
+	cfg := mapper.Config{}.WithDefaults()
 	seen := make(map[string]string)
 	for _, m := range degSeries(t) {
 		key := scenarioPointKey(sig, cfg, base, m)

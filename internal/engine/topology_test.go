@@ -22,7 +22,7 @@ func TestCacheKeyTopologySeparation(t *testing.T) {
 
 	keys := make(map[searchKey]hardware.Topology)
 	sweepKeys := make(map[string]hardware.Topology)
-	cfg := normalize(mapper.Config{})
+	cfg := mapper.Config{}.WithDefaults()
 	for _, kind := range kinds {
 		hw := base
 		hw.Topology = kind

@@ -22,11 +22,12 @@ func shapeOf(l workload.Layer) layerShape {
 }
 
 // uniqueZooLayers returns one representative per distinct layer shape across
-// the whole model zoo at the given input resolution.
+// the whole model zoo at the given input resolution: the four benchmark CNNs
+// and then MobileNetV2, whose depthwise layers are the zoo's grouped ones.
 func uniqueZooLayers(resolution int) []workload.Layer {
 	seen := make(map[layerShape]bool)
 	var out []workload.Layer
-	for _, m := range workload.Models(resolution) {
+	for _, m := range append(workload.Models(resolution), workload.MobileNetV2(resolution)) {
 		for _, l := range m.Layers {
 			k := shapeOf(l)
 			if seen[k] {

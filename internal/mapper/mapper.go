@@ -80,17 +80,16 @@ func planarPairs(dst [][2]int, h, w int) [][2]int {
 }
 
 // coreTilePairs appends to dst the (HOc, WOc) candidates of an hs×ws
-// per-core region, bounded by the O-L1 psum capacity and the A-L1 streaming
-// constraint.
+// per-core region whose core-tile needs — the O-L1 psums and the A-L1
+// slice of mapping.BufferNeeds — fit hw. The core tile alone fixes both.
 func coreTilePairs(dst [][2]int, l *workload.Layer, hw *hardware.Config, hs, ws int) [][2]int {
-	maxElems := max(1, hw.OL1Bytes/(3*hw.Lanes))
-	ci := min(hw.Vector, l.CI)
+	maxElems := max(1, hw.OL1Bytes/int(mapping.CoreOL1Need(hw, 1, 1)))
 	base := len(dst)
 	add := func(th, tw int) {
 		th, tw = min(th, hs), min(tw, ws)
 		p := [2]int{th, tw}
-		if th < 1 || tw < 1 || th*tw > maxElems ||
-			2*l.TileInputBytes(th, tw, ci) > int64(hw.AL1Bytes) ||
+		if th < 1 || tw < 1 || mapping.CoreOL1Need(hw, th, tw) > int64(hw.OL1Bytes) ||
+			mapping.CoreAL1Need(l, hw, th, tw) > int64(hw.AL1Bytes) ||
 			slices.Contains(dst[base:], p) {
 			return
 		}
@@ -150,7 +149,8 @@ func packageSplits(hw hardware.Config) []packageSplit {
 
 // Config tunes the search.
 type Config struct {
-	// KeepTop retains the best K options (by energy) in SearchAll.
+	// KeepTop retains the best K options (by energy) in SearchAll; unset
+	// (<= 0), it takes WithDefaults' default.
 	KeepTop int
 	// Rotate controls the rotating-transfer primitive (default on for
 	// multichip packages; disable for the ablation study).
@@ -169,6 +169,16 @@ type Config struct {
 	// Counters, when non-nil, receives the search funnel tallies
 	// (generated / bound-pruned / stage-pruned / evaluated candidates).
 	Counters *Counters
+}
+
+// WithDefaults returns cfg with an unset KeepTop at its default of 8: the
+// KeepTop SearchAll and SearchExhaustive search with, and the one the
+// engine keys its memo on, so an unset and an explicit 8 share one entry.
+func (cfg Config) WithDefaults() Config {
+	if cfg.KeepTop <= 0 {
+		cfg.KeepTop = 8
+	}
+	return cfg
 }
 
 // Search returns the optimal mapping option for one layer, or an error if no
@@ -323,9 +333,7 @@ func enumerate(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg
 // SearchAll. It is the reference implementation the randomized equivalence
 // tests hold SearchAll to, and the baseline of the search benchmarks.
 func SearchExhaustive(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg Config) []Option {
-	if cfg.KeepTop <= 0 {
-		cfg.KeepTop = 8
-	}
+	cfg = cfg.WithDefaults()
 	top := newTopK(cfg.KeepTop)
 	enumerate(l, hw, cm, cfg, top.add)
 	return top.opts

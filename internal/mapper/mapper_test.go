@@ -1,6 +1,7 @@
 package mapper
 
 import (
+	"slices"
 	"testing"
 
 	"nnbaton/internal/hardware"
@@ -44,19 +45,36 @@ func TestPlanarPairsWithinBounds(t *testing.T) {
 	}
 }
 
+// TestCoreTilePairsRespectBuffers holds the core-tile generator to the
+// feasibility model's core-tile needs (mapping.BufferNeeds): every listed
+// tile's O-L1 and A-L1 needs fit, and every square tile up to 8×8 whose
+// needs fit is listed. The depthwise layer's A-L1 slice spans one group's
+// input channel, not P of them, so on the case study's 800 B A-L1 it fits
+// squares up to 8×8 where the dense layer's stops at 5×5.
 func TestCoreTilePairsRespectBuffers(t *testing.T) {
-	l := workload.Layer{HO: 56, WO: 56, CO: 64, CI: 64, R: 3, S: 3, StrideH: 1, StrideW: 1}
+	dense := workload.Layer{Name: "dense", HO: 56, WO: 56, CO: 64, CI: 64, R: 3, S: 3, StrideH: 1, StrideW: 1}
+	dw := dense
+	dw.Name, dw.Groups = "depthwise", dense.CI
 	hw := hardware.CaseStudy()
-	pairs := coreTilePairs(nil, &l, &hw, 14, 14)
-	if len(pairs) == 0 {
-		t.Fatal("no core tile candidates")
-	}
-	for _, p := range pairs {
-		if int64(p[0]*p[1]*hw.Lanes*3) > int64(hw.OL1Bytes) {
-			t.Errorf("pair %v overflows O-L1", p)
+	for _, l := range []workload.Layer{dense, dw} {
+		fits := func(hoc, woc int) bool {
+			m := mapping.Mapping{HOc: hoc, WOc: woc}
+			n := m.BufferNeeds(&l, &hw)
+			return n.OL1 <= int64(hw.OL1Bytes) && n.AL1 <= int64(hw.AL1Bytes)
 		}
-		if 2*l.TileInputBytes(p[0], p[1], hw.Vector) > int64(hw.AL1Bytes) {
-			t.Errorf("pair %v overflows A-L1", p)
+		pairs := coreTilePairs(nil, &l, &hw, 14, 14)
+		if len(pairs) == 0 {
+			t.Fatalf("%s: no core tile candidates", l.Name)
+		}
+		for _, p := range pairs {
+			if !fits(p[0], p[1]) {
+				t.Errorf("%s: pair %v overflows O-L1 or A-L1", l.Name, p)
+			}
+		}
+		for s := 1; s <= 8; s++ {
+			if fits(s, s) && !slices.Contains(pairs, [2]int{s, s}) {
+				t.Errorf("%s: square %dx%d fits O-L1 and A-L1 but is not listed in %v", l.Name, s, s, pairs)
+			}
 		}
 	}
 }

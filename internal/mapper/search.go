@@ -27,9 +27,10 @@ import (
 // that actually entered the funnel, not the full space the exhaustive
 // reference enumerates; the gap between the two is what the bounds save.
 // The scan drops a search, chiplet tile or planar pair whose buffer needs
-// cannot fit before it bounds any cell below it (see search.fits), so a
-// search with no feasible mapping tallies nothing, and only a core-tile
-// need can still reject a cell the scan has bounded.
+// cannot fit before it bounds any cell below it (see search.fits), and
+// lists only core tiles whose O-L1 and A-L1 needs fit (coreTilePairs), so
+// a search with no feasible mapping tallies nothing, and only the A-L2
+// staging of a core slice can still reject a cell the scan has bounded.
 // Each materialized candidate lands in exactly one of the outcome buckets,
 // so Generated = BoundPruned + StagePruned + Evaluated always holds. The
 // counters are nil-safe; a zero Counters discards tallies.
@@ -368,7 +369,7 @@ func (s *search) coreTerms(t *c3p.GroupFloorTerms, g *candGroup, cps [][2]int) {
 		t.H2W2Min = min(t.H2W2Min, h2*w2)
 		t.PlanarCovMin = min(t.PlanarCovMin, h2*int64(cp[0])*w2*int64(cp[1]))
 		t.AL1Min = min(t.AL1Min,
-			c3p.MinAL1Fills(l, hw.Vector, cp[0], cp[1], h2*w2, t.C2Min, int64(hw.AL1Bytes)))
+			c3p.MinAL1Fills(l, hw, cp[0], cp[1], h2*w2, t.C2Min, int64(hw.AL1Bytes)))
 	}
 }
 
@@ -376,8 +377,9 @@ func (s *search) coreTerms(t *c3p.GroupFloorTerms, g *candGroup, cps [][2]int) {
 // planar pair) that some cell can use, with the subtree's filtered
 // chiplet tiles in ws.cots, the group's core tiles in the tile memo and its
 // coarse bound in ws.order, unsorted. With newSearch's W-L1 check, every
-// buffer need above the core tile has been checked (see fits), so each
-// cell the groups span is feasible unless its core tile misses a need.
+// buffer need above the core tile has been checked (see fits), and the
+// core-tile list holds only tiles whose O-L1 and A-L1 needs fit, so each
+// cell the groups span is feasible unless its core slice misses A-L2.
 func (s *search) buildGroups(sts []subtree, ws *searchState) {
 	l, hw := &s.l, &s.hw
 	ws.groups, ws.order = ws.groups[:0], ws.order[:0]
@@ -545,9 +547,9 @@ func resolveWorkers(cfg, n int) int {
 
 // rethrowPanics re-raises a worker panic that par converted into an error, so
 // a panicking cost model surfaces to SearchAll's caller exactly as it does on
-// the serial path (the engine's recovery then wraps it into its structured
-// PanicError). Any other error is impossible: the context is never cancelled
-// and worker bodies return nil.
+// the serial path (the engine's recovery then wraps it into a PanicError at
+// its own site). Any other error is impossible: the context is never
+// cancelled and worker bodies return nil.
 func rethrowPanics(err error) {
 	var pe *par.PanicError
 	if errors.As(err, &pe) {
@@ -594,9 +596,7 @@ func (b *minBound) Update(v float64) {
 // and reuses per-worker scratch so
 // the steady-state candidate path does not allocate.
 func SearchAll(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg Config) []Option {
-	if cfg.KeepTop <= 0 {
-		cfg.KeepTop = 8
-	}
+	cfg = cfg.WithDefaults()
 	srch := newSearch(l, hw, cm, cfg)
 	if srch == nil {
 		return nil

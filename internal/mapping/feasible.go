@@ -114,12 +114,11 @@ type BufferNeeds struct {
 // carries exactly the needs that level and those above it fix: the
 // mapper's search checks each need that way, at the level that fixes it.
 func (m *Mapping) BufferNeeds(l *workload.Layer, hw *hardware.Config) BufferNeeds {
-	ci := min(hw.Vector, l.CIPerGroup())
-	slice := 2 * l.TileInputBytes(m.HOc, m.WOc, ci)
+	slice := CoreAL1Need(l, hw, m.HOc, m.WOc)
 	n := BufferNeeds{
-		OL1:         int64(m.HOc) * int64(m.WOc) * int64(hw.Lanes) * 3,
+		OL1:         CoreOL1Need(hw, m.HOc, m.WOc),
 		AL1:         slice,
-		WL1:         2 * int64(hw.Lanes) * int64(ci) * int64(l.R) * int64(l.S),
+		WL1:         2 * int64(hw.Lanes) * int64(vectorCI(l, hw)) * int64(l.R) * int64(l.S),
 		AL2:         slice,
 		WeightShare: int64(m.ChipletPattern.Parts()),
 	}
@@ -130,6 +129,47 @@ func (m *Mapping) BufferNeeds(l *workload.Layer, hw *hardware.Config) BufferNeed
 		n.RotatingChunk = 2 * int64(m.COt) * int64(l.CIPerGroup()) * int64(l.R) * int64(l.S) / int64(hw.Chiplets)
 	}
 	return n
+}
+
+// CoreOL1Need is the O-L1 need of an hoc×woc core tile: the 24-bit partial
+// sums of its Lanes output channels. CoreOL1Need(hw, 1, 1) is the need of
+// one output pixel.
+func CoreOL1Need(hw *hardware.Config, hoc, woc int) int64 {
+	return int64(hoc) * int64(woc) * int64(hw.Lanes) * 3
+}
+
+// CoreAL1Need is the A-L1 need of an hoc×woc core tile: its input slice over
+// one vector of a group's input channels, double-buffered. Below it the R×S
+// window refetches the slice from A-L2 (the Cc₀ point of the C³P A-L1 walk).
+func CoreAL1Need(l *workload.Layer, hw *hardware.Config, hoc, woc int) int64 {
+	return 2 * l.TileInputBytes(hoc, woc, vectorCI(l, hw))
+}
+
+// vectorCI is the input channels one vector step reads: P of them, or a
+// whole group's when the group has fewer.
+func vectorCI(l *workload.Layer, hw *hardware.Config) int {
+	return min(hw.Vector, l.CIPerGroup())
+}
+
+// CoreCycles is the PE-array cycles of one hoc×woc core workload: each
+// output pixel takes R·S·⌈CI_g/P⌉ vector steps, its Lanes output channels
+// in parallel. CoreCycles(l, hw, 1, 1) is the schedule of one output pixel.
+func CoreCycles(l *workload.Layer, hw *hardware.Config, hoc, woc int) int64 {
+	steps := (int64(l.CIPerGroup()) + int64(hw.Vector) - 1) / int64(hw.Vector)
+	return int64(hoc) * int64(woc) * int64(l.R) * int64(l.S) * steps
+}
+
+// LaneGroupSpan is the A-L1 read multiplier of a grouped convolution: the
+// groups one Lanes-wide window of output channels spans, since lanes that
+// cover distinct groups fetch distinct input slices (a depthwise layer
+// loses the lane broadcast of the input entirely). It is 1 for a dense
+// layer.
+func LaneGroupSpan(l *workload.Layer, hw *hardware.Config) int64 {
+	if l.G() <= 1 {
+		return 1
+	}
+	span := (hw.Lanes + l.COPerGroup() - 1) / l.COPerGroup()
+	return int64(max(1, min(hw.Lanes, span)))
 }
 
 // Fits reports whether buffers of hw's sizes meet every need.

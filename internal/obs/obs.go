@@ -260,6 +260,16 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
+// LiveCounter is Counter for a count its owner reads back (a Stats
+// snapshot): on a nil registry it returns a detached counter rather than
+// nil, so the count is kept whether or not metrics are enabled.
+func (r *Registry) LiveCounter(name string) *Counter {
+	if r == nil {
+		return &Counter{}
+	}
+	return r.Counter(name)
+}
+
 // Gauge returns the named gauge, creating it if needed (nil on a nil
 // registry).
 func (r *Registry) Gauge(name string) *Gauge {

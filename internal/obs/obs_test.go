@@ -24,6 +24,12 @@ func TestNilRegistryIsInert(t *testing.T) {
 	if got := r.Counter("c").Value(); got != 0 {
 		t.Errorf("nil counter value = %d", got)
 	}
+	// A live counter keeps its count without a registry.
+	live := r.LiveCounter("c")
+	live.Add(2)
+	if got := live.Value(); got != 2 {
+		t.Errorf("detached live counter value = %d, want 2", got)
+	}
 	if got := r.Gauge("g").Value(); got != 0 {
 		t.Errorf("nil gauge value = %d", got)
 	}
@@ -52,7 +58,7 @@ func TestCountersGaugesPhases(t *testing.T) {
 	if c.Value() != 3 {
 		t.Errorf("counter = %d, want 3", c.Value())
 	}
-	if r.Counter("engine.lookups") != c {
+	if r.Counter("engine.lookups") != c || r.LiveCounter("engine.lookups") != c {
 		t.Error("counter not memoized by name")
 	}
 	g := r.Gauge("inflight")

@@ -1,7 +1,7 @@
 // Package par provides the bounded fan-out primitive shared by the
-// evaluation stack: engine.ParallelFor (sweep points, model layers) and the
-// mapper's intra-layer shard search both build on it, so every level of
-// nested parallelism follows one worker discipline without creating an
+// evaluation stack: the engine's sweep points and model layers and the
+// mapper's intra-layer shard search all fan out through it, so every level
+// of nested parallelism follows one worker discipline without creating an
 // import cycle (engine depends on mapper; mapper cannot depend on engine).
 package par
 
@@ -13,24 +13,30 @@ import (
 	"sync"
 )
 
-// PanicError is a panic recovered inside a worker body. Callers that need a
-// richer structured error (engine.PanicError) wrap their bodies with their
-// own recovery before handing them to ParallelFor; this type is the backstop
-// that keeps a panicking body from tearing down the whole process via an
-// unrecovered goroutine panic.
+// PanicError is a panic recovered at an isolation boundary, converted into a
+// structured, reportable failure: the site that caught it, the operation
+// that panicked, the panic value and the goroutine stack. ParallelFor
+// returns one for a panicking worker body (site par.parallel_for), so a
+// panic never tears down the process through an unrecovered goroutine; the
+// engine builds its own at the boundaries that have a point to fail.
 type PanicError struct {
+	Site  string // isolation boundary, e.g. "engine.search"
+	Op    string // operation identity, e.g. "conv3 on 4-8-8-8 (...)"
 	Value any    // the recovered panic value
 	Stack []byte // stack captured at recovery
 }
 
-// Error renders the panic value without the stack.
-func (e *PanicError) Error() string { return fmt.Sprintf("par: panic in worker body: %v", e.Value) }
+// Error renders the panic without the stack (the stack ships through the
+// obs event ring and is available on the struct).
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("panic at %s (%s): %v", e.Site, e.Op, e.Value)
+}
 
 // safeCall runs f(w, i) with panic isolation.
 func safeCall(f func(worker, i int) error, w, i int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = &PanicError{Value: r, Stack: debug.Stack()}
+			err = &PanicError{Site: "par.parallel_for", Op: fmt.Sprintf("index %d", i), Value: r, Stack: debug.Stack()}
 		}
 	}()
 	return f(w, i)

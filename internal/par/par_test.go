@@ -95,7 +95,7 @@ func TestParallelForPanicIsolation(t *testing.T) {
 		if !errors.As(err, &pe) {
 			t.Fatalf("workers=%d: got %v, want *PanicError", workers, err)
 		}
-		if pe.Value != "kaboom" || len(pe.Stack) == 0 {
+		if pe.Site != "par.parallel_for" || pe.Op != "index 7" || pe.Value != "kaboom" || len(pe.Stack) == 0 {
 			t.Fatalf("workers=%d: incomplete panic capture: %+v", workers, pe)
 		}
 	}

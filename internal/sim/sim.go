@@ -11,6 +11,7 @@ import (
 
 	"nnbaton/internal/c3p"
 	"nnbaton/internal/hardware"
+	"nnbaton/internal/mapping"
 	"nnbaton/internal/noc"
 	"nnbaton/internal/obs"
 )
@@ -66,9 +67,7 @@ func SimulateTrafficOn(topo noc.Topology, xbar *noc.Crossbar, a *c3p.Analysis, t
 	if positions == 0 {
 		return Result{}, fmt.Errorf("sim: mapping yields zero workload positions")
 	}
-	ciSteps := (int64(l.CIPerGroup()) + int64(hw.Vector) - 1) / int64(hw.Vector)
-	computePerPos := s.ChipletPositions() * int64(a.Map.HOc) * int64(a.Map.WOc) *
-		int64(l.R) * int64(l.S) * ciSteps
+	computePerPos := s.ChipletPositions() * mapping.CoreCycles(&l, &hw, a.Map.HOc, a.Map.WOc)
 
 	chiplets := int64(hw.Chiplets)
 	// Per-chiplet, per-position transfer volumes.
@@ -118,8 +117,7 @@ func SimulateTrafficOn(topo noc.Topology, xbar *noc.Crossbar, a *c3p.Analysis, t
 // mapping: the simulated total is loadPerPos + positions×max(compute, load)
 // ≥ positions×computePerPos, which is exactly this product.
 func ComputeBoundCycles(a *c3p.Analysis) int64 {
-	l, hw, m, s := &a.Layer, &a.HW, &a.Map, &a.Shape
-	ciSteps := (int64(l.CIPerGroup()) + int64(hw.Vector) - 1) / int64(hw.Vector)
+	s := &a.Shape
 	return s.PackagePositions() * s.ChipletPositions() *
-		int64(m.HOc) * int64(m.WOc) * int64(l.R) * int64(l.S) * ciSteps
+		mapping.CoreCycles(&a.Layer, &a.HW, a.Map.HOc, a.Map.WOc)
 }

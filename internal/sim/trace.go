@@ -201,8 +201,7 @@ func computeTime(l workload.Layer, hw hardware.Config, m mapping.Mapping, p posi
 	c2 := int64((cos + hw.Lanes - 1) / hw.Lanes)
 	h2 := int64((hos + m.HOc - 1) / m.HOc)
 	w2 := int64((wos + m.WOc - 1) / m.WOc)
-	ciSteps := (int64(l.CIPerGroup()) + int64(hw.Vector) - 1) / int64(hw.Vector)
-	return c2 * h2 * w2 * int64(m.HOc) * int64(m.WOc) * int64(l.R) * int64(l.S) * ciSteps
+	return c2 * h2 * w2 * mapping.CoreCycles(&l, &hw, m.HOc, m.WOc)
 }
 
 // loadTime returns the DRAM streaming cycles for one exact position.

@@ -75,7 +75,9 @@ type Options struct {
 	// most the unsynced suffix, which the framing then detects).
 	Fsync bool
 	// Registry receives the store's counters (records loaded, corrupt,
-	// torn, quarantined) under store.*; nil disables registration.
+	// torn, quarantined, puts) under store.*; nil disables registration.
+	// Stats reads those counters, so stores that share a registry report
+	// their combined counts.
 	Registry *obs.Registry
 }
 
@@ -111,7 +113,7 @@ type Store struct {
 	index    map[string][]byte
 	poisoned map[string]bool
 	seg      *os.File // lazily created own segment
-	stats    Stats
+	stats    Stats    // what Open found: Segments, Incompatible, LoadedBytes
 
 	corrupt, torn, quarantined, puts *obs.Counter
 	records                          *obs.Gauge
@@ -291,16 +293,12 @@ func Open(dir string, opts Options) (*Store, error) {
 		index:    make(map[string][]byte),
 		poisoned: make(map[string]bool),
 	}
-	if reg := opts.Registry; reg != nil {
-		s.corrupt = reg.Counter("store.corrupt_records")
-		s.torn = reg.Counter("store.torn_tails")
-		s.quarantined = reg.Counter("store.quarantined_keys")
-		s.puts = reg.Counter("store.puts")
-		s.records = reg.Gauge("store.records")
-	} else {
-		s.corrupt, s.torn = &obs.Counter{}, &obs.Counter{}
-		s.quarantined, s.puts = &obs.Counter{}, &obs.Counter{}
-	}
+	reg := opts.Registry
+	s.corrupt = reg.LiveCounter("store.corrupt_records")
+	s.torn = reg.LiveCounter("store.torn_tails")
+	s.quarantined = reg.LiveCounter("store.quarantined_keys")
+	s.puts = reg.LiveCounter("store.puts")
+	s.records = reg.Gauge("store.records")
 	names, err := filepath.Glob(filepath.Join(dir, "*.seg"))
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -311,7 +309,6 @@ func Open(dir string, opts Options) (*Store, error) {
 			return nil, err
 		}
 	}
-	s.stats.Records = len(s.index)
 	s.records.Set(int64(len(s.index)))
 	return s, nil
 }
@@ -333,13 +330,11 @@ func (s *Store) loadSegment(name string) error {
 		return nil // a foreign or future-format file is not ours to judge
 	}
 	s.stats.Segments++
-	s.stats.Corrupt += st.Corrupt
 	s.corrupt.Add(int64(st.Corrupt))
 	if st.Corrupt > 0 {
 		s.quarantineNote(name, fmt.Sprintf("%d corrupt record(s) skipped on load", st.Corrupt))
 	}
 	if st.TornTail {
-		s.stats.Torn++
 		s.torn.Add(1)
 		if s.opts.Repair {
 			if err := os.Truncate(name, st.TornAt); err != nil {
@@ -393,7 +388,6 @@ func (s *Store) Put(key string, val []byte) error {
 	}
 	s.index[key] = append([]byte(nil), val...)
 	delete(s.poisoned, key)
-	s.stats.Puts++
 	s.puts.Add(1)
 	s.records.Set(int64(len(s.index)))
 	return nil
@@ -430,7 +424,6 @@ func (s *Store) Quarantine(key string, reason error) {
 	}
 	s.mu.Lock()
 	s.poisoned[key] = true
-	s.stats.Quarantined++
 	s.mu.Unlock()
 	s.quarantined.Add(1)
 	s.quarantineNote(key, fmt.Sprint(reason))
@@ -475,6 +468,8 @@ func (s *Store) Stats() Stats {
 	defer s.mu.Unlock()
 	st := s.stats
 	st.Records = len(s.index)
+	st.Corrupt, st.Torn = int(s.corrupt.Value()), int(s.torn.Value())
+	st.Quarantined, st.Puts = int(s.quarantined.Value()), int(s.puts.Value())
 	return st
 }
 
