@@ -75,8 +75,11 @@ bench-smoke:
 # O-L1 and A-L1 needs fit; the search equivalence runs on the case-study
 # point, scaled-up memory and Table II memory down to each axis' minimum,
 # over the zoo's dense layers and MobileNetV2's grouped and depthwise ones.
+# It also holds the shared tile iterator to exactly-once coverage in
+# AppendNest's order, the mapped execution to the reference under all four
+# temporal orders, and Trace to its recorded golden output.
 equiv:
-	$(GO) test -race -count=1 -run 'TestCoreTilePairsRespectBuffers|TestScanFilterExact|TestGroupBoundAdmissible|TestActivationTermsExact|TestSearchAllMatchesExhaustive|TestSearchAllWorkersInvariant|TestBestPerSpatialCombo|TestSearchScratch|TestSearchDeterministicOnTies|TestStageTrafficMatchesAnalysis|TestCardMatchesPrice|TestPricingKernelEquivalence|TestFeasibleShapeMatchesShape' ./internal/mapper ./internal/c3p ./internal/energy ./internal/dse ./internal/mapping
+	$(GO) test -race -count=1 -run 'TestCoreTilePairsRespectBuffers|TestScanFilterExact|TestGroupBoundAdmissible|TestActivationTermsExact|TestSearchAllMatchesExhaustive|TestSearchAllWorkersInvariant|TestBestPerSpatialCombo|TestSearchScratch|TestSearchDeterministicOnTies|TestStageTrafficMatchesAnalysis|TestCardMatchesPrice|TestPricingKernelEquivalence|TestFeasibleShapeMatchesShape|TestTilesCoverOutputOnce|TestExecuteMappedMatchesReference|TestTraceGolden' ./internal/mapper ./internal/c3p ./internal/energy ./internal/dse ./internal/mapping ./internal/functional ./internal/sim
 
 vet:
 	$(GO) vet ./...

@@ -123,44 +123,23 @@ func Reference(l workload.Layer, in Input, w Weights) Output {
 	return out
 }
 
-// box is a half-open output region [co0,co1)×[ho0,ho1)×[wo0,wo1).
-type box struct{ co0, co1, ho0, ho1, wo0, wo1 int }
-
-func (b box) empty() bool { return b.co0 >= b.co1 || b.ho0 >= b.ho1 || b.wo0 >= b.wo1 }
-
-// share returns the balanced [lo, hi) interval of part idx among n parts.
-func share(total, n, idx int) (int, int) {
-	if n > total {
-		n = total
-	}
-	if idx >= n {
-		return total, total
-	}
-	base, rem := total/n, total%n
-	lo := idx*base + min(idx, rem)
-	hi := lo + base
-	if idx < rem {
-		hi++
-	}
-	return lo, hi
-}
-
-// ExecuteMapped runs the layer through the mapping hierarchy: chiplets get
-// balanced spatial regions, package-temporal steps deliver HOt×WOt×COt
-// tiles, cores split each tile per the chiplet spatial primitive, and
-// chiplet-temporal steps deliver HOc×WOc×Lanes core workloads. Each visited
-// output element is counted; the function fails if any element is computed
-// zero times or more than once.
+// ExecuteMapped runs the layer through the mapping hierarchy, walked by
+// mapping's tile iterator: chiplets get balanced spatial regions,
+// package-temporal steps deliver HOt×WOt×COt tiles in PackageTemporal
+// order, cores split each tile per the chiplet spatial primitive, and
+// chiplet-temporal steps deliver HOc×WOc×Lanes core workloads in
+// ChipletTemporal order. Each visited output element is counted; the
+// function fails if any element is computed zero times or more than once.
 func ExecuteMapped(l workload.Layer, hw hardware.Config, m mapping.Mapping, in Input, w Weights) (Output, error) {
 	if err := m.Validate(l, hw); err != nil {
 		return nil, err
 	}
 	out := newOutput(l)
 	visits := make([]uint8, l.CO*l.HO*l.WO)
-	visit := func(b box) error {
-		for co := b.co0; co < b.co1; co++ {
-			for ho := b.ho0; ho < b.ho1; ho++ {
-				for wo := b.wo0; wo < b.wo1; wo++ {
+	visit := func(b mapping.Tile) error {
+		for co := b.CO0; co < b.CO1; co++ {
+			for ho := b.HO0; ho < b.HO1; ho++ {
+				for wo := b.WO0; wo < b.WO1; wo++ {
 					idx := (co*l.HO+ho)*l.WO + wo
 					if visits[idx] != 0 {
 						return fmt.Errorf("functional: output (%d,%d,%d) computed twice", co, ho, wo)
@@ -169,16 +148,19 @@ func ExecuteMapped(l workload.Layer, hw hardware.Config, m mapping.Mapping, in I
 				}
 			}
 		}
-		computeRange(l, in, w, out, b.co0, b.co1, b.ho0, b.ho1, b.wo0, b.wo1)
+		computeRange(l, in, w, out, b.CO0, b.CO1, b.HO0, b.HO1, b.WO0, b.WO1)
 		return nil
 	}
-
-	for chip := 0; chip < hw.Chiplets; chip++ {
-		region := chipletBox(l, hw, m, chip)
-		if region.empty() {
-			continue
+	cores := func(t mapping.Tile) error {
+		for core := 0; core < hw.Cores; core++ {
+			if err := m.CoreTiles(&hw, m.CoreRegion(t.Box, core), visit); err != nil {
+				return err
+			}
 		}
-		if err := walkChiplet(l, hw, m, region, visit); err != nil {
+		return nil
+	}
+	for chip := 0; chip < hw.Chiplets; chip++ {
+		if err := m.PackageTiles(m.ChipletRegion(&l, &hw, chip), cores); err != nil {
 			return nil, err
 		}
 	}
@@ -191,72 +173,6 @@ func ExecuteMapped(l workload.Layer, hw hardware.Config, m mapping.Mapping, in I
 		}
 	}
 	return out, nil
-}
-
-// chipletBox returns chiplet c's output region under the package split.
-func chipletBox(l workload.Layer, hw hardware.Config, m mapping.Mapping, c int) box {
-	if m.PackageSpatial == mapping.SpatialC {
-		lo, hi := share(l.CO, hw.Chiplets, c)
-		return box{lo, hi, 0, l.HO, 0, l.WO}
-	}
-	r, cc := c/m.PackagePattern.Cols, c%m.PackagePattern.Cols
-	h0, h1 := share(l.HO, m.PackagePattern.Rows, r)
-	w0, w1 := share(l.WO, m.PackagePattern.Cols, cc)
-	return box{0, l.CO, h0, h1, w0, w1}
-}
-
-// walkChiplet iterates the package-temporal tiles of one chiplet region and
-// the chiplet spatial/temporal hierarchy below each tile.
-func walkChiplet(l workload.Layer, hw hardware.Config, m mapping.Mapping, region box, visit func(box) error) error {
-	for co := region.co0; co < region.co1; co += m.COt {
-		for ho := region.ho0; ho < region.ho1; ho += m.HOt {
-			for wo := region.wo0; wo < region.wo1; wo += m.WOt {
-				tile := box{
-					co, min(co+m.COt, region.co1),
-					ho, min(ho+m.HOt, region.ho1),
-					wo, min(wo+m.WOt, region.wo1),
-				}
-				if err := walkCores(l, hw, m, tile, visit); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// walkCores splits one chiplet tile across the cores and iterates their
-// core-temporal workloads.
-func walkCores(l workload.Layer, hw hardware.Config, m mapping.Mapping, tile box, visit func(box) error) error {
-	csplit := max(1, m.ChipletCSplit)
-	for core := 0; core < hw.Cores; core++ {
-		ci := core % csplit
-		pi := core / csplit
-		pr, pc := pi/m.ChipletPattern.Cols, pi%m.ChipletPattern.Cols
-		c0, c1 := share(tile.co1-tile.co0, csplit, ci)
-		h0, h1 := share(tile.ho1-tile.ho0, m.ChipletPattern.Rows, pr)
-		w0, w1 := share(tile.wo1-tile.wo0, m.ChipletPattern.Cols, pc)
-		sub := box{tile.co0 + c0, tile.co0 + c1, tile.ho0 + h0, tile.ho0 + h1, tile.wo0 + w0, tile.wo0 + w1}
-		if sub.empty() {
-			continue
-		}
-		// Core-temporal workloads: HOc×WOc×Lanes blocks.
-		for co := sub.co0; co < sub.co1; co += hw.Lanes {
-			for ho := sub.ho0; ho < sub.ho1; ho += m.HOc {
-				for wo := sub.wo0; wo < sub.wo1; wo += m.WOc {
-					wl := box{
-						co, min(co+hw.Lanes, sub.co1),
-						ho, min(ho+m.HOc, sub.ho1),
-						wo, min(wo+m.WOc, sub.wo1),
-					}
-					if err := visit(wl); err != nil {
-						return err
-					}
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // Equal compares two outputs element-wise.

@@ -10,47 +10,26 @@ import (
 	"nnbaton/internal/workload"
 )
 
-// splitExtents divides extent into n balanced parts and returns each part's
-// output length (the first extent%n parts take the extra element).
-func splitExtents(extent, n int) []int {
-	if n <= 0 {
-		return nil
-	}
-	if n > extent {
-		n = extent
-	}
-	base, rem := extent/n, extent%n
-	out := make([]int, n)
-	for i := range out {
-		out[i] = base
-		if i < rem {
-			out[i]++
-		}
-	}
-	return out
-}
-
 // interval is a half-open input-coordinate range [lo, hi).
 type interval struct{ lo, hi int }
 
-// inputIntervals maps each output part to its input interval along one axis.
-func inputIntervals(parts []int, kernel, stride int) []interval {
-	out := make([]interval, 0, len(parts))
-	start := 0
-	for _, p := range parts {
-		lo := start * stride
-		hi := lo + workload.InExtent(p, kernel, stride)
-		out = append(out, interval{lo, hi})
-		start += p
+// inputIntervals splits an axis of extent output elements into min(n,
+// extent) balanced parts and maps each part to its input interval.
+func inputIntervals(extent, n, kernel, stride int) []interval {
+	var out []interval
+	for i := range min(n, extent) {
+		lo, hi := mapping.Share(extent, n, i)
+		out = append(out, interval{lo * stride, lo*stride + workload.InExtent(hi-lo, kernel, stride)})
 	}
 	return out
 }
 
-// axisStats returns, for one axis partition, the summed input length across
-// parts, the union input length, and the maximum number of parts covering
-// any single input coordinate.
-func axisStats(parts []int, kernel, stride int) (sum, union, maxCover int) {
-	ivs := inputIntervals(parts, kernel, stride)
+// axisStats returns, for an axis of extent output elements split into n
+// balanced parts, the summed input length across parts, the union input
+// length, and the maximum number of parts covering any single input
+// coordinate.
+func axisStats(extent, n, kernel, stride int) (sum, union, maxCover int) {
+	ivs := inputIntervals(extent, n, kernel, stride)
 	if len(ivs) == 0 {
 		return 0, 0, 0
 	}
@@ -80,8 +59,8 @@ func axisStats(parts []int, kernel, stride int) (sum, union, maxCover int) {
 // input)/union input, over all input channels. A value of 6.5 means 650%
 // extra access (Fig 7's worst case for ResNet-50 conv1 at fine tiles).
 func Redundancy(l workload.Layer, p mapping.Pattern) float64 {
-	hSum, hUnion, _ := axisStats(splitExtents(l.HO, p.Rows), l.R, l.StrideH)
-	wSum, wUnion, _ := axisStats(splitExtents(l.WO, p.Cols), l.S, l.StrideW)
+	hSum, hUnion, _ := axisStats(l.HO, p.Rows, l.R, l.StrideH)
+	wSum, wUnion, _ := axisStats(l.WO, p.Cols, l.S, l.StrideW)
 	if hUnion == 0 || wUnion == 0 {
 		return 0
 	}
@@ -95,16 +74,16 @@ func Redundancy(l workload.Layer, p mapping.Pattern) float64 {
 // A 2×2 square pattern yields 4 at the central halo; a 1×4 rectangle yields
 // at most 2.
 func MaxConflict(l workload.Layer, p mapping.Pattern) int {
-	_, _, hc := axisStats(splitExtents(l.HO, p.Rows), l.R, l.StrideH)
-	_, _, wc := axisStats(splitExtents(l.WO, p.Cols), l.S, l.StrideW)
+	_, _, hc := axisStats(l.HO, p.Rows, l.R, l.StrideH)
+	_, _, wc := axisStats(l.WO, p.Cols, l.S, l.StrideW)
 	return hc * wc
 }
 
 // DuplicatedBytes returns the absolute duplicated input volume (bytes over
 // all input channels) of a rows×cols planar split.
 func DuplicatedBytes(l workload.Layer, p mapping.Pattern) int64 {
-	hSum, hUnion, _ := axisStats(splitExtents(l.HO, p.Rows), l.R, l.StrideH)
-	wSum, wUnion, _ := axisStats(splitExtents(l.WO, p.Cols), l.S, l.StrideW)
+	hSum, hUnion, _ := axisStats(l.HO, p.Rows, l.R, l.StrideH)
+	wSum, wUnion, _ := axisStats(l.WO, p.Cols, l.S, l.StrideW)
 	return (int64(hSum)*int64(wSum) - int64(hUnion)*int64(wUnion)) * int64(l.CI)
 }
 

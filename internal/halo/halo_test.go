@@ -21,24 +21,28 @@ func vggConvAt512() workload.Layer {
 }
 
 func TestSplitExtents(t *testing.T) {
-	got := splitExtents(10, 4)
-	want := []int{3, 3, 2, 2}
+	// A 1x1 stride-1 kernel reads exactly each part's own extent.
+	got := inputIntervals(10, 4, 1, 1)
+	want := []interval{{0, 3}, {3, 6}, {6, 8}, {8, 10}}
+	if len(got) != len(want) {
+		t.Fatalf("inputIntervals(10,4) = %v", got)
+	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("splitExtents(10,4) = %v", got)
+			t.Fatalf("inputIntervals(10,4) = %v, want %v", got, want)
 		}
 	}
-	if n := len(splitExtents(3, 8)); n != 3 {
+	if n := len(inputIntervals(3, 8, 1, 1)); n != 3 {
 		t.Errorf("over-split kept %d parts, want 3", n)
 	}
-	if splitExtents(5, 0) != nil {
+	if inputIntervals(5, 0, 1, 1) != nil {
 		t.Error("zero parts should be nil")
 	}
 }
 
 func TestAxisStatsNoOverlapPointwise(t *testing.T) {
 	// 1x1 kernel stride 1: partitions never overlap.
-	sum, union, cover := axisStats(splitExtents(56, 4), 1, 1)
+	sum, union, cover := axisStats(56, 4, 1, 1)
 	if sum != union || cover != 1 {
 		t.Errorf("pointwise axis: sum=%d union=%d cover=%d", sum, union, cover)
 	}
@@ -47,7 +51,7 @@ func TestAxisStatsNoOverlapPointwise(t *testing.T) {
 func TestAxisStatsKnownOverlap(t *testing.T) {
 	// 8 outputs split in 2, kernel 3 stride 1: inputs [0,6) and [4,10):
 	// sum 12, union 10, overlap covered by both = 2 elements.
-	sum, union, cover := axisStats([]int{4, 4}, 3, 1)
+	sum, union, cover := axisStats(8, 2, 3, 1)
 	if sum != 12 || union != 10 || cover != 2 {
 		t.Errorf("got sum=%d union=%d cover=%d", sum, union, cover)
 	}

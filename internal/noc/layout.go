@@ -51,15 +51,9 @@ type ConflictProfile struct {
 // rowRange returns the input-row interval [lo, hi) read by a grid row of the
 // pattern, including the kernel halo.
 func rowRange(l workload.Layer, rows, idx int) (lo, hi int) {
-	base, rem := l.HO/rows, l.HO%rows
-	start := idx*base + min(idx, rem)
-	count := base
-	if idx < rem {
-		count++
-	}
-	lo = start * l.StrideH
-	hi = lo + workload.InExtent(count, l.R, l.StrideH)
-	return lo, hi
+	first, end := mapping.Share(l.HO, rows, idx)
+	lo = first * l.StrideH
+	return lo, lo + workload.InExtent(end-first, l.R, l.StrideH)
 }
 
 // AnalyzeLayout computes the conflict profile of a package planar pattern

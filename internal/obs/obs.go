@@ -150,7 +150,8 @@ func (h *Histogram) Time(f func()) {
 }
 
 // quantileNS estimates the q-quantile (0..1) from the bucket counts: the
-// upper bound of the bucket holding the q-th observation.
+// upper edge of the bucket holding the q-th observation, clamped to the
+// observed [min, max] range.
 func (h *Histogram) quantileNS(q float64) int64 {
 	n := h.count.Load()
 	if n == 0 {
@@ -162,7 +163,8 @@ func (h *Histogram) quantileNS(q float64) int64 {
 		seen += h.buckets[i].Load()
 		if seen >= rank {
 			// Upper edge of bucket i: 2^(i+1) µs.
-			return int64(1) << (i + 1) * int64(time.Microsecond)
+			edge := int64(1) << (i + 1) * int64(time.Microsecond)
+			return min(max(edge, h.minNS.Load()), h.maxNS.Load())
 		}
 	}
 	return h.maxNS.Load()
@@ -175,7 +177,9 @@ type PhaseStats struct {
 	MeanMS  float64 `json:"mean_ms"`
 	MinMS   float64 `json:"min_ms"`
 	MaxMS   float64 `json:"max_ms"`
-	// P95MS is a bucket-resolution (power-of-two) upper-bound estimate.
+	// P95MS is a bucket-resolution (power-of-two) estimate: the upper edge
+	// of the bucket holding the 95th-percentile observation, clamped to
+	// [MinMS, MaxMS].
 	P95MS float64 `json:"p95_ms"`
 }
 

@@ -86,6 +86,17 @@ func TestCountersGaugesPhases(t *testing.T) {
 	}
 }
 
+// A bucket's upper edge can exceed every observation; the p95 estimate is
+// clamped to the observed range.
+func TestP95WithinObservedRange(t *testing.T) {
+	h := NewRegistry().Phase("one")
+	h.Observe(3 * time.Millisecond) // bucket [2.048, 4.096) ms
+	st := h.Stats()
+	if st.MinMS > st.P95MS || st.P95MS > st.MaxMS {
+		t.Errorf("p95 %.3f outside observed [%.3f, %.3f]", st.P95MS, st.MinMS, st.MaxMS)
+	}
+}
+
 func TestSpanRecords(t *testing.T) {
 	r := NewRegistry()
 	stop := r.Span("phase")

@@ -9,18 +9,19 @@ import (
 )
 
 func TestParallelForCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 7, 64} {
-		var hits [100]atomic.Int32
-		err := ParallelFor(context.Background(), len(hits), workers, func(i int) error {
+	// n=1 with 4 workers caps the fan-out at one body.
+	for _, tc := range []struct{ n, workers int }{{100, 0}, {100, 1}, {100, 2}, {100, 7}, {100, 64}, {1, 4}} {
+		hits := make([]atomic.Int32, tc.n)
+		err := ParallelFor(context.Background(), tc.n, tc.workers, func(i int) error {
 			hits[i].Add(1)
 			return nil
 		})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("n=%d workers=%d: %v", tc.n, tc.workers, err)
 		}
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, got)
+				t.Fatalf("n=%d workers=%d: index %d ran %d times", tc.n, tc.workers, i, got)
 			}
 		}
 	}
@@ -115,6 +116,21 @@ func TestParallelForCancellation(t *testing.T) {
 	}
 	if ran.Load() == 10000 {
 		t.Fatal("cancellation did not stop dispatch")
+	}
+	// An already-cancelled context fails the parallel and the serial path
+	// alike; the serial path checks it before every body.
+	for _, workers := range []int{4, 1} {
+		var ran atomic.Int64
+		err := ParallelFor(ctx, 100, workers, func(int) error {
+			ran.Add(1)
+			return nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: got %v, want context.Canceled", workers, err)
+		}
+		if workers == 1 && ran.Load() != 0 {
+			t.Errorf("serial path ran %d bodies under a cancelled context", ran.Load())
+		}
 	}
 }
 

@@ -68,74 +68,12 @@ func (r TraceResult) String() string {
 		r.Cycles, r.Positions, r.Utilization*100)
 }
 
-// position is one chiplet workload with exact (edge-clamped) extents.
-type position struct {
-	hot, wot, cot int
-	newChannels   bool // first visit of this channel tile: weights load
-}
-
-// chipletRegion returns the exact output region of chiplet c under the
-// mapping's package-spatial split, using balanced remainders.
-func chipletRegion(l workload.Layer, hw hardware.Config, m mapping.Mapping, c int) (ho, wo, co int) {
-	share := func(total, parts, idx int) int {
-		base, rem := total/parts, total%parts
-		if idx < rem {
-			return base + 1
-		}
-		return base
-	}
-	switch m.PackageSpatial {
-	case mapping.SpatialC:
-		return l.HO, l.WO, share(l.CO, hw.Chiplets, c)
-	default:
-		r := c / m.PackagePattern.Cols
-		cc := c % m.PackagePattern.Cols
-		return share(l.HO, m.PackagePattern.Rows, r), share(l.WO, m.PackagePattern.Cols, cc), l.CO
-	}
-}
-
-// positionsFor enumerates the exact chiplet-workload sequence of one chiplet,
-// honoring the package-temporal order and clamping edge tiles.
-func positionsFor(m mapping.Mapping, hop, wop, cop int) []position {
-	clamp := func(tile, extent, idx int) int { return min(tile, extent-idx*tile) }
-	nC := (cop + m.COt - 1) / m.COt
-	nH := (hop + m.HOt - 1) / m.HOt
-	nW := (wop + m.WOt - 1) / m.WOt
-	var out []position
-	emit := func(ci, hi, wi int, newCh bool) {
-		out = append(out, position{
-			hot: clamp(m.HOt, hop, hi), wot: clamp(m.WOt, wop, wi), cot: clamp(m.COt, cop, ci),
-			newChannels: newCh,
-		})
-	}
-	if m.PackageTemporal == mapping.ChannelPriority {
-		// H, W outer; C inner: weights change every step.
-		for hi := 0; hi < nH; hi++ {
-			for wi := 0; wi < nW; wi++ {
-				for ci := 0; ci < nC; ci++ {
-					emit(ci, hi, wi, true)
-				}
-			}
-		}
-	} else {
-		// C outer; H, W inner: weights load once per channel tile.
-		for ci := 0; ci < nC; ci++ {
-			first := true
-			for hi := 0; hi < nH; hi++ {
-				for wi := 0; wi < nW; wi++ {
-					emit(ci, hi, wi, first)
-					first = false
-				}
-			}
-		}
-	}
-	return out
-}
-
 // Trace runs a discrete-event double-buffered pipeline simulation of the
-// analysis' mapping with exact edge tiles. Unlike Simulate's closed form, it
-// models per-chiplet load imbalance (ceilings vs remainders), the
-// alternating load/compute buffer occupancy, and per-round ring rotation.
+// analysis' mapping over each chiplet's exact, edge-clamped package tiles
+// in package-temporal order (mapping.PackageTiles). Unlike Simulate's
+// closed form, it models per-chiplet load imbalance (ceilings vs
+// remainders), the alternating load/compute buffer occupancy, and
+// per-round ring rotation.
 // maxEvents caps the retained event log (0 keeps none).
 //
 // Timed under the sim.trace phase of the default obs registry when metrics
@@ -150,21 +88,17 @@ func Trace(a *c3p.Analysis, maxEvents int) (TraceResult, error) {
 	dramShare := xbar.ChannelShare()
 
 	res := TraceResult{PerChiplet: make([]int64, hw.Chiplets)}
-	var totalBusy int64
 	for c := 0; c < hw.Chiplets; c++ {
-		hop, wop, cop := chipletRegion(l, hw, m, c)
-		if cop == 0 || hop == 0 || wop == 0 {
-			continue
-		}
-		positions := positionsFor(m, hop, wop, cop)
 		var loadFree, compFree int64 // next cycle each resource is available
 		keep := c == 0 && maxEvents > 0
-		for pi, p := range positions {
+		positions := 0
+		// The callback never fails, so neither does the walk.
+		_ = m.PackageTiles(m.ChipletRegion(&l, &hw, c), func(p mapping.Tile) error {
 			loadCycles := loadTime(a, dramShare, p)
 			rotCycles := rotationTime(a, topo, p)
 			// The load engine streams into the shadow buffer as soon as it
-			// is free; compute for position pi starts when both the load
-			// finishes and the array drains position pi−1.
+			// is free; compute for position p starts when both the load
+			// finishes and the array drains position p−1.
 			loadStart := loadFree
 			loadEnd := loadStart + loadCycles + rotCycles
 			loadFree = loadEnd
@@ -172,16 +106,17 @@ func Trace(a *c3p.Analysis, maxEvents int) (TraceResult, error) {
 			compStart := max(compFree, loadEnd)
 			compEnd := compStart + compCycles
 			compFree = compEnd
-			totalBusy += compCycles
 			if keep && len(res.Events) < maxEvents {
 				res.Events = append(res.Events,
-					Event{Chiplet: c, Position: pi, Kind: EventLoad, Start: loadStart, End: loadEnd},
-					Event{Chiplet: c, Position: pi, Kind: EventCompute, Start: compStart, End: compEnd})
+					Event{Chiplet: c, Position: p.Pos, Kind: EventLoad, Start: loadStart, End: loadEnd},
+					Event{Chiplet: c, Position: p.Pos, Kind: EventCompute, Start: compStart, End: compEnd})
 			}
-		}
+			positions++
+			return nil
+		})
 		res.PerChiplet[c] = compFree
 		if c == 0 {
-			res.Positions = len(positions)
+			res.Positions = positions
 		}
 		res.Cycles = max(res.Cycles, compFree)
 	}
@@ -192,12 +127,12 @@ func Trace(a *c3p.Analysis, maxEvents int) (TraceResult, error) {
 }
 
 // computeTime returns the PE-array cycles for one exact-position workload.
-func computeTime(l workload.Layer, hw hardware.Config, m mapping.Mapping, p position) int64 {
+func computeTime(l workload.Layer, hw hardware.Config, m mapping.Mapping, p mapping.Tile) int64 {
 	// Chiplet-spatial split of the exact tile, ceil-covered.
 	csplit := max(1, m.ChipletCSplit)
-	cos := (p.cot + csplit - 1) / csplit
-	hos := (p.hot + m.ChipletPattern.Rows - 1) / m.ChipletPattern.Rows
-	wos := (p.wot + m.ChipletPattern.Cols - 1) / m.ChipletPattern.Cols
+	cos := (p.CO() + csplit - 1) / csplit
+	hos := (p.HO() + m.ChipletPattern.Rows - 1) / m.ChipletPattern.Rows
+	wos := (p.WO() + m.ChipletPattern.Cols - 1) / m.ChipletPattern.Cols
 	c2 := int64((cos + hw.Lanes - 1) / hw.Lanes)
 	h2 := int64((hos + m.HOc - 1) / m.HOc)
 	w2 := int64((wos + m.WOc - 1) / m.WOc)
@@ -205,36 +140,36 @@ func computeTime(l workload.Layer, hw hardware.Config, m mapping.Mapping, p posi
 }
 
 // loadTime returns the DRAM streaming cycles for one exact position.
-func loadTime(a *c3p.Analysis, dramShare float64, p position) int64 {
+func loadTime(a *c3p.Analysis, dramShare float64, p mapping.Tile) int64 {
 	l := a.Layer
-	bytes := l.TileInputBytes(p.hot, p.wot, l.CI)
+	bytes := l.TileInputBytes(p.HO(), p.WO(), l.CI)
 	if a.Map.Rotate && a.Map.PackageSpatial == mapping.SpatialC {
 		bytes /= int64(a.HW.Chiplets) // resident chunk only; rest arrives by rotation
 	}
-	if p.newChannels {
-		wt := int64(p.cot) * int64(l.CIPerGroup()) * int64(l.R) * int64(l.S)
+	if p.NewChannels {
+		wt := int64(p.CO()) * int64(l.CIPerGroup()) * int64(l.R) * int64(l.S)
 		if a.Map.Rotate && a.Map.PackageSpatial == mapping.SpatialP {
 			wt /= int64(a.HW.Chiplets)
 		}
 		bytes += wt
 	}
 	// Output drain of the previous position shares the channel.
-	bytes += int64(p.hot) * int64(p.wot) * int64(p.cot)
+	bytes += int64(p.HO()) * int64(p.WO()) * int64(p.CO())
 	return int64(float64(bytes)/dramShare + 0.999999)
 }
 
 // rotationTime returns the interconnect cycles for the rotating transfer of
 // one exact position.
-func rotationTime(a *c3p.Analysis, ring noc.Topology, p position) int64 {
+func rotationTime(a *c3p.Analysis, ring noc.Topology, p mapping.Tile) int64 {
 	if !a.Map.Rotate || a.HW.Chiplets <= 1 {
 		return 0
 	}
 	l := a.Layer
 	var chunk int64
 	if a.Map.PackageSpatial == mapping.SpatialC {
-		chunk = l.TileInputBytes(p.hot, p.wot, l.CI) / int64(a.HW.Chiplets)
-	} else if p.newChannels {
-		chunk = int64(p.cot) * int64(l.CIPerGroup()) * int64(l.R) * int64(l.S) / int64(a.HW.Chiplets)
+		chunk = l.TileInputBytes(p.HO(), p.WO(), l.CI) / int64(a.HW.Chiplets)
+	} else if p.NewChannels {
+		chunk = int64(p.CO()) * int64(l.CIPerGroup()) * int64(l.R) * int64(l.S) / int64(a.HW.Chiplets)
 	}
 	if chunk <= 0 {
 		return 0

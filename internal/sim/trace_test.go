@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"nnbaton/internal/hardware"
-	"nnbaton/internal/mapping"
 	"nnbaton/internal/workload"
 )
 
@@ -118,80 +117,6 @@ func TestTraceLoadImbalance(t *testing.T) {
 	}
 	if tr.Cycles != tr.PerChiplet[0] {
 		t.Errorf("makespan %d should come from the fullest chiplet %v", tr.Cycles, tr.PerChiplet)
-	}
-}
-
-func TestPositionsForTemporalOrders(t *testing.T) {
-	m := simMapping() // HOt=WOt=14, COt=16
-	m.PackageTemporal = mapping.ChannelPriority
-	ps := positionsFor(m, 28, 28, 32)
-	if len(ps) != 2*2*2 {
-		t.Fatalf("positions = %d", len(ps))
-	}
-	// Channel-priority reloads weights on every position.
-	for i, p := range ps {
-		if !p.newChannels {
-			t.Errorf("position %d should reload weights", i)
-		}
-	}
-	m.PackageTemporal = mapping.PlanePriority
-	ps = positionsFor(m, 28, 28, 32)
-	fresh := 0
-	for _, p := range ps {
-		if p.newChannels {
-			fresh++
-		}
-	}
-	// Plane-priority loads weights once per channel tile (2 tiles).
-	if fresh != 2 {
-		t.Errorf("plane-priority weight loads = %d, want 2", fresh)
-	}
-}
-
-func TestPositionsForEdgeClamping(t *testing.T) {
-	m := simMapping()
-	ps := positionsFor(m, 30, 30, 20) // 14-tiles over 30: 14,14,2
-	var sumH int
-	seen := map[int]bool{}
-	for _, p := range ps {
-		if p.hot > 14 || p.wot > 14 || p.cot > 16 {
-			t.Errorf("tile %+v exceeds nominal", p)
-		}
-		if p.hot <= 0 || p.wot <= 0 || p.cot <= 0 {
-			t.Errorf("empty tile %+v", p)
-		}
-		seen[p.hot] = true
-		_ = sumH
-	}
-	if !seen[2] {
-		t.Error("edge tile of extent 2 missing")
-	}
-}
-
-func TestChipletRegionShares(t *testing.T) {
-	l := workload.Layer{HO: 57, WO: 57, CO: 50, CI: 8, R: 3, S: 3, StrideH: 1, StrideW: 1}
-	hw := hardware.CaseStudy()
-	m := simMapping()
-	var totalCO int
-	for c := 0; c < hw.Chiplets; c++ {
-		_, _, co := chipletRegion(l, hw, m, c)
-		totalCO += co
-	}
-	if totalCO != l.CO {
-		t.Errorf("channel shares sum to %d, want %d", totalCO, l.CO)
-	}
-	// P-type split covers the plane exactly.
-	m.PackageSpatial = mapping.SpatialP
-	m.PackagePattern = mapping.Pattern{Rows: 2, Cols: 2}
-	var rows, cols int
-	h0, _, _ := chipletRegion(l, hw, m, 0)
-	h2, _, _ := chipletRegion(l, hw, m, 2)
-	rows = h0 + h2
-	_, w0, _ := chipletRegion(l, hw, m, 0)
-	_, w1, _ := chipletRegion(l, hw, m, 1)
-	cols = w0 + w1
-	if rows != l.HO || cols != l.WO {
-		t.Errorf("plane shares %dx%d, want %dx%d", rows, cols, l.HO, l.WO)
 	}
 }
 
