@@ -113,11 +113,12 @@ degradation:
 # cache must key ring/mesh/torus separately, and every pricing entry point
 # (the fabric's rate card included) must price a mapping exactly as the
 # search does on ring, mesh, torus and a degraded ring, the rate card must
-# match the per-call pricing formula bit for bit, and explore's cell-wise
-# memory-grid re-pricing must match the per-point reference — all under the
-# race detector.
+# match the per-call pricing formula bit for bit, explore's cell-wise
+# memory-grid re-pricing must match the per-point reference, and the trace
+# must pay the fabric's own round synchronization — all under the race
+# detector.
 topo-equiv:
-	$(GO) test -race -count=1 -run 'TestGenericRing|TestMeshTorus|TestGridDims|TestTopologyConstructorErrors|TestDegradedMeshReroutes|TestNewInterconnect|TestParseTopology|TestTopology|TestConfigTupleTopologySuffix|TestConfigValidateTopology|TestSimZooRingGenericEquivalence|TestCacheKeyTopologySeparation|TestEvalTopologyCostOrdering|TestGranularityTopologyAxis|TestGranularityMeshCostsAtLeastRing|TestPricingKernelEquivalence|TestExploreMatchesReference|TestCardMatchesPrice' \
+	$(GO) test -race -count=1 -run 'TestGenericRing|TestMeshTorus|TestGridDims|TestTopologyConstructorErrors|TestDegradedMeshReroutes|TestNewInterconnect|TestParseTopology|TestTopology|TestConfigTupleTopologySuffix|TestConfigValidateTopology|TestSimZooRingGenericEquivalence|TestCacheKeyTopologySeparation|TestEvalTopologyCostOrdering|TestGranularityTopologyAxis|TestGranularityMeshCostsAtLeastRing|TestPricingKernelEquivalence|TestExploreMatchesReference|TestCardMatchesPrice|TestTraceRotationRoundSync' \
 		./internal/noc ./internal/hardware ./internal/sim ./internal/engine ./internal/dse ./internal/energy
 
 # serve is the serving-simulation determinism gate: trace parsing, DES
@@ -129,11 +130,13 @@ serve:
 
 # -shuffle=on randomizes test and subtest order each run, so inter-test
 # state dependencies surface in CI instead of in production. The lease
-# takeover race then runs 500 more times: its exactly-one-winner claim only
-# fails on rare interleavings.
+# takeover race then runs 500 more times and ParallelFor's cancelled-context
+# check 200 more: their claims (exactly one winner; no body after
+# cancellation) only fail on rare interleavings.
 race:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -race -count=500 -run 'TestTakeoverRaceSingleWinner$$' ./internal/lease
+	$(GO) test -race -count=200 -run 'TestParallelForCancellation$$' ./internal/par
 
 # fuzz is a short smoke run of the parser fuzzers — long enough to re-find
 # the historical zero-stride crashers, short enough for CI. Covers the

@@ -42,6 +42,19 @@ func randomMapping(rng *rand.Rand, l workload.Layer, hw hardware.Config) Mapping
 			m.ChipletCSplit, m.ChipletPattern = hw.Cores, Pattern{Rows: 1, Cols: 1}
 		case SpatialP:
 			m.ChipletCSplit = 1
+		case SpatialH:
+			// A proper divisor of Cores, over a grid of the cores left.
+			var splits []int
+			for d := 2; d < hw.Cores; d++ {
+				if hw.Cores%d == 0 {
+					splits = append(splits, d)
+				}
+			}
+			if len(splits) > 0 {
+				m.ChipletCSplit = splits[rng.Intn(len(splits))]
+				ps := GridPatterns(hw.Cores / m.ChipletCSplit)
+				m.ChipletPattern = ps[rng.Intn(len(ps))]
+			}
 		}
 		m.COt = max(m.COt, m.ChipletCSplit)
 		m.HOt = max(m.HOt, m.ChipletPattern.Rows)
@@ -84,7 +97,7 @@ func feasibleDraws(visit func(l workload.Layer, hw hardware.Config, m Mapping)) 
 // free fast path: for valid layers and hardware, Feasible must accept exactly
 // the mappings Validate accepts.
 func TestFeasibleMatchesValidate(t *testing.T) {
-	accepted := 0
+	accepted, hybrid := 0, 0
 	feasibleDraws(func(l workload.Layer, hw hardware.Config, m Mapping) {
 		err := m.Validate(l, hw)
 		if got := m.Feasible(l, hw); got != (err == nil) {
@@ -93,10 +106,16 @@ func TestFeasibleMatchesValidate(t *testing.T) {
 		}
 		if err == nil {
 			accepted++
+			if m.ChipletSpatial == SpatialH {
+				hybrid++
+			}
 		}
 	})
 	if accepted < 100 {
 		t.Fatalf("only %d of the random mappings were valid; distribution too narrow", accepted)
+	}
+	if hybrid < 200 {
+		t.Fatalf("only %d of the valid mappings split chiplets H-type; the hybrid accept path is barely reached", hybrid)
 	}
 }
 

@@ -197,10 +197,6 @@ func TestTilesCoverOutputOnce(t *testing.T) {
 		for _, hw := range []hardware.Config{hardware.CaseStudy(), two, one} {
 			for n := 0; n < 60; {
 				m := randomMapping(rng, l, hw)
-				if rng.Intn(3) == 0 { // randomMapping seldom draws a hybrid split that fits
-					ps := GridPatterns(hw.Cores / 2)
-					m.ChipletSpatial, m.ChipletCSplit, m.ChipletPattern = SpatialH, 2, ps[rng.Intn(len(ps))]
-				}
 				if !m.StructurallyFeasible(&l, &hw) {
 					continue
 				}

@@ -20,19 +20,19 @@ const HopLatencyCycles = 20
 // positions still relay traffic, so a logical hop between adjacent surviving
 // chiplets may traverse several physical links.
 type Ring struct {
-	Chiplets      int
-	BytesPerCycle float64 // per directional link (GRS)
+	Chiplets int
 	// hops[k] is the number of physical links the k-th logical hop
 	// traverses; nil means a healthy ring (every hop is one link).
 	hops []int
 }
 
-// NewRing returns a ring over n chiplets with the default GRS link bandwidth.
+// NewRing returns a ring over n chiplets. Every link moves
+// hardware.D2DBytesPerCycle (GRS).
 func NewRing(n int) (*Ring, error) {
-	if n < 1 || n > 8 {
-		return nil, fmt.Errorf("noc: ring supports 1-8 chiplets, got %d", n)
+	if n < 1 || n > hardware.MaxChiplets {
+		return nil, fmt.Errorf("noc: ring supports 1-%d chiplets, got %d", hardware.MaxChiplets, n)
 	}
-	return &Ring{Chiplets: n, BytesPerCycle: hardware.D2DBytesPerCycle}, nil
+	return &Ring{Chiplets: n}, nil
 }
 
 // NewRingUnder builds the rotation ring of an effective configuration with
@@ -46,8 +46,8 @@ func NewRingUnder(chiplets int, mask hardware.FaultMask) (*Ring, error) {
 		return NewRing(chiplets)
 	}
 	positions := int(mask.Chiplets)
-	if positions < 1 || positions > 8 {
-		return nil, fmt.Errorf("noc: fault mask describes %d positions, ring supports 1-8", positions)
+	if positions < 1 || positions > hardware.MaxChiplets {
+		return nil, fmt.Errorf("noc: fault mask describes %d positions, ring supports 1-%d", positions, hardware.MaxChiplets)
 	}
 	var alive []int
 	for i := 0; i < positions; i++ {
@@ -84,51 +84,9 @@ func NewRingUnder(chiplets int, mask hardware.FaultMask) (*Ring, error) {
 	return r, nil
 }
 
-// Kind implements Topology.
-func (r *Ring) Kind() hardware.Topology { return hardware.TopoRing }
-
-// NumChiplets implements Topology.
-func (r *Ring) NumChiplets() int { return r.Chiplets }
-
-// Hops implements Topology: the physical link count of the directed route
-// from one logical endpoint forward to another (0 when from == to).
-func (r *Ring) Hops(from, to int) int {
-	if r.hops == nil {
-		return (to - from + r.Chiplets) % r.Chiplets
-	}
-	h := 0
-	for k := from; k != to; k = (k + 1) % r.Chiplets {
-		h += r.hops[k]
-	}
-	return h
-}
-
 // LinkContention implements Topology: the ring's rotation paths partition
 // the cycle's physical links, so no link ever carries two rounds' chunks.
 func (r *Ring) LinkContention() int { return 1 }
-
-// Diameter implements Topology: the farthest endpoint pair along the
-// directed ring (Chiplets−1 when healthy).
-func (r *Ring) Diameter() int {
-	d := 0
-	for from := 0; from < r.Chiplets; from++ {
-		for to := 0; to < r.Chiplets; to++ {
-			d = max(d, r.Hops(from, to))
-		}
-	}
-	return d
-}
-
-// BroadcastCycles implements Topology: the chunk travels the diameter with a
-// per-link handshake.
-func (r *Ring) BroadcastCycles(bytes int64) int64 {
-	d := r.Diameter()
-	if bytes <= 0 || d == 0 {
-		return 0
-	}
-	per := int64(float64(bytes)/r.BytesPerCycle + 0.999999)
-	return per*int64(d) + int64(d)*HopLatencyCycles
-}
 
 // MaxHop returns the physical link count of the longest logical hop (1 on a
 // healthy ring). The rotation is a synchronized pipeline, so the longest hop
@@ -154,9 +112,6 @@ func (r *Ring) TotalHop() int {
 	return t
 }
 
-// Degraded reports whether any logical hop detours over relay links.
-func (r *Ring) Degraded() bool { return r.hops != nil }
-
 // D2DScale returns the physical-to-logical D2D traffic ratio as an exact
 // rational (TotalHop / Chiplets): every logical link byte of a rotation
 // round is carried by TotalHop/Chiplets physical links on average. Healthy
@@ -176,27 +131,6 @@ func (r *Ring) RoundSyncCycles() int64 {
 // observe every chunk: N_P − 1.
 func (r *Ring) Rounds() int { return max(0, r.Chiplets-1) }
 
-// RotationCycles returns the cycles to fully rotate per-chiplet chunks of the
-// given size. All links transfer concurrently each round, so the time is
-// rounds × per-hop time.
-func (r *Ring) RotationCycles(chunkBytes int64) int64 {
-	if r.Chiplets <= 1 || chunkBytes <= 0 {
-		return 0
-	}
-	return int64(r.Rounds()) * r.HopCycles(chunkBytes)
-}
-
-// RotationTrafficBytes returns the total physical link bytes moved by a full
-// rotation of per-chiplet chunks: every round each of the N_P chunks
-// advances one logical hop, so a round moves chunk × TotalHop link bytes
-// (chunk × N_P on a healthy ring).
-func (r *Ring) RotationTrafficBytes(chunkBytes int64) int64 {
-	if chunkBytes <= 0 {
-		return 0
-	}
-	return int64(r.Rounds()) * chunkBytes * int64(r.TotalHop())
-}
-
 // HopCycles returns the cycles for one logical chiplet-to-neighbor transfer.
 // On a degraded ring the longest detour gates the synchronized round:
 // store-and-forward through each relay repeats the link transfer.
@@ -204,7 +138,7 @@ func (r *Ring) HopCycles(bytes int64) int64 {
 	if bytes <= 0 {
 		return 0
 	}
-	per := int64(float64(bytes)/r.BytesPerCycle + 0.999999)
+	per := int64(float64(bytes)/hardware.D2DBytesPerCycle + 0.999999)
 	return per * int64(r.MaxHop())
 }
 

@@ -21,23 +21,18 @@ func TestNewRingBounds(t *testing.T) {
 		t.Errorf("Rounds = %d, want 3", r.Rounds())
 	}
 	one, _ := NewRing(1)
-	if one.Rounds() != 0 || one.RotationCycles(1000) != 0 {
+	if one.Rounds() != 0 {
 		t.Error("single chiplet must not rotate")
 	}
 }
 
 func TestRotationAccounting(t *testing.T) {
 	r, _ := NewRing(4)
-	// 1000-byte chunks: each of 4 chunks takes 3 hops = 12000 link bytes.
-	if got := r.RotationTrafficBytes(1000); got != 12000 {
-		t.Errorf("RotationTrafficBytes = %d, want 12000", got)
+	// A 1000-byte chunk crosses one 25 B/cycle link per round.
+	if got := r.HopCycles(1000); got != 40 {
+		t.Errorf("HopCycles(1000) = %d, want 40", got)
 	}
-	// Time: 3 rounds of one concurrent hop each.
-	hop := r.HopCycles(1000)
-	if got := r.RotationCycles(1000); got != 3*hop {
-		t.Errorf("RotationCycles = %d, want %d", got, 3*hop)
-	}
-	if r.HopCycles(0) != 0 || r.RotationCycles(-5) != 0 {
+	if r.HopCycles(0) != 0 || r.HopCycles(-5) != 0 {
 		t.Error("non-positive bytes must cost zero cycles")
 	}
 }
@@ -79,7 +74,7 @@ func TestHopCyclesProperty(t *testing.T) {
 		if bytes == 0 {
 			return c == 0
 		}
-		lower := float64(bytes) / r.BytesPerCycle
+		lower := float64(bytes) / hardware.D2DBytesPerCycle
 		return float64(c) >= lower && float64(c) < lower+1.0001
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -91,17 +86,16 @@ func TestHopCyclesProperty(t *testing.T) {
 
 func TestRingDegenerateExactHops(t *testing.T) {
 	cases := []struct {
-		n          int
-		rounds     int
-		totalHop   int
-		trafficPer int64 // RotationTrafficBytes(1000)
+		n        int
+		rounds   int
+		totalHop int
 	}{
-		{1, 0, 1, 0},
-		{2, 1, 2, 2000},
-		{3, 2, 3, 6000},
-		{5, 4, 5, 20000},
-		{7, 6, 7, 42000},
-		{8, 7, 8, 56000},
+		{1, 0, 1},
+		{2, 1, 2},
+		{3, 2, 3},
+		{5, 4, 5},
+		{7, 6, 7},
+		{8, 7, 8},
 	}
 	for _, c := range cases {
 		r, err := NewRing(c.n)
@@ -117,12 +111,6 @@ func TestRingDegenerateExactHops(t *testing.T) {
 		if r.TotalHop() != c.totalHop {
 			t.Errorf("n=%d TotalHop = %d, want %d", c.n, r.TotalHop(), c.totalHop)
 		}
-		if got := r.RotationTrafficBytes(1000); got != c.trafficPer {
-			t.Errorf("n=%d RotationTrafficBytes(1000) = %d, want %d", c.n, got, c.trafficPer)
-		}
-		if r.Degraded() {
-			t.Errorf("n=%d healthy ring must not report Degraded", c.n)
-		}
 		num, den := r.D2DScale()
 		if num != den {
 			t.Errorf("n=%d healthy D2DScale = %d/%d, want 1", c.n, num, den)
@@ -135,15 +123,14 @@ func TestRingDegenerateExactHops(t *testing.T) {
 
 func TestNewRingUnderZeroMaskIdentity(t *testing.T) {
 	var zero hardware.FaultMask
-	for n := 1; n <= 8; n++ {
+	for n := 1; n <= hardware.MaxChiplets; n++ {
 		a, err := NewRingUnder(n, zero)
 		if err != nil {
 			t.Fatalf("NewRingUnder(%d, zero): %v", n, err)
 		}
 		b, _ := NewRing(n)
-		if a.Chiplets != b.Chiplets || a.Degraded() ||
+		if a.Chiplets != b.Chiplets ||
 			a.MaxHop() != b.MaxHop() || a.TotalHop() != b.TotalHop() ||
-			a.RotationTrafficBytes(777) != b.RotationTrafficBytes(777) ||
 			a.HopCycles(777) != b.HopCycles(777) {
 			t.Errorf("n=%d zero-mask ring differs from healthy ring", n)
 		}
@@ -157,9 +144,6 @@ func TestNewRingUnderReroute(t *testing.T) {
 	r, err := NewRingUnder(3, mask)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !r.Degraded() {
-		t.Fatal("ring with a bypassed position must report Degraded")
 	}
 	if r.MaxHop() != 2 {
 		t.Errorf("MaxHop = %d, want 2", r.MaxHop())
@@ -178,10 +162,6 @@ func TestNewRingUnderReroute(t *testing.T) {
 	if r.Rounds() != 2 {
 		t.Errorf("Rounds = %d, want 2", r.Rounds())
 	}
-	// Physical link bytes: 2 rounds x chunk x TotalHop.
-	if got := r.RotationTrafficBytes(1000); got != 2*1000*4 {
-		t.Errorf("RotationTrafficBytes = %d, want 8000", got)
-	}
 	// The longest detour gates the synchronized hop time.
 	healthy, _ := NewRing(3)
 	if r.HopCycles(1000) != 2*healthy.HopCycles(1000) {
@@ -199,9 +179,6 @@ func TestNewRingUnderAlternating(t *testing.T) {
 	if r.MaxHop() != 2 || r.TotalHop() != 8 {
 		t.Errorf("MaxHop/TotalHop = %d/%d, want 2/8", r.MaxHop(), r.TotalHop())
 	}
-	if got := r.RotationTrafficBytes(500); got != 3*500*8 {
-		t.Errorf("RotationTrafficBytes = %d, want 12000", got)
-	}
 }
 
 func TestNewRingUnderSingleSurvivor(t *testing.T) {
@@ -210,11 +187,11 @@ func TestNewRingUnderSingleSurvivor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Rounds() != 0 || r.RotationCycles(1000) != 0 || r.RotationTrafficBytes(1000) != 0 {
+	if r.Rounds() != 0 {
 		t.Error("a single survivor must not rotate")
 	}
-	if r.Degraded() {
-		t.Error("single survivor has no hops to detour")
+	if r.MaxHop() != 1 || r.TotalHop() != 1 {
+		t.Errorf("single survivor has no hops to detour: MaxHop/TotalHop = %d/%d, want 1/1", r.MaxHop(), r.TotalHop())
 	}
 }
 

@@ -7,21 +7,17 @@ import (
 )
 
 // Topology abstracts the on-package interconnect fabric behind the rotating
-// transfer: hop structure, per-link contention, rotation/broadcast cost and
-// fault-masked construction. The directional ring (*Ring) implements it with
-// the paper's closed forms; mesh and torus instantiate the generic
-// shortest-path engine (graphTopology). Everything the cost model consumes —
-// the D2D traffic scale, the per-round gate, the rotation time — flows
-// through this interface, so the mapper, simulator and engine are
-// topology-agnostic.
+// transfer. The directional ring (*Ring) implements it with the paper's
+// closed forms; mesh and torus instantiate the generic shortest-path engine
+// (graphTopology). It declares only what its callers read:
+//
+//   - MaxHop, TotalHop, LinkContention: the ext-topology table;
+//   - D2DScale: mapper.NewFabric, to scale the D2D traffic it prices;
+//   - Rounds, HopCycles, RoundSyncCycles: sim.SimulateTrafficOn and
+//     sim.Trace, for the rotation time.
+//
+// The mapper, simulator and engine are therefore topology-agnostic.
 type Topology interface {
-	// Kind names the fabric (ring, mesh, torus).
-	Kind() hardware.Topology
-	// NumChiplets counts the logical participants (alive endpoints).
-	NumChiplets() int
-	// Hops returns the physical link count of the routed path between two
-	// logical endpoints (0 when from == to).
-	Hops(from, to int) int
 	// MaxHop is the physical link count of the longest logical rotation hop;
 	// the rotation is a synchronized pipeline, so it gates every round.
 	MaxHop() int
@@ -31,16 +27,11 @@ type Topology interface {
 	// LinkContention is the maximum number of rotation-round paths sharing
 	// one physical link (1 on a ring, where the paths partition the cycle).
 	LinkContention() int
-	// Diameter is the largest endpoint-to-endpoint hop count — the latency
-	// floor of a broadcast or reduce.
-	Diameter() int
-	// Degraded reports whether dead positions force any detour routing.
-	Degraded() bool
 	// D2DScale is the physical-to-logical D2D traffic ratio as an exact
-	// rational (TotalHop / NumChiplets); feed it to c3p.Traffic.ScaleD2D.
+	// rational (TotalHop / logical chiplets); feed it to c3p.Traffic.ScaleD2D.
 	D2DScale() (num, den int64)
 	// Rounds is the number of rotation rounds for every chiplet to observe
-	// every chunk: NumChiplets − 1.
+	// every chunk: logical chiplets − 1.
 	Rounds() int
 	// RoundSyncCycles is the fixed synchronization latency of one rotation
 	// round (serializer/PHY handshakes along the gating path).
@@ -48,14 +39,6 @@ type Topology interface {
 	// HopCycles is the cycle cost of one synchronized logical-neighbor
 	// transfer of the given size.
 	HopCycles(bytes int64) int64
-	// RotationCycles is the cycle cost of fully rotating per-chiplet chunks.
-	RotationCycles(chunkBytes int64) int64
-	// RotationTrafficBytes is the total physical link bytes a full rotation
-	// moves (energy side of the D2D scale).
-	RotationTrafficBytes(chunkBytes int64) int64
-	// BroadcastCycles is the cycle cost of one chiplet reaching all others
-	// (or, symmetrically, an all-to-one reduce) along routed paths.
-	BroadcastCycles(bytes int64) int64
 }
 
 // Interface conformance of the closed-form ring and the generic engine.
@@ -87,8 +70,8 @@ func NewTopologyUnder(kind hardware.Topology, chiplets int, mask hardware.FaultM
 
 // NewGenericRingUnder builds the *generic* graph engine on a directional
 // ring graph — the same fabric NewRingUnder models in closed form. It exists
-// for the oracle equivalence suite: the generic engine must reproduce the
-// ring's MaxHop/TotalHop/D2DScale/rotation closed forms exactly, healthy and
+// for the oracle equivalence suite: the generic engine must reproduce every
+// closed-form Topology observable of the ring exactly, healthy and
 // under every fault mask. It accepts up to 64 positions so the property test
 // can sweep far past the production MaxChiplets bound.
 func NewGenericRingUnder(chiplets int, mask hardware.FaultMask) (Topology, error) {
@@ -120,18 +103,10 @@ func NewInterconnect(hw hardware.Config, mask hardware.FaultMask) (Topology, *Cr
 // excluded from the endpoint set. All hop structure is precomputed at
 // construction; the per-candidate query methods are allocation-free.
 type graphTopology struct {
-	kind          hardware.Topology
-	chiplets      int   // logical participants
-	positions     int   // physical nodes, including dead relays
-	alive         []int // physical index of each logical endpoint, ascending
-	bytesPerCycle float64
-
-	dist       [][]int // all-pairs physical shortest-path hop counts
-	maxHop     int     // longest logical rotation hop
-	totalHop   int     // summed rotation hop lengths over one revolution
-	contention int     // busiest physical link across the rotation paths
-	diameter   int     // farthest endpoint pair
-	degraded   bool    // dead positions present
+	chiplets   int // logical participants
+	maxHop     int // longest logical rotation hop
+	totalHop   int // summed rotation hop lengths over one revolution
+	contention int // busiest physical link across the rotation paths
 }
 
 // gridDims factors n into the most square rows×cols grid (rows ≤ cols):
@@ -278,15 +253,7 @@ func newGraphTopology(kind hardware.Topology, chiplets int, mask hardware.FaultM
 	for i := range dist {
 		dist[i] = bfsDist(adj, i)
 	}
-	g := &graphTopology{
-		kind: kind, chiplets: chiplets, positions: positions, alive: alive,
-		bytesPerCycle: hardware.D2DBytesPerCycle,
-		dist:          dist,
-		maxHop:        1, totalHop: chiplets, contention: 1,
-		// A single survivor never rotates, so dead relays cannot detour
-		// anything — matching the closed-form ring's hops==nil semantics.
-		degraded: chiplets >= 2 && positions > chiplets,
-	}
+	g := &graphTopology{chiplets: chiplets, maxHop: 1, totalHop: chiplets, contention: 1}
 	if chiplets >= 2 {
 		// Rotation structure: logical neighbor k → k+1 in ascending alive
 		// order, each routed canonically; a round runs all paths at once.
@@ -308,22 +275,8 @@ func newGraphTopology(kind hardware.Topology, chiplets int, mask hardware.FaultM
 			}
 		}
 	}
-	for _, u := range alive {
-		for _, v := range alive {
-			g.diameter = max(g.diameter, dist[u][v])
-		}
-	}
 	return g, nil
 }
-
-// Kind implements Topology.
-func (g *graphTopology) Kind() hardware.Topology { return g.kind }
-
-// NumChiplets implements Topology.
-func (g *graphTopology) NumChiplets() int { return g.chiplets }
-
-// Hops implements Topology: routed physical links between logical endpoints.
-func (g *graphTopology) Hops(from, to int) int { return g.dist[g.alive[from]][g.alive[to]] }
 
 // MaxHop implements Topology.
 func (g *graphTopology) MaxHop() int { return g.maxHop }
@@ -334,13 +287,7 @@ func (g *graphTopology) TotalHop() int { return g.totalHop }
 // LinkContention implements Topology.
 func (g *graphTopology) LinkContention() int { return g.contention }
 
-// Diameter implements Topology.
-func (g *graphTopology) Diameter() int { return g.diameter }
-
-// Degraded implements Topology.
-func (g *graphTopology) Degraded() bool { return g.degraded }
-
-// D2DScale implements Topology: (TotalHop, NumChiplets), the average
+// D2DScale implements Topology: (TotalHop, chiplets), the average
 // physical links per logical rotation byte as an exact rational.
 func (g *graphTopology) D2DScale() (num, den int64) {
 	return int64(g.totalHop), int64(g.chiplets)
@@ -365,32 +312,6 @@ func (g *graphTopology) HopCycles(bytes int64) int64 {
 	if bytes <= 0 {
 		return 0
 	}
-	per := int64(float64(bytes)/g.bytesPerCycle + 0.999999)
+	per := int64(float64(bytes)/hardware.D2DBytesPerCycle + 0.999999)
 	return per * int64(g.roundGate())
-}
-
-// RotationCycles implements Topology.
-func (g *graphTopology) RotationCycles(chunkBytes int64) int64 {
-	if g.chiplets <= 1 || chunkBytes <= 0 {
-		return 0
-	}
-	return int64(g.Rounds()) * g.HopCycles(chunkBytes)
-}
-
-// RotationTrafficBytes implements Topology.
-func (g *graphTopology) RotationTrafficBytes(chunkBytes int64) int64 {
-	if chunkBytes <= 0 {
-		return 0
-	}
-	return int64(g.Rounds()) * chunkBytes * int64(g.totalHop)
-}
-
-// BroadcastCycles implements Topology: the chunk crosses Diameter links with
-// a per-link handshake.
-func (g *graphTopology) BroadcastCycles(bytes int64) int64 {
-	if bytes <= 0 || g.diameter == 0 {
-		return 0
-	}
-	per := int64(float64(bytes)/g.bytesPerCycle + 0.999999)
-	return per*int64(g.diameter) + int64(g.diameter)*HopLatencyCycles
 }

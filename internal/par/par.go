@@ -103,6 +103,12 @@ func ParallelForWorker(ctx context.Context, n, workers int, f func(worker, i int
 	}
 dispatch:
 	for i := 0; i < n; i++ {
+		// select picks at random among ready cases, so a context cancelled
+		// before this send could otherwise still hand out index i.
+		if err := ctx.Err(); err != nil {
+			fail(err)
+			break
+		}
 		select {
 		case next <- i:
 		case <-stop:

@@ -159,8 +159,9 @@ func loadTime(a *c3p.Analysis, dramShare float64, p mapping.Tile) int64 {
 }
 
 // rotationTime returns the interconnect cycles for the rotating transfer of
-// one exact position.
-func rotationTime(a *c3p.Analysis, ring noc.Topology, p mapping.Tile) int64 {
+// one exact position: each round moves one chunk per link and then pays the
+// fabric's round synchronization, as in SimulateTrafficOn.
+func rotationTime(a *c3p.Analysis, topo noc.Topology, p mapping.Tile) int64 {
 	if !a.Map.Rotate || a.HW.Chiplets <= 1 {
 		return 0
 	}
@@ -174,5 +175,5 @@ func rotationTime(a *c3p.Analysis, ring noc.Topology, p mapping.Tile) int64 {
 	if chunk <= 0 {
 		return 0
 	}
-	return ring.RotationCycles(chunk) + int64(ring.Rounds())*noc.HopLatencyCycles
+	return int64(topo.Rounds()) * (topo.HopCycles(chunk) + topo.RoundSyncCycles())
 }

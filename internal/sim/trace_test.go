@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"nnbaton/internal/hardware"
+	"nnbaton/internal/mapping"
+	"nnbaton/internal/noc"
 	"nnbaton/internal/workload"
 )
 
@@ -147,5 +149,66 @@ func TestGantt(t *testing.T) {
 	}
 	if !strings.Contains(sb2.String(), "no events") {
 		t.Errorf("empty trace output = %q", sb2.String())
+	}
+}
+
+// TestTraceRotationRoundSync pins each traced position's rotation time on
+// the case-study 2×2 mesh, where a round's synchronization is gated by a
+// two-link hop and a shared link (60 cycles, against 20 on the ring): every
+// rotating load carries Rounds × (HopCycles(chunk) + RoundSyncCycles) on
+// top of its DRAM streaming, as SimulateTrafficOn charges.
+func TestTraceRotationRoundSync(t *testing.T) {
+	hw := hardware.CaseStudy()
+	hw.Topology = hardware.TopoMesh
+	topo, xbar, err := noc.NewInterconnect(hw, hardware.FaultMask{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if topo.RoundSyncCycles() != 3*noc.HopLatencyCycles {
+		t.Fatalf("mesh RoundSyncCycles = %d, want %d", topo.RoundSyncCycles(), 3*noc.HopLatencyCycles)
+	}
+	pChan := mapping.Mapping{
+		PackageSpatial: mapping.SpatialP, PackagePattern: mapping.Pattern{Rows: 2, Cols: 2},
+		PackageTemporal: mapping.ChannelPriority,
+		ChipletSpatial:  mapping.SpatialH, ChipletCSplit: 2, ChipletPattern: mapping.Pattern{Rows: 2, Cols: 2},
+		ChipletTemporal: mapping.PlanePriority,
+		HOt:             14, WOt: 14, COt: 16, HOc: 4, WOc: 4, Rotate: true,
+	}
+	l := simLayer()
+	for _, m := range []mapping.Mapping{simMapping(), pChan} {
+		a := analyzed(t, l, hw, m)
+		tr, err := Trace(a, 1<<12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var loads []Event
+		for _, e := range tr.Events {
+			if e.Kind == EventLoad {
+				loads = append(loads, e)
+			}
+		}
+		rotating := 0
+		_ = m.PackageTiles(m.ChipletRegion(&l, &hw, 0), func(p mapping.Tile) error {
+			var chunk int64
+			switch {
+			case m.PackageSpatial == mapping.SpatialC:
+				chunk = l.TileInputBytes(p.HO(), p.WO(), l.CI) / int64(hw.Chiplets)
+			case p.NewChannels:
+				chunk = int64(p.CO()) * int64(l.CIPerGroup()) * int64(l.R) * int64(l.S) / int64(hw.Chiplets)
+			}
+			var want int64
+			if chunk > 0 {
+				want = int64(topo.Rounds()) * (topo.HopCycles(chunk) + topo.RoundSyncCycles())
+				rotating++
+			}
+			e := loads[p.Pos]
+			if got := e.End - e.Start - loadTime(a, xbar.ChannelShare(), p); got != want {
+				t.Errorf("%v position %d: rotation %d cycles, want %d", m, p.Pos, got, want)
+			}
+			return nil
+		})
+		if rotating == 0 {
+			t.Errorf("%v: no position rotates", m)
+		}
 	}
 }
