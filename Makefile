@@ -175,15 +175,19 @@ fleet:
 	$(GO) test -race -count=1 -run 'TestChaosFleetd' ./cmd/nnbaton-fleetd
 
 # repro is the golden reproduction gate: it rebuilds cmd/experiments, reruns
-# every experiment and fails when the output differs from the committed
-# experiments_full.txt. Regenerate the file with
-# `go run ./cmd/experiments -exp all > experiments_full.txt` only when a
-# change is meant to move a reported number.
+# every experiment on the default ring and on the 2D mesh, and fails when
+# either output differs from its committed golden file (experiments_full.txt
+# and experiments_mesh.txt). Regenerate them with
+# `go run ./cmd/experiments -exp all > experiments_full.txt` and
+# `go run ./cmd/experiments -exp all -topology mesh > experiments_mesh.txt`
+# only when a change is meant to move a reported number.
 repro:
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/experiments" ./cmd/experiments && \
 	"$$tmp/experiments" -exp all >"$$tmp/out.txt" && \
-	diff -u experiments_full.txt "$$tmp/out.txt"
+	diff -u experiments_full.txt "$$tmp/out.txt" && \
+	"$$tmp/experiments" -exp all -topology mesh >"$$tmp/mesh.txt" && \
+	diff -u experiments_mesh.txt "$$tmp/mesh.txt"
 
 # flowbench vets and tests the flow benchmark. It is a Go module of its own,
 # so `go build ./...` and `go test ./...` never compile it, and a change to
