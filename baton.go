@@ -246,15 +246,10 @@ func (b *Baton) MapLayer(l Layer, hw Hardware) (LayerReport, error) {
 }
 
 // MapModel runs the post-design flow for every layer of a model with the
-// per-layer optimal strategy.
+// per-layer optimal strategy; the per-layer searches run in parallel on the
+// engine.
 func (b *Baton) MapModel(m Model, hw Hardware) (ModelReport, error) {
-	return b.MapModelContext(context.Background(), m, hw)
-}
-
-// MapModelContext is MapModel with cancellation: the per-layer searches run
-// in parallel on the engine and stop when ctx is cancelled.
-func (b *Baton) MapModelContext(ctx context.Context, m Model, hw Hardware) (ModelReport, error) {
-	res, err := b.eng.EvalModel(ctx, m, hw, mapper.Config{})
+	res, err := b.eng.EvalModel(context.Background(), m, hw, mapper.Config{})
 	if err != nil {
 		return ModelReport{}, err
 	}
@@ -277,23 +272,49 @@ func (b *Baton) SpatialComboStudy(l Layer, hw Hardware) map[string]LayerReport {
 	return out
 }
 
-// Comparison is a Simba-vs-NN-Baton result (Fig 12/13).
+// Comparison is a Simba-vs-NN-Baton result: one layer (Fig 12) or one
+// model (Fig 13).
 type Comparison struct {
-	Model        string
+	Model        string // the compared model, or the compared layer's model
 	Simba        Breakdown
 	NNBaton      Breakdown
 	SavingsRatio float64 // 1 − NNBaton/Simba
 }
 
-// CompareSimba evaluates a model under both the Simba weight-centric
-// baseline and NN-Baton's output-centric optimal mappings on identical
+// compare prices Simba's traffic on hw and sets it against NN-Baton's
+// energy.
+func (b *Baton) compare(model string, simbaTraffic Traffic, baton Breakdown, hw Hardware) Comparison {
+	simbaE := energy.FromTraffic(simbaTraffic, hw, b.cm)
+	return Comparison{
+		Model:        model,
+		Simba:        simbaE,
+		NNBaton:      baton,
+		SavingsRatio: 1 - baton.Total()/simbaE.Total(),
+	}
+}
+
+// CompareSimbaLayer evaluates one layer under both the Simba weight-centric
+// baseline and NN-Baton's output-centric optimal mapping on identical
 // computation and memory resources.
+func (b *Baton) CompareSimbaLayer(l Layer, hw Hardware) (Comparison, error) {
+	sr, err := simba.Evaluate(l, hw, simba.DefaultGrid(hw))
+	if err != nil {
+		return Comparison{}, err
+	}
+	opt, err := b.eng.EvalLayer(context.Background(), l, hw, mapper.Config{})
+	if err != nil {
+		return Comparison{}, err
+	}
+	return b.compare(l.Model, sr.Traffic, opt.Energy, hw), nil
+}
+
+// CompareSimba is CompareSimbaLayer over a whole model. A model with an
+// unmappable layer fails rather than compare unequal work.
 func (b *Baton) CompareSimba(m Model, hw Hardware) (Comparison, error) {
 	st, _, err := simba.EvaluateModel(m, hw, simba.DefaultGrid(hw))
 	if err != nil {
 		return Comparison{}, err
 	}
-	simbaE := energy.FromTraffic(st, hw, b.cm)
 	res, err := b.eng.EvalModel(context.Background(), m, hw, mapper.Config{})
 	if err != nil {
 		return Comparison{}, err
@@ -301,12 +322,7 @@ func (b *Baton) CompareSimba(m Model, hw Hardware) (Comparison, error) {
 	if !res.Complete() {
 		return Comparison{}, fmt.Errorf("nnbaton: %d layers unmappable on %s", len(res.Skipped), hw.Tuple())
 	}
-	return Comparison{
-		Model:        m.Name,
-		Simba:        simbaE,
-		NNBaton:      res.Energy,
-		SavingsRatio: 1 - res.Energy.Total()/simbaE.Total(),
-	}, nil
+	return b.compare(m.Name, st, res.Energy, hw), nil
 }
 
 // FusionReport is the result of the inter-layer fusion extension study.
@@ -339,37 +355,19 @@ func (b *Baton) FusionStudy(m Model, hw Hardware) (FusionReport, error) {
 	}, nil
 }
 
-// Granularity runs the Fig 14 chiplet-granularity study: every compute
-// allocation of totalMACs with proportional memory, reporting energy,
-// runtime and area per implementation.
-func (b *Baton) Granularity(m Model, totalMACs int, areaLimitMM2 float64) (dse.GranularityResult, error) {
-	return b.GranularityContext(context.Background(), m, TableIISpace(), totalMACs, areaLimitMM2)
-}
-
-// GranularityContext is Granularity over a custom space with cancellation.
-func (b *Baton) GranularityContext(ctx context.Context, m Model, space Space, totalMACs int, areaLimitMM2 float64) (dse.GranularityResult, error) {
+// Granularity runs the Fig 14 chiplet-granularity study over a space
+// (TableIISpace for the paper's): every compute allocation of totalMACs
+// with proportional memory, reporting energy, runtime and area per
+// implementation. It stops when ctx is cancelled.
+func (b *Baton) Granularity(ctx context.Context, m Model, space Space, totalMACs int, areaLimitMM2 float64) (dse.GranularityResult, error) {
 	return dse.Granularity(ctx, m, space, totalMACs, areaLimitMM2, hardware.DefaultProportion(), b.eng)
 }
 
-// Explore runs the Fig 15 full pre-design sweep: compute × memory
-// allocations of Table II under an area constraint.
-func (b *Baton) Explore(m Model, totalMACs int, areaLimitMM2 float64) (dse.ExploreResult, error) {
-	return b.ExploreContext(context.Background(), m, TableIISpace(), totalMACs, areaLimitMM2)
-}
-
-// ExploreContext is Explore over a custom space with cancellation.
-func (b *Baton) ExploreContext(ctx context.Context, m Model, space Space, totalMACs int, areaLimitMM2 float64) (dse.ExploreResult, error) {
+// Explore runs the Fig 15 full pre-design sweep over a space (TableIISpace
+// for the paper's): compute × memory allocations under an area constraint.
+// It stops when ctx is cancelled.
+func (b *Baton) Explore(ctx context.Context, m Model, space Space, totalMACs int, areaLimitMM2 float64) (dse.ExploreResult, error) {
 	return dse.Explore(ctx, m, space, totalMACs, areaLimitMM2, b.eng)
-}
-
-// ExploreIn is Explore over a custom (e.g. reduced) space.
-func (b *Baton) ExploreIn(m Model, space Space, totalMACs int, areaLimitMM2 float64) (dse.ExploreResult, error) {
-	return b.ExploreContext(context.Background(), m, space, totalMACs, areaLimitMM2)
-}
-
-// GranularityIn is Granularity over a custom space.
-func (b *Baton) GranularityIn(m Model, space Space, totalMACs int, areaLimitMM2 float64) (dse.GranularityResult, error) {
-	return b.GranularityContext(context.Background(), m, space, totalMACs, areaLimitMM2)
 }
 
 // ChipletAreaMM2 returns the modeled silicon area of one chiplet.
@@ -429,9 +427,6 @@ type (
 	ServingRequest = serve.Request
 	// ServingConfig is the batching/queueing policy of a serving run.
 	ServingConfig = serve.Config
-	// ServingOracle holds per-model single-inference service times for one
-	// (possibly degraded) fabric scenario.
-	ServingOracle = serve.Oracle
 	// ServingResult is the latency/throughput/utilization outcome of
 	// replaying one trace against one scenario.
 	ServingResult = serve.Result

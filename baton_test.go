@@ -1,6 +1,7 @@
 package nnbaton
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -65,6 +66,38 @@ func TestCompareSimbaBand(t *testing.T) {
 	}
 }
 
+func TestCompareSimbaLayer(t *testing.T) {
+	// The layer comparison prices NN-Baton's side with MapLayer's optimal
+	// mapping, and a model of that one layer compares the same work.
+	tool := New()
+	hw := CaseStudyHardware()
+	l, err := VGG16(224).Layer("conv3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmp, err := tool.CompareSimbaLayer(l, hw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := tool.MapLayer(l, hw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cmp.NNBaton != rep.Energy {
+		t.Errorf("NN-Baton side %v, MapLayer %v", cmp.NNBaton, rep.Energy)
+	}
+	if cmp.Model != l.Model || cmp.SavingsRatio != 1-cmp.NNBaton.Total()/cmp.Simba.Total() {
+		t.Errorf("comparison %+v inconsistent", cmp)
+	}
+	whole, err := tool.CompareSimba(Model{Name: l.Model, Resolution: 224, Layers: []Layer{l}}, hw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if whole != cmp {
+		t.Errorf("one-layer model comparison %+v, layer comparison %+v", whole, cmp)
+	}
+}
+
 func TestSpatialComboStudy(t *testing.T) {
 	tool := New()
 	m := ResNet50(224)
@@ -92,14 +125,14 @@ func TestGranularityFacade(t *testing.T) {
 	m := Model{Name: "tiny", Resolution: 32, Layers: []Layer{
 		{Model: "tiny", Name: "c1", HO: 32, WO: 32, CO: 32, CI: 16, R: 3, S: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
 	}}
-	res, err := tool.GranularityIn(m, space, 256, 2.0)
+	res, err := tool.Granularity(context.Background(), m, space, 256, 2.0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Points) == 0 {
 		t.Fatal("no granularity points")
 	}
-	ex, err := tool.ExploreIn(m, space, 256, 2.0)
+	ex, err := tool.Explore(context.Background(), m, space, 256, 2.0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 
+	"nnbaton"
 	"nnbaton/internal/cli"
 	"nnbaton/internal/experiments"
 )
@@ -24,23 +25,22 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids")
 	flag.Parse()
 	shared.MustValidate(nil)
-	experiments.SetTopology(shared.Topology())
 	if err := run(shared, *exp, *quick, *list); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-// run regenerates the selected experiments (or lists them) on an engine
-// built from the shared flags, which it releases on every return.
+// run regenerates the selected experiments (or lists them) through one tool
+// built from the shared flags, on the -topology fabric. It releases the
+// flags' resources on every return.
 func run(shared *cli.Flags, exp string, quick, list bool) error {
 	cfg, err := shared.Setup()
 	if err != nil {
 		return err
 	}
-	experiments.SetEngineConfig(cfg)
 	defer shared.Close(nil)
-	all := experiments.All()
+	all := experiments.All(nnbaton.NewWithConfig(cfg), shared.Topology())
 	if list {
 		for _, e := range all {
 			fmt.Printf("%-8s %s\n", e.ID, e.Desc)

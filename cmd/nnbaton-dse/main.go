@@ -137,7 +137,7 @@ func run(ctx context.Context, o options) error {
 // default fabrication process (the manufacturing-cost extension).
 func cost(ctx context.Context, tool *nnbaton.Baton, m nnbaton.Model, o options) error {
 	macs, area := o.macs, o.area
-	res, err := tool.GranularityContext(ctx, m, o.space(), macs, area)
+	res, err := tool.Granularity(ctx, m, o.space(), macs, area)
 	if err != nil {
 		return err
 	}
@@ -162,7 +162,7 @@ func cost(ctx context.Context, tool *nnbaton.Baton, m nnbaton.Model, o options) 
 
 func granularity(ctx context.Context, tool *nnbaton.Baton, m nnbaton.Model, o options) error {
 	macs, area := o.macs, o.area
-	res, err := tool.GranularityContext(ctx, m, o.space(), macs, area)
+	res, err := tool.Granularity(ctx, m, o.space(), macs, area)
 	if err != nil {
 		return err
 	}
@@ -253,7 +253,7 @@ func explore(ctx context.Context, tool *nnbaton.Baton, m nnbaton.Model, o option
 	if o.shards > 1 {
 		return sharded(ctx, tool, m, o)
 	}
-	res, err := tool.ExploreContext(ctx, m, o.space(), macs, area)
+	res, err := tool.Explore(ctx, m, o.space(), macs, area)
 	if err != nil {
 		return err
 	}

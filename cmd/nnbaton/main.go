@@ -25,7 +25,6 @@ import (
 	"nnbaton/internal/hardware"
 	"nnbaton/internal/report"
 	"nnbaton/internal/sim"
-	"nnbaton/internal/simba"
 	"nnbaton/internal/strategy"
 	"nnbaton/internal/workload"
 )
@@ -152,13 +151,12 @@ func run(o options) error {
 			}
 		}
 		if o.simba {
-			sr, err := simba.Evaluate(l, hw, simba.DefaultGrid(hw))
+			cmp, err := tool.CompareSimbaLayer(l, hw)
 			if err != nil {
 				return err
 			}
-			se := energy.FromTraffic(sr.Traffic, hw, hardware.MustCostModel())
 			fmt.Printf("Simba baseline: %.2f uJ (NN-Baton saves %s)\n",
-				se.Total()/1e6, report.Pct(1-rep.Energy.Total()/se.Total()))
+				cmp.Simba.Total()/1e6, report.Pct(cmp.SavingsRatio))
 		}
 		return nil
 	}

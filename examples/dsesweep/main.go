@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -30,7 +31,7 @@ func main() {
 		AL2:        []int{32768, 65536, 131072},
 	}
 
-	res, err := tool.ExploreIn(model, space, 2048, 2.5)
+	res, err := tool.Explore(context.Background(), model, space, 2048, 2.5)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -20,7 +21,7 @@ func main() {
 		areaLimit = 2.0 // mm² per chiplet
 	)
 
-	res, err := tool.Granularity(model, macBudget, areaLimit)
+	res, err := tool.Granularity(context.Background(), model, nnbaton.TableIISpace(), macBudget, areaLimit)
 	if err != nil {
 		log.Fatal(err)
 	}

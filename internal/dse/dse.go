@@ -72,7 +72,7 @@ func (s Space) MemoryPoints() int {
 
 // ComputeConfigs enumerates every (chiplet, core, lane, vector) allocation
 // whose total MAC count equals totalMACs — the "63 possibilities" of §VI-B1
-// for 2048 MACs.
+// for 2048 MACs — in the canonical configuration order (lessHW).
 func (s Space) ComputeConfigs(totalMACs int) []hardware.Config {
 	var out []hardware.Config
 	for _, np := range s.Chiplets {
@@ -87,16 +87,7 @@ func (s Space) ComputeConfigs(totalMACs int) []hardware.Config {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Chiplets != b.Chiplets {
-			return a.Chiplets < b.Chiplets
-		}
-		if a.Cores != b.Cores {
-			return a.Cores < b.Cores
-		}
-		return a.Lanes < b.Lanes
-	})
+	sort.Slice(out, func(i, j int) bool { return lessHW(out[i], out[j]) })
 	return out
 }
 

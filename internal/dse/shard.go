@@ -21,6 +21,7 @@ import (
 	"nnbaton/internal/ckpt"
 	"nnbaton/internal/engine"
 	"nnbaton/internal/lease"
+	"nnbaton/internal/mapping"
 	"nnbaton/internal/workload"
 )
 
@@ -38,27 +39,18 @@ func StudySignature(model workload.Model, space Space, totalMACs int, areaLimitM
 // configuration order.
 type ShardRange struct{ Lo, Hi int }
 
-// ShardRanges cuts points into at most shards contiguous near-equal ranges
-// (the first points%shards ranges get one extra). Empty ranges are never
-// produced: with more shards than points, only points ranges exist, so every
-// shard does real work and every done marker certifies at least one point.
+// ShardRanges cuts points into at most shards contiguous near-equal ranges,
+// mapping.Share's balanced split (the first points%shards ranges get one
+// extra). Empty ranges are never produced: with more shards than points,
+// only points ranges exist, so every shard does real work and every done
+// marker certifies at least one point.
 func ShardRanges(points, shards int) []ShardRange {
 	if points <= 0 || shards <= 0 {
 		return nil
 	}
-	if shards > points {
-		shards = points
-	}
-	out := make([]ShardRange, shards)
-	base, extra := points/shards, points%shards
-	lo := 0
+	out := make([]ShardRange, min(shards, points))
 	for i := range out {
-		n := base
-		if i < extra {
-			n++
-		}
-		out[i] = ShardRange{Lo: lo, Hi: lo + n}
-		lo += n
+		out[i].Lo, out[i].Hi = mapping.Share(points, shards, i)
 	}
 	return out
 }

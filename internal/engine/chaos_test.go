@@ -263,6 +263,32 @@ func TestChaosScenarioPanicRetried(t *testing.T) {
 	}
 }
 
+func TestChaosSearchRetriesNotMultipliedByPoint(t *testing.T) {
+	// An always-failing search inside a one-layer sweep point: the search
+	// leader spends the retry budget, and the point it fails is not retried
+	// on top, so the search runs MaxRetries+1 times, not (MaxRetries+1)².
+	in := withInjector(t, faults.Rule{Site: "engine.search", Kind: faults.KindError})
+	const maxRetries = 2
+	e := NewFromConfig(cm, Config{Workers: 1, MaxRetries: maxRetries, Backoff: time.Millisecond})
+	m := workload.Model{Name: "one", Resolution: 16, Layers: []workload.Layer{tinyLayer("conv1")}}
+	pts, err := e.EvalSweep(bg, []workload.Model{m}, sweepHWs(1), mapper.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pts[0].Err == nil {
+		t.Fatal("an always-failing search must fail its point")
+	}
+	if got := in.Fired("engine.search"); got != maxRetries+1 {
+		t.Errorf("search attempts = %d, want %d", got, maxRetries+1)
+	}
+	if got := e.Stats().Retries; got != maxRetries {
+		t.Errorf("Stats().Retries = %d, want %d", got, maxRetries)
+	}
+	if pts[0].Attempts != 1 {
+		t.Errorf("point Attempts = %d, want 1", pts[0].Attempts)
+	}
+}
+
 func TestChaosInvalidConfigFailsPointNotSweep(t *testing.T) {
 	hws := sweepHWs(2)
 	hws[1].Lanes = 0 // invalid: caught by Validate at the point boundary

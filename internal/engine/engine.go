@@ -441,7 +441,7 @@ func (e *Evaluator) lead(ctx context.Context, en *entry, key searchKey, l worklo
 			return finish(nil, err)
 		}
 		if !IsRetryable(err) || attempt >= e.cfg.MaxRetries {
-			return finish(nil, err)
+			return finish(nil, &searchFailed{err})
 		}
 		e.retries.Add(1)
 		if serr := SleepCtx(ctx, e.cfg.backoff(attempt)); serr != nil {

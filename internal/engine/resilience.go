@@ -74,6 +74,14 @@ func (e *leaderCancelled) Error() string {
 }
 func (e *leaderCancelled) Unwrap() error { return e.cause }
 
+// searchFailed marks a search failure its leader already ran the retry
+// policy on. It is terminal for the point that asked for the search, so
+// retry budgets never multiply across the search and point levels.
+type searchFailed struct{ err error }
+
+func (e *searchFailed) Error() string { return e.err.Error() }
+func (e *searchFailed) Unwrap() error { return e.err }
+
 // temporary is the classification interface transient errors implement (the
 // net package idiom; internal/faults.Transient produces such errors).
 type temporary interface{ Temporary() bool }
@@ -81,9 +89,14 @@ type temporary interface{ Temporary() bool }
 // IsRetryable reports whether a failure is worth re-attempting under the
 // bounded retry policy: recovered panics, per-attempt deadline overruns, and
 // errors self-reporting as temporary. Deterministic failures — unmappable
-// layers, invalid configurations, parent-context cancellation — are not.
+// layers, invalid configurations, parent-context cancellation — are not, and
+// neither is a search failure its leader already retried.
 func IsRetryable(err error) bool {
 	if err == nil {
+		return false
+	}
+	var sf *searchFailed
+	if errors.As(err, &sf) {
 		return false
 	}
 	var pe *par.PanicError

@@ -1,7 +1,9 @@
 // Package experiments regenerates every table and figure of the NN-Baton
 // paper evaluation as text tables (the experiment index lives in DESIGN.md).
 // The cmd/experiments binary is a thin wrapper around this package so the
-// drivers are unit-testable.
+// drivers are unit-testable. Every driver that maps a workload runs through
+// the nnbaton.Baton façade, the same flows the library and the other
+// commands call.
 package experiments
 
 import (
@@ -10,59 +12,16 @@ import (
 	"io"
 	"sort"
 
+	"nnbaton"
 	"nnbaton/internal/dse"
-	"nnbaton/internal/energy"
-	"nnbaton/internal/engine"
 	"nnbaton/internal/fab"
-	"nnbaton/internal/faults"
 	"nnbaton/internal/halo"
 	"nnbaton/internal/hardware"
-	"nnbaton/internal/mapper"
 	"nnbaton/internal/mapping"
 	"nnbaton/internal/noc"
-	"nnbaton/internal/pipeline"
 	"nnbaton/internal/report"
-	"nnbaton/internal/simba"
 	"nnbaton/internal/workload"
 )
-
-var cm = hardware.MustCostModel()
-
-// eng is the evaluation engine shared by every experiment driver: layer
-// searches are memoized on layer shape, so the drivers reuse each other's
-// work (e.g. fig13's VGG-16 searches warm the cache for ext-fusion).
-var eng = engine.New(cm)
-
-// SetEngineConfig rebuilds the shared engine under a full concurrency and
-// resilience policy (deadlines, retries, checkpoint journal, observation).
-// Call before running any experiment; the previous engine's memoized
-// searches are discarded.
-func SetEngineConfig(cfg engine.Config) {
-	eng = engine.NewFromConfig(cm, cfg)
-}
-
-// topo is the interconnect fabric the experiment drivers evaluate on. The
-// zero value is the paper's directional ring, reproducing the published
-// tables; SetTopology re-runs them on a mesh or torus package.
-var topo hardware.Topology
-
-// SetTopology selects the interconnect fabric for every subsequent
-// experiment run (the -topology flag of cmd/experiments).
-func SetTopology(t hardware.Topology) { topo = t }
-
-// caseHW returns the §VI-A case-study configuration on the selected fabric.
-func caseHW() hardware.Config {
-	hw := hardware.CaseStudy()
-	hw.Topology = topo
-	return hw
-}
-
-// tableII returns the Table II space on the selected fabric.
-func tableII() dse.Space {
-	s := dse.TableII()
-	s.Topology = topo
-	return s
-}
 
 // Experiment is one regenerable paper artifact.
 type Experiment struct {
@@ -71,30 +30,56 @@ type Experiment struct {
 	Run  func(w io.Writer, quick bool) error
 }
 
-// All returns the experiments in paper order.
-func All() []Experiment {
+// drivers holds what the mapping drivers share: the tool and the fabric
+// they evaluate on.
+type drivers struct {
+	tool *nnbaton.Baton
+	topo nnbaton.Topology
+}
+
+// All returns the experiments in paper order. The mapping drivers run
+// through tool on the topo fabric; the ring reproduces the published
+// tables. They share the tool's memoized layer searches, so they reuse each
+// other's work (e.g. fig13's VGG-16 searches warm the cache for ext-fusion).
+func All(tool *nnbaton.Baton, topo nnbaton.Topology) []Experiment {
+	d := drivers{tool: tool, topo: topo}
 	return []Experiment{
 		{"table1", "Table I: energy per operation in the 16nm multichip system", table1},
 		{"table2", "Table II: design space of computation and memory resources", table2},
 		{"fig7", "Fig 7: redundant memory access of 1:1 vs 1:4 partition patterns", fig7},
 		{"fig8", "Fig 8: DRAM conflicts of square vs rectangle package patterns", fig8},
 		{"fig10", "Fig 10: linear memory size->area/energy model", fig10},
-		{"fig11", "Fig 11: energy breakdown of spatial partition strategies", fig11},
-		{"fig12", "Fig 12: Simba vs NN-Baton on five distinct layers", fig12},
-		{"fig13", "Fig 13: model-level Simba vs NN-Baton comparison", fig13},
-		{"fig14", "Fig 14: chiplet granularity with 2048 MACs", fig14},
-		{"fig15", "Fig 15: full design space exploration with 4096 MACs", fig15},
-		{"ext-fusion", "Extension: inter-layer fusion of on-package intermediates", extFusion},
+		{"fig11", "Fig 11: energy breakdown of spatial partition strategies", d.fig11},
+		{"fig12", "Fig 12: Simba vs NN-Baton on five distinct layers", d.fig12},
+		{"fig13", "Fig 13: model-level Simba vs NN-Baton comparison", d.fig13},
+		{"fig14", "Fig 14: chiplet granularity with 2048 MACs", d.fig14},
+		{"fig15", "Fig 15: full design space exploration with 4096 MACs", d.fig15},
+		{"ext-fusion", "Extension: inter-layer fusion of on-package intermediates", d.extFusion},
 		{"ext-cost", "Extension: manufacturing cost vs chiplet granularity (Murphy yield)", extCost},
 		{"ext-layout", "Extension: DRAM data layout vs crossbar conflicts", extLayout},
-		{"ext-mobilenet", "Extension: grouped-convolution mapping (MobileNetV2)", extMobileNet},
-		{"ext-degradation", "Extension: graceful degradation of ResNet-50 under a seeded yield series", extDegradation},
-		{"ext-topology", "Extension: interconnect topology comparison (ring vs mesh vs torus)", extTopology},
-		{"ext-serving", "Extension: serving-trace simulation (batching + queueing) on healthy and degraded fabrics", extServing},
+		{"ext-mobilenet", "Extension: grouped-convolution mapping (MobileNetV2)", d.extMobileNet},
+		{"ext-degradation", "Extension: graceful degradation of ResNet-50 under a seeded yield series", d.extDegradation},
+		{"ext-topology", "Extension: interconnect topology comparison (ring vs mesh vs torus)", d.extTopology},
+		{"ext-serving", "Extension: serving-trace simulation (batching + queueing) on healthy and degraded fabrics", d.extServing},
 	}
 }
 
+// caseHW returns the §VI-A case-study configuration on the drivers' fabric.
+func (d drivers) caseHW() nnbaton.Hardware {
+	hw := nnbaton.CaseStudyHardware()
+	hw.Topology = d.topo
+	return hw
+}
+
+// tableII returns the Table II space on the drivers' fabric.
+func (d drivers) tableII() nnbaton.Space {
+	s := nnbaton.TableIISpace()
+	s.Topology = d.topo
+	return s
+}
+
 func table1(w io.Writer, _ bool) error {
+	cm := hardware.MustCostModel()
 	t := report.New("Table I: energy overhead of typical operations (16 nm)",
 		"operation", "energy", "unit", "relative to MAC")
 	rel := func(pjPerBit float64) string {
@@ -236,8 +221,8 @@ func resolutions(quick bool) []int {
 	return []int{224, 512}
 }
 
-func fig11(w io.Writer, quick bool) error {
-	hw := caseHW()
+func (d drivers) fig11(w io.Writer, quick bool) error {
+	hw := d.caseHW()
 	combos := []string{"(C,C)", "(C,P)", "(C,H)", "(P,C)", "(P,P)", "(P,H)"}
 	for _, res := range resolutions(quick) {
 		reps, err := workload.RepresentativeLayers(res)
@@ -247,7 +232,7 @@ func fig11(w io.Writer, quick bool) error {
 		t := report.New(fmt.Sprintf("Fig 11: best energy (uJ) per spatial combo, %dx%d inputs", res, res),
 			append([]string{"layer"}, combos...)...)
 		for _, r := range reps {
-			best := mapper.BestPerSpatialCombo(r.Layer, hw, cm)
+			best := d.tool.SpatialComboStudy(r.Layer, hw)
 			row := []string{r.Role}
 			for _, c := range combos {
 				if o, ok := best[c]; ok {
@@ -265,9 +250,8 @@ func fig11(w io.Writer, quick bool) error {
 	return nil
 }
 
-func fig12(w io.Writer, quick bool) error {
-	hw := caseHW()
-	g := simba.DefaultGrid(hw)
+func (d drivers) fig12(w io.Writer, quick bool) error {
+	hw := d.caseHW()
 	for _, res := range resolutions(quick) {
 		reps, err := workload.RepresentativeLayers(res)
 		if err != nil {
@@ -276,18 +260,13 @@ func fig12(w io.Writer, quick bool) error {
 		t := report.New(fmt.Sprintf("Fig 12: normalized energy vs Simba, %dx%d inputs", res, res),
 			"layer", "Simba uJ", "NN-Baton uJ", "ratio", "Simba D2D uJ", "Baton D2D uJ")
 		for _, r := range reps {
-			sr, err := simba.Evaluate(r.Layer, hw, g)
+			c, err := d.tool.CompareSimbaLayer(r.Layer, hw)
 			if err != nil {
 				return err
 			}
-			se := energy.FromTraffic(sr.Traffic, hw, cm)
-			opt, err := eng.EvalLayer(context.Background(), r.Layer, hw, mapper.Config{})
-			if err != nil {
-				return err
-			}
-			t.Add(r.Role, report.UJ(se.Total()), report.UJ(opt.Energy.Total()),
-				fmt.Sprintf("%.2f", opt.Energy.Total()/se.Total()),
-				report.UJ(se.D2D), report.UJ(opt.Energy.D2D))
+			t.Add(r.Role, report.UJ(c.Simba.Total()), report.UJ(c.NNBaton.Total()),
+				fmt.Sprintf("%.2f", c.NNBaton.Total()/c.Simba.Total()),
+				report.UJ(c.Simba.D2D), report.UJ(c.NNBaton.D2D))
 		}
 		if err := t.Render(w); err != nil {
 			return err
@@ -296,9 +275,8 @@ func fig12(w io.Writer, quick bool) error {
 	return nil
 }
 
-func fig13(w io.Writer, quick bool) error {
-	hw := caseHW()
-	g := simba.DefaultGrid(hw)
+func (d drivers) fig13(w io.Writer, quick bool) error {
+	hw := d.caseHW()
 	models := []func(int) workload.Model{workload.VGG16, workload.ResNet50, workload.DarkNet19}
 	if quick {
 		models = models[:1]
@@ -308,32 +286,27 @@ func fig13(w io.Writer, quick bool) error {
 	for _, mk := range models {
 		for _, res := range resolutions(quick) {
 			m := mk(res)
-			st, _, err := simba.EvaluateModel(m, hw, g)
-			if err != nil {
-				return err
-			}
-			se := energy.FromTraffic(st, hw, cm)
-			br, err := eng.EvalModel(context.Background(), m, hw, mapper.Config{})
+			c, err := d.tool.CompareSimba(m, hw)
 			if err != nil {
 				return err
 			}
 			t.Add(m.Name, fmt.Sprintf("%dx%d", res, res),
-				fmt.Sprintf("%.2f", se.Total()/1e9),
-				fmt.Sprintf("%.2f", br.Energy.Total()/1e9),
-				report.Pct(1-br.Energy.Total()/se.Total()))
+				fmt.Sprintf("%.2f", c.Simba.Total()/1e9),
+				fmt.Sprintf("%.2f", c.NNBaton.Total()/1e9),
+				report.Pct(c.SavingsRatio))
 		}
 	}
 	return t.Render(w)
 }
 
-func fig14(w io.Writer, quick bool) error {
-	space := tableII()
+func (d drivers) fig14(w io.Writer, quick bool) error {
+	space := d.tableII()
 	models := workload.Models(224)
 	if quick {
 		models = models[:1]
 	}
 	for _, m := range models {
-		res, err := dse.Granularity(context.Background(), m, space, 2048, 2.0, hardware.DefaultProportion(), eng)
+		res, err := d.tool.Granularity(context.Background(), m, space, 2048, 2.0)
 		if err != nil {
 			return err
 		}
@@ -367,14 +340,14 @@ func fig14(w io.Writer, quick bool) error {
 	return nil
 }
 
-func fig15(w io.Writer, quick bool) error {
-	space := tableII()
+func (d drivers) fig15(w io.Writer, quick bool) error {
+	space := d.tableII()
 	benches := []workload.Model{workload.VGG16(512), workload.ResNet50(512), workload.DarkNet19(224)}
 	if quick {
 		benches = []workload.Model{workload.VGG16(224)}
 	}
 	for _, m := range benches {
-		res, err := dse.Explore(context.Background(), m, space, 4096, 3.0, eng)
+		res, err := d.tool.Explore(context.Background(), m, space, 4096, 3.0)
 		if err != nil {
 			return err
 		}
@@ -415,8 +388,8 @@ func fig15(w io.Writer, quick bool) error {
 // extFusion evaluates the inter-layer fusion extension on the case-study
 // hardware: per-layer optimal mappings with fused intermediates kept in the
 // aggregate A-L2 instead of round-tripping DRAM.
-func extFusion(w io.Writer, quick bool) error {
-	hw := caseHW()
+func (d drivers) extFusion(w io.Writer, quick bool) error {
+	hw := d.caseHW()
 	models := []workload.Model{workload.DarkNet19(224), workload.VGG16(224)}
 	if quick {
 		models = models[:1]
@@ -424,17 +397,13 @@ func extFusion(w io.Writer, quick bool) error {
 	t := report.New("Extension: inter-layer fusion (Tangram-style, §VII-A)",
 		"model", "groups", "fused edges", "saved DRAM MB", "unfused mJ", "fused mJ", "saving")
 	for _, m := range models {
-		res, err := eng.EvalModel(context.Background(), m, hw, mapper.Config{})
+		f, err := d.tool.FusionStudy(m, hw)
 		if err != nil {
 			return err
 		}
-		sv, err := pipeline.Study(m, hw, res.Layers, cm)
-		if err != nil {
-			return err
-		}
-		sch, before, after := sv.Schedule, sv.Unfused, sv.Fused
-		t.Add(m.Name, fmt.Sprint(len(sch.Groups)), fmt.Sprint(sch.FusedEdges()),
-			fmt.Sprintf("%.2f", float64(sv.SavedDRAMBytes)/1e6),
+		before, after := f.Unfused, f.Fused
+		t.Add(m.Name, fmt.Sprint(f.Groups), fmt.Sprint(f.FusedEdges),
+			fmt.Sprintf("%.2f", float64(f.SavedDRAM)/1e6),
 			fmt.Sprintf("%.2f", before.Total()/1e9), fmt.Sprintf("%.2f", after.Total()/1e9),
 			report.Pct(1-after.Total()/before.Total()))
 	}
@@ -497,22 +466,21 @@ func extLayout(w io.Writer, _ bool) error {
 // extMobileNet maps MobileNetV2 — depthwise separable convolutions via the
 // grouped-convolution extension — and reports utilization pressure from the
 // thin-channel layers.
-func extMobileNet(w io.Writer, _ bool) error {
-	hw := caseHW()
+func (d drivers) extMobileNet(w io.Writer, _ bool) error {
 	m := workload.MobileNetV2(224)
-	res, err := eng.EvalModel(context.Background(), m, hw, mapper.Config{})
+	res, err := d.tool.MapModel(m, d.caseHW())
 	if err != nil {
 		return err
 	}
 	var dwE, denseE float64
 	var dwMACs, denseMACs int64
-	for _, o := range res.Layers {
-		if o.Analysis.Layer.G() > 1 {
-			dwE += o.Energy.Total()
-			dwMACs += o.Analysis.Layer.MACs()
+	for _, lr := range res.Layers {
+		if lr.Layer.G() > 1 {
+			dwE += lr.Energy.Total()
+			dwMACs += lr.Layer.MACs()
 		} else {
-			denseE += o.Energy.Total()
-			denseMACs += o.Analysis.Layer.MACs()
+			denseE += lr.Energy.Total()
+			denseMACs += lr.Layer.MACs()
 		}
 	}
 	t := report.New("Extension: MobileNetV2 on the case-study hardware",
@@ -527,10 +495,10 @@ func extMobileNet(w io.Writer, _ bool) error {
 	return t.Render(w)
 }
 
-func countGrouped(res mapper.ModelResult, grouped bool) int {
+func countGrouped(res nnbaton.ModelReport, grouped bool) int {
 	n := 0
-	for _, o := range res.Layers {
-		if (o.Analysis.Layer.G() > 1) == grouped {
+	for _, lr := range res.Layers {
+		if (lr.Layer.G() > 1) == grouped {
 			n++
 		}
 	}
@@ -544,8 +512,8 @@ func countGrouped(res mapper.ModelResult, grouped bool) int {
 // the ring around dead dies, remaps ResNet-50 onto the surviving envelopes
 // and reports energy/runtime/EDP versus failed units. The healthy first row
 // is result-identical to the baseline post-design flow.
-func extDegradation(w io.Writer, quick bool) error {
-	hw := caseHW()
+func (d drivers) extDegradation(w io.Writer, quick bool) error {
+	hw := d.caseHW()
 	res := 224
 	steps := 8
 	if quick {
@@ -553,11 +521,11 @@ func extDegradation(w io.Writer, quick bool) error {
 		steps = 4
 	}
 	m := workload.ResNet50(res)
-	series, err := faults.DefaultYield(20260806).Series(hw, steps)
+	series, err := nnbaton.DefaultYield(20260806).Series(hw, steps)
 	if err != nil {
 		return err
 	}
-	pts, err := eng.DegradationSweep(context.Background(), []workload.Model{m}, hw, series, mapper.Config{})
+	pts, err := d.tool.DegradationSweep(context.Background(), m, hw, series)
 	if err != nil {
 		return err
 	}
@@ -575,7 +543,7 @@ func extDegradation(w io.Writer, quick bool) error {
 // the synchronized round gate (runtime). The engine memoizes each fabric
 // separately — topology is part of the cache key — so the three rows of one
 // model never alias.
-func extTopology(w io.Writer, quick bool) error {
+func (d drivers) extTopology(w io.Writer, quick bool) error {
 	models := []workload.Model{workload.ResNet50(224), workload.VGG16(224), workload.DarkNet19(224)}
 	if quick {
 		models = []workload.Model{workload.ResNet50(64)}
@@ -593,18 +561,18 @@ func extTopology(w io.Writer, quick bool) error {
 	for _, m := range models {
 		for _, chiplets := range chipletCounts {
 			for _, kind := range []hardware.Topology{hardware.TopoRing, hardware.TopoMesh, hardware.TopoTorus} {
-				hw := caseHW()
+				hw := d.caseHW()
 				hw.Chiplets = chiplets
 				hw.Topology = kind
 				fabric, err := noc.NewTopology(kind, hw.Chiplets)
 				if err != nil {
 					return err
 				}
-				res, err := eng.EvalModel(context.Background(), m, hw, mapper.Config{})
+				res, err := d.tool.MapModel(m, hw)
 				if err != nil {
 					return err
 				}
-				secs := hardware.Seconds(res.Cycles)
+				secs := res.Seconds
 				num, den := fabric.D2DScale()
 				t.Add(m.Name, fmt.Sprint(chiplets), kind.String(),
 					fmt.Sprintf("%d/%d", fabric.MaxHop(), fabric.TotalHop()),

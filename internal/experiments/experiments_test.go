@@ -3,10 +3,12 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"nnbaton"
 )
 
 func TestAllRegistry(t *testing.T) {
-	all := All()
+	all := All(nnbaton.New(), nnbaton.TopoRing)
 	want := []string{"table1", "table2", "fig7", "fig8", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
 		"ext-fusion", "ext-cost", "ext-layout", "ext-mobilenet", "ext-degradation", "ext-topology", "ext-serving"}
 	if len(all) != len(want) {
@@ -33,7 +35,7 @@ func TestLightweightExperiments(t *testing.T) {
 		"ext-cost":   {"Murphy", "400mm2"},
 		"ext-layout": {"row-interleaved", "region-aligned"},
 	}
-	for _, e := range All() {
+	for _, e := range All(nnbaton.New(), nnbaton.TopoRing) {
 		wants, ok := checks[e.ID]
 		if !ok {
 			continue
@@ -58,7 +60,7 @@ func TestMappingExperimentsQuick(t *testing.T) {
 		t.Skip("mapping search in -short mode")
 	}
 	for _, id := range []string{"fig11", "fig12"} {
-		for _, e := range All() {
+		for _, e := range All(nnbaton.New(), nnbaton.TopoRing) {
 			if e.ID != id {
 				continue
 			}
@@ -81,7 +83,7 @@ func TestMappingExperimentsQuick(t *testing.T) {
 
 func TestFig7SquareBeatsStripe(t *testing.T) {
 	var sb strings.Builder
-	for _, e := range All() {
+	for _, e := range All(nnbaton.New(), nnbaton.TopoRing) {
 		if e.ID == "fig7" {
 			if err := e.Run(&sb, true); err != nil {
 				t.Fatal(err)
@@ -107,7 +109,7 @@ func TestHeavyExperimentsQuick(t *testing.T) {
 		"ext-mobilenet": {"depthwise", "dense"},
 		"ext-serving":   {"healthy", "cores1@0", "req/s", "p99"},
 	}
-	for _, e := range All() {
+	for _, e := range All(nnbaton.New(), nnbaton.TopoRing) {
 		wants, ok := checks[e.ID]
 		if !ok {
 			continue

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"io"
 
-	"nnbaton/internal/hardware"
-	"nnbaton/internal/mapper"
-	"nnbaton/internal/serve"
+	"nnbaton"
 	"nnbaton/internal/workload"
 )
 
@@ -21,13 +19,13 @@ import (
 // hits a wounded fabric. Everything — trace, oracle, discrete-event loop —
 // is deterministic, so the table is byte-identical across runs and engine
 // worker counts.
-func extServing(w io.Writer, quick bool) error {
-	ctx, hw := context.Background(), caseHW()
+func (d drivers) extServing(w io.Writer, quick bool) error {
+	hw := d.caseHW()
 	res, n, gapUS := 224, 120, 2500.0
 	if quick {
 		res, n, gapUS = 64, 30, 2500.0
 	}
-	var models []workload.Model
+	var models []nnbaton.Model
 	for _, name := range []string{"alexnet", "darknet19"} {
 		m, err := workload.Load(name, res)
 		if err != nil {
@@ -35,29 +33,21 @@ func extServing(w io.Writer, quick bool) error {
 		}
 		models = append(models, m)
 	}
-	tr := serve.ReferenceTrace(n, gapUS, "alexnet", "darknet19")
-	policy := serve.Config{MaxBatch: 8, WindowUS: 500, Alpha: 0.8}
-	masks := []hardware.FaultMask{{}}
+	tr := nnbaton.ReferenceServingTrace(n, gapUS, "alexnet", "darknet19")
+	policy := nnbaton.ServingConfig{MaxBatch: 8, WindowUS: 500, Alpha: 0.8}
+	masks := []nnbaton.FaultMask{{}}
 	for _, spec := range []string{"cores1@0", "chiplet1,freq90%"} {
-		mask, err := hardware.ParseFaultMask(spec, hw)
+		mask, err := nnbaton.ParseFault(spec, hw)
 		if err != nil {
 			return err
 		}
 		masks = append(masks, mask)
 	}
-	oracles, err := serve.BuildOracles(ctx, eng, models, hw, masks, mapper.Config{})
+	results, err := d.tool.ServeTraceScenarios(context.Background(), tr, models, hw, masks, policy)
 	if err != nil {
 		return err
 	}
-	var results []serve.Result
-	for _, o := range oracles {
-		r, err := serve.Simulate(tr, o, policy)
-		if err != nil {
-			return err
-		}
-		results = append(results, r)
-	}
 	title := fmt.Sprintf("Extension: serving a %d-request trace on %s (batch<=%d, window %.0fus, alpha %.1f)",
 		n, hw.Tuple(), policy.MaxBatch, policy.WindowUS, policy.Alpha)
-	return serve.Render(w, title, results)
+	return nnbaton.RenderServing(w, title, results)
 }

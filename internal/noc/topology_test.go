@@ -192,15 +192,45 @@ func TestTopologyConstructorErrors(t *testing.T) {
 // non-ring fabric: a dead grid position keeps relaying and the rotation
 // detours over it.
 func TestDegradedMeshReroutes(t *testing.T) {
-	mask := hardware.FaultMask{Chiplets: 4, Dead: 1 << 1}
-	topo, err := NewTopologyUnder(hardware.TopoMesh, 3, mask)
-	if err != nil {
-		t.Fatal(err)
+	// Eight positions on a 2×4 grid with position 1 dead: the seven
+	// survivors keep the 8-position grid, so their rotation detours over the
+	// dead relay and crosses the grid where a healthy 7-chiplet fabric (a
+	// 1×7 grid) walks a line. Every observable is pinned, so a fabric that
+	// ignored the mask — or the dead relay — reads different numbers.
+	mask := hardware.FaultMask{Chiplets: 8, Dead: 1 << 1}
+	type obs struct{ maxHop, totalHop, contention, rounds int }
+	observe := func(kind hardware.Topology, chiplets int, mask hardware.FaultMask) obs {
+		t.Helper()
+		topo, err := NewTopologyUnder(kind, chiplets, mask)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return obs{topo.MaxHop(), topo.TotalHop(), topo.LinkContention(), topo.Rounds()}
 	}
-	healthy, _ := NewTopology(hardware.TopoMesh, 3)
-	if topo.TotalHop() < healthy.TotalHop() {
-		t.Errorf("detoured rotation TotalHop %d cannot undercut the healthy 3-chiplet mesh %d",
-			topo.TotalHop(), healthy.TotalHop())
+	for _, tc := range []struct {
+		name     string
+		kind     hardware.Topology
+		chiplets int
+		mask     hardware.FaultMask
+		want     obs
+	}{
+		{"masked mesh", hardware.TopoMesh, 7, mask, obs{4, 14, 2, 6}},
+		{"healthy 7-chiplet mesh", hardware.TopoMesh, 7, hardware.FaultMask{}, obs{6, 12, 1, 6}},
+		{"unmasked 8-chiplet mesh", hardware.TopoMesh, 8, hardware.FaultMask{}, obs{4, 14, 2, 7}},
+		{"masked torus", hardware.TopoTorus, 7, mask, obs{2, 10, 2, 6}},
+		{"healthy 7-chiplet torus", hardware.TopoTorus, 7, hardware.FaultMask{}, obs{1, 7, 1, 6}},
+	} {
+		if got := observe(tc.kind, tc.chiplets, tc.mask); got != tc.want {
+			t.Errorf("%s: MaxHop/TotalHop/LinkContention/Rounds = %d/%d/%d/%d, want %d/%d/%d/%d", tc.name,
+				got.maxHop, got.totalHop, got.contention, got.rounds,
+				tc.want.maxHop, tc.want.totalHop, tc.want.contention, tc.want.rounds)
+		}
+	}
+	masked := observe(hardware.TopoMesh, 7, mask)
+	healthy := observe(hardware.TopoMesh, 7, hardware.FaultMask{})
+	if masked.totalHop <= healthy.totalHop {
+		t.Errorf("detoured rotation TotalHop %d must exceed the healthy 7-chiplet mesh's %d",
+			masked.totalHop, healthy.totalHop)
 	}
 }
 
