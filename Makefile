@@ -160,8 +160,8 @@ chaos:
 # merged worker journals must be byte-identical to a single-process run —
 # plus the torn-journal and persistent-cache corruption recovery suites.
 crash:
-	$(GO) test -race -count=1 -run 'TestChaosShardedWorkerKillReclaimMerge|TestShardedExplore|TestJournalCrashTruncationSweep|TestJournalBufferedCrashTruncationSweep|TestMergeFiles|TestDiskCache' \
-		./internal/dse ./internal/ckpt ./internal/engine
+	$(GO) test -race -count=1 -run 'TestChaosShardedWorkerKillReclaimMerge|TestShardedExplore|TestJournalCrashTruncationSweep|TestJournalBufferedCrashTruncationSweep|TestMergeFiles|TestDiskCache|TestStoreTornTail|TestStoreCorruptRecordQuarantined' \
+		./internal/dse ./internal/ckpt ./internal/engine ./internal/store
 
 # fleet is the coordinator crash-recovery gate: the fleet control-service
 # suite plus the fleetd SIGKILL chaos test (kill the coordinator mid-study,

@@ -68,12 +68,6 @@ type Journal struct {
 	torn     int
 }
 
-// Open opens (or creates) the journal at path with the durable policy:
-// fsync on every record. See OpenWith for the buffered mode.
-func Open(path string, resume bool) (*Journal, error) {
-	return OpenWith(path, Options{Resume: resume, Fsync: true})
-}
-
 // OpenWith opens (or creates) the journal at path under an explicit resume
 // and durability policy. The torn tail of a crashed run (a final line
 // without a newline, or undecodable) is skipped and truncated away.
@@ -108,8 +102,9 @@ func ValidateWritable(path string) error {
 	return f.Close()
 }
 
-// load parses the existing journal records. Later records for a key win, so
-// a re-evaluated point supersedes its earlier journal entry.
+// load replays the existing journal records and truncates a torn tail away:
+// a subsequent append must start on a fresh line, not concatenate onto the
+// torn bytes.
 func (j *Journal) load() error {
 	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("ckpt: %w", err)
@@ -118,32 +113,41 @@ func (j *Journal) load() error {
 	if err != nil {
 		return fmt.Errorf("ckpt: %w", err)
 	}
-	total := int64(len(data))
-	for len(data) > 0 {
-		line := data
-		nl := bytes.IndexByte(data, '\n')
+	var tail int
+	j.seen, j.torn, tail = parse(data)
+	if tail < len(data) {
+		if err := j.f.Truncate(int64(tail)); err != nil {
+			return fmt.Errorf("ckpt: truncate torn tail: %w", err)
+		}
+	}
+	return nil
+}
+
+// parse reads journal lines. Later records for a key win, so a re-evaluated
+// point supersedes its earlier journal entry; blank lines are skipped; a
+// malformed line or an unterminated last line (a crash mid-append) counts as
+// torn. tail is the length of the newline-terminated prefix.
+func parse(data []byte) (seen map[string]json.RawMessage, torn, tail int) {
+	seen = make(map[string]json.RawMessage)
+	for tail < len(data) {
+		nl := bytes.IndexByte(data[tail:], '\n')
 		if nl < 0 {
-			// No trailing newline: a torn tail from a crash mid-append. Drop
-			// it from the file too — a subsequent append must start on a
-			// fresh line, not concatenate onto the torn bytes.
-			j.torn++
-			if err := j.f.Truncate(total - int64(len(data))); err != nil {
-				return fmt.Errorf("ckpt: truncate torn tail: %w", err)
-			}
+			torn++
 			break
 		}
-		line, data = data[:nl], data[nl+1:]
+		line := data[tail : tail+nl]
+		tail += nl + 1
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
 		var rec record
 		if err := json.Unmarshal(line, &rec); err != nil || rec.Key == "" {
-			j.torn++
+			torn++
 			continue
 		}
-		j.seen[rec.Key] = rec.Value
+		seen[rec.Key] = rec.Value
 	}
-	return nil
+	return seen, torn, tail
 }
 
 // Lookup returns the journaled value for a key, if any. Nil-safe.
@@ -240,14 +244,6 @@ func (j *Journal) Torn() int {
 	return j.torn
 }
 
-// Path returns the journal file path ("" on a nil journal).
-func (j *Journal) Path() string {
-	if j == nil {
-		return ""
-	}
-	return j.path
-}
-
 // Load reads the records of a journal file without opening it for writing
 // and without repairing its torn tail — the read-only side of MergeFiles.
 // Later records for a key win, matching the resume loader.
@@ -256,26 +252,7 @@ func Load(path string) (map[string]json.RawMessage, int, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("ckpt: %w", err)
 	}
-	seen := make(map[string]json.RawMessage)
-	torn := 0
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		if nl < 0 {
-			torn++
-			break
-		}
-		line := data[:nl]
-		data = data[nl+1:]
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var rec record
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Key == "" {
-			torn++
-			continue
-		}
-		seen[rec.Key] = rec.Value
-	}
+	seen, torn, _ := parse(data)
 	return seen, torn, nil
 }
 

@@ -15,7 +15,7 @@ type val struct {
 
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
-	j, err := Open(path, false)
+	j, err := OpenWith(path, Options{Fsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 
 	// Reopen in resume mode: both records load.
-	j2, err := Open(path, true)
+	j2, err := OpenWith(path, Options{Resume: true, Fsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,10 +56,10 @@ func TestJournalRoundTrip(t *testing.T) {
 
 func TestJournalFreshOpenTruncates(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
-	j, _ := Open(path, false)
+	j, _ := OpenWith(path, Options{Fsync: true})
 	j.Append("a", val{N: 1})
 	j.Close()
-	j2, err := Open(path, false) // fresh run: stale records must not replay
+	j2, err := OpenWith(path, Options{Fsync: true}) // fresh run: stale records must not replay
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestJournalFreshOpenTruncates(t *testing.T) {
 
 func TestJournalTornTailSkipped(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
-	j, _ := Open(path, false)
+	j, _ := OpenWith(path, Options{Fsync: true})
 	j.Append("a", val{N: 1})
 	j.Append("b", val{N: 2})
 	j.Close()
@@ -83,7 +83,7 @@ func TestJournalTornTailSkipped(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)-7], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j2, err := Open(path, true)
+	j2, err := OpenWith(path, Options{Resume: true, Fsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestJournalTornTailSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	j2.Close()
-	j3, err := Open(path, true)
+	j3, err := OpenWith(path, Options{Resume: true, Fsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestJournalTornTailSkipped(t *testing.T) {
 func TestJournalCrashTruncationSweep(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "base.jsonl")
-	j, err := Open(base, false)
+	j, err := OpenWith(base, Options{Fsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestJournalCrashTruncationSweep(t *testing.T) {
 				whole++
 			}
 		}
-		j2, err := Open(path, true)
+		j2, err := OpenWith(path, Options{Resume: true, Fsync: true})
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -195,7 +195,7 @@ func TestJournalCrashTruncationSweep(t *testing.T) {
 			t.Errorf("cut %d: file after append = %q, want %q", cut, got, want)
 		}
 		// A second resume sees a clean journal: no torn lines, every record.
-		j3, err := Open(path, true)
+		j3, err := OpenWith(path, Options{Resume: true, Fsync: true})
 		if err != nil {
 			t.Fatalf("cut %d: second resume: %v", cut, err)
 		}
@@ -209,11 +209,11 @@ func TestJournalCrashTruncationSweep(t *testing.T) {
 
 func TestJournalLaterRecordWins(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
-	j, _ := Open(path, false)
+	j, _ := OpenWith(path, Options{Fsync: true})
 	j.Append("k", val{N: 1})
 	j.Append("k", val{N: 2})
 	j.Close()
-	j2, err := Open(path, true)
+	j2, err := OpenWith(path, Options{Resume: true, Fsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestJournalNilSafe(t *testing.T) {
 	if _, ok := j.Lookup("k"); ok {
 		t.Error("nil journal must miss")
 	}
-	if j.Len() != 0 || j.Appended() != 0 || j.Torn() != 0 || j.Path() != "" {
+	if j.Len() != 0 || j.Appended() != 0 || j.Torn() != 0 {
 		t.Error("nil journal accessors must zero")
 	}
 	if err := j.Close(); err != nil {

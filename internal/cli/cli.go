@@ -220,7 +220,7 @@ func (f *Flags) Setup() (cfg engine.Config, err error) {
 		}
 	}
 	if f.CacheDir != "" {
-		c, err := store.Open(f.CacheDir, store.Options{Registry: f.reg})
+		c, err := store.Open(f.CacheDir, f.reg)
 		if err != nil {
 			return engine.Config{}, err
 		}

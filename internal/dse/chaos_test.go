@@ -206,7 +206,7 @@ func TestChaosExploreKillResumeByteIdentical(t *testing.T) {
 
 	// First run: journaled, cancelled partway through ("kill at 50%").
 	path := filepath.Join(t.TempDir(), "explore.jsonl")
-	j1, err := ckpt.Open(path, false)
+	j1, err := ckpt.OpenWith(path, ckpt.Options{Fsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestChaosExploreKillResumeByteIdentical(t *testing.T) {
 
 	// Resume: replays the journaled configurations, evaluates the rest, and
 	// reproduces the uninterrupted result exactly.
-	j2, err := ckpt.Open(path, true)
+	j2, err := ckpt.OpenWith(path, ckpt.Options{Resume: true, Fsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,7 +120,7 @@ func TestPricingKernelEquivalence(t *testing.T) {
 
 			// Persistent cache: a second evaluator re-derives the stored
 			// winners from disk.
-			st, err := store.Open(t.TempDir(), store.Options{})
+			st, err := store.Open(t.TempDir(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -107,7 +107,7 @@ func TestShardedExploreTwoWorkersMergeIdentical(t *testing.T) {
 				return
 			}
 			defer j.Close()
-			cache, err := store.Open(filepath.Join(dir, "cache"), store.Options{})
+			cache, err := store.Open(filepath.Join(dir, "cache"), nil)
 			if err != nil {
 				errs[w] = err
 				return
@@ -203,7 +203,7 @@ func TestShardWorkerHelper(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	cache, err := store.Open(filepath.Join(dir, "cache"), store.Options{})
+	cache, err := store.Open(filepath.Join(dir, "cache"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

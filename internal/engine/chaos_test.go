@@ -360,7 +360,7 @@ func TestChaosCheckpointKillResumeRoundTrip(t *testing.T) {
 
 	// First run: journal to disk, injected cancellation mid-sweep ("kill").
 	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-	j1, err := ckpt.Open(path, false)
+	j1, err := ckpt.OpenWith(path, ckpt.Options{Fsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestChaosCheckpointKillResumeRoundTrip(t *testing.T) {
 
 	// Resume: journaled points replay, the remainder re-evaluates, and the
 	// merged result is byte-identical to the uninterrupted reference.
-	j2, err := ckpt.Open(path, true)
+	j2, err := ckpt.OpenWith(path, ckpt.Options{Resume: true, Fsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}

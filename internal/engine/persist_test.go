@@ -49,7 +49,7 @@ func evalWithCache(t *testing.T, c ResultCache) (*Evaluator, []byte) {
 // anything, and the results are byte-identical.
 func TestDiskCacheColdWarmByteIdentical(t *testing.T) {
 	dir := t.TempDir()
-	s, err := store.Open(dir, store.Options{})
+	s, err := store.Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestDiskCacheColdWarmByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := store.Open(dir, store.Options{})
+	s2, err := store.Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestDiskCacheColdWarmByteIdentical(t *testing.T) {
 // garbage.
 func TestDiskCachePoisonedSegmentsRecompute(t *testing.T) {
 	dir := t.TempDir()
-	s, err := store.Open(dir, store.Options{})
+	s, err := store.Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,13 +110,13 @@ func TestDiskCachePoisonedSegmentsRecompute(t *testing.T) {
 		}
 	}
 
-	s2, err := store.Open(dir, store.Options{})
+	s2, err := store.Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if s2.Len() != 0 {
-		t.Fatalf("poisoned store still serves %d records", s2.Len())
+	if s2.Stats().Records != 0 {
+		t.Fatalf("poisoned store still serves %d records", s2.Stats().Records)
 	}
 	ePoisoned, recomputed := evalWithCache(t, s2)
 	st := ePoisoned.Stats()

@@ -162,7 +162,7 @@ func TestDegradationSweepKillResume(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "degradation.jsonl")
-	j1, err := ckpt.Open(path, false)
+	j1, err := ckpt.OpenWith(path, ckpt.Options{Fsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestDegradationSweepKillResume(t *testing.T) {
 		t.Fatalf("kill point: %d of %d points journaled — want a strict partial sweep", completed, len(series))
 	}
 
-	j2, err := ckpt.Open(path, true)
+	j2, err := ckpt.OpenWith(path, ckpt.Options{Resume: true, Fsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}

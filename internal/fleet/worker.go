@@ -284,7 +284,7 @@ func (w *Worker) executeTask(ctx context.Context, task *Task) Report {
 	defer jrn.Close()
 	cfg := engine.Config{Workers: w.opts.EngineWorkers, Journal: jrn, Registry: w.opts.Registry}
 	if task.CacheDir != "" {
-		cache, err := store.Open(task.CacheDir, store.Options{Registry: w.opts.Registry})
+		cache, err := store.Open(task.CacheDir, w.opts.Registry)
 		if err != nil {
 			rep.Err = err.Error()
 			return rep

@@ -409,9 +409,6 @@ func (m *Manager) Release() {
 	m.nonce = 0
 }
 
-// Shard returns the currently held shard index, or -1.
-func (m *Manager) Shard() int { return m.shard }
-
 // Takeovers returns how many shards this Manager acquired by taking over an
 // expired or torn lease — the reclaimed-from-dead-peers count surfaced by
 // fleet observability.

@@ -243,25 +243,32 @@ func NewRegistry() *Registry {
 	}
 }
 
+// instrument returns m's instrument under name, creating it if needed. The
+// read-locked fast path keeps per-call lookups (Span resolves its phase on
+// every call) off the write lock.
+func instrument[T any](r *Registry, m map[string]*T, name string) *T {
+	r.mu.RLock()
+	v := m[name]
+	r.mu.RUnlock()
+	if v != nil {
+		return v
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if v = m[name]; v == nil {
+		v = new(T)
+		m[name] = v
+	}
+	return v
+}
+
 // Counter returns the named counter, creating it if needed (nil on a nil
 // registry).
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return instrument(r, r.counters, name)
 }
 
 // LiveCounter is Counter for a count its owner reads back (a Stats
@@ -280,19 +287,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return instrument(r, r.gauges, name)
 }
 
 // Phase returns the named duration histogram, creating it if needed (nil on
@@ -301,19 +296,7 @@ func (r *Registry) Phase(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	h := r.phases[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.phases[name]; h == nil {
-		h = &Histogram{}
-		r.phases[name] = h
-	}
-	return h
+	return instrument(r, r.phases, name)
 }
 
 // Event appends one event to the bounded ring, truncating oversized detail

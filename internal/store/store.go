@@ -8,8 +8,9 @@
 // Write call on an O_APPEND descriptor, so concurrent workers sharing one
 // cache directory never interleave partial records. Open scans every segment
 // in the directory; a crashed writer leaves at most one torn tail per
-// segment, which the decoder detects and (for an exclusively-owned store)
-// truncates away.
+// segment, which the decoder detects and skips on every load. No store ever
+// appends to a segment it did not create, so nothing lands after a torn tail
+// and the tail is left on disk as it is.
 //
 // Every record is framed with a magic marker, bounded lengths and a CRC32C
 // over the lengths and payload, and every segment starts with a versioned
@@ -63,24 +64,6 @@ var (
 	crcTable = crc32.MakeTable(crc32.Castagnoli)
 )
 
-// Options tunes Open.
-type Options struct {
-	// Repair physically truncates torn segment tails on open. Safe only when
-	// no other process may be appending to the directory's segments (an
-	// exclusively-owned cache); a shared store should leave it off — torn
-	// tails are skipped either way.
-	Repair bool
-	// Fsync syncs the segment file after every Put. Off, durability is the
-	// OS page cache (a killed process loses nothing; an OS crash loses at
-	// most the unsynced suffix, which the framing then detects).
-	Fsync bool
-	// Registry receives the store's counters (records loaded, corrupt,
-	// torn, quarantined, puts) under store.*; nil disables registration.
-	// Stats reads those counters, so stores that share a registry report
-	// their combined counts.
-	Registry *obs.Registry
-}
-
 // Stats is a snapshot of what Open found and what the store did since.
 type Stats struct {
 	// Segments is the number of compatible segment files loaded.
@@ -89,8 +72,6 @@ type Stats struct {
 	Incompatible int
 	// Records is the number of live keys.
 	Records int
-	// LoadedBytes is the total size of the scanned segments.
-	LoadedBytes int64
 	// Corrupt counts records dropped for framing/CRC failures (load + Get).
 	Corrupt int
 	// Torn counts segment tails cut short by a crashed writer.
@@ -106,14 +87,13 @@ type Stats struct {
 // concurrent use; a nil *Store misses on Get and discards Put (the disabled
 // path).
 type Store struct {
-	dir  string
-	opts Options
+	dir string
 
 	mu       sync.Mutex
 	index    map[string][]byte
 	poisoned map[string]bool
 	seg      *os.File // lazily created own segment
-	stats    Stats    // what Open found: Segments, Incompatible, LoadedBytes
+	stats    Stats    // what Open found: Segments, Incompatible
 
 	corrupt, torn, quarantined, puts *obs.Counter
 	records                          *obs.Gauge
@@ -125,10 +105,8 @@ type DecodeStats struct {
 	Records int
 	// Corrupt counts skipped byte ranges that failed a check mid-file.
 	Corrupt int
-	// TornTail is set when the segment ends in a partial record; TornAt is
-	// then the offset the segment should be truncated to.
+	// TornTail is set when the segment ends in a partial record.
 	TornTail bool
-	TornAt   int64
 }
 
 // ErrIncompatible marks a segment whose header belongs to a different format
@@ -204,7 +182,6 @@ func skipToNextMarker(data []byte, off int64, st *DecodeStats) int64 {
 		// Nothing recognizable follows: the remainder is a torn tail from a
 		// crashed (or still-running) writer.
 		st.TornTail = true
-		st.TornAt = off
 		return int64(len(data))
 	}
 	st.Corrupt++
@@ -283,17 +260,20 @@ func EnsureWritableDir(dir string) error {
 // Later segments (by name order) win duplicate keys, which is harmless in
 // practice: the cache is content-addressed and its producers deterministic,
 // so duplicates carry identical values. The directory is created if missing.
-func Open(dir string, opts Options) (*Store, error) {
+// reg receives the store's counters (corrupt, torn, quarantined, puts) and
+// its record gauge under store.*; nil disables registration. Stats reads
+// those counters, so stores that share a registry report their combined
+// counts. Puts reach the OS page cache (a killed process loses nothing);
+// Close syncs the segment.
+func Open(dir string, reg *obs.Registry) (*Store, error) {
 	if err := EnsureWritableDir(dir); err != nil {
 		return nil, err
 	}
 	s := &Store{
 		dir:      dir,
-		opts:     opts,
 		index:    make(map[string][]byte),
 		poisoned: make(map[string]bool),
 	}
-	reg := opts.Registry
 	s.corrupt = reg.LiveCounter("store.corrupt_records")
 	s.torn = reg.LiveCounter("store.torn_tails")
 	s.quarantined = reg.LiveCounter("store.quarantined_keys")
@@ -313,14 +293,13 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// loadSegment scans one segment file into the index, repairing a torn tail
-// in place when the store owns the directory exclusively.
+// loadSegment scans one segment file into the index. A torn tail is counted
+// and skipped; the file is never modified.
 func (s *Store) loadSegment(name string) error {
 	data, err := os.ReadFile(name)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	s.stats.LoadedBytes += int64(len(data))
 	st, err := DecodeSegment(data, func(key string, val []byte) {
 		// Copy out of the file image: the index outlives this scan.
 		s.index[key] = append([]byte(nil), val...)
@@ -336,11 +315,6 @@ func (s *Store) loadSegment(name string) error {
 	}
 	if st.TornTail {
 		s.torn.Add(1)
-		if s.opts.Repair {
-			if err := os.Truncate(name, st.TornAt); err != nil {
-				return fmt.Errorf("store: truncate torn tail of %s: %w", name, err)
-			}
-		}
 	}
 	return nil
 }
@@ -380,11 +354,6 @@ func (s *Store) Put(key string, val []byte) error {
 	}
 	if _, err := s.seg.Write(line); err != nil {
 		return fmt.Errorf("store: append %q: %w", key, err)
-	}
-	if s.opts.Fsync {
-		if err := s.seg.Sync(); err != nil {
-			return fmt.Errorf("store: sync: %w", err)
-		}
 	}
 	s.index[key] = append([]byte(nil), val...)
 	delete(s.poisoned, key)
@@ -449,16 +418,6 @@ func (s *Store) quarantineNote(subject, detail string) {
 	f.Write(append(line, '\n'))
 }
 
-// Len returns the number of live keys. Nil-safe.
-func (s *Store) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.index)
-}
-
 // Stats snapshots the store's counters. Nil-safe.
 func (s *Store) Stats() Stats {
 	if s == nil {
@@ -471,12 +430,6 @@ func (s *Store) Stats() Stats {
 	st.Corrupt, st.Torn = int(s.corrupt.Value()), int(s.torn.Value())
 	st.Quarantined, st.Puts = int(s.quarantined.Value()), int(s.puts.Value())
 	return st
-}
-
-// String renders the stats in one line.
-func (st Stats) String() string {
-	return fmt.Sprintf("store: %d records in %d segments (%d B), %d corrupt, %d torn, %d quarantined, %d puts",
-		st.Records, st.Segments, st.LoadedBytes, st.Corrupt, st.Torn, st.Quarantined, st.Puts)
 }
 
 // Close syncs and closes this process's segment. The index stays readable.

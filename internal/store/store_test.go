@@ -21,7 +21,7 @@ func segFiles(t *testing.T, dir string) []string {
 
 func TestStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Repair: true})
+	s, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 
 	// A fresh open sees everything the first process wrote.
-	s2, err := Open(dir, Options{Repair: true})
+	s2, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +60,11 @@ func TestStoreRoundTrip(t *testing.T) {
 
 func TestStoreTwoWritersShareDirectory(t *testing.T) {
 	dir := t.TempDir()
-	a, err := Open(dir, Options{})
+	a, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Open(dir, Options{})
+	b, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestStoreTwoWritersShareDirectory(t *testing.T) {
 	if got := len(segFiles(t, dir)); got != 2 {
 		t.Fatalf("segments on disk = %d, want 2 (one per writer)", got)
 	}
-	s, err := Open(dir, Options{})
+	s, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,10 +92,11 @@ func TestStoreTwoWritersShareDirectory(t *testing.T) {
 
 // TestStoreTornTail crashes a writer mid-record (simulated by truncating the
 // segment at every offset inside the final record) and proves the survivors
-// load, the tail is never served, and Repair truncates it away.
+// load and the tail is never served. A later writer appends to its own
+// segment, so the torn one is never written after and needs no repair.
 func TestStoreTornTail(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{})
+	s, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,10 +116,11 @@ func TestStoreTornTail(t *testing.T) {
 	firstEnd := segHeaderLen + recHeaderLen + len("whole") + len("kept")
 	for cut := firstEnd + 1; cut < len(data); cut++ {
 		cutDir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(cutDir, "w.seg"), data[:cut], 0o644); err != nil {
+		torn := filepath.Join(cutDir, "w.seg")
+		if err := os.WriteFile(torn, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s2, err := Open(cutDir, Options{Repair: true})
+		s2, err := Open(cutDir, nil)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -131,13 +133,29 @@ func TestStoreTornTail(t *testing.T) {
 		if st := s2.Stats(); st.Torn != 1 {
 			t.Fatalf("cut %d: torn = %d, want 1", cut, st.Torn)
 		}
-		// Repair truncated the tail: a second open is clean.
-		s3, err := Open(cutDir, Options{Repair: true})
+		if err := s2.Put("after", []byte("new")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s3, err := Open(cutDir, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st := s3.Stats(); st.Torn != 0 || st.Records != 1 {
-			t.Fatalf("cut %d: after repair torn=%d records=%d", cut, st.Torn, st.Records)
+		fi, err := os.Stat(torn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() != int64(cut) {
+			t.Fatalf("cut %d: torn segment is now %d bytes", cut, fi.Size())
+		}
+		if st := s3.Stats(); st.Torn != 1 || st.Records != 2 || st.Corrupt != 0 {
+			t.Fatalf("cut %d: after a later writer torn=%d records=%d corrupt=%d, want 1, 2, 0",
+				cut, st.Torn, st.Records, st.Corrupt)
+		}
+		if _, ok := s3.Get("tail"); ok {
+			t.Fatalf("cut %d: torn record served after a later writer", cut)
 		}
 	}
 }
@@ -147,7 +165,7 @@ func TestStoreTornTail(t *testing.T) {
 // survive, and the decoder must not panic.
 func TestStoreCorruptRecordQuarantined(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{})
+	s, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +189,7 @@ func TestStoreCorruptRecordQuarantined(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(cutDir, "w.seg"), mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s2, err := Open(cutDir, Options{})
+		s2, err := Open(cutDir, nil)
 		if err != nil {
 			t.Fatalf("flip @%d: %v", off, err)
 		}
@@ -191,7 +209,7 @@ func TestStoreCorruptRecordQuarantined(t *testing.T) {
 
 func TestStoreQuarantinePoisonsUntilPut(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{})
+	s, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +245,7 @@ func TestStoreIncompatibleSegmentIgnored(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "future.seg"), hdr, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(dir, Options{})
+	s, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +263,7 @@ func TestStoreNilSafe(t *testing.T) {
 		t.Error(err)
 	}
 	s.Quarantine("k", nil)
-	if s.Len() != 0 {
+	if s.Stats().Records != 0 {
 		t.Error("nil accessors")
 	}
 	if err := s.Close(); err != nil {
@@ -256,7 +274,7 @@ func TestStoreNilSafe(t *testing.T) {
 func TestStoreCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Registry: reg})
+	s, err := Open(dir, reg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -180,9 +180,9 @@ func ResNet50(resolution int) Model {
 	return b.build(resolution)
 }
 
-// DarkNet19 instantiates DarkNet-19 (19 conv) at the given resolution.
-func DarkNet19(resolution int) Model {
-	b := newBuilder("DarkNet-19", resolution, 3)
+// darkNetBackbone appends the DarkNet-19 feature extractor, conv1..conv18,
+// shared by DarkNet-19 and YOLOv2.
+func darkNetBackbone(b *builder) {
 	b.conv("", 32, 3, 1, 1)
 	b.pool(2, 2, 0)
 	b.conv("", 64, 3, 1, 1)
@@ -206,6 +206,12 @@ func DarkNet19(resolution int) Model {
 		b.conv("", 512, 1, 1, 0)
 	}
 	b.conv("", 1024, 3, 1, 1)
+}
+
+// DarkNet19 instantiates DarkNet-19 (19 conv) at the given resolution.
+func DarkNet19(resolution int) Model {
+	b := newBuilder("DarkNet-19", resolution, 3)
+	darkNetBackbone(b)
 	b.conv("conv19", 1000, 1, 1, 0)
 	return b.build(resolution)
 }
@@ -216,30 +222,7 @@ func DarkNet19(resolution int) Model {
 // 512×512 "for detection tasks").
 func YOLOv2(resolution int) Model {
 	b := newBuilder("YOLOv2", resolution, 3)
-	// DarkNet-19 backbone through conv18.
-	b.conv("", 32, 3, 1, 1)
-	b.pool(2, 2, 0)
-	b.conv("", 64, 3, 1, 1)
-	b.pool(2, 2, 0)
-	b.conv("", 128, 3, 1, 1)
-	b.conv("", 64, 1, 1, 0)
-	b.conv("", 128, 3, 1, 1)
-	b.pool(2, 2, 0)
-	b.conv("", 256, 3, 1, 1)
-	b.conv("", 128, 1, 1, 0)
-	b.conv("", 256, 3, 1, 1)
-	b.pool(2, 2, 0)
-	for i := 0; i < 2; i++ {
-		b.conv("", 512, 3, 1, 1)
-		b.conv("", 256, 1, 1, 0)
-	}
-	b.conv("", 512, 3, 1, 1)
-	b.pool(2, 2, 0)
-	for i := 0; i < 2; i++ {
-		b.conv("", 1024, 3, 1, 1)
-		b.conv("", 512, 1, 1, 0)
-	}
-	b.conv("", 1024, 3, 1, 1)
+	darkNetBackbone(b)
 	// Detection head: two 3x3x1024 convs, the (space-to-depth folded)
 	// passthrough merge, and the 1x1 predictor for 5 anchors x 25 values.
 	b.conv("conv19", 1024, 3, 1, 1)
@@ -252,18 +235,9 @@ func YOLOv2(resolution int) Model {
 
 // dwConv appends a depthwise convolution (Groups = CI = CO).
 func (b *builder) dwConv(name string, k, stride, pad int) {
-	b.seq++
-	if name == "" {
-		name = fmt.Sprintf("conv%d_dw", b.seq)
-	}
-	l := Layer{
-		Model: b.model, Name: name,
-		HO: OutDim(b.h, k, stride, pad), WO: OutDim(b.w, k, stride, pad),
-		CO: b.c, CI: b.c, Groups: b.c,
-		R: k, S: k, StrideH: stride, StrideW: stride, PadH: pad, PadW: pad,
-	}
-	b.layers = append(b.layers, l)
-	b.h, b.w = l.HO, l.WO
+	b.conv(name, b.c, k, stride, pad)
+	last := &b.layers[len(b.layers)-1]
+	last.Groups = last.CI
 }
 
 // MobileNetV2 instantiates MobileNetV2 (inverted residuals with depthwise
