@@ -131,13 +131,15 @@ type Stats struct {
 	// (see mapper.Counters): candidates generated, pruned by a bound
 	// (structurally 0: the group scan bounds cells before materializing
 	// them), pruned between pipeline stages, and fully evaluated, plus the
-	// feasible cells the scan materialized (FloorsComputed) and the
-	// candidate groups it expanded (HeapPopped).
+	// feasible cells the scan materialized (FloorsComputed), the candidate
+	// groups it built and bounded (GroupsBuilt) and those it expanded
+	// (HeapPopped).
 	Generated      int64
 	BoundPruned    int64
 	StagePruned    int64
 	Evaluated      int64
 	FloorsComputed int64
+	GroupsBuilt    int64
 	HeapPopped     int64
 
 	// WarmStartHits and WarmStartSeedGap are always zero: every search is cold.
@@ -162,9 +164,9 @@ func (s Stats) String() string {
 	out := fmt.Sprintf("engine: %d lookups, %d searches, %d hits, %d coalesced (%.1fx dedup)",
 		s.Lookups, s.Searches, s.Hits, s.Coalesced, dedup)
 	if s.Generated > 0 {
-		out += fmt.Sprintf("; search: %d candidates, %d bound-pruned, %d stage-pruned, %d evaluated (%.1f%% pruned), %d cells, %d groups expanded",
+		out += fmt.Sprintf("; search: %d candidates, %d bound-pruned, %d stage-pruned, %d evaluated (%.1f%% pruned), %d cells, %d groups built, %d groups expanded",
 			s.Generated, s.BoundPruned, s.StagePruned, s.Evaluated, 100*s.PrunedFraction(),
-			s.FloorsComputed, s.HeapPopped)
+			s.FloorsComputed, s.GroupsBuilt, s.HeapPopped)
 	}
 	if s.Panics > 0 || s.Retries > 0 || s.Timeouts > 0 || s.Replayed > 0 || s.Evictions > 0 {
 		out += fmt.Sprintf("; resilience: %d panics, %d retries, %d timeouts, %d replayed, %d evicted",
@@ -249,6 +251,7 @@ func NewFromConfig(cm *hardware.CostModel, cfg Config) *Evaluator {
 		StagePruned:    reg.LiveCounter("mapper.candidates_stage_pruned"),
 		Evaluated:      reg.LiveCounter("mapper.candidates_evaluated"),
 		FloorsComputed: reg.LiveCounter("mapper.floors_computed"),
+		GroupsBuilt:    reg.LiveCounter("mapper.groups_built"),
 		HeapPopped:     reg.LiveCounter("mapper.heap_popped"),
 	}
 	return e
@@ -292,6 +295,7 @@ func (e *Evaluator) Stats() Stats {
 		StagePruned:    e.searchCtrs.StagePruned.Value(),
 		Evaluated:      e.searchCtrs.Evaluated.Value(),
 		FloorsComputed: e.searchCtrs.FloorsComputed.Value(),
+		GroupsBuilt:    e.searchCtrs.GroupsBuilt.Value(),
 		HeapPopped:     e.searchCtrs.HeapPopped.Value(),
 	}
 }

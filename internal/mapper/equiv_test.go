@@ -323,7 +323,7 @@ func TestSearchAllWorkersInvariant(t *testing.T) {
 // generation: every materialized candidate lands in exactly one outcome
 // bucket, the scan never materializes more than the exhaustive candidate
 // count (nor more cells than candidates, each cell having at least one
-// temporal variant), and a
+// temporal variant, nor expands more groups than it built), and a
 // KeepTop large enough to disable pruning recovers the exhaustive count
 // exactly — the materialization saving is pruning, not omission.
 func TestSearchCountersConsistent(t *testing.T) {
@@ -339,6 +339,7 @@ func TestSearchCountersConsistent(t *testing.T) {
 			StagePruned:    &obs.Counter{},
 			Evaluated:      &obs.Counter{},
 			FloorsComputed: &obs.Counter{},
+			GroupsBuilt:    &obs.Counter{},
 			HeapPopped:     &obs.Counter{},
 		}
 		cfg := Config{KeepTop: 8, Counters: ctr}
@@ -359,6 +360,10 @@ func TestSearchCountersConsistent(t *testing.T) {
 		if ctr.FloorsComputed.Value() > gen {
 			t.Fatalf("%s: floors=%d > generated=%d (a floor covers >=1 variant)",
 				l.Name, ctr.FloorsComputed.Value(), gen)
+		}
+		if ctr.HeapPopped.Value() > ctr.GroupsBuilt.Value() {
+			t.Fatalf("%s: expanded %d groups of %d built",
+				l.Name, ctr.HeapPopped.Value(), ctr.GroupsBuilt.Value())
 		}
 
 		var exhaustive int64
