@@ -213,39 +213,66 @@ func activationWalk(w *walker, l *workload.Layer, nest []mapping.Loop, baseHO, b
 	w.flush()
 }
 
+// ActFloor is the fewest activation fills that any temporal order of one
+// level can incur at one buffer capacity, factored over the level's channel
+// trip count: Base fills when the channel trips multiply nothing, and
+// ChanPenalty set when they multiply Base at that capacity. The planar trips
+// and the capacity fix both, so a search computes a tile's floor once and
+// evaluates it at each channel trip count it bounds with (At).
+type ActFloor struct {
+	Base        int64
+	ChanPenalty bool
+}
+
+// At returns the fewest fills at chans channel trips.
+func (f ActFloor) At(chans int64) int64 {
+	if f.ChanPenalty && chans > 1 {
+		return f.Base * chans
+	}
+	return f.Base
+}
+
+// AL2Floor returns the A-L2 fill floor of a hot×wot chiplet tile at an
+// al2-byte A-L2, h1w1 being the package's planar trip count.
+func AL2Floor(l *workload.Layer, hot, wot int, h1w1, al2 int64) ActFloor {
+	return activationFloor(l.TileInputBytes(hot, wot, l.CI), h1w1, al2)
+}
+
+// AL1Floor returns the A-L1 fill floor of an hoc×woc core tile at an
+// al1-byte A-L1, h2w2 being the chiplet's planar trip count. It adds
+// al1Walk's Cc₀ point, which sits below every order's nest.
+func AL1Floor(l *workload.Layer, hw *hardware.Config, hoc, woc int, h2w2, al1 int64) ActFloor {
+	f := activationFloor(l.TileInputBytes(hoc, woc, l.CI), h2w2, al1)
+	if al1 < mapping.CoreAL1Need(l, hw, hoc, woc) {
+		f.Base *= int64(l.R) * int64(l.S)
+	}
+	return f
+}
+
 // MinAL2Fills returns the fewest A-L2 fills — Analysis.AL2.Fills(al2) —
 // that any package-level temporal order of a hot×wot chiplet tile can
 // incur, h1w1 and c1 being the package's planar and channel trip counts.
 func MinAL2Fills(l *workload.Layer, hot, wot int, h1w1, c1, al2 int64) int64 {
-	return minActivationFills(l.TileInputBytes(hot, wot, l.CI), h1w1, c1, al2)
+	return AL2Floor(l, hot, wot, h1w1, al2).At(c1)
 }
 
 // MinAL1Fills returns the fewest A-L1 fills — Analysis.AL1.Fills(al1) —
 // that any chiplet-level temporal order of an hoc×woc core tile can incur,
-// h2w2 and c2 being the chiplet's planar and channel trip counts. It adds
-// al1Walk's Cc₀ point, which sits below every order's nest.
+// h2w2 and c2 being the chiplet's planar and channel trip counts.
 func MinAL1Fills(l *workload.Layer, hw *hardware.Config, hoc, woc int, h2w2, c2, al1 int64) int64 {
-	fills := minActivationFills(l.TileInputBytes(hoc, woc, l.CI), h2w2, c2, al1)
-	if al1 < mapping.CoreAL1Need(l, hw, hoc, woc) {
-		fills *= int64(l.R) * int64(l.S)
-	}
-	return fills
+	return AL1Floor(l, hw, hoc, woc, h2w2, al1).At(c2)
 }
 
-// minActivationFills is the activation walk of one level minimized over its
+// activationFloor is the activation walk of one level minimized over its
 // two temporal orders at a buffer of the given capacity. tile is the level's
-// base input footprint, planar its H·W trips and chans its C trips. Both
-// orders fill tile·planar intrinsically and differ only in where the C
-// reuse region closes: channel priority closes it at tile, plane priority at
-// the whole planar region's footprint, which is never smaller. Channel
-// priority is always one of the search's orders, so the C penalty is
-// unavoidable exactly when the capacity is below tile.
-func minActivationFills(tile, planar, chans, capacity int64) int64 {
-	fills := tile * planar
-	if chans > 1 && capacity < tile {
-		fills *= chans
-	}
-	return fills
+// base input footprint and planar its H·W trips. Both orders fill
+// tile·planar intrinsically and differ only in where the C reuse region
+// closes: channel priority closes it at tile, plane priority at the whole
+// planar region's footprint, which is never smaller. Channel priority is
+// always one of the search's orders, so the C penalty is unavoidable
+// exactly when the capacity is below tile.
+func activationFloor(tile, planar, capacity int64) ActFloor {
+	return ActFloor{Base: tile * planar, ChanPenalty: capacity < tile}
 }
 
 // WithInnerThreshold prepends the supplemental Cc₀ critical point of Fig 6(e):

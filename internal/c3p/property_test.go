@@ -18,14 +18,14 @@ func randomMapping(l workload.Layer, hw hardware.Config, seed [6]uint8) (mapping
 		m.PackageSpatial = mapping.SpatialC
 	} else {
 		m.PackageSpatial = mapping.SpatialP
-		pats := mapping.GridPatterns(hw.Chiplets)
+		pats := mapping.GridPatterns(nil, hw.Chiplets)
 		m.PackagePattern = pats[int(seed[0]/2)%len(pats)]
 	}
 	switch seed[1] % 3 {
 	case 0:
 		m.ChipletSpatial, m.ChipletCSplit, m.ChipletPattern = mapping.SpatialC, hw.Cores, mapping.Pattern{Rows: 1, Cols: 1}
 	case 1:
-		pats := mapping.GridPatterns(hw.Cores)
+		pats := mapping.GridPatterns(nil, hw.Cores)
 		m.ChipletSpatial, m.ChipletCSplit, m.ChipletPattern = mapping.SpatialP, 1, pats[int(seed[1]/3)%len(pats)]
 	default:
 		m.ChipletSpatial, m.ChipletCSplit, m.ChipletPattern = mapping.SpatialH, 2, mapping.Pattern{Rows: 2, Cols: hw.Cores / 4}

@@ -58,7 +58,7 @@ func stageHW(rng *rand.Rand) hardware.Config {
 // with every tile still unset.
 func stageSplits(hw hardware.Config) []mapping.Mapping {
 	pkgs := []mapping.Mapping{{PackageSpatial: mapping.SpatialC}}
-	for _, p := range mapping.GridPatterns(hw.Chiplets) {
+	for _, p := range mapping.GridPatterns(nil, hw.Chiplets) {
 		pkgs = append(pkgs, mapping.Mapping{PackageSpatial: mapping.SpatialP, PackagePattern: p})
 	}
 	type chip struct {
@@ -67,12 +67,12 @@ func stageSplits(hw hardware.Config) []mapping.Mapping {
 		pat    mapping.Pattern
 	}
 	chips := []chip{{mapping.SpatialC, hw.Cores, mapping.Pattern{Rows: 1, Cols: 1}}}
-	for _, p := range mapping.GridPatterns(hw.Cores) {
+	for _, p := range mapping.GridPatterns(nil, hw.Cores) {
 		chips = append(chips, chip{mapping.SpatialP, 1, p})
 	}
 	for cs := 2; cs < hw.Cores; cs++ {
 		if hw.Cores%cs == 0 {
-			for _, p := range mapping.GridPatterns(hw.Cores / cs) {
+			for _, p := range mapping.GridPatterns(nil, hw.Cores/cs) {
 				chips = append(chips, chip{mapping.SpatialH, cs, p})
 			}
 		}

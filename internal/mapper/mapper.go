@@ -106,45 +106,54 @@ func coreTilePairs(dst [][2]int, l *workload.Layer, hw *hardware.Config, hs, ws 
 	return dst
 }
 
-// chipletSplits enumerates the chiplet-level spatial alternatives for a
-// hardware configuration: C, P (all grid patterns) and H (all proper
-// csplit×grid factorizations).
+// chipletSplit is one chiplet-level spatial alternative: its csplit ways
+// of pattern.Parts() cores each cover the chiplet's cores.
 type chipletSplit struct {
 	kind    mapping.Spatial
 	csplit  int
 	pattern mapping.Pattern
 }
 
-func chipletSplits(hw hardware.Config) []chipletSplit {
-	var out []chipletSplit
-	out = append(out, chipletSplit{mapping.SpatialC, hw.Cores, mapping.Pattern{Rows: 1, Cols: 1}})
-	for _, p := range mapping.GridPatterns(hw.Cores) {
-		out = append(out, chipletSplit{mapping.SpatialP, 1, p})
+// maxGridPatterns sizes the stack buffers the split enumerations collect
+// grid patterns in; a core or chiplet count with more divisors spills to
+// the heap.
+const maxGridPatterns = 16
+
+// chipletSplits appends to dst the chiplet-level spatial alternatives for
+// a hardware configuration: C, P (all grid patterns) and H (all proper
+// csplit×grid factorizations).
+func chipletSplits(dst []chipletSplit, hw hardware.Config) []chipletSplit {
+	var buf [maxGridPatterns]mapping.Pattern
+	dst = append(dst, chipletSplit{mapping.SpatialC, hw.Cores, mapping.Pattern{Rows: 1, Cols: 1}})
+	for _, p := range mapping.GridPatterns(buf[:0], hw.Cores) {
+		dst = append(dst, chipletSplit{mapping.SpatialP, 1, p})
 	}
 	for cs := 2; cs < hw.Cores; cs++ {
 		if hw.Cores%cs != 0 {
 			continue
 		}
-		for _, p := range mapping.GridPatterns(hw.Cores / cs) {
-			out = append(out, chipletSplit{mapping.SpatialH, cs, p})
+		for _, p := range mapping.GridPatterns(buf[:0], hw.Cores/cs) {
+			dst = append(dst, chipletSplit{mapping.SpatialH, cs, p})
 		}
 	}
-	return out
+	return dst
 }
 
-// packageSplits enumerates the package-level spatial alternatives: C plus
-// every grid pattern of the P-type planar split.
+// packageSplit is one package-level spatial alternative.
 type packageSplit struct {
 	kind    mapping.Spatial
 	pattern mapping.Pattern
 }
 
-func packageSplits(hw hardware.Config) []packageSplit {
-	out := []packageSplit{{mapping.SpatialC, mapping.Pattern{}}}
-	for _, p := range mapping.GridPatterns(hw.Chiplets) {
-		out = append(out, packageSplit{mapping.SpatialP, p})
+// packageSplits appends to dst the package-level spatial alternatives: C
+// plus every grid pattern of the P-type planar split.
+func packageSplits(dst []packageSplit, hw hardware.Config) []packageSplit {
+	var buf [maxGridPatterns]mapping.Pattern
+	dst = append(dst, packageSplit{mapping.SpatialC, mapping.Pattern{}})
+	for _, p := range mapping.GridPatterns(buf[:0], hw.Chiplets) {
+		dst = append(dst, packageSplit{mapping.SpatialP, p})
 	}
-	return out
+	return dst
 }
 
 // Config tunes the search.
@@ -217,8 +226,11 @@ func (st *subtree) base() mapping.Mapping {
 // exhaustive loop applies). Its order is the canonical enumeration order.
 func subtrees(l workload.Layer, hw hardware.Config, cfg Config) []subtree {
 	rotate := hw.Chiplets > 1 && !cfg.DisableRotation
-	css := chipletSplits(hw)
-	pss := packageSplits(hw)
+	// The split lists are scratch: collect them on the stack.
+	var cbuf [4 * maxGridPatterns]chipletSplit
+	var pbuf [maxGridPatterns + 1]packageSplit
+	css := chipletSplits(cbuf[:0], hw)
+	pss := packageSplits(pbuf[:0], hw)
 	out := make([]subtree, 0, len(pss)*len(css))
 	for _, ps := range pss {
 		hop, wop, cop := l.HO, l.WO, l.CO

@@ -82,7 +82,7 @@ func TestCoreTilePairsRespectBuffers(t *testing.T) {
 func TestChipletSplitsCoverAllKinds(t *testing.T) {
 	hw := hardware.CaseStudy() // 8 cores
 	kinds := map[mapping.Spatial]int{}
-	for _, s := range chipletSplits(hw) {
+	for _, s := range chipletSplits(nil, hw) {
 		kinds[s.kind]++
 		if s.csplit*s.pattern.Parts() != hw.Cores {
 			t.Errorf("split %+v does not cover %d cores", s, hw.Cores)

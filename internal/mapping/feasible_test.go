@@ -13,7 +13,7 @@ import (
 func randomMapping(rng *rand.Rand, l workload.Layer, hw hardware.Config) Mapping {
 	spatials := []Spatial{SpatialC, SpatialP, SpatialH}
 	pat := func(n int) Pattern {
-		ps := GridPatterns(n)
+		ps := GridPatterns(nil, n)
 		if len(ps) == 0 || rng.Intn(8) == 0 {
 			return Pattern{Rows: rng.Intn(4) + 1, Cols: rng.Intn(4) + 1}
 		}
@@ -52,7 +52,7 @@ func randomMapping(rng *rand.Rand, l workload.Layer, hw hardware.Config) Mapping
 			}
 			if len(splits) > 0 {
 				m.ChipletCSplit = splits[rng.Intn(len(splits))]
-				ps := GridPatterns(hw.Cores / m.ChipletCSplit)
+				ps := GridPatterns(nil, hw.Cores/m.ChipletCSplit)
 				m.ChipletPattern = ps[rng.Intn(len(ps))]
 			}
 		}

@@ -71,15 +71,15 @@ func (p Pattern) Parts() int { return p.Rows * p.Cols }
 // String implements fmt.Stringer.
 func (p Pattern) String() string { return fmt.Sprintf("%dx%d", p.Rows, p.Cols) }
 
-// GridPatterns enumerates all Rows×Cols factorizations of n.
-func GridPatterns(n int) []Pattern {
-	var out []Pattern
+// GridPatterns appends to dst all Rows×Cols factorizations of n, so a
+// caller can enumerate them into storage it owns.
+func GridPatterns(dst []Pattern, n int) []Pattern {
 	for r := 1; r <= n; r++ {
 		if n%r == 0 {
-			out = append(out, Pattern{Rows: r, Cols: n / r})
+			dst = append(dst, Pattern{Rows: r, Cols: n / r})
 		}
 	}
-	return out
+	return dst
 }
 
 // Mapping describes the complete orchestration of one layer on one hardware

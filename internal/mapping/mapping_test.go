@@ -25,18 +25,18 @@ func validMapping() Mapping {
 }
 
 func TestGridPatterns(t *testing.T) {
-	got := GridPatterns(4)
+	got := GridPatterns(nil, 4)
 	want := []Pattern{{1, 4}, {2, 2}, {4, 1}}
 	if len(got) != len(want) {
-		t.Fatalf("GridPatterns(4) = %v", got)
+		t.Fatalf("GridPatterns(nil, 4) = %v", got)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("GridPatterns(4)[%d] = %v, want %v", i, got[i], want[i])
+			t.Errorf("GridPatterns(nil, 4)[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
-	if n := len(GridPatterns(8)); n != 4 {
-		t.Errorf("GridPatterns(8) has %d entries, want 4", n)
+	if n := len(GridPatterns(nil, 8)); n != 4 {
+		t.Errorf("GridPatterns(nil, 8) has %d entries, want 4", n)
 	}
 }
 
