@@ -70,7 +70,9 @@ bench-smoke:
 # point, its shape-returning feasibility check to Validate plus Shape, its
 # group, subgroup and cell bounds below every member variant's stage energy,
 # its cell-level activation terms to the C³P walks they fold, the tables it
-# composes its bound terms from to those terms recomputed directly, and the
+# composes its bound terms from to those terms recomputed directly, the
+# bounds it prices from folded prefixes bit for bit to the card's total of
+# the traffic record assembled from the same terms, and the
 # buffer-need rejects it applies above the cell level to exactly the
 # probes Feasible rejects, and its core-tile list to every square tile whose
 # O-L1 and A-L1 needs fit; the search equivalence runs on the case-study
@@ -80,7 +82,7 @@ bench-smoke:
 # AppendNest's order, the mapped execution to the reference under all four
 # temporal orders, and Trace to its recorded golden output.
 equiv:
-	$(GO) test -race -count=1 -run 'TestCoreTilePairsRespectBuffers|TestScanFilterExact|TestGroupBoundAdmissible|TestActivationTermsExact|TestBoundTablesExact|TestSearchAllMatchesExhaustive|TestSearchAllWorkersInvariant|TestBestPerSpatialCombo|TestSearchScratch|TestSearchDeterministicOnTies|TestStageTrafficMatchesAnalysis|TestCardMatchesPrice|TestPricingKernelEquivalence|TestFeasibleShapeMatchesShape|TestTilesCoverOutputOnce|TestExecuteMappedMatchesReference|TestTraceGolden' ./internal/mapper ./internal/c3p ./internal/energy ./internal/dse ./internal/mapping ./internal/functional ./internal/sim
+	$(GO) test -race -count=1 -run 'TestCoreTilePairsRespectBuffers|TestScanFilterExact|TestGroupBoundAdmissible|TestActivationTermsExact|TestBoundTablesExact|TestBoundPrefixMatchesRecord|TestSearchAllMatchesExhaustive|TestSearchAllWorkersInvariant|TestBestPerSpatialCombo|TestSearchScratch|TestSearchDeterministicOnTies|TestStageTrafficMatchesAnalysis|TestCardMatchesPrice|TestPricingKernelEquivalence|TestFeasibleShapeMatchesShape|TestTilesCoverOutputOnce|TestExecuteMappedMatchesReference|TestTraceGolden' ./internal/mapper ./internal/c3p ./internal/energy ./internal/dse ./internal/mapping ./internal/functional ./internal/sim
 
 vet:
 	$(GO) vet ./...

@@ -261,9 +261,9 @@ func (a *Analysis) TrafficAt(al1, wl1, al2 int) (t Traffic) {
 // assembleTraffic combines the fixed traffic in t with the three fill volumes —
 // per-weight-group W-L1 fills, per-chiplet A-L2 fills, per-core-workload A-L1
 // fills — through the dataflow's distribution branches. It is the single
-// assembly path behind TrafficAt and StageTraffic, and GroupTrafficFloor
-// mirrors it branch for branch; it is monotone non-decreasing in each fill
-// argument.
+// assembly path behind TrafficAt and StageTraffic, and the search's bound
+// folds its branches into multipliers (SubtreeFloor, BoundPrefix); it is
+// monotone non-decreasing in each fill argument.
 func assembleTraffic(t *Traffic, hw *hardware.Config, m *mapping.Mapping, s *mapping.Shape,
 	groupFills, chipletActFills, coreActFills int64) {
 	chiplets := int64(hw.Chiplets)

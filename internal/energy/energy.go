@@ -28,10 +28,16 @@ func (b Breakdown) Total() float64 {
 	return sum(b.DRAM, b.D2D, b.AL2, b.AL1, b.WL1, b.OL1, b.OL2, b.MAC)
 }
 
-// sum adds the eight components in Breakdown order: the one summation both
-// Breakdown.Total and Card.Total run.
+// sum adds the eight components in Breakdown order: the one summation
+// Breakdown.Total, Card.Total and Partial.Total run. Addition runs left to
+// right, so the sum is tail over the first two components' sum.
 func sum(dram, d2d, al2, al1, wl1, ol1, ol2, mac float64) float64 {
-	return dram + d2d + al2 + al1 + wl1 + ol1 + ol2 + mac
+	return tail(dram+d2d, al2, al1, wl1, ol1, ol2, mac)
+}
+
+// tail finishes sum from the sum head of its DRAM and D2D components.
+func tail(head, al2, al1, wl1, ol1, ol2, mac float64) float64 {
+	return head + al2 + al1 + wl1 + ol1 + ol2 + mac
 }
 
 // Add returns the element-wise sum.
@@ -108,15 +114,19 @@ func Price(t *c3p.Traffic, hw *hardware.Config, cm *hardware.CostModel) Breakdow
 // Card is a small value: the mapper's search keeps one per search and
 // prices every bound and candidate through it without allocating.
 type Card struct {
-	al2, al1, wl1, ol2 float64 // SRAM pJ per bit at each buffer's macro size
+	// SRAM pJ per byte at each buffer's macro size: 8× the fitted per-bit
+	// energy. Scaling by 8 is exact in binary floating point, so pricing
+	// bytes at these rates rounds exactly as pricing bits at the per-bit
+	// ones.
+	al2, al1, wl1, ol2 float64
 	ol1                float64 // pJ per O-L1 read-modify-write
-	// cross is the fraction of DRAM bytes that cross the package at the
+	// cross8 is 8× the fraction of DRAM bytes that cross the package at the
 	// die-to-die rate: chiplets reach the whole DRAM space through the
 	// package crossbar (§III-A3), and an address lands on the chiplet's
 	// local channel with probability 1/N_P. This is the physical cost that
 	// makes scattering a fixed MAC budget over many chiplets progressively
 	// more expensive (Fig 14).
-	cross float64
+	cross8 float64
 	// num/den converts the record's logical die-to-die bytes to the
 	// physical bytes the fabric moves (c3p.Traffic.ScaleD2D).
 	num, den int64
@@ -131,15 +141,15 @@ func NewCard(hw *hardware.Config, cm *hardware.CostModel) Card {
 		ol2Size = hw.AL2Bytes
 	}
 	c := Card{
-		al2: cm.SRAMPJPerBit(hw.AL2Bytes),
-		al1: cm.SRAMPJPerBit(hw.AL1Bytes),
-		wl1: cm.SRAMPJPerBit(hw.WL1Bytes),
-		ol2: cm.SRAMPJPerBit(ol2Size),
+		al2: 8 * cm.SRAMPJPerBit(hw.AL2Bytes),
+		al1: 8 * cm.SRAMPJPerBit(hw.AL1Bytes),
+		wl1: 8 * cm.SRAMPJPerBit(hw.WL1Bytes),
+		ol2: 8 * cm.SRAMPJPerBit(ol2Size),
 		ol1: cm.RFRMWPJ(hw.OL1Bytes),
 		num: 1, den: 1,
 	}
 	if hw.Chiplets > 1 {
-		c.cross = float64(hw.Chiplets-1) / float64(hw.Chiplets)
+		c.cross8 = 8 * (float64(hw.Chiplets-1) / float64(hw.Chiplets))
 	}
 	return c
 }
@@ -151,36 +161,88 @@ func (c Card) WithD2DScale(num, den int64) Card {
 	return c
 }
 
+// Per-byte DRAM and die-to-die energies: 8× the per-bit ones, exact.
+const (
+	dramPJPerByte = 8 * hardware.DRAMPJPerBit
+	d2dPJPerByte  = 8 * hardware.D2DPJPerBit
+)
+
 // Price prices a traffic record component by component.
 func (c *Card) Price(t *c3p.Traffic) Breakdown {
 	var b Breakdown
-	b.DRAM, b.D2D, b.AL2, b.AL1, b.WL1, b.OL1, b.OL2, b.MAC = c.terms(t)
+	dram, d2d, al2, al1, wl1, ol1, ol2, macs := c.sums(t)
+	b.DRAM, b.D2D = c.fixedTerms(dram, d2d)
+	b.AL2, b.AL1, b.WL1, b.OL1 = c.bufferTerms(al2, al1, wl1, ol1)
+	b.OL2, b.MAC = c.outTerms(ol2, macs)
 	return b
 }
 
 // Total returns Price(t).Total() bit for bit, without building the
-// breakdown: the search's bounds and stage prune only compare totals.
-// Breakdown has too many fields for the compiler to keep in registers, so
-// summing a built one costs a store and a reload per component.
+// breakdown: the search's stage prune and explore's re-pricing only compare
+// totals. Breakdown has too many fields for the compiler to keep in
+// registers, so summing a built one costs a store and a reload per
+// component.
 func (c *Card) Total(t *c3p.Traffic) float64 {
-	return sum(c.terms(t))
+	dram, d2d, al2, al1, wl1, ol1, ol2, macs := c.sums(t)
+	p := c.Partial(dram, d2d, ol2, macs)
+	return p.Total(al2, al1, wl1, ol1)
 }
 
-// terms is the one pricing formula behind Price and Total, returning the
-// components in Breakdown order. Every product is rounded explicitly (the
-// float64 conversions), so no target may fuse it into a following addition
-// (arm64 FMA) differently in Price and in Total.
-func (c *Card) terms(t *c3p.Traffic) (dram, d2d, al2, al1, wl1, ol1, ol2, mac float64) {
-	bits := func(bytes int64) float64 { return float64(bytes) * 8 }
-	dramBits := bits(t.DRAMBytes())
-	dram = float64(dramBits * hardware.DRAMPJPerBit)
-	d2d = float64(bits(t.D2DBytesScaled(c.num, c.den))*hardware.D2DPJPerBit) +
-		float64(dramBits*c.cross*hardware.D2DPJPerBit)
-	al2 = float64(bits(t.AL2Writes+t.AL2Reads+t.L2Psum) * c.al2)
-	al1 = float64(bits(t.AL1Writes+t.AL1Reads) * c.al1)
-	wl1 = float64(bits(t.WL1Writes+t.WL1Reads) * c.wl1)
-	ol1 = float64(float64(t.OL1RMW) * c.ol1)
-	ol2 = float64(bits(t.OL2Writes+t.OL2Reads) * c.ol2)
-	mac = float64(float64(t.MACs) * hardware.MACPJPerOp)
+// sums returns the eight per-level integer sums a record is priced from, in
+// Breakdown order, its die-to-die bytes scaled to the physical ones.
+func (c *Card) sums(t *c3p.Traffic) (dram, d2d, al2, al1, wl1, ol1, ol2, macs int64) {
+	return t.DRAMBytes(), t.D2DBytesScaled(c.num, c.den), t.AL2Writes + t.AL2Reads + t.L2Psum,
+		t.AL1Writes + t.AL1Reads, t.WL1Writes + t.WL1Reads, t.OL1RMW, t.OL2Writes + t.OL2Reads, t.MACs
+}
+
+// Partial is a total priced as far as its DRAM bytes, physical die-to-die
+// bytes, O-L2 bytes and MACs: the sum of its first two components and its
+// last two, with the four buffer sums between them still open. The
+// search's bounds fix those four sums per group or chiplet tile and vary
+// the buffer sums per core tile, so they price the fixed part once
+// (Card.Partial) and each bound from it (Partial.Total).
+type Partial struct {
+	c              *Card
+	head, ol2, mac float64
+}
+
+// Partial prices a total's DRAM bytes, physical die-to-die bytes (already
+// scaled), O-L2 bytes and MACs.
+func (c *Card) Partial(dram, d2d, ol2, macs int64) Partial {
+	dt, d2t := c.fixedTerms(dram, d2d)
+	p := Partial{c: c, head: dt + d2t}
+	p.ol2, p.mac = c.outTerms(ol2, macs)
+	return p
+}
+
+// Total completes the partial total with the A-L2, A-L1 and W-L1 bytes and
+// the O-L1 read-modify-writes: Card.Total, bit for bit, of any record with
+// these eight sums.
+func (p *Partial) Total(al2, al1, wl1, ol1 int64) float64 {
+	a2, a1, w1, o1 := p.c.bufferTerms(al2, al1, wl1, ol1)
+	return tail(p.head, a2, a1, w1, o1, p.ol2, p.mac)
+}
+
+// fixedTerms, bufferTerms and outTerms are the one pricing formula behind
+// Price, Total and Partial, each pricing its components' integer sums. Every
+// product is rounded explicitly (the float64 conversions), so no target
+// may fuse it into a following addition (arm64 FMA) differently in Price
+// and in Total.
+func (c *Card) fixedTerms(dram, d2d int64) (dramPJ, d2dPJ float64) {
+	bytes := float64(dram)
+	dramPJ = float64(bytes * dramPJPerByte)
+	d2dPJ = float64(float64(d2d)*d2dPJPerByte) + float64(float64(bytes*c.cross8)*hardware.D2DPJPerBit)
 	return
+}
+
+func (c *Card) bufferTerms(al2, al1, wl1, ol1 int64) (al2PJ, al1PJ, wl1PJ, ol1PJ float64) {
+	al2PJ = float64(float64(al2) * c.al2)
+	al1PJ = float64(float64(al1) * c.al1)
+	wl1PJ = float64(float64(wl1) * c.wl1)
+	ol1PJ = float64(float64(ol1) * c.ol1)
+	return
+}
+
+func (c *Card) outTerms(ol2, macs int64) (ol2PJ, macPJ float64) {
+	return float64(float64(ol2) * c.ol2), float64(float64(macs) * hardware.MACPJPerOp)
 }

@@ -184,7 +184,8 @@ func tableIIHW(rng *rand.Rand) hardware.Config {
 
 // TestSearchAllMatchesExhaustiveTableII holds SearchAll to the exhaustive
 // reference on Table II memory points, minima included, where the scan's
-// buffer-need rejects fire at every level (see search.fits): a search
+// buffer-need rejects fire at every level (newSearch, chipletTiles and
+// planarFits): a search
 // whose W-L1 need fits no core returns nothing on both sides, and the
 // rotating splits lose chiplet tiles and planar pairs. The test fails
 // unless some trial places nothing and some trial places something.
@@ -271,7 +272,7 @@ func TestScanFilterExact(t *testing.T) {
 					})
 				}
 				feasible := 0
-				for si, st := range subtrees(l, hw, Config{}) {
+				for si, st := range subtrees(nil, l, hw, Config{}) {
 					st.walk(l, hw, func(p mapping.Mapping) {
 						ok := p.Feasible(l, hw)
 						if ok != reach[key(si, &p)] {

@@ -210,6 +210,9 @@ type subtree struct {
 	cs            chipletSplit
 	hop, wop, cop int // region after the package split
 	rotate        bool
+	// floor holds the subtree's bound factors; the pruned search sets it
+	// (newSearch), the exhaustive walk leaves it unset.
+	floor c3p.SubtreeFloor
 }
 
 // base returns the subtree's probe template: its spatial splits and
@@ -221,17 +224,16 @@ func (st *subtree) base() mapping.Mapping {
 	}
 }
 
-// subtrees materializes every shard of the mapping space for a layer,
+// subtrees appends to dst every shard of the mapping space for a layer,
 // skipping package splits the layer geometry rules out (the same rejects the
 // exhaustive loop applies). Its order is the canonical enumeration order.
-func subtrees(l workload.Layer, hw hardware.Config, cfg Config) []subtree {
+func subtrees(dst []subtree, l workload.Layer, hw hardware.Config, cfg Config) []subtree {
 	rotate := hw.Chiplets > 1 && !cfg.DisableRotation
 	// The split lists are scratch: collect them on the stack.
 	var cbuf [4 * maxGridPatterns]chipletSplit
 	var pbuf [maxGridPatterns + 1]packageSplit
 	css := chipletSplits(cbuf[:0], hw)
 	pss := packageSplits(pbuf[:0], hw)
-	out := make([]subtree, 0, len(pss)*len(css))
 	for _, ps := range pss {
 		hop, wop, cop := l.HO, l.WO, l.CO
 		if ps.kind == mapping.SpatialC {
@@ -247,10 +249,10 @@ func subtrees(l workload.Layer, hw hardware.Config, cfg Config) []subtree {
 			wop = ceilDiv(l.WO, ps.pattern.Cols)
 		}
 		for _, cs := range css {
-			out = append(out, subtree{ps: ps, cs: cs, hop: hop, wop: wop, cop: cop, rotate: rotate})
+			dst = append(dst, subtree{ps: ps, cs: cs, hop: hop, wop: wop, cop: cop, rotate: rotate})
 		}
 	}
-	return out
+	return dst
 }
 
 // walk yields every temporal-free probe mapping of the subtree. The tile
@@ -332,7 +334,7 @@ func enumerate(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg
 			yield(o)
 		}
 	}
-	for _, st := range subtrees(l, hw, cfg) {
+	for _, st := range subtrees(nil, l, hw, cfg) {
 		st.walk(l, hw, func(probe mapping.Mapping) {
 			forEachTemporal(probe, probe.Shape(&l, &hw), consider)
 		})

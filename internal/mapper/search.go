@@ -27,10 +27,13 @@ import (
 // that actually entered the funnel, not the full space the exhaustive
 // reference enumerates; the gap between the two is what the bounds save.
 // The scan drops a search, chiplet tile or planar pair whose buffer needs
-// cannot fit before it bounds any cell below it (see search.fits), and
-// lists only core tiles whose O-L1 and A-L1 needs fit (coreTilePairs), so
-// a search with no feasible mapping tallies nothing, and only the A-L2
-// staging of a core slice can still reject a cell the scan has bounded.
+// cannot fit before it bounds any cell below it: the W-L1 need in
+// newSearch, the rotating-P weight chunk per chiplet tile (chipletTiles)
+// and the rotating-C A-L2 share per planar pair (planarFits), each through
+// its own need formula in internal/mapping. It lists only core tiles whose
+// O-L1 and A-L1 needs fit (coreTilePairs), so a search with no feasible
+// mapping tallies nothing, and only the A-L2 staging of a core slice can
+// still reject a cell the scan has bounded.
 // Each materialized candidate lands in exactly one of the outcome buckets,
 // so Generated = BoundPruned + StagePruned + Evaluated always holds. The
 // counters are nil-safe; a zero Counters discards tallies.
@@ -179,23 +182,6 @@ type coreTile struct {
 	al1       c3p.ActFloor
 }
 
-// terms sets t to the bound terms of g's probes whose channel terms are
-// c's — a chiplet tile's row, or the minima over the subtree's rows — with
-// the group's core-tile minima: the coarse group terms, or a subgroup's.
-// The fields are stored one by one: building the record as a value and
-// copying it stalls on the copy's wide loads of the fresh narrow stores.
-func (g *candGroup) terms(t *c3p.GroupFloorTerms, c *chipTile) {
-	t.C1Min, t.C2Min, t.C12Min, t.OLChanMin = c.c1, c.c2, c.c12, c.olChans
-	t.H1W1, t.AL2Min = g.h1w1, g.al2.At(c.c1)
-	t.H2W2Min, t.PlanarCovMin, t.AL1Min = g.h2w2Min, g.covMin, g.al1Min
-}
-
-// cellTerms narrows the subgroup terms t of chiplet tile r to the core tile
-// ct, which makes every term exact.
-func cellTerms(t *c3p.GroupFloorTerms, r *chipTile, ct *coreTile) {
-	t.H2W2Min, t.PlanarCovMin, t.AL1Min = ct.h2w2, ct.cov, ct.al1.At(r.c2)
-}
-
 // groupRef orders the scan: one group's coarse bound and its index in the
 // worker's group list. The scan sorts these small keys rather than the
 // groups themselves, whose swaps would copy the bound terms.
@@ -277,9 +263,11 @@ func memoTiles[T any](store *[]T, memo map[[2]int][2]int32, key [2]int, gen func
 }
 
 // search carries the per-search immutable inputs shared by all workers:
-// the subtree shards, the one pricing kernel they all evaluate through, its
-// rate card at the search's buffer sizes, which prices every bound and
-// stage, and the bound factors the layer and compute allocation fix.
+// the subtree shards with their bound factors, the one pricing kernel they
+// all evaluate through, its rate card at the search's buffer sizes, which
+// prices every bound and stage, and the bound factors the layer, compute
+// allocation and fabric fix. Searches are pooled (searchPool), so the
+// subtree list keeps its backing array from one search to the next.
 type search struct {
 	l     workload.Layer
 	hw    hardware.Config
@@ -289,11 +277,15 @@ type search struct {
 	sts   []subtree
 }
 
+// searchPool recycles searches and their subtree lists. A search is
+// released only when its caller is done with every slice of sts.
+var searchPool = sync.Pool{New: func() any { return new(search) }}
+
 // newSearch validates the inputs and builds the search's fabric and shards,
 // or returns nil when the layer, hardware or interconnect geometry is
 // invalid or the space is empty — the exhaustive path rejects those per
 // candidate, the pruned path once up front (Feasible and the hoisted fabric
-// assume validity).
+// assume validity). The search comes from searchPool; release returns it.
 func newSearch(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg Config) *search {
 	if l.Validate() != nil || hw.Validate() != nil {
 		return nil
@@ -308,37 +300,40 @@ func newSearch(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg
 	if !empty.BufferNeeds(&l, &hw).Fits(&hw) {
 		return nil
 	}
-	sts := subtrees(l, hw, cfg)
-	if len(sts) == 0 {
+	s := searchPool.Get().(*search)
+	*s = search{l: l, hw: hw, fab: fab, card: fab.Card(&hw),
+		floor: c3p.NewFloorConsts(&l, &hw, fab.num, fab.den), sts: subtrees(s.sts[:0], l, hw, cfg)}
+	if len(s.sts) == 0 {
+		s.release()
 		return nil
 	}
-	return &search{l: l, hw: hw, fab: fab, card: fab.Card(&hw), floor: c3p.NewFloorConsts(&l, &hw), sts: sts}
+	for i := range s.sts {
+		st := &s.sts[i]
+		st.floor = s.floor.Subtree(st.ps.kind, st.rotate, st.cs.csplit, st.cs.pattern.Parts())
+	}
+	return s
 }
 
-// fits reports whether hw's buffers meet the needs the probe's set fields
-// fix. BufferNeeds reads a tile field that is still unset (zero) as a need
-// of zero, so a probe built down to one scan level fails exactly when every
-// cell below that level would fail FeasibleShape on a buffer need fixed at
-// or above it. The scan therefore rejects each need at the outermost level
-// that fixes it: W-L1 in newSearch, the rotating-P weight chunk per
-// chiplet tile (chipletTiles) and the rotating-C A-L2 chunk per planar pair
-// (planarFits).
-func (s *search) fits(probe *mapping.Mapping) bool {
-	return probe.BufferNeeds(&s.l, &s.hw).Fits(&s.hw)
+// release returns the search to searchPool, dropping its fabric so an idle
+// pooled search pins no topology.
+func (s *search) release() {
+	s.fab = nil
+	searchPool.Put(s)
 }
 
 // chipletTiles appends to dst the rows of the chiplet-tile candidates of st
 // that some cell can use: at least one output channel per core of the
 // channel split (the exhaustive walker's reject) and, on a rotating P
-// split, a per-hop weight chunk that fits the merged W-L1 pool. The chiplet
-// tile alone fixes both, and its channel terms.
+// split, a per-hop weight chunk (mapping.RotatingChunkNeed) that fits the
+// W-L1 pool merged across the cores that share weights. The chiplet tile
+// alone fixes both, and its channel terms.
 func (s *search) chipletTiles(dst []chipTile, st *subtree) []chipTile {
 	var buf [16]int // tileCandidates yields at most len(splitSeries)+1 tiles
 	lanes, csplit := s.hw.Lanes, max(1, st.cs.csplit)
-	probe := st.base()
+	rotP := st.rotate && st.ps.kind == mapping.SpatialP
+	pool := int64(s.hw.WL1Bytes) * int64(st.cs.pattern.Parts())
 	for _, cot := range tileCandidates(buf[:0], st.cop, st.cop) {
-		probe.COt = cot
-		if cot < st.cs.csplit || !s.fits(&probe) {
+		if cot < st.cs.csplit || rotP && mapping.RotatingChunkNeed(&s.l, &s.hw, cot) > pool {
 			continue
 		}
 		c1 := int64(ceilDiv(st.cop, cot))
@@ -367,36 +362,47 @@ func (s *search) coreTiles(dst []coreTile, hs, ws int) []coreTile {
 // planarFits reports whether some cell of st can use the planar pair
 // (hot, wot): the chiplet pattern must fit the tile plane (the exhaustive
 // walker's reject) and, on a rotating C split, the chiplet's share of the
-// tile input must fit A-L2. The pair alone fixes both.
+// tile input (mapping.RotatingAL2Need) must fit A-L2. The pair alone fixes
+// both.
 func (s *search) planarFits(st *subtree, hot, wot int) bool {
 	if st.cs.pattern.Rows > hot || st.cs.pattern.Cols > wot {
 		return false
 	}
-	probe := st.base()
-	probe.HOt, probe.WOt = hot, wot
-	return s.fits(&probe)
+	return !st.rotate || st.ps.kind != mapping.SpatialC ||
+		mapping.RotatingAL2Need(&s.l, &s.hw, hot, wot) <= int64(s.hw.AL2Bytes)
 }
 
-// groupBound prices the best case of every probe whose shape-product terms
-// are bounded below by t: the terms are assembled through
-// c3p.GroupTrafficFloor and totalled by the search's card. The scan prices
-// one group at three levels, each with the terms minimized over a narrower
-// candidate set: the full chiplet- and core-tile lists (the coarse bound the
-// groups are sorted by), a single chiplet tile (channel terms and A-L2
-// fills exact) and a single (chiplet tile, core tile) cell (every term
-// exact, the A-L1 and A-L2 fills being the fewest any temporal order incurs
-// at hw's capacities). candGroup.terms and cellTerms assemble each level
-// from the tile rows and group minima buildGroups stored, so a bound only
-// takes minima and products of stored integers. Admissible because every
-// term is ≤ its value for every member variant, the assembly mirrors the
-// exact one branch for branch, and the energy model is linear with
-// non-negative coefficients, so groupBound ≤ stage energy = energy for
-// every temporal variant of every member probe (pinned by
-// TestGroupBoundAdmissible).
-func (s *search) groupBound(st *subtree, t *c3p.GroupFloorTerms) float64 {
-	var tr c3p.Traffic
-	c3p.GroupTrafficFloor(&tr, &s.floor, st.ps.kind, st.rotate, st.cs.csplit, st.cs.pattern.Parts(), t)
-	return s.card.Total(&tr)
+// groupBound sets p to the bound prefix of g's probes whose channel terms
+// are c's — a chiplet tile's row, or the minima over the subtree's rows —
+// and prices it at the group's core-tile minima: the coarse group bound the
+// groups are sorted by (c the minima), or a subgroup's (c one chiplet tile,
+// which makes the channel terms and the A-L2 fills exact). cellBound then
+// prices each cell of the subgroup from the same prefix. The scan thus
+// prices one group at three levels, each with the terms minimized over a
+// narrower candidate set, the last with every term exact (the A-L1 and
+// A-L2 fills being the fewest any temporal order incurs at hw's
+// capacities). Every term is a stored tile row or group minimum, so a bound
+// only takes products of stored integers. Admissible because every term is
+// ≤ its value for every member variant, the prefix folds the exact
+// assembly's branches, and the energy model is linear with non-negative
+// coefficients, so a bound ≤ stage energy = energy for every temporal
+// variant of every member probe (pinned by TestGroupBoundAdmissible).
+func (s *search) groupBound(p *prefix, st *subtree, g *candGroup, c *chipTile) float64 {
+	p.terms.Fold(&s.floor, &st.floor, c.c1, c.c12, c.olChans, g.h1w1, g.al2.At(c.c1))
+	p.priced = s.card.Partial(p.terms.Fixed())
+	return p.priced.Total(p.terms.Complete(g.h2w2Min, g.covMin, g.al1Min))
+}
+
+// cellBound prices the cell of the subgroup prefix p (of chiplet tile r) at
+// core tile ct.
+func (p *prefix) cellBound(r *chipTile, ct *coreTile) float64 {
+	return p.priced.Total(p.terms.Complete(ct.h2w2, ct.cov, ct.al1.At(r.c2)))
+}
+
+// prefix is a bound prefix with its fixed sums priced by the search's card.
+type prefix struct {
+	terms  c3p.BoundPrefix
+	priced energy.Partial
 }
 
 // channelMinima returns the termwise minima of the chiplet-tile rows cots,
@@ -427,11 +433,12 @@ func (g *candGroup) coreMinima(cts []coreTile, c2 int64) {
 // planar pair) that some cell can use, with the subtree's filtered
 // chiplet-tile rows in ws.cots, the group's core-tile rows in the tile memo
 // and its coarse bound in ws.order, unsorted. With newSearch's W-L1 check,
-// every buffer need above the core tile has been checked (see fits), and
-// the core-tile rows hold only tiles whose O-L1 and A-L1 needs fit, so each
-// cell the groups span is feasible unless its core slice misses A-L2.
+// chipletTiles and planarFits check every buffer need above the core tile,
+// and the core-tile rows hold only tiles whose O-L1 and A-L1 needs fit, so
+// each cell the groups span is feasible unless its core slice misses A-L2.
 func (s *search) buildGroups(sts []subtree, ws *searchState) {
 	al2 := int64(s.hw.AL2Bytes)
+	var p prefix
 	ws.groups, ws.order = ws.groups[:0], ws.order[:0]
 	ws.cotSpan, ws.cots = ws.cotSpan[:0], ws.cots[:0]
 	for si := range sts {
@@ -464,9 +471,7 @@ func (s *search) buildGroups(sts []subtree, ws *searchState) {
 				h1w1: h1w1, al2: c3p.AL2Floor(&s.l, hot, wot, h1w1, al2)})
 			g := &ws.groups[len(ws.groups)-1]
 			g.coreMinima(ws.cores[g.cp0:g.cp1], chans.c2)
-			var coarse c3p.GroupFloorTerms
-			g.terms(&coarse, &chans)
-			ws.order = append(ws.order, groupRef{bound: s.groupBound(st, &coarse), g: int32(len(ws.groups) - 1)})
+			ws.order = append(ws.order, groupRef{bound: s.groupBound(&p, st, g, &chans), g: int32(len(ws.groups) - 1)})
 		}
 	}
 }
@@ -514,23 +519,20 @@ func (s *search) scan(sts []subtree, ws *searchState, dest *topK, shared *minBou
 		st := &sts[g.st]
 		sp := ws.cotSpan[g.st]
 		cots, cts := ws.cots[sp[0]:sp[1]], ws.cores[g.cp0:g.cp1]
-		var sub, cell c3p.GroupFloorTerms
+		var p prefix
 		for i := range cots {
 			// A single chiplet tile makes the channel-product terms and the
 			// A-L2 fills exact.
 			r := &cots[i]
-			g.terms(&sub, r)
-			if s.groupBound(st, &sub) > min(dest.worst(), shared.Load()) {
+			if s.groupBound(&p, st, g, r) > min(dest.worst(), shared.Load()) {
 				continue
 			}
-			cell = sub
 			for j := range cts {
 				// With both tile axes fixed every term is exact, A-L1 and
-				// A-L2 fills included, so the cell bound is priced through
-				// the cheap group assembly before the feasibility check runs.
+				// A-L2 fills included, so the cell bound completes the
+				// subgroup's prefix before the feasibility check runs.
 				ct := &cts[j]
-				cellTerms(&cell, r, ct)
-				if s.groupBound(st, &cell) > min(dest.worst(), shared.Load()) {
+				if p.cellBound(r, ct) > min(dest.worst(), shared.Load()) {
 					continue
 				}
 				probe := st.base()
@@ -662,6 +664,7 @@ func SearchAll(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg
 	if srch == nil {
 		return nil
 	}
+	defer srch.release()
 	states := takeStates(resolveWorkers(cfg.Workers, len(srch.sts)))
 	defer releaseStates(states)
 	return srch.run(states, srch.sts, cfg.KeepTop, cfg.Counters)
@@ -731,6 +734,7 @@ func BestPerSpatialCombo(l workload.Layer, hw hardware.Config, cm *hardware.Cost
 	if srch == nil {
 		return best
 	}
+	defer srch.release()
 	combo := func(a, b subtree) int {
 		return cmp.Or(cmp.Compare(a.ps.kind, b.ps.kind), cmp.Compare(a.cs.kind, b.cs.kind))
 	}

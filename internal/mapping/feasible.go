@@ -111,8 +111,11 @@ type BufferNeeds struct {
 // Validate renders them into error messages and Feasible only compares them,
 // so the two can never disagree on the accept set. A tile field still at
 // zero adds a need of zero, so a mapping filled in down to one tile level
-// carries exactly the needs that level and those above it fix: the
-// mapper's search checks each need that way, at the level that fixes it.
+// carries exactly the needs that level and those above it fix. The mapper's
+// search checks each need at the level that fixes it: the W-L1 need on the
+// empty mapping, the two outer-level needs through their own formulas
+// (RotatingChunkNeed per chiplet tile, RotatingAL2Need per planar pair) and
+// the core-tile needs through CoreOL1Need and CoreAL1Need.
 func (m *Mapping) BufferNeeds(l *workload.Layer, hw *hardware.Config) BufferNeeds {
 	slice := CoreAL1Need(l, hw, m.HOc, m.WOc)
 	n := BufferNeeds{
@@ -123,12 +126,29 @@ func (m *Mapping) BufferNeeds(l *workload.Layer, hw *hardware.Config) BufferNeed
 		WeightShare: int64(m.ChipletPattern.Parts()),
 	}
 	if m.Rotate && m.PackageSpatial == SpatialC {
-		n.AL2 = 2 * l.TileInputBytes(m.HOt, m.WOt, ceilDiv(l.CI, hw.Chiplets))
+		n.AL2 = RotatingAL2Need(l, hw, m.HOt, m.WOt)
 	}
 	if m.Rotate && m.PackageSpatial == SpatialP {
-		n.RotatingChunk = 2 * int64(m.COt) * int64(l.CIPerGroup()) * int64(l.R) * int64(l.S) / int64(hw.Chiplets)
+		n.RotatingChunk = RotatingChunkNeed(l, hw, m.COt)
 	}
 	return n
+}
+
+// RotatingAL2Need is the A-L2 need of a rotating C-type package split with
+// hot×wot chiplet tiles: the chiplet's 1/N_P share of the tile input over
+// the layer's input channels, double-buffered. The planar pair alone fixes
+// it, so the mapper's search checks it once per planar pair.
+func RotatingAL2Need(l *workload.Layer, hw *hardware.Config, hot, wot int) int64 {
+	return 2 * l.TileInputBytes(hot, wot, ceilDiv(l.CI, hw.Chiplets))
+}
+
+// RotatingChunkNeed is the per-hop weight chunk of a rotating P-type
+// package split with cot-channel chiplet tiles, checked against the W-L1
+// pool merged across the cores that share weights (BufferNeeds.WeightShare).
+// The chiplet tile alone fixes it, so the mapper's search checks it once
+// per chiplet tile.
+func RotatingChunkNeed(l *workload.Layer, hw *hardware.Config, cot int) int64 {
+	return 2 * int64(cot) * int64(l.CIPerGroup()) * int64(l.R) * int64(l.S) / int64(hw.Chiplets)
 }
 
 // CoreOL1Need is the O-L1 need of an hoc×woc core tile: the 24-bit partial

@@ -138,10 +138,13 @@ func TestParallelForCancellation(t *testing.T) {
 }
 
 func TestParallelForEmpty(t *testing.T) {
-	if err := ParallelFor(context.Background(), 0, 4, func(int) error {
-		t.Error("body ran for n=0")
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	// workers=0 resolves to GOMAXPROCS before the empty loop returns.
+	for _, workers := range []int{0, 4} {
+		if err := ParallelFor(context.Background(), 0, workers, func(int) error {
+			t.Errorf("workers=%d: body ran for n=0", workers)
+			return nil
+		}); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 	}
 }
