@@ -201,9 +201,19 @@ func (n BufferNeeds) Fits(hw *hardware.Config) bool {
 // A-L2 sizes — the capacities c3p.Analysis.TrafficAt substitutes — meet
 // every need but O-L1's.
 func (n BufferNeeds) FitsAt(al1, wl1, al2 int) bool {
-	return n.AL1 <= int64(al1) && n.WL1 <= int64(wl1) && n.AL2 <= int64(al2) &&
-		n.RotatingChunk <= int64(wl1)*n.WeightShare
+	return n.FitsAL1(al1) && n.FitsWL1(wl1) && n.FitsAL2(al2)
 }
+
+// FitsAL1, FitsWL1 and FitsAL2 are FitsAt's checks of one buffer each: the
+// A-L1 need; the W-L1 need and the rotating chunk against the merged pool;
+// the A-L2 need.
+func (n BufferNeeds) FitsAL1(al1 int) bool { return n.AL1 <= int64(al1) }
+
+func (n BufferNeeds) FitsWL1(wl1 int) bool {
+	return n.WL1 <= int64(wl1) && n.RotatingChunk <= int64(wl1)*n.WeightShare
+}
+
+func (n BufferNeeds) FitsAL2(al2 int) bool { return n.AL2 <= int64(al2) }
 
 // Compare orders two mappings by a fixed lexicographic key over every field:
 // spatial primitives, patterns, temporal orders, tile sizes, rotation. It is
