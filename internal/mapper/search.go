@@ -182,6 +182,22 @@ type coreTile struct {
 	al1       c3p.ActFloor
 }
 
+// cotKey is what a subtree's chiplet-tile rows depend on: its region's
+// channel count, its chiplet C split (which fixes the cores per weight
+// group, csplit·parts = cores) and whether it rotates a P-type package
+// split (chipletTiles).
+type cotKey struct {
+	cop, csplit int
+	rotP        bool
+}
+
+// cotRows is the span of one cotKey's chiplet-tile rows in ws.cots and
+// their channel minima.
+type cotRows struct {
+	span  [2]int32
+	chans chipTile
+}
+
 // groupRef orders the scan: one group's coarse bound and its index in the
 // worker's group list. The scan sorts these small keys rather than the
 // groups themselves, whose swaps would copy the bound terms.
@@ -203,9 +219,10 @@ type searchState struct {
 	groups []candGroup
 	order  []groupRef
 	// The chiplet-tile rows of the scan's subtrees, one span of cots per
-	// subtree.
+	// subtree. Subtrees with equal cotKeys share one span (cotAt).
 	cotSpan [][2]int32
 	cots    []chipTile
+	cotAt   map[cotKey]cotRows
 	// Per-search tile memos: within one search planarPairs depends only on
 	// the region (hop, wop) and the core-tile rows only on the per-core
 	// region (hs, ws), so each list is generated once into pairs or cores
@@ -223,7 +240,8 @@ type searchState struct {
 // rule keeps every returned Option independent of the scratch, so a state
 // can serve the next search as soon as its scan finishes.
 var statePool = sync.Pool{New: func() any {
-	return &searchState{planarAt: make(map[[2]int][2]int32), coreAt: make(map[[2]int][2]int32)}
+	return &searchState{planarAt: make(map[[2]int][2]int32), coreAt: make(map[[2]int][2]int32),
+		cotAt: make(map[cotKey]cotRows)}
 }}
 
 // takeStates draws one reset state per worker from the pool.
@@ -441,15 +459,25 @@ func (s *search) buildGroups(sts []subtree, ws *searchState) {
 	var p prefix
 	ws.groups, ws.order = ws.groups[:0], ws.order[:0]
 	ws.cotSpan, ws.cots = ws.cotSpan[:0], ws.cots[:0]
+	clear(ws.cotAt)
 	for si := range sts {
 		st := &sts[si]
-		off := len(ws.cots)
-		ws.cots = s.chipletTiles(ws.cots, st)
-		ws.cotSpan = append(ws.cotSpan, [2]int32{int32(off), int32(len(ws.cots))})
-		if len(ws.cots) == off {
+		key := cotKey{cop: st.cop, csplit: st.cs.csplit, rotP: st.rotate && st.ps.kind == mapping.SpatialP}
+		rows, ok := ws.cotAt[key]
+		if !ok {
+			off := len(ws.cots)
+			ws.cots = s.chipletTiles(ws.cots, st)
+			rows.span = [2]int32{int32(off), int32(len(ws.cots))}
+			if len(ws.cots) > off {
+				rows.chans = channelMinima(ws.cots[off:])
+			}
+			ws.cotAt[key] = rows
+		}
+		ws.cotSpan = append(ws.cotSpan, rows.span)
+		if rows.span[0] == rows.span[1] {
 			continue
 		}
-		chans := channelMinima(ws.cots[off:])
+		chans := rows.chans
 		pp := memoTiles(&ws.pairs, ws.planarAt, [2]int{st.hop, st.wop}, func(dst [][2]int) [][2]int {
 			return planarPairs(dst, st.hop, st.wop)
 		})
